@@ -7,7 +7,7 @@ GO ?= go
 # under the race detector.
 RACE_PKGS := ./internal/core/... ./internal/pagestore/... ./internal/device/... ./internal/forest/...
 
-.PHONY: help build test race bench bench-json conformance forest mixed compact serve fmt fmt-fix vet ci clean
+.PHONY: help build test race bench bench-json bfperf conformance forest mixed compact serve fmt fmt-fix vet ci clean
 
 help:
 	@echo "BF-Tree — available targets:"
@@ -21,6 +21,7 @@ help:
 	@echo "  make compact  - incremental-compaction gate: stall comparison + race test"
 	@echo "  make serve    - serving-layer gate: server + loadgen suites under -race, serve-load scaling test"
 	@echo "  make bench    - run every benchmark once (smoke) "
+	@echo "  make bfperf   - smoke-test the wall-clock benchmark (its own module)"
 	@echo "  make bench-json - regenerate every BENCH_*.json artifact (see the README table)"
 	@echo "  make fmt      - fail if any file needs gofmt"
 	@echo "  make fmt-fix  - gofmt -w the tree"
@@ -72,6 +73,12 @@ serve:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# cmd/bfperf is a module of its own, so `go test ./...` at the root does
+# not build it; its smoke test runs the whole benchmark at a tiny scale
+# against the packages it imports (core, bloom, server, ...).
+bfperf:
+	$(GO) -C cmd/bfperf test ./...
+
 # Regenerates the committed streaming/batching result artifacts at the
 # scale CI smokes them.
 bench-json:
@@ -93,7 +100,7 @@ fmt-fix:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build test race conformance forest mixed compact serve bench
+ci: fmt vet build test race conformance forest mixed compact serve bench bfperf
 
 clean:
 	$(GO) clean -testcache

@@ -199,6 +199,17 @@ func fnv1a(key []byte, seed uint64) uint64 {
 	return h
 }
 
+// HashUint64 returns the double-hashing pair (h1, h2) that the AddUint64
+// and ContainsUint64 methods of Filter and CountingFilter derive for key:
+// position i of a filter with m positions is (h1 + i·h2) mod m. It
+// exists for embedders that test one key against many equal-geometry
+// filters and so hash it once.
+func HashUint64(key uint64) (h1, h2 uint64) {
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], key)
+	return baseHashes(buf[:])
+}
+
 // Add inserts a key into the filter.
 func (f *Filter) Add(key []byte) {
 	h1, h2 := baseHashes(key)
@@ -285,17 +296,6 @@ func (f *Filter) Union(other *Filter) error {
 	}
 	f.count += other.count
 	return nil
-}
-
-// Words exposes the underlying bit array (aliased, not copied). It
-// exists for embedders like the BF-Tree leaf, which packs many filters
-// into one page and cannot afford a per-filter header.
-func (f *Filter) Words() []uint64 { return f.bits }
-
-// FromWords reconstructs a filter around an existing bit array, the
-// inverse of Words. The slice is aliased.
-func FromWords(words []uint64, nbits uint64, hashes int, count uint64) *Filter {
-	return &Filter{bits: words, nbits: nbits, hashes: hashes, count: count}
 }
 
 // MarshalBinary serializes the filter: header (nbits, hashes, count)

@@ -354,3 +354,28 @@ func TestQuickUint64Wrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHashUint64MatchesFilterPositions checks that HashUint64 yields the
+// positions AddUint64 sets: a filter holding one key has exactly the
+// bits (h1 + i·h2) mod m set.
+func TestHashUint64MatchesFilterPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, k := range []int{1, 3, 30} {
+		for trial := 0; trial < 50; trial++ {
+			key := rng.Uint64()
+			f := NewWithParams(Params{Bits: 1001, Hashes: k})
+			f.AddUint64(key)
+			want := make([]uint64, len(f.bits))
+			h1, h2 := HashUint64(key)
+			for i := 0; i < k; i++ {
+				p := (h1 + uint64(i)*h2) % 1001
+				want[p/64] |= 1 << (p % 64)
+			}
+			for i := range want {
+				if f.bits[i] != want[i] {
+					t.Fatalf("k=%d key=%d: word %d = %#x, HashUint64 positions give %#x", k, key, i, f.bits[i], want[i])
+				}
+			}
+		}
+	}
+}

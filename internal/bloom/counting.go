@@ -141,16 +141,6 @@ func (c *CountingFilter) ContainsUint64(key uint64) bool {
 // Count returns the net number of keys (adds minus removes).
 func (c *CountingFilter) Count() uint64 { return c.count }
 
-// Raw exposes the underlying counter array (aliased, not copied), for
-// embedders that pack many filters into one page.
-func (c *CountingFilter) Raw() []uint8 { return c.counters }
-
-// CountingFromRaw reconstructs a counting filter around an existing
-// counter array, the inverse of Raw. The slice is aliased.
-func CountingFromRaw(counters []uint8, slots uint64, hashes int, count uint64) *CountingFilter {
-	return &CountingFilter{counters: counters, slots: slots, hashes: hashes, count: count}
-}
-
 // SizeBytes returns the memory footprint of the counter array.
 func (c *CountingFilter) SizeBytes() uint64 { return uint64(len(c.counters)) }
 

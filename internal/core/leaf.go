@@ -33,12 +33,34 @@ const (
 //	bytes 55-58 drift inserts (uint32, keys absorbed since build/compaction)
 //	bytes 59-62 drift deletes (uint32, associations deleted since build/compaction)
 //	bytes 63+   S packed filter arrays
+//
+// Each filter array is filterBytes long. A standard filter's position p
+// is bit p%8 of byte p/8; a counting filter's is the 4-bit counter in
+// byte p/2, the low nibble for even p. Both match the in-memory layout
+// of bloom.Filter (little-endian words) and bloom.CountingFilter, and
+// every position is derived as those filters derive it.
 const leafHeaderSize = 63
+
+// counterMax is the value at which a counting filter's 4-bit counters
+// saturate; a saturated counter is never decremented, as in
+// bloom.CountingFilter.
+const counterMax = 15
+
+// posBufLen sizes the stack buffer that holds a key's filter positions.
+// It covers every hash count hashesFor picks; a larger explicit count
+// spills to the heap rather than being truncated.
+const posBufLen = 32
 
 // bfLeaf is the in-memory form of a BF-leaf (Section 4.1): a page range,
 // a key range, the indexed-key count that guards the fpp, the next-leaf
 // pointer for range scans, and S Bloom filters each covering granularity
 // consecutive data pages.
+//
+// The filters stay in page layout: filters holds S arrays of fb bytes
+// back to back, and every probe and update works on those bytes. A
+// decoded leaf aliases the page image it was decoded from, which is the
+// caller's own copy (pagestore.ReadPage copies); a writer mutates only
+// that copy and publishes the change by writing the leaf back.
 //
 // driftIns and driftDel are this leaf's contribution to the tree-wide
 // Equation 14 drift counters (treeMeta.inserts/deletes): every published
@@ -59,17 +81,13 @@ type bfLeaf struct {
 	driftIns       uint32
 	driftDel       uint32
 
-	std []*bloom.Filter         // kind == StandardFilter
-	cnt []*bloom.CountingFilter // kind == CountingFilter
+	s       int    // number of filters
+	fb      int    // bytes per filter, filterBytes(kind, posPerBF)
+	filters []byte // s*fb bytes in page layout
 }
 
 // numBFs returns S.
-func (l *bfLeaf) numBFs() int {
-	if l.kind == CountingFilter {
-		return len(l.cnt)
-	}
-	return len(l.std)
-}
+func (l *bfLeaf) numBFs() int { return l.s }
 
 // numPages returns the number of data pages the leaf covers.
 func (l *bfLeaf) numPages() int {
@@ -91,16 +109,62 @@ func (l *bfLeaf) pageRangeOf(bid int) (lo, hi device.PageID) {
 	return lo, hi
 }
 
-// addKey inserts key into the filter covering data page pid.
+// filter returns the bytes of filter bid.
+func (l *bfLeaf) filter(bid int) []byte {
+	return l.filters[bid*l.fb : (bid+1)*l.fb]
+}
+
+// positions appends key's k filter positions to pos. Every filter of a
+// leaf shares one geometry, so a key is hashed once per leaf rather than
+// once per filter.
+func (l *bfLeaf) positions(key uint64, pos []uint32) []uint32 {
+	h1, h2 := bloom.HashUint64(key)
+	for i := 0; i < l.hashes; i++ {
+		pos = append(pos, uint32((h1+uint64(i)*h2)%l.posPerBF))
+	}
+	return pos
+}
+
+// contains tests filter bid at the given positions.
+func (l *bfLeaf) contains(bid int, pos []uint32) bool {
+	f := l.filter(bid)
+	if l.kind == CountingFilter {
+		for _, p := range pos {
+			if f[p>>1]>>((p&1)<<2)&0x0f == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for _, p := range pos {
+		if f[p>>3]&(1<<(p&7)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// addKey inserts key into the filter covering data page pid. Bulk load
+// calls it once per tuple, so it derives each position inline.
 func (l *bfLeaf) addKey(key uint64, pid device.PageID) error {
 	if pid < l.minPid || pid > l.maxPid {
 		return fmt.Errorf("%w: pid %d outside [%d,%d]", ErrKeyRange, pid, l.minPid, l.maxPid)
 	}
-	bid := l.bfIndexOf(pid)
+	f := l.filter(l.bfIndexOf(pid))
+	h1, h2 := bloom.HashUint64(key)
 	if l.kind == CountingFilter {
-		l.cnt[bid].AddUint64(key)
-	} else {
-		l.std[bid].AddUint64(key)
+		for i := 0; i < l.hashes; i++ {
+			p := (h1 + uint64(i)*h2) % l.posPerBF
+			sh := (p & 1) << 2
+			if f[p>>1]>>sh&0x0f < counterMax {
+				f[p>>1] += 1 << sh
+			}
+		}
+		return nil
+	}
+	for i := 0; i < l.hashes; i++ {
+		p := (h1 + uint64(i)*h2) % l.posPerBF
+		f[p>>3] |= 1 << (p & 7)
 	}
 	return nil
 }
@@ -119,11 +183,23 @@ func (l *bfLeaf) removeKey(key uint64, pid device.PageID) (lastGone bool, err er
 	if pid < l.minPid || pid > l.maxPid {
 		return false, fmt.Errorf("%w: pid %d outside [%d,%d]", ErrKeyRange, pid, l.minPid, l.maxPid)
 	}
-	if err := l.cnt[l.bfIndexOf(pid)].RemoveUint64(key); err != nil {
-		return false, err
+	var buf [posBufLen]uint32
+	pos := l.positions(key, buf[:0])
+	bid := l.bfIndexOf(pid)
+	// Removing a key the filter does not hold would decrement other
+	// keys' counters and introduce false negatives.
+	if !l.contains(bid, pos) {
+		return false, fmt.Errorf("%w: key %d not in the filter of page %d", ErrNotIndexed, key, pid)
 	}
-	for _, c := range l.cnt {
-		if c.ContainsUint64(key) {
+	f := l.filter(bid)
+	for _, p := range pos {
+		sh := (p & 1) << 2
+		if c := f[p>>1] >> sh & 0x0f; c > 0 && c < counterMax {
+			f[p>>1] -= 1 << sh
+		}
+	}
+	for b := 0; b < l.s; b++ {
+		if l.contains(b, pos) {
 			return false, nil
 		}
 	}
@@ -132,10 +208,8 @@ func (l *bfLeaf) removeKey(key uint64, pid device.PageID) (lastGone bool, err er
 
 // probeOne tests a single filter.
 func (l *bfLeaf) probeOne(bid int, key uint64) bool {
-	if l.kind == CountingFilter {
-		return l.cnt[bid].ContainsUint64(key)
-	}
-	return l.std[bid].ContainsUint64(key)
+	var buf [posBufLen]uint32
+	return l.contains(bid, l.positions(key, buf[:0]))
 }
 
 // probe tests every filter for key and returns the matching filter
@@ -143,17 +217,26 @@ func (l *bfLeaf) probeOne(bid int, key uint64) bool {
 // When parallel is true the probes fan out over goroutines (the Section 8
 // optimization for leaves with hundreds of filters).
 func (l *bfLeaf) probe(key uint64, parallel bool) []int {
-	s := l.numBFs()
-	if !parallel || s < 16 {
-		var out []int
-		for bid := 0; bid < s; bid++ {
-			if l.probeOne(bid, key) {
-				out = append(out, bid)
-			}
-		}
-		return out
+	var buf [posBufLen]uint32
+	pos := l.positions(key, buf[:0])
+	if parallel && l.s >= 16 {
+		// The workers share one heap copy of the positions, which keeps
+		// buf on the sequential path's stack.
+		return l.probeParallel(append([]uint32(nil), pos...))
 	}
+	var out []int
+	for bid := 0; bid < l.s; bid++ {
+		if l.contains(bid, pos) {
+			out = append(out, bid)
+		}
+	}
+	return out
+}
+
+// probeParallel is probe's fan-out over 8 workers.
+func (l *bfLeaf) probeParallel(pos []uint32) []int {
 	const workers = 8
+	s := l.s
 	matched := make([]bool, s)
 	var wg sync.WaitGroup
 	chunk := (s + workers - 1) / workers
@@ -170,7 +253,7 @@ func (l *bfLeaf) probe(key uint64, parallel bool) []int {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for bid := lo; bid < hi; bid++ {
-				if l.probeOne(bid, key) {
+				if l.contains(bid, pos) {
 					matched[bid] = true
 				}
 			}
@@ -197,7 +280,8 @@ func filterBytes(kind FilterKind, positions uint64) int {
 // newBFLeaf constructs an empty leaf covering [minPid, maxPid] with S
 // filters of posPerBF positions each.
 func newBFLeaf(minPid, maxPid device.PageID, o Options, posPerBF uint64, s int) *bfLeaf {
-	l := &bfLeaf{
+	fb := filterBytes(o.Filter, posPerBF)
+	return &bfLeaf{
 		minPid:      minPid,
 		maxPid:      maxPid,
 		minKey:      ^uint64(0),
@@ -207,33 +291,23 @@ func newBFLeaf(minPid, maxPid device.PageID, o Options, posPerBF uint64, s int) 
 		kind:        o.Filter,
 		granularity: o.Granularity,
 		posPerBF:    posPerBF,
+		s:           s,
+		fb:          fb,
+		filters:     make([]byte, s*fb),
 	}
-	if o.Filter == CountingFilter {
-		l.cnt = make([]*bloom.CountingFilter, s)
-		for i := range l.cnt {
-			l.cnt[i] = bloom.NewCountingWithParams(bloom.Params{Bits: posPerBF, Hashes: o.Hashes})
-		}
-	} else {
-		l.std = make([]*bloom.Filter, s)
-		for i := range l.std {
-			l.std[i] = bloom.NewWithParams(bloom.Params{Bits: posPerBF, Hashes: o.Hashes})
-		}
-	}
-	return l
 }
 
 // encodeBFLeaf serializes the leaf into a page buffer.
 func encodeBFLeaf(buf []byte, l *bfLeaf) error {
-	s := l.numBFs()
-	need := leafHeaderSize + s*filterBytes(l.kind, l.posPerBF)
+	need := leafHeaderSize + len(l.filters)
 	if need > len(buf) {
 		return fmt.Errorf("%w: BF-leaf needs %d bytes > page %d", ErrCorrupt, need, len(buf))
 	}
-	if s > 0xffff {
-		return fmt.Errorf("%w: %d filters exceed uint16", ErrCorrupt, s)
+	if l.s > 0xffff {
+		return fmt.Errorf("%w: %d filters exceed uint16", ErrCorrupt, l.s)
 	}
 	buf[0] = nodeBFLeaf
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(s))
+	binary.LittleEndian.PutUint16(buf[1:3], uint16(l.s))
 	binary.LittleEndian.PutUint64(buf[3:11], uint64(l.minPid))
 	binary.LittleEndian.PutUint64(buf[11:19], uint64(l.maxPid))
 	binary.LittleEndian.PutUint64(buf[19:27], l.minKey)
@@ -246,33 +320,14 @@ func encodeBFLeaf(buf []byte, l *bfLeaf) error {
 	binary.LittleEndian.PutUint32(buf[51:55], uint32(l.posPerBF))
 	binary.LittleEndian.PutUint32(buf[55:59], l.driftIns)
 	binary.LittleEndian.PutUint32(buf[59:63], l.driftDel)
-	off := leafHeaderSize
-	fb := filterBytes(l.kind, l.posPerBF)
-	for i := 0; i < s; i++ {
-		if l.kind == CountingFilter {
-			copy(buf[off:off+fb], l.cnt[i].Raw())
-		} else {
-			words := l.std[i].Words()
-			for j, w := range words {
-				if off+j*8+8 <= off+fb {
-					binary.LittleEndian.PutUint64(buf[off+j*8:], w)
-				} else {
-					// Trailing partial word.
-					var tmp [8]byte
-					binary.LittleEndian.PutUint64(tmp[:], w)
-					copy(buf[off+j*8:off+fb], tmp[:])
-				}
-			}
-		}
-		off += fb
-	}
-	for i := off; i < len(buf); i++ {
-		buf[i] = 0
-	}
+	copy(buf[leafHeaderSize:], l.filters)
+	clear(buf[need:])
 	return nil
 }
 
-// decodeBFLeaf deserializes a BF-leaf from a page buffer.
+// decodeBFLeaf parses a BF-leaf's header and returns a leaf whose filters
+// alias buf (see bfLeaf). It checks every invariant the probe and update
+// paths index by, so a corrupt header is an ErrCorrupt, never a panic.
 func decodeBFLeaf(buf []byte) (*bfLeaf, error) {
 	if len(buf) < leafHeaderSize || buf[0] != nodeBFLeaf {
 		return nil, fmt.Errorf("%w: not a BF-leaf", ErrCorrupt)
@@ -291,48 +346,26 @@ func decodeBFLeaf(buf []byte) (*bfLeaf, error) {
 		posPerBF:    uint64(binary.LittleEndian.Uint32(buf[51:55])),
 		driftIns:    binary.LittleEndian.Uint32(buf[55:59]),
 		driftDel:    binary.LittleEndian.Uint32(buf[59:63]),
+		s:           s,
 	}
-	if l.granularity < 1 || l.hashes < 1 {
-		return nil, fmt.Errorf("%w: BF-leaf header granularity=%d hashes=%d", ErrCorrupt, l.granularity, l.hashes)
+	if l.granularity < 1 || l.hashes < 1 || l.posPerBF < 1 {
+		return nil, fmt.Errorf("%w: BF-leaf header granularity=%d hashes=%d positions=%d",
+			ErrCorrupt, l.granularity, l.hashes, l.posPerBF)
 	}
-	fb := filterBytes(l.kind, l.posPerBF)
-	if leafHeaderSize+s*fb > len(buf) {
-		return nil, fmt.Errorf("%w: %d filters of %d bytes overflow page", ErrCorrupt, s, fb)
-	}
-	perBFKeys := uint64(0)
-	if s > 0 {
-		perBFKeys = uint64(l.numKeys) / uint64(s)
-	}
-	off := leafHeaderSize
-	switch l.kind {
-	case CountingFilter:
-		l.cnt = make([]*bloom.CountingFilter, s)
-		for i := 0; i < s; i++ {
-			raw := make([]uint8, fb)
-			copy(raw, buf[off:off+fb])
-			l.cnt[i] = bloom.CountingFromRaw(raw, l.posPerBF, l.hashes, perBFKeys)
-			off += fb
-		}
-	case StandardFilter:
-		l.std = make([]*bloom.Filter, s)
-		words := int((l.posPerBF + 63) / 64)
-		for i := 0; i < s; i++ {
-			ws := make([]uint64, words)
-			var tmp [8]byte
-			for j := 0; j < words; j++ {
-				if off+j*8+8 <= off+fb {
-					ws[j] = binary.LittleEndian.Uint64(buf[off+j*8:])
-				} else {
-					copy(tmp[:], buf[off+j*8:off+fb])
-					ws[j] = binary.LittleEndian.Uint64(tmp[:])
-					tmp = [8]byte{}
-				}
-			}
-			l.std[i] = bloom.FromWords(ws, l.posPerBF, l.hashes, perBFKeys)
-			off += fb
-		}
-	default:
+	if l.kind != StandardFilter && l.kind != CountingFilter {
 		return nil, fmt.Errorf("%w: unknown filter kind %d", ErrCorrupt, l.kind)
 	}
+	// The filters must cover every page of the range, or bfIndexOf would
+	// index past the last one.
+	if l.minPid > l.maxPid || uint64(l.maxPid-l.minPid) >= uint64(s)*uint64(l.granularity) {
+		return nil, fmt.Errorf("%w: %d filters of %d pages cannot cover pages [%d,%d]",
+			ErrCorrupt, s, l.granularity, l.minPid, l.maxPid)
+	}
+	l.fb = filterBytes(l.kind, l.posPerBF)
+	end := leafHeaderSize + s*l.fb
+	if end > len(buf) {
+		return nil, fmt.Errorf("%w: %d filters of %d bytes overflow page", ErrCorrupt, s, l.fb)
+	}
+	l.filters = buf[leafHeaderSize:end:end]
 	return l, nil
 }
