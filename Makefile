@@ -25,7 +25,7 @@ help:
 	@echo "  make bench-json - regenerate every BENCH_*.json artifact (see the README table)"
 	@echo "  make fmt      - fail if any file needs gofmt"
 	@echo "  make fmt-fix  - gofmt -w the tree"
-	@echo "  make vet      - go vet ./..."
+	@echo "  make vet      - go vet ./... (root module and cmd/bfperf)"
 	@echo "  make ci       - everything CI runs, in order"
 	@echo "  make clean    - drop build and test caches"
 	@echo ""
@@ -97,8 +97,10 @@ fmt:
 fmt-fix:
 	gofmt -w .
 
+# cmd/bfperf is its own module, so the root vet does not reach it.
 vet:
 	$(GO) vet ./...
+	$(GO) -C cmd/bfperf vet ./...
 
 ci: fmt vet build test race conformance forest mixed compact serve bench bfperf
 

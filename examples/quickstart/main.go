@@ -100,7 +100,7 @@ func main() {
 		// LIMIT-k, the streaming way: a cursor over a much larger range
 		// stops after 5 tuples and pays only for the pages behind them —
 		// compare its data-page count to the materialized scan above.
-		it, err := index.Scan(ix, 700, 70000)
+		it, err := ix.Scan(700, 70000)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -117,24 +117,16 @@ func main() {
 
 		// Batched probes: one MultiSearch call answers many keys while
 		// sharing index descents — fewer index reads than key-at-a-time.
-		batch, err := index.MultiSearch(ix, []uint64{0, 7 * 1234, 7 * 5000, 7 * 99999})
+		batch, err := ix.MultiSearch([]uint64{0, 7 * 1234, 7 * 5000, 7 * 99999})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  batch of 4 keys → %d tuples; %d index reads for the whole batch\n",
 			len(batch.Tuples), batch.Stats.IndexReads)
 
-		// Capability discovery: ask the index what else it can do.
+		// Capability discovery: ask the index what it can do beyond
+		// lookups, scans and inserts, which every backend answers.
 		caps := ""
-		if _, ok := ix.(index.Scanner); ok {
-			caps += " scan"
-		}
-		if _, ok := ix.(index.MultiSearcher); ok {
-			caps += " multisearch"
-		}
-		if _, ok := ix.(index.Inserter); ok {
-			caps += " insert"
-		}
 		if _, ok := ix.(index.Deleter); ok {
 			caps += " delete"
 		}
@@ -147,7 +139,10 @@ func main() {
 		if _, ok := ix.(index.Maintainer); ok {
 			caps += " maintain"
 		}
-		fmt.Printf("  capabilities:%s\n", caps)
+		if _, ok := ix.(index.Warmable); ok {
+			caps += " warm"
+		}
+		fmt.Printf("  optional capabilities:%s\n", caps)
 		fmt.Printf("  device time charged: %v\n\n", idxDev.Stats().Elapsed)
 
 		if err := ix.Close(); err != nil {

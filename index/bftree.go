@@ -49,8 +49,8 @@ func newBFIndex(tr *core.Tree, opts Options) Index {
 
 // bfIndex adapts core.Tree — the BF-Tree already speaks the Result
 // shape, so every method is a delegation; the core scan cursor
-// satisfies Iterator directly. It implements Scanner, MultiSearcher,
-// Inserter, Deleter, Persister, Maintainer and Warmable.
+// satisfies Iterator directly. Beyond Index it implements Deleter,
+// Persister, Maintainer and Warmable.
 type bfIndex struct {
 	tree *core.Tree
 }

@@ -40,7 +40,7 @@ func layoutEntries(file *heapfile.File, fieldIdx int, dedup bool) ([]bptree.Entr
 // references, then fetch the referenced data pages into the shared
 // Result shape. In dedup mode the probe locates the first occurrence
 // and the fetch scans forward through the duplicates (Section 6.3). It
-// implements Scanner, MultiSearcher, Inserter and Warmable.
+// implements Warmable beyond Index.
 type bpIndex struct {
 	tree     *bptree.Tree
 	file     *heapfile.File

@@ -2,18 +2,15 @@ package index
 
 // CapSet is the discovered optional-capability surface of one index
 // value — the type-assertion matrix of DESIGN.md §5 as data. The
-// workload engine keys operation redistribution on it: ops a backend
-// cannot run are folded into ones it can, by declared capability
-// rather than per-backend switch.
+// workload engine keys operation redistribution on it (a backend
+// without Delete has its deletes folded into inserts), and the server
+// reports it at GET /stats.
 type CapSet struct {
-	Insert      bool
-	Delete      bool
-	Flush       bool
-	Persist     bool
-	Maintain    bool
-	Warm        bool
-	Scan        bool
-	MultiSearch bool
+	Delete   bool
+	Flush    bool
+	Persist  bool
+	Maintain bool
+	Warm     bool
 }
 
 // Capabilities reports which optional interfaces v implements. It
@@ -21,13 +18,10 @@ type CapSet struct {
 // tree types can be probed through the same helper.
 func Capabilities(v any) CapSet {
 	var c CapSet
-	_, c.Insert = v.(Inserter)
 	_, c.Delete = v.(Deleter)
 	_, c.Flush = v.(Flusher)
 	_, c.Persist = v.(Persister)
 	_, c.Maintain = v.(Maintainer)
 	_, c.Warm = v.(Warmable)
-	_, c.Scan = v.(Scanner)
-	_, c.MultiSearch = v.(MultiSearcher)
 	return c
 }

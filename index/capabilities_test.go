@@ -21,14 +21,11 @@ func TestCapabilitiesMatchAssertions(t *testing.T) {
 		}
 		got := index.Capabilities(ix)
 		want := index.CapSet{}
-		_, want.Insert = ix.(index.Inserter)
 		_, want.Delete = ix.(index.Deleter)
 		_, want.Flush = ix.(index.Flusher)
 		_, want.Persist = ix.(index.Persister)
 		_, want.Maintain = ix.(index.Maintainer)
 		_, want.Warm = ix.(index.Warmable)
-		_, want.Scan = ix.(index.Scanner)
-		_, want.MultiSearch = ix.(index.MultiSearcher)
 		if got != want {
 			t.Errorf("%s: Capabilities = %+v, want %+v", name, got, want)
 		}

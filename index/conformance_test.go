@@ -184,39 +184,35 @@ func TestConformance(t *testing.T) {
 			// Insert round-trip: duplicate associations of existing
 			// tuples (enough to force structural changes) must leave
 			// every lookup's tuple set unchanged.
-			if ins, ok := ix.(index.Inserter); ok {
-				for k := uint64(0); k <= maxKey; k += 5 * 3 {
-					for _, ref := range refsOf(t, file, k)[:1] {
-						if err := ins.Insert(k, ref); err != nil {
-							t.Fatalf("Insert(%d, %v): %v", k, ref, err)
-						}
-					}
-				}
-				if fl, ok := ix.(index.Flusher); ok {
-					if err := fl.Flush(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for k := uint64(0); k <= maxKey; k += 5 * 41 {
-					res, err := ix.Search(k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := goldenTuples(t, file, k, k)
-					if !sameTuples(res.Tuples, want) {
-						t.Fatalf("post-insert Search(%d): %d tuples, want %d", k, len(res.Tuples), len(want))
+			for k := uint64(0); k <= maxKey; k += 5 * 3 {
+				for _, ref := range refsOf(t, file, k)[:1] {
+					if err := ix.Insert(k, ref); err != nil {
+						t.Fatalf("Insert(%d, %v): %v", k, ref, err)
 					}
 				}
 			}
+			if fl, ok := ix.(index.Flusher); ok {
+				if err := fl.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := uint64(0); k <= maxKey; k += 5 * 41 {
+				res, err := ix.Search(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := goldenTuples(t, file, k, k)
+				if !sameTuples(res.Tuples, want) {
+					t.Fatalf("post-insert Search(%d): %d tuples, want %d", k, len(res.Tuples), len(want))
+				}
+			}
 
-			// Delete round-trip where both capabilities exist: remove
+			// Delete round-trip where the backend deletes: remove
 			// every association of a key, then re-insert them. Exact
 			// backends must answer empty in between; the BF-Tree may
 			// still find the physically present tuples (superset). After
 			// re-insert everyone answers golden again.
-			del, canDelete := ix.(index.Deleter)
-			ins, canInsert := ix.(index.Inserter)
-			if canDelete && canInsert {
+			if del, ok := ix.(index.Deleter); ok {
 				const victim = uint64(500)
 				refs := refsOf(t, file, victim)
 				golden := goldenTuples(t, file, victim, victim)
@@ -238,7 +234,7 @@ func TestConformance(t *testing.T) {
 					t.Fatalf("post-delete Search(%d): %d tuples, want 0", victim, len(res.Tuples))
 				}
 				for _, ref := range refs {
-					if err := ins.Insert(victim, ref); err != nil {
+					if err := ix.Insert(victim, ref); err != nil {
 						t.Fatalf("re-Insert(%d, %v): %v", victim, ref, err)
 					}
 				}
@@ -313,7 +309,6 @@ func TestConformanceConcurrent(t *testing.T) {
 			errCh := make(chan error, writers+probers)
 
 			if backend.ConcurrentWriters {
-				ins := ix.(index.Inserter)
 				del := ix.(index.Deleter)
 				for w := 0; w < writers; w++ {
 					wg.Add(1)
@@ -331,7 +326,7 @@ func TestConformanceConcurrent(t *testing.T) {
 									}
 								}
 								for _, ref := range refs[k] {
-									if err := ins.Insert(k, ref); err != nil {
+									if err := ix.Insert(k, ref); err != nil {
 										errCh <- err
 										return
 									}
@@ -357,26 +352,22 @@ func TestConformanceConcurrent(t *testing.T) {
 							t.Errorf("Search(%d) under churn: %d tuples exceeds physical 3", k, len(res.Tuples))
 							return
 						}
-						if ms, ok := ix.(index.MultiSearcher); ok {
-							if _, err := ms.MultiSearch([]uint64{k, k + 5, k + 150}); err != nil {
-								errCh <- err
-								return
-							}
+						if _, err := ix.MultiSearch([]uint64{k, k + 5, k + 150}); err != nil {
+							errCh <- err
+							return
 						}
-						if sc, ok := ix.(index.Scanner); ok {
-							it, err := sc.Scan(k, k+100)
-							if err != nil {
-								errCh <- err
-								return
-							}
-							for s := 0; it.Next() && s < 32; s++ {
-							}
-							err = it.Err()
-							it.Close()
-							if err != nil {
-								errCh <- err
-								return
-							}
+						it, err := ix.Scan(k, k+100)
+						if err != nil {
+							errCh <- err
+							return
+						}
+						for s := 0; it.Next() && s < 32; s++ {
+						}
+						err = it.Err()
+						it.Close()
+						if err != nil {
+							errCh <- err
+							return
 						}
 					}
 				}(p)
@@ -445,15 +436,16 @@ func TestConformanceDedupLayout(t *testing.T) {
 }
 
 // TestCapabilityMatrix pins DESIGN.md §5's table: which backend
-// implements which optional interface.
+// implements which optional interface. Scanner, MultiSearcher and
+// Inserter are part of index.Index, so the compiler checks those.
 func TestCapabilityMatrix(t *testing.T) {
 	file, _ := goldenRelation(t, 300)
 	matrix := map[string]map[string]bool{
-		"bftree":   {"Inserter": true, "Deleter": true, "Flusher": false, "Persister": true, "Maintainer": true, "Warmable": true, "Scanner": true, "MultiSearcher": true},
-		"bfforest": {"Inserter": true, "Deleter": true, "Flusher": false, "Persister": true, "Maintainer": true, "Warmable": true, "Scanner": true, "MultiSearcher": true},
-		"bptree":   {"Inserter": true, "Deleter": false, "Flusher": false, "Persister": false, "Maintainer": false, "Warmable": true, "Scanner": true, "MultiSearcher": true},
-		"fdtree":   {"Inserter": true, "Deleter": false, "Flusher": true, "Persister": false, "Maintainer": false, "Warmable": false, "Scanner": true, "MultiSearcher": true},
-		"hash":     {"Inserter": true, "Deleter": true, "Flusher": false, "Persister": false, "Maintainer": false, "Warmable": false, "Scanner": true, "MultiSearcher": true},
+		"bftree":   {"Deleter": true, "Flusher": false, "Persister": true, "Maintainer": true, "Warmable": true},
+		"bfforest": {"Deleter": true, "Flusher": false, "Persister": true, "Maintainer": true, "Warmable": true},
+		"bptree":   {"Deleter": false, "Flusher": false, "Persister": false, "Maintainer": false, "Warmable": true},
+		"fdtree":   {"Deleter": false, "Flusher": true, "Persister": false, "Maintainer": false, "Warmable": false},
+		"hash":     {"Deleter": true, "Flusher": false, "Persister": false, "Maintainer": false, "Warmable": false},
 	}
 	for _, name := range index.Backends() {
 		want, known := matrix[name]
@@ -467,14 +459,11 @@ func TestCapabilityMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := map[string]bool{}
-		_, got["Inserter"] = ix.(index.Inserter)
 		_, got["Deleter"] = ix.(index.Deleter)
 		_, got["Flusher"] = ix.(index.Flusher)
 		_, got["Persister"] = ix.(index.Persister)
 		_, got["Maintainer"] = ix.(index.Maintainer)
 		_, got["Warmable"] = ix.(index.Warmable)
-		_, got["Scanner"] = ix.(index.Scanner)
-		_, got["MultiSearcher"] = ix.(index.MultiSearcher)
 		for capability, w := range want {
 			if got[capability] != w {
 				t.Errorf("%s: %s = %v, want %v", name, capability, got[capability], w)
@@ -496,17 +485,10 @@ func TestCapabilityMatrix(t *testing.T) {
 	if _, ok := ix.(index.Persister); ok {
 		t.Error("buffered bftree mode must not implement Persister (buffered inserts would be lost)")
 	}
-	if _, ok := ix.(index.Scanner); !ok {
-		t.Error("buffered bftree mode does not implement Scanner")
-	}
-	if _, ok := ix.(index.MultiSearcher); !ok {
-		t.Error("buffered bftree mode does not implement MultiSearcher")
-	}
 	// Delete accounts for the buffer: a just-buffered association is
 	// deletable without an explicit Flush.
-	ins := ix.(index.Inserter)
 	ref := refsOf(t, file, 35)[0]
-	if err := ins.Insert(35, ref); err != nil {
+	if err := ix.Insert(35, ref); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.(index.Deleter).Delete(35, ref); err != nil {

@@ -24,9 +24,8 @@ func init() {
 
 // fdIndex adapts the FD-Tree comparator: the fractional-cascade search
 // (one run page per on-device level) yields tuple references, which the
-// shared fetch path resolves into the Result shape. It implements
-// Scanner, MultiSearcher, Inserter and Flusher (the memory-resident
-// head tree).
+// shared fetch path resolves into the Result shape. Beyond Index it
+// implements Flusher (the memory-resident head tree).
 type fdIndex struct {
 	tree     *fdtree.Tree
 	store    *Store

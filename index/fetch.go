@@ -320,13 +320,6 @@ func fetchPointOrdered(file *heapfile.File, fieldIdx int, key uint64, start Page
 	return drainInto(it, firstOnly, res)
 }
 
-// fetchRangeOrdered resolves a deduplicated range probe: sequential
-// pages from the range's first occurrence until the keys pass hi.
-func fetchRangeOrdered(file *heapfile.File, fieldIdx int, lo, hi uint64, start PageID, res *Result) error {
-	it := newOrderedIter(newFetcher(file, fieldIdx), start, inRange(lo, hi), beyondHi(hi), ProbeStats{})
-	return drainInto(it, false, res)
-}
-
 // fetchPointRefs resolves a per-tuple reference list for key; firstOnly
 // stops at the first match.
 func fetchPointRefs(file *heapfile.File, fieldIdx int, key uint64, refs []Ref, firstOnly bool, res *Result) error {
@@ -334,15 +327,8 @@ func fetchPointRefs(file *heapfile.File, fieldIdx int, key uint64, refs []Ref, f
 	return drainInto(it, firstOnly, res)
 }
 
-// fetchRangeRefs resolves a per-tuple reference list for a range scan:
-// each distinct referenced page is read once, ascending.
-func fetchRangeRefs(file *heapfile.File, fieldIdx int, lo, hi uint64, refs []Ref, res *Result) error {
-	it := newRefIter(newFetcher(file, fieldIdx), &sliceRefs{refs: sortedByPage(refs)}, inRange(lo, hi))
-	return drainInto(it, false, res)
-}
-
 // sortedByPage returns the references ordered by page id — the
-// ascending access list of the materialized range fetch.
+// ascending access list of a non-dedup batched probe.
 func sortedByPage(refs []Ref) []Ref {
 	out := append([]Ref(nil), refs...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })

@@ -40,8 +40,8 @@ func init() {
 
 // forestIndex adapts forest.Forest — a sharded set of BF-Trees behind
 // the one-tree API (DESIGN.md §7). The forest already speaks the Result
-// and cursor shapes, so every method delegates; it implements Scanner,
-// MultiSearcher, Inserter, Deleter, Persister, Maintainer and Warmable.
+// and cursor shapes, so every method delegates; beyond Index it
+// implements Deleter, Persister, Maintainer and Warmable.
 // Structural writers on distinct shards never contend, which is the
 // backend's whole reason to exist.
 type forestIndex struct {

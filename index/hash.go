@@ -25,7 +25,7 @@ func init() {
 
 // hashIndex adapts the in-memory hash baseline: constant-time bucket
 // probes cost no index I/O; only the data-page fetches for matching
-// tuples reach a device. It implements Inserter and Deleter.
+// tuples reach a device. Beyond Index it implements Deleter.
 type hashIndex struct {
 	idx      *hashindex.Index
 	file     *heapfile.File

@@ -13,13 +13,13 @@
 //
 //	ix, _ := index.New("bptree", idxStore, file, 0, index.Options{})
 //	res, _ := ix.Search(key)          // same call, any backend
-//	if ins, ok := ix.(index.Inserter); ok { ... }  // capability discovery
+//	if del, ok := ix.(index.Deleter); ok { ... }  // capability discovery
 //
-// The mandatory interface is intentionally small: point and range
-// lookups, stats, close. Everything else — streaming scans, batched
-// probes, inserts, deletes, flushing, persistence, maintenance, cache
-// warming — is an optional capability interface discovered by type
-// assertion; the per-backend matrix lives in DESIGN.md §5.
+// The mandatory interface covers what every backend answers: point,
+// range and batched lookups, streaming scans, inserts, stats, close.
+// Deletes, flushing, persistence, maintenance and cache warming vary
+// by backend; each is an optional capability interface discovered by
+// type assertion, and the per-backend matrix lives in DESIGN.md §5.
 package index
 
 import (
@@ -46,7 +46,7 @@ type (
 	File       = heapfile.File
 
 	// MaintenanceStats is the snapshot returned by the Maintainer
-	// capability (currently only the BF-Tree backend implements it).
+	// capability (the bftree and bfforest backends implement it).
 	MaintenanceStats = core.MaintenanceStats
 )
 
@@ -69,18 +69,17 @@ var ErrUnsupported = errors.New("index: unsupported operation")
 // backend is; the baselines are read-safe after build as long as no
 // writer runs).
 //
-// Capability discovery: anything beyond this interface is an optional
-// capability discovered by type assertion —
+// All five built-in backends stream scans, batch probes and accept
+// inserts, so Scanner, MultiSearcher and Inserter are part of the
+// contract. Anything beyond it is an optional capability discovered by
+// type assertion —
 //
-//	if s, ok := ix.(index.Scanner); ok { it, _ := s.Scan(lo, hi); ... }
+//	if d, ok := ix.(index.Deleter); ok { err = d.Delete(key, ref) }
 //
-// and the package-level helpers (Scan, MultiSearch) fold the assertion
-// and return ErrUnsupported when the backend lacks the capability —
-// the uniform answer for every missing capability, so callers can
-// errors.Is(err, index.ErrUnsupported) regardless of which one they
-// asked for. All four built-in backends implement Scanner and
-// MultiSearcher natively; the remaining capabilities vary (DESIGN.md
-// §5).
+// Which backend has which lives in DESIGN.md §5. Where a caller cannot
+// assert — Open on a backend that does not persist, a capability route
+// of the HTTP server — the missing capability surfaces as
+// ErrUnsupported.
 type Index interface {
 	// Search returns every tuple whose indexed field equals key.
 	Search(key uint64) (*Result, error)
@@ -97,6 +96,10 @@ type Index interface {
 	// Close releases background resources (the BF-Tree's maintainer);
 	// a no-op for passive backends.
 	Close() error
+
+	Scanner
+	MultiSearcher
+	Inserter
 }
 
 // Stats is the size-and-shape snapshot behind the paper's capacity
@@ -123,7 +126,7 @@ type Stats struct {
 	EffectiveFPP float64
 }
 
-// Inserter is implemented by backends that accept post-build inserts.
+// Inserter accepts post-build inserts: key maps to the tuple at ref.
 type Inserter interface {
 	Insert(key uint64, ref Ref) error
 }

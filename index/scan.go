@@ -54,26 +54,6 @@ type MultiSearcher interface {
 	MultiSearch(keys []uint64) (*Result, error)
 }
 
-// Scan opens a streaming scan on ix, or returns ErrUnsupported when the
-// backend lacks the Scanner capability.
-func Scan(ix Index, lo, hi uint64) (Iterator, error) {
-	s, ok := ix.(Scanner)
-	if !ok {
-		return nil, ErrUnsupported
-	}
-	return s.Scan(lo, hi)
-}
-
-// MultiSearch runs a batched probe on ix, or returns ErrUnsupported
-// when the backend lacks the MultiSearcher capability.
-func MultiSearch(ix Index, keys []uint64) (*Result, error) {
-	m, ok := ix.(MultiSearcher)
-	if !ok {
-		return nil, ErrUnsupported
-	}
-	return m.MultiSearch(keys)
-}
-
 // Drain consumes an iterator to completion and returns the materialized
 // Result. It closes the iterator in all cases.
 func Drain(it Iterator) (*Result, error) {

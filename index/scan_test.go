@@ -138,14 +138,10 @@ func TestConformanceScanStream(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			ix := buildVariant(t, v, file)
 			defer ix.Close()
-			s, ok := ix.(index.Scanner)
-			if !ok {
-				t.Fatalf("%s does not implement Scanner", v.name)
-			}
 
 			for _, rng := range [][2]uint64{{0, 0}, {250, 400}, {maxKey - 50, maxKey + 500}, {0, maxKey}} {
 				lo, hi := rng[0], rng[1]
-				it, err := s.Scan(lo, hi)
+				it, err := ix.Scan(lo, hi)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +174,7 @@ func TestConformanceScanStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			it, err := s.Scan(0, maxKey)
+			it, err := ix.Scan(0, maxKey)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +200,7 @@ func TestConformanceScanStream(t *testing.T) {
 			}
 
 			// A drained iterator closes cleanly too.
-			it, err = s.Scan(10, 20)
+			it, err = ix.Scan(10, 20)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +255,7 @@ func TestConformanceScanBoundaries(t *testing.T) {
 			if _, err := ix.RangeScan(5, 0); !errors.Is(err, index.ErrInvalidRange) {
 				t.Errorf("RangeScan(5,0): err = %v, want ErrInvalidRange", err)
 			}
-			if _, err := index.Scan(ix, 5, 0); !errors.Is(err, index.ErrInvalidRange) {
+			if _, err := ix.Scan(5, 0); !errors.Is(err, index.ErrInvalidRange) {
 				t.Errorf("Scan(5,0): err = %v, want ErrInvalidRange", err)
 			}
 
@@ -291,7 +287,7 @@ func checkRange(t *testing.T, ix index.Index, file *heapfile.File, name string, 
 		t.Errorf("%s: RangeScan[%d,%d]: %d tuples, want %d",
 			name, lo, hi, len(sliced.Tuples), len(want))
 	}
-	it, err := index.Scan(ix, lo, hi)
+	it, err := ix.Scan(lo, hi)
 	if err != nil {
 		t.Fatalf("%s: Scan: %v", name, err)
 	}
@@ -321,12 +317,8 @@ func TestConformanceMultiSearch(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			ix := buildVariant(t, v, file)
 			defer ix.Close()
-			m, ok := ix.(index.MultiSearcher)
-			if !ok {
-				t.Fatalf("%s does not implement MultiSearcher", v.name)
-			}
 
-			res, err := m.MultiSearch(batch)
+			res, err := ix.MultiSearch(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,14 +346,14 @@ func TestConformanceMultiSearch(t *testing.T) {
 			}
 
 			// Degenerate batches.
-			empty, err := m.MultiSearch(nil)
+			empty, err := ix.MultiSearch(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(empty.Tuples) != 0 {
 				t.Errorf("MultiSearch(nil): %d tuples, want 0", len(empty.Tuples))
 			}
-			miss, err := m.MultiSearch([]uint64{1, 2, 3})
+			miss, err := ix.MultiSearch([]uint64{1, 2, 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,24 +363,3 @@ func TestConformanceMultiSearch(t *testing.T) {
 		})
 	}
 }
-
-// TestScanUnsupportedHelpers pins the package-level capability helpers'
-// uniform ErrUnsupported answer on an index lacking the capabilities.
-func TestScanUnsupportedHelpers(t *testing.T) {
-	var bare bareIndex
-	if _, err := index.Scan(&bare, 0, 10); !errors.Is(err, index.ErrUnsupported) {
-		t.Errorf("Scan on a bare Index: err = %v, want ErrUnsupported", err)
-	}
-	if _, err := index.MultiSearch(&bare, []uint64{1}); !errors.Is(err, index.ErrUnsupported) {
-		t.Errorf("MultiSearch on a bare Index: err = %v, want ErrUnsupported", err)
-	}
-}
-
-// bareIndex implements only the mandatory Index interface.
-type bareIndex struct{}
-
-func (bareIndex) Search(uint64) (*index.Result, error)            { return &index.Result{}, nil }
-func (bareIndex) SearchFirst(uint64) (*index.Result, error)       { return &index.Result{}, nil }
-func (bareIndex) RangeScan(uint64, uint64) (*index.Result, error) { return &index.Result{}, nil }
-func (bareIndex) Stats() index.Stats                              { return index.Stats{} }
-func (bareIndex) Close() error                                    { return nil }

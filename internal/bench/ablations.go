@@ -208,10 +208,9 @@ func RunAblationBufferedInserts(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ins := ix.(index.Inserter)
 		env.ResetIO()
 		for k := uint64(0); k < n; k++ {
-			if err := ins.Insert(k, index.Ref{Page: syn.File.PageOf(k)}); err != nil {
+			if err := ix.Insert(k, index.Ref{Page: syn.File.PageOf(k)}); err != nil {
 				return nil, err
 			}
 		}

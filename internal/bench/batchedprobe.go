@@ -53,11 +53,6 @@ func BatchedProbeSweep(scale Scale, backends []string, batches []int) ([]*Batche
 		if err != nil {
 			return nil, err
 		}
-		m, ok := ix.(index.MultiSearcher)
-		if !ok {
-			ix.Close()
-			return nil, fmt.Errorf("bench: backend %q does not implement MultiSearcher", backend)
-		}
 		keys, err := pkProbes(syn, scale)
 		if err != nil {
 			ix.Close()
@@ -76,7 +71,7 @@ func BatchedProbeSweep(scale Scale, backends []string, batches []int) ([]*Batche
 			lats := make([]time.Duration, 0, total)
 			for at := 0; at+step <= total; at += step {
 				e0 := env.Elapsed()
-				res, err := m.MultiSearch(keys[at : at+step])
+				res, err := ix.MultiSearch(keys[at : at+step])
 				if err != nil {
 					ix.Close()
 					return nil, err

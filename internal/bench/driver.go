@@ -18,25 +18,28 @@ import (
 // worker pool, latency recording and stop condition through Drive, so
 // worker setup, warm-up, quota splitting and quantile math exist once.
 
-// Target is the minimal probe surface the Driver requires. Both
-// index.Index and *core.Tree satisfy it (index.Result aliases
-// core.Result); everything beyond it — inserts, deletes, streaming
-// scans, batched probes — is discovered per target via the index
-// package's capability interfaces.
+// Target is the op surface the Driver requires: every op kind but
+// delete. index.Index, *loadgen.Client and coreTarget satisfy it;
+// deletes are discovered per target via index.Deleter.
 type Target interface {
 	Search(key uint64) (*index.Result, error)
 	SearchFirst(key uint64) (*index.Result, error)
 	RangeScan(lo, hi uint64) (*index.Result, error)
+	index.Scanner
+	index.MultiSearcher
+	index.Inserter
 }
 
-// coreTarget adapts *core.Tree to the capability surface: the tree's
+// coreTarget adapts *core.Tree to Target and index.Deleter: the tree's
 // page-keyed Insert/Delete become the Ref-keyed capability signatures
-// (the slot is ignored, exactly as in the bftree index backend). The
-// embedded tree supplies the Target methods.
+// (the slot is ignored, exactly as in the bftree index backend), and
+// Scan is the boundary-optimized cursor, as in that backend. The
+// embedded tree supplies the probe methods.
 type coreTarget struct{ *core.Tree }
 
-func (c coreTarget) Insert(key uint64, ref index.Ref) error { return c.Tree.Insert(key, ref.Page) }
-func (c coreTarget) Delete(key uint64, ref index.Ref) error { return c.Tree.Delete(key, ref.Page) }
+func (c coreTarget) Insert(key uint64, ref index.Ref) error     { return c.Tree.Insert(key, ref.Page) }
+func (c coreTarget) Delete(key uint64, ref index.Ref) error     { return c.Tree.Delete(key, ref.Page) }
+func (c coreTarget) Scan(lo, hi uint64) (index.Iterator, error) { return c.Tree.ScanOptimized(lo, hi) }
 
 // OpSource yields one worker's operation sequence: Source(w) is called
 // once per worker and the returned draw function is called from that
@@ -73,10 +76,11 @@ type DriverConfig struct {
 	// drift/limbo sampling hooks in here.
 	OnOp func(worker, i int, op workload.Op)
 	// Apply, when non-nil, replaces the capability dispatch: the op is
-	// executed (and timed) by this closure instead. Experiments whose op
-	// execution needs extra state under the clock — shard-scale's
-	// lock-allocate-insert append — plug in here and still share the
-	// pool, quotas and quantile plumbing.
+	// executed (and timed) by this closure instead, and Drive's target
+	// is unused (pass nil). Experiments whose op execution needs extra
+	// state under the clock — shard-scale's lock-allocate-insert append
+	// — plug in here and still share the pool, quotas and quantile
+	// plumbing.
 	Apply func(worker int, op workload.Op) error
 	// UseSearchFirst makes search ops probe via SearchFirst (the
 	// primary-key early exit) instead of Search.
@@ -146,10 +150,7 @@ func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 		return nil, fmt.Errorf("bench: driver needs an op budget or an until channel")
 	}
 
-	ins, _ := t.(index.Inserter)
 	del, _ := t.(index.Deleter)
-	sc, _ := t.(index.Scanner)
-	ms, _ := t.(index.MultiSearcher)
 
 	var writeMu sync.RWMutex
 	readLock, readUnlock := func() {}, func() {}
@@ -176,19 +177,13 @@ func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 			defer readUnlock()
 			return t.RangeScan(op.Key, op.Hi)
 		case workload.OpMultiSearch:
-			if ms == nil {
-				return nil, fmt.Errorf("bench: driver op %v unsupported by target (mix not redistributed?)", op.Kind)
-			}
 			readLock()
 			defer readUnlock()
-			return ms.MultiSearch(op.Keys)
+			return t.MultiSearch(op.Keys)
 		case workload.OpScanLimit:
-			if sc == nil {
-				return nil, fmt.Errorf("bench: driver op %v unsupported by target (mix not redistributed?)", op.Kind)
-			}
 			readLock()
 			defer readUnlock()
-			it, err := sc.Scan(op.Key, op.Hi)
+			it, err := t.Scan(op.Key, op.Hi)
 			if err != nil {
 				return nil, err
 			}
@@ -213,10 +208,7 @@ func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 			writeLock()
 			defer writeUnlock()
 			if op.Kind == workload.OpInsert {
-				if ins == nil {
-					return nil, fmt.Errorf("bench: driver op %v unsupported by target (mix not redistributed?)", op.Kind)
-				}
-				return nil, ins.Insert(op.Key, ref)
+				return nil, t.Insert(op.Key, ref)
 			}
 			if del == nil {
 				return nil, fmt.Errorf("bench: driver op %v unsupported by target (mix not redistributed?)", op.Kind)
@@ -343,13 +335,7 @@ func addProbeStats(dst *index.ProbeStats, s index.ProbeStats) {
 // targetCaps derives the workload-facing capability set of a target
 // from its discovered interfaces.
 func targetCaps(t Target) workload.Caps {
-	c := index.Capabilities(t)
-	return workload.Caps{
-		Insert:      c.Insert,
-		Delete:      c.Delete,
-		Scan:        c.Scan,
-		MultiSearch: c.MultiSearch,
-	}
+	return workload.Caps{Delete: index.Capabilities(t).Delete}
 }
 
 // MixConfig configures DriveMix: a preset (or custom) Mix, the key

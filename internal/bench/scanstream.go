@@ -67,10 +67,6 @@ func ScanStreamSweep(scale Scale) ([]*ScanStreamResult, error) {
 		return nil, err
 	}
 	defer ix.Close()
-	s, ok := ix.(index.Scanner)
-	if !ok {
-		return nil, fmt.Errorf("bench: backend %q does not implement Scanner", backend)
-	}
 
 	// ~10% selectivity of the ATT1 key domain, starts spread by seed.
 	maxKey := syn.ATT1Keys[len(syn.ATT1Keys)-1]
@@ -114,7 +110,7 @@ func ScanStreamSweep(scale Scale) ([]*ScanStreamResult, error) {
 				lat = env.Elapsed() - e0
 				first = lat
 			} else {
-				it, err := s.Scan(r[0], r[1])
+				it, err := ix.Scan(r[0], r[1])
 				if err != nil {
 					return nil, err
 				}

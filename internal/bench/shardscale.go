@@ -137,7 +137,7 @@ func shardAppendPlans(f *forest.Forest, file *heapfile.File) []*shardAppendPlan 
 // mutex — tail quantiles surface queueing, not just I/O cost.
 func runShardScale(f *forest.Forest, plans []*shardAppendPlan, writers, ops int,
 	skew float64, seed int64) (time.Duration, float64, time.Duration, time.Duration, error) {
-	res, err := Drive(f, DriverConfig{
+	res, err := Drive(nil, DriverConfig{
 		Workers: writers,
 		Ops:     ops,
 		Source: func(w int) func() workload.Op {

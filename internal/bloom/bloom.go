@@ -1,14 +1,15 @@
-// Package bloom implements the Bloom filter variants used by the BF-Tree
-// reproduction: the classic Bloom filter of Bloom (1970) with double
-// hashing, the parameter mathematics of Equation 1 of the paper
-// (n = -m·ln²2 / ln p), counting Bloom filters that support deletion, and
-// scalable Bloom filters that grow while bounding the compound false
-// positive probability.
+// Package bloom implements the Bloom filters of the BF-Tree reproduction:
+// the classic Bloom filter of Bloom (1970) with double hashing, counting
+// Bloom filters that support deletion, and the parameter mathematics of
+// Equation 1 of the paper (n = -m·ln²2 / ln p).
 //
-// All filters in this package share two guarantees that the BF-Tree relies
-// on: membership tests never produce false negatives, and the false
-// positive probability of a filter sized with ParamsForKeys holds as long
-// as no more than the design number of keys is inserted.
+// BF-leaves probe their filters in place on the page bytes (HashUint64
+// plus the same bit and counter layout); the filter objects here are the
+// reference those leaves are tested against. Both kinds share two
+// guarantees the BF-Tree relies on: membership tests never produce false
+// negatives, and the false positive probability of a filter sized with
+// ParamsForKeys holds as long as no more than the design number of keys
+// is inserted.
 package bloom
 
 import (
@@ -16,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Ln2Squared is ln²(2), the constant of Equation 1 of the paper.
@@ -110,23 +110,6 @@ func ParamsForKeys(keys uint64, fpp float64, hashes int) (Params, error) {
 		return Params{}, fmt.Errorf("%w: keys=%d fpp=%g", ErrInvalidParams, keys, fpp)
 	}
 	bits := BitsForKeys(keys, fpp)
-	if hashes <= 0 {
-		hashes = OptimalHashes(bits, keys)
-	}
-	return Params{Bits: bits, Hashes: hashes, Keys: keys, FPP: fpp}, nil
-}
-
-// ParamsForBits sizes a filter constrained to a bit budget (e.g. the bits
-// available in a 4 KB BF-leaf) at the requested false positive
-// probability, deriving the key capacity from Equation 1.
-func ParamsForBits(bits uint64, fpp float64, hashes int) (Params, error) {
-	if bits == 0 || fpp <= 0 || fpp >= 1 {
-		return Params{}, fmt.Errorf("%w: bits=%d fpp=%g", ErrInvalidParams, bits, fpp)
-	}
-	keys := KeysForBits(bits, fpp)
-	if keys == 0 {
-		keys = 1
-	}
 	if hashes <= 0 {
 		hashes = OptimalHashes(bits, keys)
 	}
@@ -261,43 +244,6 @@ func (f *Filter) Hashes() int { return f.hashes }
 // SizeBytes returns the memory footprint of the bit array in bytes.
 func (f *Filter) SizeBytes() uint64 { return uint64(len(f.bits)) * 8 }
 
-// FillRatio returns the fraction of bits set to 1, a diagnostic for load.
-func (f *Filter) FillRatio() float64 {
-	ones := uint64(0)
-	for _, w := range f.bits {
-		ones += uint64(bits.OnesCount64(w))
-	}
-	return float64(ones) / float64(f.nbits)
-}
-
-// EstimatedFPP returns the expected false positive probability at the
-// current load.
-func (f *Filter) EstimatedFPP() float64 {
-	return ExpectedFPP(f.nbits, f.hashes, f.count)
-}
-
-// Reset clears all bits, returning the filter to its empty state.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.count = 0
-}
-
-// Union merges other into f. Both filters must have identical geometry;
-// the merged filter answers Contains for the union of both key sets.
-func (f *Filter) Union(other *Filter) error {
-	if f.nbits != other.nbits || f.hashes != other.hashes {
-		return fmt.Errorf("%w: mismatched geometry %d/%d bits, %d/%d hashes",
-			ErrInvalidParams, f.nbits, other.nbits, f.hashes, other.hashes)
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.count += other.count
-	return nil
-}
-
 // MarshalBinary serializes the filter: header (nbits, hashes, count)
 // followed by the bit array, little-endian. It implements
 // encoding.BinaryMarshaler.
@@ -310,27 +256,4 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 		binary.LittleEndian.PutUint64(buf[24+i*8:], w)
 	}
 	return buf, nil
-}
-
-// UnmarshalBinary restores a filter serialized by MarshalBinary. It
-// implements encoding.BinaryUnmarshaler.
-func (f *Filter) UnmarshalBinary(data []byte) error {
-	if len(data) < 24 {
-		return fmt.Errorf("%w: short buffer (%d bytes)", ErrInvalidParams, len(data))
-	}
-	nbits := binary.LittleEndian.Uint64(data[0:8])
-	hashes := int(binary.LittleEndian.Uint64(data[8:16]))
-	count := binary.LittleEndian.Uint64(data[16:24])
-	words := (nbits + 63) / 64
-	if uint64(len(data)-24) < words*8 {
-		return fmt.Errorf("%w: truncated bit array", ErrInvalidParams)
-	}
-	f.nbits = nbits
-	f.hashes = hashes
-	f.count = count
-	f.bits = make([]uint64, words)
-	for i := range f.bits {
-		f.bits[i] = binary.LittleEndian.Uint64(data[24+i*8:])
-	}
-	return nil
 }

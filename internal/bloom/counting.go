@@ -1,9 +1,6 @@
 package bloom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CountingFilter is a counting Bloom filter: each position holds a small
 // counter instead of a single bit, so keys can be removed. Section 7 of
@@ -149,114 +146,4 @@ func beUint64(key uint64) []byte {
 		byte(key >> 56), byte(key >> 48), byte(key >> 40), byte(key >> 32),
 		byte(key >> 24), byte(key >> 16), byte(key >> 8), byte(key),
 	}
-}
-
-// ScalableFilter is a scalable Bloom filter (Almeida et al., cited in
-// Section 2 of the paper): a sequence of plain filters of geometrically
-// growing capacity and geometrically tightening false positive
-// probability, so that the compound false positive probability stays
-// below the configured bound regardless of how many keys are added.
-type ScalableFilter struct {
-	stages      []*Filter
-	stageKeys   []uint64
-	initialKeys uint64
-	fpp         float64
-	growth      float64 // capacity growth factor per stage
-	tighten     float64 // fpp tightening ratio per stage
-	count       uint64
-}
-
-// NewScalable creates a scalable filter whose compound false positive
-// probability stays below fpp. initialKeys sizes the first stage.
-func NewScalable(initialKeys uint64, fpp float64) (*ScalableFilter, error) {
-	if initialKeys == 0 || fpp <= 0 || fpp >= 1 {
-		return nil, fmt.Errorf("%w: keys=%d fpp=%g", ErrInvalidParams, initialKeys, fpp)
-	}
-	return &ScalableFilter{
-		initialKeys: initialKeys,
-		fpp:         fpp,
-		growth:      2,
-		tighten:     0.5,
-	}, nil
-}
-
-func (s *ScalableFilter) addStage() error {
-	i := len(s.stages)
-	keys := uint64(float64(s.initialKeys) * math.Pow(s.growth, float64(i)))
-	// The stage fpp series fpp·r^i (r<1) sums to fpp/(1-r); scale so the
-	// compound bound is the configured fpp.
-	stageFPP := s.fpp * (1 - s.tighten) * math.Pow(s.tighten, float64(i))
-	f, err := New(keys, stageFPP)
-	if err != nil {
-		return err
-	}
-	s.stages = append(s.stages, f)
-	s.stageKeys = append(s.stageKeys, keys)
-	return nil
-}
-
-// Add inserts a key, opening a new stage when the current one reaches its
-// design capacity.
-func (s *ScalableFilter) Add(key []byte) error {
-	if len(s.stages) == 0 {
-		if err := s.addStage(); err != nil {
-			return err
-		}
-	}
-	last := len(s.stages) - 1
-	if s.stages[last].Count() >= s.stageKeys[last] {
-		if err := s.addStage(); err != nil {
-			return err
-		}
-		last++
-	}
-	s.stages[last].Add(key)
-	s.count++
-	return nil
-}
-
-// AddUint64 inserts a uint64 key in big-endian encoding.
-func (s *ScalableFilter) AddUint64(key uint64) error {
-	return s.Add(beUint64(key))
-}
-
-// Contains reports whether the key may be in the set; it checks every
-// stage.
-func (s *ScalableFilter) Contains(key []byte) bool {
-	for _, f := range s.stages {
-		if f.Contains(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// ContainsUint64 tests a uint64 key in big-endian encoding.
-func (s *ScalableFilter) ContainsUint64(key uint64) bool {
-	return s.Contains(beUint64(key))
-}
-
-// Count returns the number of keys added.
-func (s *ScalableFilter) Count() uint64 { return s.count }
-
-// Stages returns the number of underlying filters.
-func (s *ScalableFilter) Stages() int { return len(s.stages) }
-
-// SizeBytes returns the total footprint of all stages.
-func (s *ScalableFilter) SizeBytes() uint64 {
-	var total uint64
-	for _, f := range s.stages {
-		total += f.SizeBytes()
-	}
-	return total
-}
-
-// CompoundFPPBound returns the analytical upper bound on the compound
-// false positive probability across all stages.
-func (s *ScalableFilter) CompoundFPPBound() float64 {
-	var sum float64
-	for i := range s.stages {
-		sum += s.fpp * (1 - s.tighten) * math.Pow(s.tighten, float64(i))
-	}
-	return sum
 }

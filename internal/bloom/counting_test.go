@@ -97,50 +97,6 @@ func TestCountingErrors(t *testing.T) {
 	}
 }
 
-func TestScalableGrowsAndBoundsFPP(t *testing.T) {
-	s, err := NewScalable(1000, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 10000 // 10x initial capacity
-	for i := uint64(0); i < n; i++ {
-		if err := s.Add(beUint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Stages() < 3 {
-		t.Errorf("expected multiple stages after 10x overload, got %d", s.Stages())
-	}
-	for i := uint64(0); i < n; i++ {
-		if !s.ContainsUint64(i) {
-			t.Fatalf("false negative for %d", i)
-		}
-	}
-	falsePos := 0
-	const probes = 50000
-	for i := uint64(0); i < probes; i++ {
-		if s.ContainsUint64(n + 1000 + i) {
-			falsePos++
-		}
-	}
-	measured := float64(falsePos) / probes
-	if measured > 0.02 {
-		t.Errorf("measured compound fpp %g exceeds 2x bound 0.01", measured)
-	}
-	if b := s.CompoundFPPBound(); b > 0.0101 {
-		t.Errorf("analytical compound bound %g exceeds configured 0.01", b)
-	}
-}
-
-func TestScalableErrors(t *testing.T) {
-	if _, err := NewScalable(0, 0.01); err == nil {
-		t.Error("zero initial keys should be rejected")
-	}
-	if _, err := NewScalable(10, 0); err == nil {
-		t.Error("zero fpp should be rejected")
-	}
-}
-
 // Property: counting filter add→remove→absent keys never produce false
 // negatives for keys that remain.
 func TestQuickCountingNoFalseNegativeAfterChurn(t *testing.T) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"bftree/internal/device"
@@ -51,11 +53,14 @@ func TestOptionsDefaults(t *testing.T) {
 		{FPP: 1},
 		{FPP: 0.1, Granularity: -1},
 		{FPP: 0.1, Hashes: -2},
+		{FPP: 0.1, Hashes: 256}, // the leaf header stores k in one byte
+		{FPP: 0.1, Hashes: 257},
+		{FPP: math.NaN()},
 		{FPP: 0.1, Filter: FilterKind(9)},
 	}
 	for i, b := range bad {
-		if _, err := b.withDefaults(); err == nil {
-			t.Errorf("case %d: invalid options accepted", i)
+		if _, err := b.withDefaults(); !errors.Is(err, ErrOptions) {
+			t.Errorf("case %d (%+v): err = %v, want ErrOptions", i, b, err)
 		}
 	}
 }

@@ -74,8 +74,8 @@ func TestMaintenancePolicyDefaults(t *testing.T) {
 }
 
 // TestMaintenancePolicyRoundTrip checks the persisted metadata carries
-// the maintenance policy, and that pre-extension 86-byte blobs still
-// open with manual defaults.
+// the maintenance policy, and that Open accepts only the one blob
+// length MarshalMeta writes.
 func TestMaintenancePolicyRoundTrip(t *testing.T) {
 	fx := newFixture(t, 5000, 11)
 	tr := fx.build(t, 0, Options{FPP: 1e-3, Maintenance: MaintenancePolicy{
@@ -93,34 +93,12 @@ func TestMaintenancePolicyRoundTrip(t *testing.T) {
 	if got := back.Options().Maintenance; got != tr.Options().Maintenance {
 		t.Errorf("policy did not round-trip: %+v vs %+v", got, tr.Options().Maintenance)
 	}
-	// A legacy blob (pre-extension length) opens with defaults.
-	legacy, err := Open(fx.idxStore, fx.file, meta[:86])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := legacy.Options().Maintenance.Mode; got != MaintenanceManual {
-		t.Errorf("legacy blob mode = %d, want manual", got)
-	}
-	if legacy.Options().Maintenance.FPPThreshold <= 1e-3 {
-		t.Error("legacy blob threshold not defaulted")
-	}
-	// A torn maintenance extension is corruption, not a legacy blob:
-	// opening it would silently revert a tuned policy to defaults.
-	if _, err := Open(fx.idxStore, fx.file, meta[:100]); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("truncated policy extension accepted: %v", err)
-	}
-	// A 107-byte blob predates the incremental-compaction extension:
-	// it opens with the legacy whole-tree compaction (batch 0)...
-	prev, err := Open(fx.idxStore, fx.file, meta[:107])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := prev.Options().Maintenance.IncrementalBatch; got != 0 {
-		t.Errorf("pre-extension blob batch = %d, want 0 (full rebuild)", got)
-	}
-	// ...while a torn batch field is corruption, same rule as above.
-	if _, err := Open(fx.idxStore, fx.file, meta[:109]); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("truncated incremental extension accepted: %v", err)
+	// One layout: the lengths earlier layouts and torn writes leave
+	// behind are corruption.
+	for _, blob := range [][]byte{meta[:86], meta[:100], meta[:107], meta[:110], append(meta[:len(meta):len(meta)], 0)} {
+		if _, err := Open(fx.idxStore, fx.file, blob); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%d-byte blob: err = %v, want ErrCorrupt", len(blob), err)
+		}
 	}
 }
 

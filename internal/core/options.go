@@ -36,6 +36,9 @@ var (
 	ErrNotIndexed = errors.New("bftree: association not indexed")
 )
 
+// maxHashes is the largest hash count a BF-leaf header can store.
+const maxHashes = 255
+
 // FilterKind selects the Bloom filter variant used in BF-leaves.
 type FilterKind byte
 
@@ -168,7 +171,8 @@ type Options struct {
 	// geometry — Equation 1, which sizes the filters, assumes optimal
 	// hashing, and the paper's measured false-read rates (Table 3) track
 	// the design fpp closely, which fixed k cannot do across the sweep.
-	// Set 3 to reproduce the paper's stated configuration exactly.
+	// Set 3 to reproduce the paper's stated configuration exactly. The
+	// BF-leaf header stores k in one byte, so at most maxHashes.
 	Hashes int
 	// Filter selects standard or counting leaf filters.
 	Filter FilterKind
@@ -183,7 +187,7 @@ type Options struct {
 
 // withDefaults fills zero values and validates.
 func (o Options) withDefaults() (Options, error) {
-	if o.FPP <= 0 || o.FPP >= 1 {
+	if math.IsNaN(o.FPP) || o.FPP <= 0 || o.FPP >= 1 {
 		return o, fmt.Errorf("%w: fpp %g out of (0,1)", ErrOptions, o.FPP)
 	}
 	if o.Granularity == 0 {
@@ -192,8 +196,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Granularity < 0 {
 		return o, fmt.Errorf("%w: granularity %d", ErrOptions, o.Granularity)
 	}
-	if o.Hashes < 0 {
-		return o, fmt.Errorf("%w: hashes %d", ErrOptions, o.Hashes)
+	if o.Hashes < 0 || o.Hashes > maxHashes {
+		return o, fmt.Errorf("%w: hashes %d out of [0,%d]", ErrOptions, o.Hashes, maxHashes)
 	}
 	if o.Filter != StandardFilter && o.Filter != CountingFilter {
 		return o, fmt.Errorf("%w: unknown filter kind %d", ErrOptions, o.Filter)

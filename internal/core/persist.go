@@ -28,25 +28,14 @@ import (
 //	bytes 66-73 inserts
 //	bytes 74-81 deletes
 //	bytes 82-85 field index (uint32)
-//
-// Blobs may carry a maintenance-policy extension (the self-maintaining
-// mode's knobs); 86-byte blobs from before the extension still open,
-// defaulting to manual maintenance:
-//
 //	byte  86    maintenance mode
 //	bytes 87-94 fpp compaction threshold (float64 bits)
 //	bytes 95-102 reclaim interval (int64 nanoseconds)
 //	bytes 103-106 limbo high water (uint32)
-//
-// A second extension carries the incremental-compaction batch; 107-byte
-// blobs from before it still open, defaulting to whole-tree compaction:
-//
 //	bytes 107-110 incremental compaction batch (uint32, 0 = full rebuild)
-const (
-	metaSize      = 86
-	metaMaintSize = 107
-	metaIncrSize  = 111
-)
+//
+// Open accepts exactly this length; any other is corruption.
+const metaSize = 111
 
 var metaMagic = [4]byte{'B', 'F', 'T', '1'}
 
@@ -56,7 +45,7 @@ var metaMagic = [4]byte{'B', 'F', 'T', '1'}
 // makes reopening free.
 func (t *Tree) MarshalMeta() []byte {
 	m := t.loadMeta()
-	buf := make([]byte, metaIncrSize)
+	buf := make([]byte, metaSize)
 	copy(buf[0:4], metaMagic[:])
 	binary.LittleEndian.PutUint64(buf[4:12], math.Float64bits(t.opts.FPP))
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(t.opts.Granularity))
@@ -94,55 +83,30 @@ func Open(store *pagestore.Store, file *heapfile.File, meta []byte) (*Tree, erro
 // goroutine starts — a maintainer racing ahead of the partition could
 // compact a shard into a whole-file index.
 func open(store *pagestore.Store, file *heapfile.File, meta []byte, part *Partition) (*Tree, error) {
-	if len(meta) < metaSize {
+	if len(meta) != metaSize {
 		return nil, fmt.Errorf("%w: metadata is %d bytes, want %d", ErrCorrupt, len(meta), metaSize)
 	}
 	if [4]byte(meta[0:4]) != metaMagic {
 		return nil, fmt.Errorf("%w: bad metadata magic", ErrCorrupt)
 	}
+	// Clamp the uint32 counts to the platform int so a blob written on
+	// a 64-bit host reopens on 32-bit instead of going negative and
+	// failing validation.
+	hw := min(uint64(binary.LittleEndian.Uint32(meta[103:107])), math.MaxInt)
+	ib := min(uint64(binary.LittleEndian.Uint32(meta[107:111])), math.MaxInt)
 	opts := Options{
 		FPP:           math.Float64frombits(binary.LittleEndian.Uint64(meta[4:12])),
 		Granularity:   int(binary.LittleEndian.Uint32(meta[12:16])),
 		Hashes:        int(binary.LittleEndian.Uint32(meta[16:20])),
 		Filter:        FilterKind(meta[20]),
 		ParallelProbe: meta[21] == 1,
-	}
-	if len(meta) > metaSize && len(meta) < metaMaintSize {
-		// Only exactly-86-byte blobs are legacy; anything between is a
-		// torn maintenance extension, and opening it would silently
-		// revert a tuned policy to manual defaults.
-		return nil, fmt.Errorf("%w: metadata is %d bytes, want %d or %d",
-			ErrCorrupt, len(meta), metaSize, metaMaintSize)
-	}
-	if len(meta) > metaMaintSize && len(meta) < metaIncrSize {
-		// Same torn-extension rule for the incremental-compaction field:
-		// exactly 107 bytes is the previous version, anything between is
-		// a truncated write.
-		return nil, fmt.Errorf("%w: metadata is %d bytes, want %d or %d",
-			ErrCorrupt, len(meta), metaMaintSize, metaIncrSize)
-	}
-	if len(meta) >= metaMaintSize {
-		// Clamp the high-water mark to the platform int so a blob
-		// written on a 64-bit host reopens on 32-bit instead of going
-		// negative and failing validation.
-		hw := uint64(binary.LittleEndian.Uint32(meta[103:107]))
-		if hw > math.MaxInt {
-			hw = math.MaxInt
-		}
-		opts.Maintenance = MaintenancePolicy{
-			Mode:            MaintenanceMode(meta[86]),
-			FPPThreshold:    math.Float64frombits(binary.LittleEndian.Uint64(meta[87:95])),
-			ReclaimInterval: time.Duration(binary.LittleEndian.Uint64(meta[95:103])),
-			LimboHighWater:  int(hw),
-		}
-	}
-	if len(meta) >= metaIncrSize {
-		// Same 32-bit clamp as the high-water mark.
-		ib := uint64(binary.LittleEndian.Uint32(meta[107:111]))
-		if ib > math.MaxInt {
-			ib = math.MaxInt
-		}
-		opts.Maintenance.IncrementalBatch = int(ib)
+		Maintenance: MaintenancePolicy{
+			Mode:             MaintenanceMode(meta[86]),
+			FPPThreshold:     math.Float64frombits(binary.LittleEndian.Uint64(meta[87:95])),
+			ReclaimInterval:  time.Duration(binary.LittleEndian.Uint64(meta[95:103])),
+			LimboHighWater:   int(hw),
+			IncrementalBatch: int(ib),
+		},
 	}
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -175,10 +139,11 @@ func open(store *pagestore.Store, file *heapfile.File, meta []byte, part *Partit
 		deletes:   binary.LittleEndian.Uint64(meta[74:82]),
 	}
 	t.meta.Store(m)
-	// Sanity-probe the root so corrupt metadata fails fast.
+	// Sanity-probe the root so corrupt metadata fails fast: a root the
+	// store cannot read is a dangling pointer in the blob.
 	buf, err := store.ReadPage(m.root)
 	if err != nil {
-		return nil, fmt.Errorf("bftree: open: %w", err)
+		return nil, fmt.Errorf("%w: open: root page %d: %w", ErrCorrupt, m.root, err)
 	}
 	if _, err := nodeKind(buf); err != nil {
 		return nil, fmt.Errorf("bftree: open: root page: %w", err)

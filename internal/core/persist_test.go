@@ -1,7 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"slices"
 	"testing"
+
+	"bftree/internal/device"
+	"bftree/internal/pagestore"
+	"bftree/internal/workload"
 )
 
 func TestMarshalMetaOpenRoundTrip(t *testing.T) {
@@ -148,4 +155,65 @@ func TestRebuildDeviceBounded(t *testing.T) {
 		t.Errorf("page economy leaks: live %d + free %d + limbo %d != device %d",
 			live, fx.idxStore.FreePages(), inLimbo, total)
 	}
+}
+
+// FuzzOpenMeta feeds Open arbitrary metadata blobs over a freshly built
+// index. No blob may panic; a rejected blob must fail with ErrCorrupt
+// or ErrOptions; an accepted blob's tree must re-marshal to a blob that
+// reopens to the same bytes. The seed corpus — a valid blob, each of
+// its truncations, and each single-byte flip (flipping a root-pid byte
+// leaves the root dangling past the device) — runs under plain go test.
+func FuzzOpenMeta(f *testing.F) {
+	syn, err := workload.GenerateSynthetic(pagestore.New(device.New(device.Memory, 4096)), 3000, 11, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Every input gets its own index store: an auto-maintenance blob
+	// starts a maintainer that may compact, rewriting pages.
+	build := func(tb testing.TB) (*pagestore.Store, []byte) {
+		store := pagestore.New(device.New(device.Memory, 4096))
+		tr, err := BulkLoad(store, syn.File, 0, Options{FPP: 1e-2})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tr.Close()
+		return store, tr.MarshalMeta()
+	}
+	_, valid := build(f)
+	f.Add(valid)
+	for n := range valid {
+		f.Add(valid[:n])
+	}
+	for i := range valid {
+		flipped := slices.Clone(valid)
+		flipped[i] ^= 0xff
+		f.Add(flipped)
+	}
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		store, _ := build(t)
+		tr, err := Open(store, syn.File, blob)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrOptions) {
+				t.Fatalf("rejected with %v, want ErrCorrupt or ErrOptions", err)
+			}
+			return
+		}
+		tr.Close()
+		again := tr.MarshalMeta()
+		back, err := Open(store, syn.File, again)
+		if err != nil {
+			t.Fatalf("re-marshaled blob rejected: %v", err)
+		}
+		back.Close()
+		// A maintainer that compacted between reopen and Close changed
+		// the tree itself; only an untouched tree must match.
+		st := back.MaintenanceStats()
+		if st.Compactions+st.IncrementalPasses+st.CompactionFailures > 0 {
+			return
+		}
+		if got := back.MarshalMeta(); !bytes.Equal(got, again) {
+			t.Fatalf("reopened blob differs:\n got %x\nwant %x", got, again)
+		}
+	})
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // forestMagic tags a forest metadata blob; the per-shard tree blobs
-// inside carry core's own magic and checksums.
+// inside are length-prefixed and carry core's own magic. Neither layer
+// is checksummed.
 const forestMagic = "BFF1"
 
 // MarshalMeta serializes the forest for reopening: kind, shard count,

@@ -46,8 +46,8 @@ func TestAdmitWriteRamp(t *testing.T) {
 	}
 }
 
-// stubMaintainer is an index whose published drift the test dials; it
-// supports Insert so /insert exists, and nothing else.
+// stubMaintainer is an index whose published drift the test dials; its
+// reads find nothing and its writes are no-ops.
 type stubMaintainer struct {
 	drift, threshold float64
 }
@@ -58,9 +58,13 @@ func (s *stubMaintainer) RangeScan(_, _ uint64) (*index.Result, error) { return 
 func (s *stubMaintainer) Stats() index.Stats {
 	return index.Stats{Backend: "stub", EffectiveFPP: s.drift}
 }
-func (s *stubMaintainer) Close() error                   { return nil }
-func (s *stubMaintainer) Insert(uint64, index.Ref) error { return nil }
-func (s *stubMaintainer) Maintain() error                { return nil }
+func (s *stubMaintainer) Scan(_, _ uint64) (index.Iterator, error) {
+	return nil, index.ErrUnsupported
+}
+func (s *stubMaintainer) MultiSearch([]uint64) (*index.Result, error) { return &index.Result{}, nil }
+func (s *stubMaintainer) Close() error                                { return nil }
+func (s *stubMaintainer) Insert(uint64, index.Ref) error              { return nil }
+func (s *stubMaintainer) Maintain() error                             { return nil }
 func (s *stubMaintainer) MaintenanceStats() index.MaintenanceStats {
 	return index.MaintenanceStats{EffectiveFPP: s.drift, FPPThreshold: s.threshold}
 }

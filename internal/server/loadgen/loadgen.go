@@ -14,8 +14,8 @@
 // Capability note: the Go type implements every capability method, so
 // index.Capabilities(client) reports everything as supported. What the
 // *server* supports is what matters, and Dial learns that from GET
-// /stats — callers fold their mix with Caps()/WorkloadCaps() before
-// driving (see bench's serve-load experiment).
+// /stats — callers fold their mix with WorkloadCaps() before driving
+// (see bench's serve-load experiment).
 package loadgen
 
 import (
@@ -96,12 +96,7 @@ func (c *Client) Caps() index.CapSet { return c.caps }
 // engine's redistribution shape. Fold your mix with this before
 // driving the client.
 func (c *Client) WorkloadCaps() workload.Caps {
-	return workload.Caps{
-		Insert:      c.caps.Insert,
-		Delete:      c.caps.Delete,
-		Scan:        c.caps.Scan,
-		MultiSearch: c.caps.MultiSearch,
-	}
+	return workload.Caps{Delete: c.caps.Delete}
 }
 
 // BackpressureEvents returns how many 429 rejections this client has

@@ -4,13 +4,13 @@
 // stdlib only, matching the repo's zero-dependency go.mod.
 //
 // Routes follow the capability matrix: the mandatory Index surface
-// (point lookup, materialized range scan) is always served; every
-// optional capability (streamed scans, batched probes, inserts,
-// deletes, flush) is discovered via index.Capabilities at mount time
-// and answered with 405 naming the missing capability when the backend
-// lacks it. GET /stats reports the mount — backend name, CapSet, index
-// shape, served-probe accounting, and the maintenance snapshot — which
-// is also how clients learn what they may call.
+// (point lookup, materialized range scan, streamed scan, batched probe,
+// insert) is always served; the optional delete and flush capabilities
+// are discovered via index.Capabilities at mount time and answered
+// with 405 naming the missing capability when the backend lacks it.
+// GET /stats reports the mount — backend name, CapSet, index shape,
+// served-probe accounting, and the maintenance snapshot — which is also
+// how clients learn what they may call.
 //
 // The server turns the maintenance layer's drift accounting into flow
 // control: when a mounted Maintainer's live drift estimate
@@ -269,16 +269,12 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
-	if !s.caps.MultiSearch {
-		s.unsupported(w, "MultiSearch")
-		return
-	}
 	var req MultiRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
 	s.readLock()
-	res, err := s.ix.(index.MultiSearcher).MultiSearch(req.Keys)
+	res, err := s.ix.MultiSearch(req.Keys)
 	s.readUnlock()
 	if err != nil {
 		s.fail(w, err)
@@ -295,17 +291,13 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 // only the pages behind those k tuples — the Scanner early-termination
 // contract, preserved over the wire.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	if !s.caps.Scan {
-		s.unsupported(w, "Scan")
-		return
-	}
 	var req ScanRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
 	s.readLock()
 	defer s.readUnlock()
-	it, err := s.ix.(index.Scanner).Scan(req.Lo, req.Hi)
+	it, err := s.ix.Scan(req.Lo, req.Hi)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -400,10 +392,6 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if !s.caps.Insert {
-		s.unsupported(w, "Insert")
-		return
-	}
 	var req WriteRequest
 	if !s.decode(w, r, &req) {
 		return
@@ -412,7 +400,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeLock()
-	err := s.ix.(index.Inserter).Insert(req.Key, req.Ref())
+	err := s.ix.Insert(req.Key, req.Ref())
 	s.writeUnlock()
 	if err != nil {
 		s.fail(w, err)

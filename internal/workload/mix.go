@@ -10,9 +10,9 @@ import (
 // weights the six operation kinds, a Dist picks the keys they target,
 // and an OpStream turns one worker's (mix, dist, sub-stream) triple into
 // a reproducible operation sequence. The bench Driver executes streams
-// against any index backend; ops a backend cannot run are redistributed
-// along declared capabilities before any stream is built (Redistribute),
-// so model and measurement always see the same executable mix.
+// against any index backend; deletes a backend cannot run are
+// redistributed before any stream is built (Redistribute), so model and
+// measurement always see the same executable mix.
 
 // OpKind enumerates the operation types a Mix can weight.
 type OpKind int
@@ -168,19 +168,12 @@ func MixByName(name string) (Mix, error) {
 	return Mix{}, fmt.Errorf("workload: unknown mix %q (have %v)", name, MixNames())
 }
 
-// Caps declares which optional op kinds a drive target supports; point
-// and range lookups are mandatory on every target. The bench layer
-// derives a Caps from a target's capability interfaces.
+// Caps declares which optional op kinds a drive target supports. Every
+// index backend runs searches, range and streaming scans, batched
+// probes and inserts; only deletes vary. The bench layer derives a Caps
+// from a target's capability interfaces.
 type Caps struct {
-	Insert      bool
-	Delete      bool
-	Scan        bool // streaming Scan, required by scan-limit ops
-	MultiSearch bool
-}
-
-// AllCaps returns the full capability set.
-func AllCaps() Caps {
-	return Caps{Insert: true, Delete: true, Scan: true, MultiSearch: true}
+	Delete bool
 }
 
 // Move records one redistribution step: From's weight folded into To.
@@ -193,42 +186,19 @@ func (v Move) String() string {
 	return fmt.Sprintf("%v→%v %.0f%%", v.From, v.To, v.Weight*100)
 }
 
-// Redistribute returns a copy of m executable under caps: the weight of
-// each unsupported op kind moves to its declared fallback, and every
-// move is reported so results can say what actually ran. The fallback
-// chain degrades toward the mandatory ops — Delete→Insert→Search,
-// ScanLimit→RangeScan, MultiSearch→Search — keeping the read/write
-// split intact where the target allows and the access pattern close
-// where it does not.
+// Redistribute returns a copy of m executable under caps: on a target
+// without deletes, delete weight folds into inserts, keeping the
+// read/write split intact. The move is reported so results can say what
+// actually ran.
 func (m Mix) Redistribute(caps Caps) (Mix, []Move) {
+	if caps.Delete || m.Weights[OpDelete] == 0 {
+		return m, nil
+	}
 	out := m
-	var moves []Move
-	move := func(from, to OpKind) {
-		w := out.Weights[from]
-		if w == 0 {
-			return
-		}
-		out.Weights[from] = 0
-		out.Weights[to] += w
-		moves = append(moves, Move{From: from, To: to, Weight: w})
-	}
-	if !caps.Delete {
-		if caps.Insert {
-			move(OpDelete, OpInsert)
-		} else {
-			move(OpDelete, OpSearch)
-		}
-	}
-	if !caps.Insert {
-		move(OpInsert, OpSearch)
-	}
-	if !caps.Scan {
-		move(OpScanLimit, OpRangeScan)
-	}
-	if !caps.MultiSearch {
-		move(OpMultiSearch, OpSearch)
-	}
-	return out, moves
+	w := out.Weights[OpDelete]
+	out.Weights[OpDelete] = 0
+	out.Weights[OpInsert] += w
+	return out, []Move{{From: OpDelete, To: OpInsert, Weight: w}}
 }
 
 // Dist names a key-choice distribution.

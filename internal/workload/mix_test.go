@@ -42,7 +42,7 @@ func TestPresetHeadlineRatios(t *testing.T) {
 func TestRedistribute(t *testing.T) {
 	m := OLTPMix()
 
-	full, moves := m.Redistribute(AllCaps())
+	full, moves := m.Redistribute(Caps{Delete: true})
 	if len(moves) != 0 {
 		t.Errorf("full caps produced moves: %v", moves)
 	}
@@ -50,9 +50,8 @@ func TestRedistribute(t *testing.T) {
 		t.Error("full caps changed weights")
 	}
 
-	// No Delete but Insert (the bfforest/bftree shape is full; bptree
-	// and fdtree have Insert without Delete): deletes become inserts.
-	noDel, moves := m.Redistribute(Caps{Insert: true, Scan: true, MultiSearch: true})
+	// No Delete (bptree and fdtree): deletes become inserts.
+	noDel, moves := m.Redistribute(Caps{})
 	if noDel.Weights[OpDelete] != 0 {
 		t.Error("delete weight not moved")
 	}
@@ -63,15 +62,14 @@ func TestRedistribute(t *testing.T) {
 	if len(moves) != 1 || moves[0].From != OpDelete || moves[0].To != OpInsert {
 		t.Errorf("moves %v, want delete→insert", moves)
 	}
-
-	// Read-only target: every write degrades to search; no Scan folds
-	// scan-limit into range-scan.
-	ro, _ := ReportingMix().Redistribute(Caps{MultiSearch: true})
-	if ro.Weights[OpInsert] != 0 || ro.Weights[OpDelete] != 0 || ro.Weights[OpScanLimit] != 0 {
-		t.Errorf("read-only redistribution left unsupported weight: %v", ro.Weights)
+	if math.Abs(noDel.TotalWeight()-m.TotalWeight()) > 1e-9 {
+		t.Errorf("redistribution changed total weight: %g", noDel.TotalWeight())
 	}
-	if math.Abs(ro.TotalWeight()-ReportingMix().TotalWeight()) > 1e-9 {
-		t.Errorf("redistribution changed total weight: %g", ro.TotalWeight())
+
+	// A mix without deletes runs unchanged on any target.
+	ro, moves := ReportingMix().Redistribute(Caps{})
+	if len(moves) != 0 || ro.Weights != ReportingMix().Weights {
+		t.Errorf("delete-free mix redistributed: %v, %v", moves, ro.Weights)
 	}
 }
 
