@@ -2,6 +2,7 @@ package index
 
 import (
 	"sort"
+	"sync"
 
 	"bftree/internal/core"
 )
@@ -120,15 +121,24 @@ func (ix *bfIndex) InternalPages() ([]PageID, error) { return ix.tree.InternalPa
 // flushes before touching the tree, and Persister is withheld — a
 // marshal could otherwise silently drop buffered inserts (Flush, then
 // rebuild the index unbuffered, to persist).
+//
+// core.BufferedInserter is a single-writer handle, so mu guards every
+// use of the buffer; that keeps the backend's ConcurrentWriters trait
+// true.
 type bufferedBFIndex struct {
 	tree *core.Tree
+	mu   sync.Mutex
 	buf  *core.BufferedInserter
 }
 
-func (ix *bufferedBFIndex) Search(key uint64) (*Result, error) { return ix.buf.Search(key) }
+func (ix *bufferedBFIndex) Search(key uint64) (*Result, error) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.buf.Search(key)
+}
 
 func (ix *bufferedBFIndex) SearchFirst(key uint64) (*Result, error) {
-	res, err := ix.buf.Search(key)
+	res, err := ix.Search(key)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +176,7 @@ func (ix *bufferedBFIndex) MultiSearch(keys []uint64) (*Result, error) {
 			continue
 		}
 		prev = k
-		r, err := ix.buf.Search(k)
+		r, err := ix.Search(k)
 		if err != nil {
 			return nil, err
 		}
@@ -180,18 +190,28 @@ func (ix *bufferedBFIndex) Stats() Stats { return (&bfIndex{tree: ix.tree}).Stat
 
 func (ix *bufferedBFIndex) Close() error { return ix.tree.Close() }
 
-func (ix *bufferedBFIndex) Insert(key uint64, ref Ref) error { return ix.buf.Insert(key, ref.Page) }
+func (ix *bufferedBFIndex) Insert(key uint64, ref Ref) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.buf.Insert(key, ref.Page)
+}
 
 // Delete applies the pending buffer first so a just-buffered
 // association can be deleted like any other.
 func (ix *bufferedBFIndex) Delete(key uint64, ref Ref) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if err := ix.buf.Flush(); err != nil {
 		return err
 	}
 	return ix.tree.Delete(key, ref.Page)
 }
 
-func (ix *bufferedBFIndex) Flush() error { return ix.buf.Flush() }
+func (ix *bufferedBFIndex) Flush() error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.buf.Flush()
+}
 
 func (ix *bufferedBFIndex) Maintain() error { return ix.tree.Maintain() }
 func (ix *bufferedBFIndex) MaintenanceStats() MaintenanceStats {

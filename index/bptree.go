@@ -13,11 +13,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			ff := opts.FillFactor
-			if ff == 0 {
-				ff = 1.0
-			}
-			tr, err := bptree.BulkLoad(store, entries, ff)
+			tr, err := bptree.BulkLoad(store, entries, 1.0)
 			if err != nil {
 				return nil, err
 			}

@@ -276,18 +276,24 @@ func TestConformance(t *testing.T) {
 // serving them while capability writers churn delete/re-insert rounds
 // of real associations. Under churn an answer may shrink but never
 // exceeds the physical association count, and after the writers drain
-// every sampled lookup answers golden again. Run with -race.
+// every sampled lookup answers golden again. The buffered BF-Tree mode
+// runs too: it registers under bftree, so it inherits the trait. Run
+// with -race.
 func TestConformanceConcurrent(t *testing.T) {
 	const n = 3000 // 1000 distinct keys, 3 tuples each
 	file, _ := goldenRelation(t, n)
 	maxKey := uint64(n/3-1) * 5
 
+	var variants []scanVariant
 	for _, name := range index.Backends() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			backend, _ := index.Lookup(name)
+		variants = append(variants, scanVariant{name: name})
+	}
+	variants = append(variants, scanVariant{"bftree-buffered", index.Options{BufferedInserts: 64}})
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			backend, _ := index.Lookup(backendOf(v))
 			idxStore := pagestore.New(device.New(device.Memory, 4096))
-			ix, err := index.New(name, idxStore, file, 0, index.Options{})
+			ix, err := index.New(backendOf(v), idxStore, file, 0, v.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			tr, err := fdtree.BulkLoad(store, entries, opts.FDTree)
+			tr, err := fdtree.BulkLoad(store, entries, fdtree.Options{})
 			if err != nil {
 				return nil, err
 			}

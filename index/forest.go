@@ -19,7 +19,6 @@ func init() {
 			// so the per-pass compaction budget is forest-wide.
 			f, err := forest.New(store, file, fieldIdx, forest.Options{
 				Shards:      opts.ForestShards,
-				Hash:        opts.ForestHash,
 				Tree:        o,
 				Maintenance: &o.Maintenance,
 			})
@@ -55,9 +54,8 @@ func (ix *forestIndex) RangeScan(lo, hi uint64) (*Result, error) {
 	return scanRange(ix, lo, hi)
 }
 
-// Scan streams across shards in key order: range forests chain shard
-// cursors lazily (LIMIT-k never opens shards past its k-th tuple), hash
-// forests k-way merge ownership-filtered shard streams. Each shard
+// Scan streams across shards in key order, chaining shard cursors
+// lazily (LIMIT-k never opens shards past its k-th tuple). Each shard
 // cursor holds its own epoch registration.
 func (ix *forestIndex) Scan(lo, hi uint64) (Iterator, error) {
 	if lo > hi {

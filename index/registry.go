@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"bftree/internal/core"
-	"bftree/internal/fdtree"
 	"bftree/internal/heapfile"
 )
 
@@ -18,11 +17,6 @@ type Options struct {
 	// BFTree carries the BF-Tree build options. A zero FPP selects the
 	// 1e-3 design point the quickstart and TPCH experiments use.
 	BFTree core.Options
-	// FDTree carries the FD-Tree head capacity and level ratio.
-	FDTree fdtree.Options
-	// FillFactor is the B+-Tree leaf fill factor; 0 selects 1.0 (the
-	// paper's read-only builds).
-	FillFactor float64
 	// DedupKeys builds the exact tree backends with one entry per
 	// distinct key instead of one per tuple — the paper's baseline
 	// layout for ordered non-unique attributes. Probes then locate the
@@ -37,10 +31,6 @@ type Options struct {
 	// ForestShards sets the bfforest backend's shard count; 0 selects
 	// the forest package default (4). Ignored by single-tree backends.
 	ForestShards int
-	// ForestHash switches the bfforest backend from range partitioning
-	// (the default, ordered shards, concatenating scans) to hash
-	// partitioning (skew-resistant point routing, k-way merged scans).
-	ForestHash bool
 }
 
 // Backend is one registered index implementation: a name, the build

@@ -30,7 +30,6 @@ func scanVariants() []scanVariant {
 		{"bftree", index.Options{}},
 		{"bftree-buffered", index.Options{BufferedInserts: 64}},
 		{"bfforest", index.Options{}},
-		{"bfforest-hash", index.Options{ForestHash: true}},
 		{"bptree", index.Options{}},
 		{"bptree-dedup", index.Options{DedupKeys: true}},
 		{"fdtree", index.Options{}},
@@ -43,8 +42,6 @@ func backendOf(v scanVariant) string {
 	switch v.name {
 	case "bftree-buffered":
 		return "bftree"
-	case "bfforest-hash":
-		return "bfforest"
 	case "bptree-dedup":
 		return "bptree"
 	case "fdtree-dedup":

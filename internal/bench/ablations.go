@@ -6,7 +6,6 @@ import (
 
 	"bftree/index"
 	"bftree/internal/core"
-	"bftree/internal/device"
 )
 
 // RunAblationGranularity sweeps the pages-per-filter granularity
@@ -14,31 +13,17 @@ import (
 // probes to exactly the matching pages; coarser filters shrink probe CPU
 // but read more candidate pages.
 func RunAblationGranularity(scale Scale) (*Table, error) {
-	cfg := StorageConfig{Name: "SSD/SSD", Index: device.SSD, Data: device.SSD}
 	t := &Table{
 		Title:  "Ablation: Bloom filters per data page (granularity)",
 		Header: []string{"granularity", "avg-time", "false-reads/probe", "data-reads", "index-pages"},
 	}
 	for _, g := range []int{1, 2, 4, 8, 16} {
-		env, syn, err := syntheticEnv(cfg, scale, 0)
-		if err != nil {
-			return nil, err
-		}
-		ix, err := BuildIndex("bftree", env, syn.File, 0,
-			index.Options{BFTree: core.Options{FPP: 1e-3, Granularity: g}})
-		if err != nil {
-			return nil, err
-		}
-		keys, err := pkProbes(syn, scale)
-		if err != nil {
-			return nil, err
-		}
-		m, err := MeasureIndex(env, ix, keys, true)
+		m, err := measureCell(ssdSSD, 0, syntheticRel(scale, 0), "bftree", core.Options{FPP: 1e-3, Granularity: g})
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprint(g), m.AvgTime.String(), fmtF(m.FalsePerProbe),
-			fmt.Sprint(m.DataReads), fmt.Sprint(ix.Stats().Pages))
+			fmt.Sprint(m.DataReads), fmt.Sprint(m.Index.Pages))
 	}
 	t.Notes = append(t.Notes, "granularity 1 (one BF per page) reads the fewest data pages — the paper's chosen configuration")
 	return t, nil
@@ -47,26 +32,12 @@ func RunAblationGranularity(scale Scale) (*Table, error) {
 // RunAblationHashCount sweeps the hash-function count (the paper fixes
 // k=3, 'typically enough to have hashing close to ideal').
 func RunAblationHashCount(scale Scale) (*Table, error) {
-	cfg := StorageConfig{Name: "SSD/SSD", Index: device.SSD, Data: device.SSD}
 	t := &Table{
 		Title:  "Ablation: hash functions per Bloom filter",
 		Header: []string{"k", "avg-time", "false-reads/probe"},
 	}
 	for _, k := range []int{1, 2, 3, 4, 6, 8} {
-		env, syn, err := syntheticEnv(cfg, scale, 0)
-		if err != nil {
-			return nil, err
-		}
-		ix, err := BuildIndex("bftree", env, syn.File, 0,
-			index.Options{BFTree: core.Options{FPP: 1e-2, Hashes: k}})
-		if err != nil {
-			return nil, err
-		}
-		keys, err := pkProbes(syn, scale)
-		if err != nil {
-			return nil, err
-		}
-		m, err := MeasureIndex(env, ix, keys, true)
+		m, err := measureCell(ssdSSD, 0, syntheticRel(scale, 0), "bftree", core.Options{FPP: 1e-2, Hashes: k})
 		if err != nil {
 			return nil, err
 		}
@@ -80,25 +51,16 @@ func RunAblationHashCount(scale Scale) (*Table, error) {
 // without the Section 8 parallel-probing optimization. Virtual I/O time
 // is identical by construction; this ablation reports real CPU time.
 func RunAblationParallelProbe(scale Scale) (*Table, error) {
-	cfg := StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
 	t := &Table{
 		Title:  "Ablation: sequential vs parallel BF probing (Section 8), wall clock",
 		Header: []string{"mode", "wall-time/probe", "tuples"},
 	}
 	for _, parallel := range []bool{false, true} {
-		env, syn, err := syntheticEnv(cfg, scale, 0)
+		_, rel, ix, err := buildCell(memMem, 0, syntheticRel(scale, 0), "bftree", core.Options{FPP: 0.1, ParallelProbe: parallel})
 		if err != nil {
 			return nil, err
 		}
-		ix, err := BuildIndex("bftree", env, syn.File, 0,
-			index.Options{BFTree: core.Options{FPP: 0.1, ParallelProbe: parallel}})
-		if err != nil {
-			return nil, err
-		}
-		keys, err := pkProbes(syn, scale)
-		if err != nil {
-			return nil, err
-		}
+		keys := rel.probes
 		start := time.Now()
 		tuples := 0
 		for _, k := range keys {
@@ -124,25 +86,16 @@ func RunAblationParallelProbe(scale Scale) (*Table, error) {
 // filters (4x the leaf space) — deletes issued through the Deleter
 // capability of the unified interface.
 func RunAblationDeletes(scale Scale) (*Table, error) {
-	cfg := StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
 	t := &Table{
 		Title:  "Ablation: delete handling (Section 7)",
 		Header: []string{"filter", "index-pages", "false-reads/probe before", "after deleting 10%", "effective-fpp"},
 	}
 	for _, kind := range []core.FilterKind{core.StandardFilter, core.CountingFilter} {
-		env, syn, err := syntheticEnv(cfg, scale, 0)
+		env, rel, ix, err := buildCell(memMem, 0, syntheticRel(scale, 0), "bftree", core.Options{FPP: 1e-3, Filter: kind})
 		if err != nil {
 			return nil, err
 		}
-		ix, err := BuildIndex("bftree", env, syn.File, 0,
-			index.Options{BFTree: core.Options{FPP: 1e-3, Filter: kind}})
-		if err != nil {
-			return nil, err
-		}
-		keys, err := pkProbes(syn, scale)
-		if err != nil {
-			return nil, err
-		}
+		keys := rel.probes
 		before, err := MeasureIndex(env, ix, keys, true)
 		if err != nil {
 			return nil, err
@@ -152,8 +105,8 @@ func RunAblationDeletes(scale Scale) (*Table, error) {
 			return nil, fmt.Errorf("bench: bftree backend lost the Deleter capability")
 		}
 		// Delete every 10th key.
-		for k := uint64(0); k <= syn.MaxPK; k += 10 {
-			if err := del.Delete(k, index.Ref{Page: syn.File.PageOf(k)}); err != nil {
+		for k := uint64(0); k <= rel.maxKey; k += 10 {
+			if err := del.Delete(k, index.Ref{Page: rel.file.PageOf(k)}); err != nil {
 				return nil, err
 			}
 		}
@@ -172,9 +125,8 @@ func RunAblationDeletes(scale Scale) (*Table, error) {
 		if kind == core.CountingFilter {
 			name = "counting(4-bit)"
 		}
-		st := ix.Stats()
-		t.AddRow(name, fmt.Sprint(st.Pages), fmtF(before.FalsePerProbe),
-			fmtF(after.FalsePerProbe), fmtF(st.EffectiveFPP))
+		t.AddRow(name, fmt.Sprint(after.Index.Pages), fmtF(before.FalsePerProbe),
+			fmtF(after.FalsePerProbe), fmtF(after.Index.EffectiveFPP))
 	}
 	t.Notes = append(t.Notes,
 		"standard filters keep deleted bits (fpp drifts up per Section 7); counting filters delete physically at 4x space")
@@ -186,7 +138,6 @@ func RunAblationDeletes(scale Scale) (*Table, error) {
 // direct inserts vs a buffered batch — both modes driven through the
 // Inserter/Flusher capabilities.
 func RunAblationBufferedInserts(scale Scale) (*Table, error) {
-	cfg := StorageConfig{Name: "SSD/SSD", Index: device.SSD, Data: device.SSD}
 	t := &Table{
 		Title:  "Ablation: direct vs buffered inserts (Section 4.2)",
 		Header: []string{"mode", "inserts", "index-page-writes", "writes/insert"},
@@ -196,21 +147,21 @@ func RunAblationBufferedInserts(scale Scale) (*Table, error) {
 		n = 100
 	}
 	for _, buffered := range []bool{false, true} {
-		env, syn, err := syntheticEnv(cfg, scale, 0)
+		env, rel, err := newCell(ssdSSD, 0, syntheticRel(scale, 0))
 		if err != nil {
 			return nil, err
 		}
-		opts := index.Options{BFTree: core.Options{FPP: 1e-3}}
+		opts := rel.opts(core.Options{FPP: 1e-3})
 		if buffered {
 			opts.BufferedInserts = int(n) + 1
 		}
-		ix, err := BuildIndex("bftree", env, syn.File, 0, opts)
+		ix, err := index.New("bftree", env.IdxStore, rel.file, 0, opts)
 		if err != nil {
 			return nil, err
 		}
 		env.ResetIO()
 		for k := uint64(0); k < n; k++ {
-			if err := ix.Insert(k, index.Ref{Page: syn.File.PageOf(k)}); err != nil {
+			if err := ix.Insert(k, index.Ref{Page: rel.file.PageOf(k)}); err != nil {
 				return nil, err
 			}
 		}

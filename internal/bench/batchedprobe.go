@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"bftree/index"
-	"bftree/internal/device"
+	"bftree/internal/core"
 )
 
 // BatchSizes is the batch sweep of the batched-probe experiment.
@@ -42,22 +42,13 @@ func batchedProbeBackends(scale Scale) []string {
 // dedup data-page reads, so index reads per key fall as the batch
 // grows; batch 1 is the degenerate case costing a full descent per key.
 func BatchedProbeSweep(scale Scale, backends []string, batches []int) ([]*BatchedProbeResult, error) {
-	cfg := StorageConfig{Name: "SSD/SSD", Index: device.SSD, Data: device.SSD}
 	var out []*BatchedProbeResult
 	for _, backend := range backends {
-		env, syn, err := syntheticEnv(cfg, scale, 0)
+		env, rel, ix, err := buildCell(ssdSSD, 0, syntheticRel(scale, 0), backend, core.Options{FPP: 1e-3})
 		if err != nil {
 			return nil, err
 		}
-		ix, err := BuildIndex(backend, env, syn.File, 0, pointOpts(0, 1e-3))
-		if err != nil {
-			return nil, err
-		}
-		keys, err := pkProbes(syn, scale)
-		if err != nil {
-			ix.Close()
-			return nil, err
-		}
+		keys := rel.probes
 		for _, b := range batches {
 			// Small probe budgets clamp the batch to what's available.
 			step := b

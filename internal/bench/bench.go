@@ -5,7 +5,7 @@
 // Run* function here and a `bfbench -exp` alias.
 //
 // Every index is built and measured through the unified bftree/index
-// API: one BuildIndex/MeasureIndex path serves the BF-Tree and every
+// API: one cell path (measureCell) serves the BF-Tree and every
 // baseline alike, so the paper's comparison experiments are registry
 // walks and any point-lookup experiment runs against any registered
 // backend (`bfbench -index=...`).
@@ -13,12 +13,15 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"bftree/index"
+	"bftree/internal/core"
 	"bftree/internal/device"
 	"bftree/internal/heapfile"
 	"bftree/internal/pagestore"
+	"bftree/internal/workload"
 )
 
 // PageSize is the fixed page size of all experiments (Section 6.1).
@@ -44,6 +47,13 @@ func FiveConfigs() []StorageConfig {
 		{Name: "SSD/SSD", Index: device.SSD, Data: device.SSD},
 	}
 }
+
+// memMem and ssdSSD are the cells of the experiments that fix one
+// storage configuration.
+var (
+	memMem = StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
+	ssdSSD = StorageConfig{Name: "SSD/SSD", Index: device.SSD, Data: device.SSD}
+)
 
 // WarmConfigs returns the three configurations of the warm-cache
 // figures (7, 10, 12b): the memory-resident-index cases are excluded
@@ -180,13 +190,8 @@ type Measurement struct {
 	FalsePerProbe float64       // falsely read data pages per probe
 	DataReads     uint64
 	IdxReads      uint64
-	Tuples        int // matching tuples found
-}
-
-// BuildIndex bulk-loads any registered backend over a cell's index
-// store — the one build path of every experiment.
-func BuildIndex(name string, env *Env, file *heapfile.File, fieldIdx int, opts index.Options) (index.Index, error) {
-	return index.New(name, env.IdxStore, file, fieldIdx, opts)
+	Tuples        int         // matching tuples found
+	Index         index.Stats // the measured index's size and shape
 }
 
 // MeasureIndex runs the probe batch against any backend through the
@@ -226,34 +231,213 @@ func MeasureIndex(env *Env, ix index.Index, keys []uint64, unique bool) (*Measur
 		DataReads:     env.DataDev.Stats().Reads(),
 		IdxReads:      env.IdxDev.Stats().Reads(),
 		Tuples:        tuples,
+		Index:         ix.Stats(),
 	}, nil
 }
 
-// WarmIndex loads a tree's internal pages into the index store's cache,
-// modelling the warm-cache setup where the levels above the leaves are
-// resident (Section 6.2's "the nodes of the higher levels of a B+-Tree
-// reside always in memory").
-func WarmIndex(env *Env, internal []device.PageID) error {
-	if !env.IdxStore.Cached() {
-		return fmt.Errorf("bench: warm requested on an uncached env")
-	}
-	return env.IdxStore.Warm(internal)
+// relation is one generated dataset on a cell's data store: the file,
+// the field an experiment indexes, and the probe keys every index over
+// it answers — the same keys for every backend and storage
+// configuration, as Section 6.1 prescribes.
+type relation struct {
+	file   *heapfile.File
+	field  int
+	probes []uint64
+	unique bool   // a primary key: probes exit early (SearchFirst)
+	maxKey uint64 // largest key of the indexed field
 }
 
-// WarmBuiltIndex warms a built index's internal pages when the backend
-// exposes them (the Warmable capability); memory-resident backends have
-// nothing to warm and pass through.
-func WarmBuiltIndex(env *Env, ix index.Index) error {
+// opts returns the build options of an index over r: bf for the
+// BF-Tree, and the deduplicated entry layout of the exact tree backends
+// when the key is non-unique (the paper's baseline, Section 6.3).
+func (r *relation) opts(bf core.Options) index.Options {
+	return index.Options{BFTree: bf, DedupKeys: !r.unique}
+}
+
+// dataset generates a relation on a cell's data store.
+type dataset func(data *pagestore.Store) (*relation, error)
+
+// syntheticRel is relation R of Section 6.1 indexed on field 0, the
+// unique PK probed at 100% hits (Section 6.2), or on field 1, ATT1
+// probed at 14% hits with misses inside the key domain (Section 6.3).
+func syntheticRel(scale Scale, field int) dataset {
+	return func(data *pagestore.Store) (*relation, error) {
+		syn, err := workload.GenerateSynthetic(data, scale.SyntheticTuples, 11, scale.Seed)
+		if err != nil {
+			return nil, err
+		}
+		r := &relation{file: syn.File, field: field}
+		var ps *workload.ProbeSet
+		if field == 0 {
+			r.unique, r.maxKey = true, syn.MaxPK
+			existing := make([]uint64, 4096)
+			step := max(syn.MaxPK/uint64(len(existing)), 1)
+			for i := range existing {
+				existing[i] = uint64(i) * step % (syn.MaxPK + 1)
+			}
+			ps, err = workload.MakeProbes(scale.Probes, 1.0, existing, nil, scale.Seed+1)
+		} else {
+			r.maxKey = syn.ATT1Keys[len(syn.ATT1Keys)-1]
+			absent := workload.AbsentWithin(1, r.maxKey, syn.ATT1Keys, 4096)
+			if len(absent) == 0 {
+				absent = workload.AbsentKeys(r.maxKey, 4096)
+			}
+			ps, err = workload.MakeProbes(scale.Probes, 0.14, syn.ATT1Keys, absent, scale.Seed+2)
+		}
+		if err != nil {
+			return nil, err
+		}
+		r.probes = ps.Keys
+		return r, nil
+	}
+}
+
+// tpchRel is the TPCH-like lineitem table ordered on shipdate, probed
+// on shipdate at hitRate; misses are dates past the populated range, as
+// every in-range date has lineitems at TPCH densities.
+func tpchRel(scale Scale, hitRate float64) dataset {
+	return func(data *pagestore.Store) (*relation, error) {
+		tp, err := workload.GenerateTPCH(data, scale.TPCHTuples, scale.TPCHDates, scale.Seed)
+		if err != nil {
+			return nil, err
+		}
+		absent := workload.AbsentKeys(tp.MaxDate, 4096)
+		ps, err := workload.MakeProbes(scale.Probes, hitRate, workload.SortedDistinct(tp.DateCards), absent, scale.Seed+3)
+		if err != nil {
+			return nil, err
+		}
+		shipIdx := workload.TPCHSchema.FieldIndex("shipdate")
+		return &relation{file: tp.File, field: shipIdx, probes: ps.Keys, maxKey: tp.MaxDate}, nil
+	}
+}
+
+// shdRel is the smart-home dataset ordered on timestamp, probed on
+// timestamp at 100% hits (Section 6.5: the hardest case for BF-Trees).
+func shdRel(scale Scale) dataset {
+	return func(data *pagestore.Store) (*relation, error) {
+		shd, err := workload.GenerateSHD(data, scale.SHDTuples, scale.Seed)
+		if err != nil {
+			return nil, err
+		}
+		keys := workload.SortedDistinct(shd.Cards)
+		ps, err := workload.MakeProbes(scale.Probes, 1.0, keys, nil, scale.Seed+4)
+		if err != nil {
+			return nil, err
+		}
+		tsIdx := workload.SHDSchema.FieldIndex("timestamp")
+		return &relation{file: shd.File, field: tsIdx, probes: ps.Keys, maxKey: keys[len(keys)-1]}, nil
+	}
+}
+
+// keyedSchema is the relation of the write-path experiments: one
+// ordered key per 64-byte tuple.
+var keyedSchema = heapfile.Schema{
+	TupleSize: 64,
+	Fields:    []heapfile.Field{{Name: "k", Offset: 0}},
+}
+
+// keyedRel is n tuples keyed 0, stride, 2·stride, …; it has no probe
+// keys, as the write-path experiments draw their own.
+func keyedRel(n, stride uint64) dataset {
+	return func(data *pagestore.Store) (*relation, error) {
+		b, err := heapfile.NewBuilder(data, keyedSchema)
+		if err != nil {
+			return nil, err
+		}
+		tup := make([]byte, keyedSchema.TupleSize)
+		for i := uint64(0); i < n; i++ {
+			keyedSchema.Set(tup, 0, i*stride)
+			if err := b.Append(tup); err != nil {
+				return nil, err
+			}
+		}
+		file, err := b.Finish()
+		if err != nil {
+			return nil, err
+		}
+		return &relation{file: file, unique: true, maxKey: (n - 1) * stride}, nil
+	}
+}
+
+// newCell generates gen's relation on a fresh cell of cfg.
+func newCell(cfg StorageConfig, cachePages int, gen dataset) (*Env, *relation, error) {
+	env := NewEnv(cfg, cachePages)
+	rel, err := gen(env.DataStore)
+	if err != nil {
+		return nil, nil, err
+	}
+	return env, rel, nil
+}
+
+// buildCell generates gen's relation on a fresh cell of cfg and builds
+// the named backend over it, with bf as the BF-Tree options.
+func buildCell(cfg StorageConfig, cachePages int, gen dataset, backend string, bf core.Options) (*Env, *relation, index.Index, error) {
+	env, rel, err := newCell(cfg, cachePages, gen)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ix, err := index.New(backend, env.IdxStore, rel.file, rel.field, rel.opts(bf))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return env, rel, ix, nil
+}
+
+// measureCell is the procedure behind every cell of the paper's
+// figures (Section 6.1): build the named backend on a fresh cell of
+// cfg, warm its internal pages when the cell is cached (the warm-cache
+// setup of Section 6.2: "the nodes of the higher levels of a B+-Tree
+// reside always in memory"), probe it with the relation's keys and
+// close it.
+func measureCell(cfg StorageConfig, cachePages int, gen dataset, backend string, bf core.Options) (*Measurement, error) {
+	env, rel, ix, err := buildCell(cfg, cachePages, gen, backend, bf)
+	if err != nil {
+		return nil, err
+	}
+	var m *Measurement
+	if env.IdxStore.Cached() {
+		err = warm(env, ix)
+	}
+	if err == nil {
+		m, err = MeasureIndex(env, ix, rel.probes, rel.unique)
+	}
+	if cerr := ix.Close(); err == nil {
+		err = cerr
+	}
+	return m, err
+}
+
+// warm loads a built index's internal pages into the cell's index
+// cache; backends with nothing to warm (the memory-resident ones) pass
+// through.
+func warm(env *Env, ix index.Index) error {
+	if !env.IdxStore.Cached() {
+		return fmt.Errorf("bench: warm requested on an uncached cell")
+	}
 	w, ok := ix.(index.Warmable)
 	if !ok {
 		return nil
 	}
 	internal, err := w.InternalPages()
-	if err != nil {
+	if err != nil || len(internal) == 0 {
 		return err
 	}
-	if len(internal) == 0 {
-		return nil
+	return env.IdxStore.Warm(internal)
+}
+
+// fastestBF measures a BF-Tree at every fpp of the sweep, each on a
+// fresh cell of cfg, and returns the fastest with its fpp and its
+// capacity gain over an index of basePages pages.
+func fastestBF(cfg StorageConfig, cachePages int, gen dataset, fpps []float64, basePages uint64) (best time.Duration, bestFPP, gain float64, err error) {
+	best = math.MaxInt64
+	for _, fpp := range fpps {
+		m, err := measureCell(cfg, cachePages, gen, "bftree", core.Options{FPP: fpp})
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if m.AvgTime < best {
+			best, bestFPP, gain = m.AvgTime, fpp, float64(basePages)/float64(m.Index.Pages)
+		}
 	}
-	return WarmIndex(env, internal)
+	return best, bestFPP, gain, nil
 }

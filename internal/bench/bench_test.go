@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"bftree/index"
 	"bftree/internal/bptree"
+	"bftree/internal/core"
 	"bftree/internal/device"
 	"bftree/internal/workload"
 )
@@ -54,38 +56,22 @@ func TestScales(t *testing.T) {
 }
 
 func TestMeasureIndexAcrossBackends(t *testing.T) {
-	scale := tinyScale()
 	cfg := StorageConfig{Name: "SSD/HDD", Index: device.SSD, Data: device.HDD}
-	env, syn, err := syntheticEnv(cfg, scale, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := pkProbes(syn, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Every registered backend answers the PK probe batch with the same
-	// tuple count through the one generic measurement path.
+	// tuple count through the one cell path.
 	tuples := map[string]int{}
 	for _, name := range index.Backends() {
-		ix, err := BuildIndex(name, env, syn.File, 0, pointOpts(0, 1e-3))
+		m, err := measureCell(cfg, 0, syntheticRel(tinyScale(), 0), name, core.Options{FPP: 1e-3})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		m, err := MeasureIndex(env, ix, keys, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.Tuples != len(keys) {
-			t.Errorf("%s: PK probes found %d tuples for %d probes", name, m.Tuples, len(keys))
+		if m.Tuples != tinyScale().Probes {
+			t.Errorf("%s: PK probes found %d tuples for %d probes", name, m.Tuples, tinyScale().Probes)
 		}
 		if m.AvgTime < 0 {
 			t.Errorf("%s: negative avg time", name)
 		}
 		tuples[name] = m.Tuples
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for name, n := range tuples {
 		if n != tuples["bftree"] {
@@ -94,32 +80,70 @@ func TestMeasureIndexAcrossBackends(t *testing.T) {
 	}
 }
 
-func TestATT1ProbesHitRate(t *testing.T) {
-	scale := tinyScale()
-	cfg := StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
-	env, syn, err := syntheticEnv(cfg, scale, 0)
+// relationKeys returns the sorted distinct keys of a generated
+// relation's indexed field, read back from its file.
+func relationKeys(t *testing.T, gen dataset) (*relation, []uint64) {
+	t.Helper()
+	_, rel, err := newCell(memMem, 0, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := att1Probes(syn, scale)
+	cards := map[uint64]uint64{}
+	err = rel.file.Scan(func(_ device.PageID, _ int, tup []byte) bool {
+		cards[rel.file.Schema().Get(tup, rel.field)]++
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	present := make(map[uint64]bool, len(syn.ATT1Keys))
-	for _, k := range syn.ATT1Keys {
+	return rel, workload.SortedDistinct(cards)
+}
+
+// hitRate is the fraction of rel's probes whose key is present.
+func hitRate(rel *relation, keys []uint64) float64 {
+	present := make(map[uint64]bool, len(keys))
+	for _, k := range keys {
 		present[k] = true
 	}
 	hits := 0
-	for _, k := range keys {
+	for _, k := range rel.probes {
 		if present[k] {
 			hits++
 		}
 	}
-	rate := float64(hits) / float64(len(keys))
-	if rate < 0.10 || rate > 0.18 {
+	return float64(hits) / float64(len(rel.probes))
+}
+
+func TestATT1ProbesHitRate(t *testing.T) {
+	if rate := hitRate(relationKeys(t, syntheticRel(tinyScale(), 1))); rate < 0.10 || rate > 0.18 {
 		t.Errorf("ATT1 hit rate %g, want ≈0.14", rate)
 	}
-	_ = env
+}
+
+// TestDatasetProbesDeterministic pins Section 6.1's "same key set" rule:
+// each dataset generated twice at one seed yields the same probe keys,
+// so every backend and storage configuration of a figure is probed
+// with the same keys, and a figure is reproducible from its seed.
+func TestDatasetProbesDeterministic(t *testing.T) {
+	scale := tinyScale()
+	for name, gen := range map[string]dataset{
+		"synthetic-PK":   syntheticRel(scale, 0),
+		"synthetic-ATT1": syntheticRel(scale, 1),
+		"tpch":           tpchRel(scale, 0.5),
+		"shd":            shdRel(scale),
+	} {
+		_, a, err := newCell(memMem, 0, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, b, err := newCell(memMem, 0, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.probes, b.probes) {
+			t.Errorf("%s: two generations at one seed drew different probe keys", name)
+		}
+	}
 }
 
 func TestTableRender(t *testing.T) {
@@ -252,18 +276,16 @@ func TestRunFig13Shape(t *testing.T) {
 }
 
 func TestBuildPKEntriesSorted(t *testing.T) {
-	cfg := StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
-	env, syn, err := syntheticEnv(cfg, tinyScale(), 0)
+	_, rel, err := newCell(memMem, 0, syntheticRel(tinyScale(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = env
-	entries, err := bptree.PKEntries(syn.File, 0)
+	entries, err := bptree.PKEntries(rel.file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(len(entries)) != syn.File.NumTuples() {
-		t.Fatalf("entries = %d, tuples = %d", len(entries), syn.File.NumTuples())
+	if uint64(len(entries)) != rel.file.NumTuples() {
+		t.Fatalf("entries = %d, tuples = %d", len(entries), rel.file.NumTuples())
 	}
 	for i := 1; i < len(entries); i++ {
 		if entries[i].Key < entries[i-1].Key {
@@ -274,47 +296,22 @@ func TestBuildPKEntriesSorted(t *testing.T) {
 
 func TestTPCHAndSHDProbes(t *testing.T) {
 	scale := tinyScale()
-	cfg := StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
-	env, tp, err := tpchEnv(cfg, scale, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = env
-	keys, err := tpchProbes(tp, scale, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := 0
-	for _, k := range keys {
-		if tp.DateCards[k] > 0 {
-			hits++
-		}
-	}
-	rate := float64(hits) / float64(len(keys))
-	if rate < 0.45 || rate > 0.55 {
+	if rate := hitRate(relationKeys(t, tpchRel(scale, 0.5))); rate < 0.45 || rate > 0.55 {
 		t.Errorf("tpch hit rate %g, want 0.5", rate)
 	}
-
-	env2, shd, err := shdEnv(cfg, scale, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = env2
-	skeys, err := shdProbes(shd, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range skeys {
-		if shd.Cards[k] == 0 {
-			t.Fatal("shd probes must be 100% hits")
-		}
+	if rate := hitRate(relationKeys(t, shdRel(scale))); rate != 1 {
+		t.Errorf("shd hit rate %g: probes must be 100%% hits", rate)
 	}
 }
 
 func TestWarmIndexRequiresCache(t *testing.T) {
-	env := NewEnv(StorageConfig{Name: "x", Index: device.SSD, Data: device.SSD}, 0)
-	if err := WarmIndex(env, nil); err == nil {
-		t.Error("warming an uncached env should fail")
+	env, _, ix, err := buildCell(ssdSSD, 0, syntheticRel(tinyScale(), 0), "bptree", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := warm(env, ix); err == nil {
+		t.Error("warming an uncached cell should fail")
 	}
 }
 
@@ -352,13 +349,8 @@ func TestAblationGranularity(t *testing.T) {
 
 func TestSyntheticATT1DomainSparse(t *testing.T) {
 	// The ATT1 misses of Figure 8 must land inside the key domain.
-	cfg := StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
-	_, syn, err := syntheticEnv(cfg, tinyScale(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxKey := syn.ATT1Keys[len(syn.ATT1Keys)-1]
-	absent := workload.AbsentWithin(1, maxKey, syn.ATT1Keys, 100)
+	rel, keys := relationKeys(t, syntheticRel(tinyScale(), 1))
+	absent := workload.AbsentWithin(1, rel.maxKey, keys, 100)
 	if len(absent) < 50 {
 		t.Errorf("ATT1 domain too dense: only %d absent keys", len(absent))
 	}

@@ -8,9 +8,6 @@ import (
 
 	"bftree/index"
 	"bftree/internal/core"
-	"bftree/internal/device"
-	"bftree/internal/heapfile"
-	"bftree/internal/pagestore"
 	"bftree/internal/workload"
 )
 
@@ -29,12 +26,13 @@ const (
 	churnWriters = 4
 	churnReaders = 2
 
-	// churnFPP and churnFPPThreshold set the drift budget: with
-	// standard filters every logical delete adds 1/numKeys to the
-	// effective fpp (Section 7), so the maintainer must compact roughly
-	// every (threshold-fpp)×numKeys deletes to hold the line.
-	churnFPP          = 0.02
-	churnFPPThreshold = 0.12
+	// driftFPP and driftThreshold set the drift budget of churn and
+	// compaction-stall: with standard filters every logical delete adds
+	// 1/numKeys to the effective fpp (Section 7), so the maintainer must
+	// compact roughly every (threshold-fpp)×numKeys deletes to hold the
+	// line.
+	driftFPP       = 0.02
+	driftThreshold = 0.12
 )
 
 // ChurnResult is the outcome of one churn run.
@@ -47,8 +45,12 @@ type ChurnResult struct {
 	Threshold float64
 	MaxLimbo  int // highest limbo page count observed (sampled)
 
-	Stats core.MaintenanceStats // terminal snapshot (after Close)
+	Stats index.MaintenanceStats // terminal snapshot (after Close)
+	PageEconomy
+}
 
+// PageEconomy is an index's page accounting at quiescence.
+type PageEconomy struct {
 	LiveNodes   uint64
 	FreePages   uint64
 	LimboAtEnd  uint64
@@ -57,44 +59,68 @@ type ChurnResult struct {
 
 // EconomyBalanced reports whether every index page is accounted for at
 // quiescence: live + free + limbo == device.
-func (r *ChurnResult) EconomyBalanced() bool {
-	return r.LiveNodes+r.FreePages+r.LimboAtEnd == r.DevicePages
+func (e PageEconomy) EconomyBalanced() bool {
+	return e.LiveNodes+e.FreePages+e.LimboAtEnd == e.DevicePages
 }
 
-// churnFixture builds a unique-key relation of n tuples and an
-// auto-maintained BF-Tree over it, both on Memory devices.
-func churnFixture(n uint64) (*core.Tree, *heapfile.File, *pagestore.Store, *device.Device, error) {
-	dataStore := pagestore.New(device.New(device.Memory, PageSize))
-	idxDev := device.New(device.Memory, PageSize)
-	idxStore := pagestore.New(idxDev)
-	b, err := heapfile.NewBuilder(dataStore, mixedRWSchema)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	tup := make([]byte, mixedRWSchema.TupleSize)
-	for i := uint64(0); i < n; i++ {
-		mixedRWSchema.Set(tup, 0, i)
-		if err := b.Append(tup); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	file, err := b.Finish()
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	tr, err := core.BulkLoad(idxStore, file, 0, core.Options{
-		FPP: churnFPP,
+// maintainedCell builds the drift fixture of churn and compaction-stall
+// on a fresh mem/mem cell: n dense keys and an auto-maintained BF-Tree
+// whose compactions rewrite batch leaves per exclusive hold (0: one
+// whole-tree Rebuild).
+func maintainedCell(n uint64, batch int) (*Env, *relation, index.Index, error) {
+	return buildCell(memMem, 0, keyedRel(n, 1), "bftree", core.Options{
+		FPP: driftFPP,
 		Maintenance: core.MaintenancePolicy{
-			Mode:            core.MaintenanceAuto,
-			FPPThreshold:    churnFPPThreshold,
-			ReclaimInterval: 2 * time.Millisecond,
+			Mode:             core.MaintenanceAuto,
+			FPPThreshold:     driftThreshold,
+			ReclaimInterval:  2 * time.Millisecond,
+			IncrementalBatch: batch,
 		},
 	})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return tr, file, idxStore, idxDev, nil
 }
+
+// quiesce closes a maintained cell's index — stopping the maintainer
+// and draining limbo, with no foreground structural change having
+// performed any reclamation (auto mode forbids it by construction) —
+// checks that the compacted tree still answers 64 of its n keys, and
+// snapshots the maintenance stats and the page economy.
+func quiesce(name string, env *Env, ix index.Index, n uint64) (index.MaintenanceStats, PageEconomy, error) {
+	if err := ix.Close(); err != nil {
+		return index.MaintenanceStats{}, PageEconomy{}, err
+	}
+	st := ix.(index.Maintainer).MaintenanceStats()
+	for k := uint64(0); k < n; k += n / 64 {
+		res, err := ix.SearchFirst(k)
+		if err != nil {
+			return st, PageEconomy{}, err
+		}
+		if len(res.Tuples) == 0 {
+			return st, PageEconomy{}, fmt.Errorf("bench: %s lost key %d", name, k)
+		}
+	}
+	return st, PageEconomy{
+		LiveNodes:   ix.Stats().Pages,
+		FreePages:   uint64(env.IdxStore.FreePages()),
+		LimboAtEnd:  uint64(st.LimboPages),
+		DevicePages: env.IdxDev.NumPages(),
+	}, nil
+}
+
+// maxTracker keeps the largest value offered from any goroutine; values
+// are non-negative, and non-negative float64s order like their bits.
+type maxTracker struct{ bits atomic.Uint64 }
+
+func (m *maxTracker) offer(v float64) {
+	b := math.Float64bits(v)
+	for {
+		old := m.bits.Load()
+		if b <= old || m.bits.CompareAndSwap(old, b) {
+			return
+		}
+	}
+}
+
+func (m *maxTracker) max() float64 { return math.Float64frombits(m.bits.Load()) }
 
 // ChurnRun performs the churn measurement: at least 4×SyntheticTuples
 // insert+delete operations (≥1M at the default scale) against an
@@ -112,32 +138,14 @@ func ChurnRun(scale Scale) (*ChurnResult, error) {
 	if target < 4*n {
 		target = 4 * n
 	}
-	tr, file, idxStore, idxDev, err := churnFixture(n)
+	env, rel, ix, err := maintainedCell(n, 0)
 	if err != nil {
 		return nil, err
 	}
-
-	var (
-		maxFPP   atomic.Uint64 // float64 bits; positive floats order like uints
-		maxLimbo atomic.Int64
-	)
-	sampleFPP := func() {
-		bits := math.Float64bits(tr.EffectiveFPP())
-		for {
-			old := maxFPP.Load()
-			if bits <= old || maxFPP.CompareAndSwap(old, bits) {
-				return
-			}
-		}
-	}
+	var maxFPP, maxLimbo maxTracker
+	sampleFPP := func() { maxFPP.offer(ix.Stats().EffectiveFPP) }
 	sampleLimbo := func() {
-		l := int64(tr.MaintenanceStats().LimboPages)
-		for {
-			old := maxLimbo.Load()
-			if l <= old || maxLimbo.CompareAndSwap(old, l) {
-				return
-			}
-		}
+		maxLimbo.offer(float64(ix.(index.Maintainer).MaintenanceStats().LimboPages))
 	}
 
 	// Per-writer quota: pairs rounded up so the run totals at least
@@ -146,7 +154,7 @@ func ChurnRun(scale Scale) (*ChurnResult, error) {
 	pairsPerWriter := (target + 2*churnWriters - 1) / (2 * churnWriters)
 	totalOps := int(2 * pairsPerWriter * churnWriters)
 	span := n / uint64(churnWriters)
-	refOf := func(k uint64) index.Ref { return index.Ref{Page: file.PageOf(k)} }
+	refOf := func(k uint64) index.Ref { return index.Ref{Page: rel.file.PageOf(k)} }
 
 	writerCfg := DriverConfig{
 		Workers: churnWriters,
@@ -203,7 +211,7 @@ func ChurnRun(scale Scale) (*ChurnResult, error) {
 	start := time.Now()
 	readerErr := make(chan error, 1)
 	go func() {
-		_, err := Drive(coreTarget{tr}, readerCfg)
+		_, err := Drive(ix, readerCfg)
 		readerErr <- err
 	}()
 	// Sample limbo on a ticker until the writers exit — the epoch-driven
@@ -220,7 +228,7 @@ func ChurnRun(scale Scale) (*ChurnResult, error) {
 			}
 		}
 	}()
-	writerRes, werr := Drive(coreTarget{tr}, writerCfg)
+	writerRes, werr := Drive(ix, writerCfg)
 	close(writerDone)
 	<-samplerDone
 	rerr := <-readerErr
@@ -229,43 +237,24 @@ func ChurnRun(scale Scale) (*ChurnResult, error) {
 		werr = rerr
 	}
 	if werr != nil {
-		tr.Close()
+		ix.Close()
 		return nil, werr
 	}
 	sampleFPP()
 
-	// Quiescence: Close stops the maintainer and drains limbo; the full
-	// page economy must then balance with zero foreground structural
-	// changes having performed any reclamation (auto mode forbids it by
-	// construction).
-	if err := tr.Close(); err != nil {
+	st, econ, err := quiesce("churn", env, ix, n)
+	if err != nil {
 		return nil, err
 	}
-	st := tr.MaintenanceStats()
-
-	// The compacted tree still answers: spot-check surviving keys.
-	for k := uint64(0); k < n; k += n / 64 {
-		res, err := tr.SearchFirst(k)
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Tuples) == 0 {
-			return nil, fmt.Errorf("bench: churn lost key %d", k)
-		}
-	}
-
 	return &ChurnResult{
 		Keys:        n,
 		Ops:         uint64(writerRes.Ops),
 		Elapsed:     elapsed,
-		MaxFPP:      math.Float64frombits(maxFPP.Load()),
-		Threshold:   churnFPPThreshold,
-		MaxLimbo:    int(maxLimbo.Load()),
+		MaxFPP:      maxFPP.max(),
+		Threshold:   driftThreshold,
+		MaxLimbo:    int(maxLimbo.max()),
 		Stats:       st,
-		LiveNodes:   tr.NumNodes(),
-		FreePages:   uint64(idxStore.FreePages()),
-		LimboAtEnd:  uint64(st.LimboPages),
-		DevicePages: idxDev.NumPages(),
+		PageEconomy: econ,
 	}, nil
 }
 

@@ -56,20 +56,5 @@ func TestChurnSelfMaintains(t *testing.T) {
 // TestChurnExperimentRegistered runs the registered experiment
 // end-to-end and sanity-checks the rendered table.
 func TestChurnExperimentRegistered(t *testing.T) {
-	tbl, err := Run("churn", churnScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) == 0 {
-		t.Fatal("churn experiment produced no rows")
-	}
-	for _, row := range tbl.Rows {
-		if row[0] == "page economy" {
-			if len(row[1]) == 0 || row[1][len(row[1])-1] != ')' {
-				t.Errorf("economy row malformed: %q", row[1])
-			}
-			return
-		}
-	}
-	t.Error("no page-economy row in the churn table")
+	runRegistered(t, "churn", churnScale())
 }

@@ -2,15 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
 	"time"
 
 	"bftree/index"
-	"bftree/internal/core"
-	"bftree/internal/device"
-	"bftree/internal/heapfile"
-	"bftree/internal/pagestore"
 	"bftree/internal/workload"
 )
 
@@ -23,16 +17,10 @@ import (
 // ceiling both held. The headline: incremental compaction shrinks the
 // stall to the leaves that earned it while holding the same fpp line.
 
-const (
-	stallWriters = 4
-
-	// stallFPP and stallFPPThreshold mirror the churn drift budget: with
-	// standard filters every logical delete adds 1/numKeys of Section 7
-	// drift, so the threshold crossing recurs throughout the run and
-	// both variants compact repeatedly.
-	stallFPP          = 0.02
-	stallFPPThreshold = 0.12
-)
+// stallWriters drive the churn mix; the drift budget is churn's
+// (driftFPP, driftThreshold), so the threshold crossing recurs
+// throughout the run and both variants compact repeatedly.
+const stallWriters = 4
 
 // stallMix is the churn-shaped mix the experiment drives: delete-heavy
 // with a read component, so compaction races live probes.
@@ -62,54 +50,8 @@ type CompactionStallResult struct {
 	MaxFPP    float64 // highest effective fpp observed (sampled)
 	Threshold float64
 
-	Stats core.MaintenanceStats // terminal snapshot (after Close)
-
-	LiveNodes   uint64
-	FreePages   uint64
-	LimboAtEnd  uint64
-	DevicePages uint64
-}
-
-// EconomyBalanced reports whether every index page is accounted for at
-// quiescence: live + free + limbo == device.
-func (r *CompactionStallResult) EconomyBalanced() bool {
-	return r.LiveNodes+r.FreePages+r.LimboAtEnd == r.DevicePages
-}
-
-// stallFixture builds a unique-key relation of n tuples and an
-// auto-maintained BF-Tree over it with the given compaction batch.
-func stallFixture(n uint64, batch int) (*core.Tree, *heapfile.File, *pagestore.Store, *device.Device, error) {
-	dataStore := pagestore.New(device.New(device.Memory, PageSize))
-	idxDev := device.New(device.Memory, PageSize)
-	idxStore := pagestore.New(idxDev)
-	b, err := heapfile.NewBuilder(dataStore, mixedRWSchema)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	tup := make([]byte, mixedRWSchema.TupleSize)
-	for i := uint64(0); i < n; i++ {
-		mixedRWSchema.Set(tup, 0, i)
-		if err := b.Append(tup); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	file, err := b.Finish()
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	tr, err := core.BulkLoad(idxStore, file, 0, core.Options{
-		FPP: stallFPP,
-		Maintenance: core.MaintenancePolicy{
-			Mode:             core.MaintenanceAuto,
-			FPPThreshold:     stallFPPThreshold,
-			ReclaimInterval:  2 * time.Millisecond,
-			IncrementalBatch: batch,
-		},
-	})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return tr, file, idxStore, idxDev, nil
+	Stats index.MaintenanceStats // terminal snapshot (after Close)
+	PageEconomy
 }
 
 // stallScale derives the fixture size and op budget: enough keys that
@@ -135,58 +77,37 @@ func stallScale(scale Scale) (n, ops uint64) {
 // leaves per exclusive-lock hold.
 func CompactionStallRun(scale Scale, batch int) (*CompactionStallResult, error) {
 	n, ops := stallScale(scale)
-	tr, file, idxStore, idxDev, err := stallFixture(n, batch)
+	env, rel, ix, err := maintainedCell(n, batch)
 	if err != nil {
 		return nil, err
 	}
-
-	var maxFPP atomic.Uint64 // float64 bits; positive floats order like uints
-	sampleFPP := func() {
-		bits := math.Float64bits(tr.EffectiveFPP())
-		for {
-			old := maxFPP.Load()
-			if bits <= old || maxFPP.CompareAndSwap(old, bits) {
-				return
-			}
-		}
-	}
+	var maxFPP maxTracker
 
 	start := time.Now()
-	res, err := DriveMix(coreTarget{tr}, MixConfig{
+	res, err := DriveMix(ix, MixConfig{
 		Mix:     stallMix,
 		Dist:    workload.DistUniform,
 		NumKeys: n,
 		Seed:    scale.Seed,
 		Workers: stallWriters,
 		Ops:     int(ops),
-		RefOf:   func(k uint64) index.Ref { return index.Ref{Page: file.PageOf(k)} },
+		RefOf:   func(k uint64) index.Ref { return index.Ref{Page: rel.file.PageOf(k)} },
 		OnOp: func(_, i int, _ workload.Op) {
 			if i%128 == 0 {
-				sampleFPP()
+				maxFPP.offer(ix.Stats().EffectiveFPP)
 			}
 		},
 	})
 	elapsed := time.Since(start)
 	if err != nil {
-		tr.Close()
+		ix.Close()
 		return nil, err
 	}
-	sampleFPP()
+	maxFPP.offer(ix.Stats().EffectiveFPP)
 
-	if err := tr.Close(); err != nil {
+	st, econ, err := quiesce("compaction-stall", env, ix, n)
+	if err != nil {
 		return nil, err
-	}
-	st := tr.MaintenanceStats()
-
-	// The compacted tree still answers: spot-check surviving keys.
-	for k := uint64(0); k < n; k += n / 64 {
-		r, err := tr.SearchFirst(k)
-		if err != nil {
-			return nil, err
-		}
-		if len(r.Tuples) == 0 {
-			return nil, fmt.Errorf("bench: compaction-stall lost key %d", k)
-		}
 	}
 
 	mode := "incremental"
@@ -202,31 +123,24 @@ func CompactionStallRun(scale Scale, batch int) (*CompactionStallResult, error) 
 		Throughput:  res.Throughput,
 		P50:         res.P50,
 		P99:         res.P99,
-		MaxFPP:      math.Float64frombits(maxFPP.Load()),
-		Threshold:   stallFPPThreshold,
+		MaxFPP:      maxFPP.max(),
+		Threshold:   driftThreshold,
 		Stats:       st,
-		LiveNodes:   tr.NumNodes(),
-		FreePages:   uint64(idxStore.FreePages()),
-		LimboAtEnd:  uint64(st.LimboPages),
-		DevicePages: idxDev.NumPages(),
+		PageEconomy: econ,
 	}, nil
 }
 
 // stallBatch picks the incremental batch for the comparison: a
-// sixteenth of the tree's leaves, so each exclusive hold rewrites a
+// sixteenth of the tree's pages, so each exclusive hold rewrites a
 // small, fixed fraction of what the full rebuild rewrites.
 func stallBatch(scale Scale) (int, error) {
 	n, _ := stallScale(scale)
-	tr, _, _, _, err := stallFixture(n, 0)
+	_, _, ix, err := maintainedCell(n, 0)
 	if err != nil {
 		return 0, err
 	}
-	defer tr.Close()
-	b := int(tr.NumLeaves() / 16)
-	if b < 1 {
-		b = 1
-	}
-	return b, nil
+	defer ix.Close()
+	return max(int(ix.Stats().Pages/16), 1), nil
 }
 
 // RunCompactionStall is the `compaction-stall` experiment: the same

@@ -80,23 +80,5 @@ func TestCompactionStallExperimentRegistered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compaction-stall runs both variants; skipped in -short")
 	}
-	tbl, err := Run("compaction-stall", stallScaleForTest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) == 0 {
-		t.Fatal("compaction-stall produced no rows")
-	}
-	found := false
-	for _, row := range tbl.Rows {
-		if row[0] == "max writer stall" {
-			found = true
-			if len(row) != 3 || row[1] == "" || row[2] == "" {
-				t.Errorf("max-stall row malformed: %v", row)
-			}
-		}
-	}
-	if !found {
-		t.Error("no max-writer-stall row in the table")
-	}
+	runRegistered(t, "compaction-stall", stallScaleForTest())
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"bftree/index"
 	"bftree/internal/core"
-	"bftree/internal/device"
 	"bftree/internal/workload"
 )
 
@@ -35,11 +35,11 @@ type ConcurrentResult struct {
 	P99        time.Duration
 }
 
-// RunConcurrentProbes executes probes of keys against tr from the given
+// RunConcurrentProbes executes probes of keys against ix from the given
 // number of workers through the shared Driver: worker w probes its
 // deterministic quota slice of the key sequence, so the probed multiset
 // is identical at any worker count.
-func RunConcurrentProbes(tr *core.Tree, keys []uint64, workers, probes int) (*ConcurrentResult, error) {
+func RunConcurrentProbes(ix index.Index, keys []uint64, workers, probes int) (*ConcurrentResult, error) {
 	if workers <= 0 || probes <= 0 || len(keys) == 0 {
 		return nil, fmt.Errorf("bench: concurrent probes need workers, probes and keys > 0 (got %d, %d, %d)",
 			workers, probes, len(keys))
@@ -49,7 +49,7 @@ func RunConcurrentProbes(tr *core.Tree, keys []uint64, workers, probes int) (*Co
 	for w := 1; w < workers; w++ {
 		starts[w] = starts[w-1] + quotas[w-1]
 	}
-	res, err := Drive(coreTarget{tr}, DriverConfig{
+	res, err := Drive(ix, DriverConfig{
 		Workers: workers,
 		Ops:     probes,
 		Source: func(w int) func() workload.Op {
@@ -78,19 +78,11 @@ func RunConcurrentProbes(tr *core.Tree, keys []uint64, workers, probes int) (*Co
 // per-access real latency and measures probe throughput across the
 // worker sweep. It returns one result per entry of workerCounts.
 func ConcurrentProbeSweep(scale Scale, workerCounts []int) ([]*ConcurrentResult, error) {
-	cfg := StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
-	env, syn, err := syntheticEnv(cfg, scale, 0)
+	env, rel, ix, err := buildCell(memMem, 0, syntheticRel(scale, 1), "bftree", core.Options{FPP: 1e-3})
 	if err != nil {
 		return nil, err
 	}
-	tr, err := core.BulkLoad(env.IdxStore, syn.File, 1, core.Options{FPP: 1e-3})
-	if err != nil {
-		return nil, err
-	}
-	keys, err := att1Probes(syn, scale)
-	if err != nil {
-		return nil, err
-	}
+	defer ix.Close()
 	// Latency goes on after the build so construction stays instant.
 	env.IdxDev.SetRealLatency(concurrentProbeLatency)
 	env.DataDev.SetRealLatency(concurrentProbeLatency)
@@ -103,7 +95,7 @@ func ConcurrentProbeSweep(scale Scale, workerCounts []int) ([]*ConcurrentResult,
 	}
 	var out []*ConcurrentResult
 	for _, workers := range workerCounts {
-		r, err := RunConcurrentProbes(tr, keys, workers, probes)
+		r, err := RunConcurrentProbes(ix, rel.probes, workers, probes)
 		if err != nil {
 			return nil, err
 		}

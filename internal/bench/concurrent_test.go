@@ -44,14 +44,5 @@ func TestConcurrentProbeSweepScales(t *testing.T) {
 // TestConcurrentProbeExperimentRegistered runs the registered experiment
 // end-to-end and sanity-checks the rendered table.
 func TestConcurrentProbeExperimentRegistered(t *testing.T) {
-	tbl, err := Run("concurrent-probe", sweepScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != len(ConcurrentWorkerCounts) {
-		t.Fatalf("table has %d rows, want %d", len(tbl.Rows), len(ConcurrentWorkerCounts))
-	}
-	if tbl.Rows[0][0] != "1" || tbl.Rows[len(tbl.Rows)-1][0] != "16" {
-		t.Errorf("worker sweep rows wrong: first=%q last=%q", tbl.Rows[0][0], tbl.Rows[len(tbl.Rows)-1][0])
-	}
+	runRegistered(t, "concurrent-probe", sweepScale())
 }

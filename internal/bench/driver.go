@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bftree/index"
-	"bftree/internal/core"
 	"bftree/internal/workload"
 )
 
@@ -19,8 +18,8 @@ import (
 // worker setup, warm-up, quota splitting and quantile math exist once.
 
 // Target is the op surface the Driver requires: every op kind but
-// delete. index.Index, *loadgen.Client and coreTarget satisfy it;
-// deletes are discovered per target via index.Deleter.
+// delete. index.Index and *loadgen.Client satisfy it; deletes are
+// discovered per target via index.Deleter.
 type Target interface {
 	Search(key uint64) (*index.Result, error)
 	SearchFirst(key uint64) (*index.Result, error)
@@ -29,17 +28,6 @@ type Target interface {
 	index.MultiSearcher
 	index.Inserter
 }
-
-// coreTarget adapts *core.Tree to Target and index.Deleter: the tree's
-// page-keyed Insert/Delete become the Ref-keyed capability signatures
-// (the slot is ignored, exactly as in the bftree index backend), and
-// Scan is the boundary-optimized cursor, as in that backend. The
-// embedded tree supplies the probe methods.
-type coreTarget struct{ *core.Tree }
-
-func (c coreTarget) Insert(key uint64, ref index.Ref) error     { return c.Tree.Insert(key, ref.Page) }
-func (c coreTarget) Delete(key uint64, ref index.Ref) error     { return c.Tree.Delete(key, ref.Page) }
-func (c coreTarget) Scan(lo, hi uint64) (index.Iterator, error) { return c.Tree.ScanOptimized(lo, hi) }
 
 // OpSource yields one worker's operation sequence: Source(w) is called
 // once per worker and the returned draw function is called from that
@@ -66,11 +54,6 @@ type DriverConfig struct {
 	// RefOf maps an insert/delete key to the tuple ref the capability
 	// call needs. Required when the source emits writes.
 	RefOf func(key uint64) index.Ref
-	// SerializeWrites serializes writers behind an RWMutex (readers
-	// proceed shared) — the drive mode for targets without the
-	// ConcurrentWriters registry trait, which are read-safe only while
-	// no writer runs.
-	SerializeWrites bool
 	// OnOp, when non-nil, runs on the worker goroutine after each
 	// measured op completes; i is the worker-local op ordinal. Churn's
 	// drift/limbo sampling hooks in here.
@@ -137,7 +120,10 @@ type opLat struct {
 // Drive executes the configured operation streams against t from
 // Workers goroutines and aggregates throughput, per-kind latency
 // quantiles and probe-cost accounting. The first worker error aborts
-// the run.
+// the run. An index.Index whose backend lacks the ConcurrentWriters
+// trait is read-safe only while no writer runs, so Drive serializes its
+// writers behind an RWMutex (readers proceed shared); a remote target's
+// server serializes its own writes.
 func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -155,9 +141,11 @@ func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 	var writeMu sync.RWMutex
 	readLock, readUnlock := func() {}, func() {}
 	writeLock, writeUnlock := func() {}, func() {}
-	if cfg.SerializeWrites {
-		readLock, readUnlock = writeMu.RLock, writeMu.RUnlock
-		writeLock, writeUnlock = writeMu.Lock, writeMu.Unlock
+	if ix, ok := t.(index.Index); ok {
+		if b, _ := index.Lookup(ix.Stats().Backend); !b.ConcurrentWriters {
+			readLock, readUnlock = writeMu.RLock, writeMu.RUnlock
+			writeLock, writeUnlock = writeMu.Lock, writeMu.Unlock
+		}
 	}
 
 	exec := func(w int, op workload.Op) (*index.Result, error) {
@@ -351,14 +339,13 @@ type MixConfig struct {
 	KeyAt   func(rank uint64) uint64
 	Seed    int64
 
-	Workers         int
-	Ops             int
-	Warmup          int
-	Until           <-chan struct{}
-	RefOf           func(key uint64) index.Ref
-	SerializeWrites bool
-	UseSearchFirst  bool
-	OnOp            func(worker, i int, op workload.Op)
+	Workers        int
+	Ops            int
+	Warmup         int
+	Until          <-chan struct{}
+	RefOf          func(key uint64) index.Ref
+	UseSearchFirst bool
+	OnOp           func(worker, i int, op workload.Op)
 }
 
 // DriveMix is the front door of the workload engine: it redistributes
@@ -391,15 +378,14 @@ func DriveMix(t Target, cfg MixConfig) (*DriverResult, error) {
 		streams[w] = s
 	}
 	res, err := Drive(t, DriverConfig{
-		Workers:         workers,
-		Ops:             cfg.Ops,
-		Until:           cfg.Until,
-		Warmup:          cfg.Warmup,
-		Source:          func(w int) func() workload.Op { return streams[w].Next },
-		RefOf:           cfg.RefOf,
-		SerializeWrites: cfg.SerializeWrites,
-		UseSearchFirst:  cfg.UseSearchFirst,
-		OnOp:            cfg.OnOp,
+		Workers:        workers,
+		Ops:            cfg.Ops,
+		Until:          cfg.Until,
+		Warmup:         cfg.Warmup,
+		Source:         func(w int) func() workload.Op { return streams[w].Next },
+		RefOf:          cfg.RefOf,
+		UseSearchFirst: cfg.UseSearchFirst,
+		OnOp:           cfg.OnOp,
 	})
 	if err != nil {
 		return nil, err

@@ -155,28 +155,26 @@ func TestDriverDeterminism(t *testing.T) {
 
 // TestDriverConcurrentMixed drives the oltp preset with four workers
 // against every backend — concurrent mixed writers and readers on
-// backends with the ConcurrentWriters trait, serialized writers behind
-// overlapping readers on the rest. Run with -race (the `make mixed`
+// backends with the ConcurrentWriters trait, writers Drive serializes
+// behind overlapping readers on the rest. Run with -race (the `make mixed`
 // target); correctness here is "no data race, no error, full budget".
 func TestDriverConcurrentMixed(t *testing.T) {
 	fx := driverTestFixture(t)
 	for _, name := range index.Backends() {
-		backend, _ := index.Lookup(name)
 		t.Run(name, func(t *testing.T) {
 			ix := driverTestIndex(t, fx, name)
 			defer ix.Close()
 			const ops = 256
 			res, err := DriveMix(ix, MixConfig{
-				Mix:             workload.OLTPMix(),
-				Dist:            workload.DistUniform,
-				NumKeys:         fx.numKeys,
-				Seed:            5,
-				Workers:         4,
-				Ops:             ops,
-				Warmup:          4,
-				RefOf:           fx.refOf,
-				SerializeWrites: !backend.ConcurrentWriters,
-				UseSearchFirst:  true,
+				Mix:            workload.OLTPMix(),
+				Dist:           workload.DistUniform,
+				NumKeys:        fx.numKeys,
+				Seed:           5,
+				Workers:        4,
+				Ops:            ops,
+				Warmup:         4,
+				RefOf:          fx.refOf,
+				UseSearchFirst: true,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"bftree/index"
 	"bftree/internal/core"
 	"bftree/internal/device"
-	"bftree/internal/workload"
 )
 
 // table2FPPs and table3FPPs are the sweeps of Tables 2 and 3.
@@ -19,70 +17,9 @@ var (
 	fig5FPPs = []float64{0.2, 0.1, 1.9e-2, 1.8e-3, 1.72e-4, 1.5e-7, 1e-10, 1e-15}
 )
 
-// syntheticEnv creates a configuration cell with relation R generated on
-// the data device.
-func syntheticEnv(cfg StorageConfig, scale Scale, cachePages int) (*Env, *workload.Synthetic, error) {
-	env := NewEnv(cfg, cachePages)
-	syn, err := workload.GenerateSynthetic(env.DataStore, scale.SyntheticTuples, 11, scale.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return env, syn, nil
-}
-
-// pkProbes returns the PK probe keys: 100 % hit rate, as in Section 6.2.
-func pkProbes(syn *workload.Synthetic, scale Scale) ([]uint64, error) {
-	existing := make([]uint64, 4096)
-	step := syn.MaxPK / uint64(len(existing))
-	if step == 0 {
-		step = 1
-	}
-	for i := range existing {
-		existing[i] = uint64(i) * step % (syn.MaxPK + 1)
-	}
-	ps, err := workload.MakeProbes(scale.Probes, 1.0, existing, nil, scale.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	return ps.Keys, nil
-}
-
-// att1Probes returns the ATT1 probe keys: 14 % of probes match, as in
-// Section 6.3, with misses falling inside the key domain.
-func att1Probes(syn *workload.Synthetic, scale Scale) ([]uint64, error) {
-	maxKey := syn.ATT1Keys[len(syn.ATT1Keys)-1]
-	absent := workload.AbsentWithin(1, maxKey, syn.ATT1Keys, 4096)
-	if len(absent) == 0 {
-		absent = workload.AbsentKeys(maxKey, 4096)
-	}
-	ps, err := workload.MakeProbes(scale.Probes, 0.14, syn.ATT1Keys, absent, scale.Seed+2)
-	if err != nil {
-		return nil, err
-	}
-	return ps.Keys, nil
-}
-
-// syntheticProbes picks the probe batch for a field of the synthetic
-// relation: unique-PK probes for field 0, ATT1 probes otherwise.
-func syntheticProbes(syn *workload.Synthetic, scale Scale, fieldIdx int) ([]uint64, bool, error) {
-	if fieldIdx == 0 {
-		keys, err := pkProbes(syn, scale)
-		return keys, true, err
-	}
-	keys, err := att1Probes(syn, scale)
-	return keys, false, err
-}
-
-// pointOpts returns the build options of a point-lookup experiment:
-// the fpp for approximate backends, the deduplicated entry layout for
-// exact tree backends over ordered non-unique attributes (the paper's
-// baseline; field 0 is the unique PK).
-func pointOpts(fieldIdx int, fpp float64) index.Options {
-	return index.Options{
-		BFTree:    core.Options{FPP: fpp},
-		DedupKeys: fieldIdx != 0,
-	}
-}
+// warmCachePages sizes the pinned index cache of the warm-cache figures
+// (7, 10, 12b): large enough to hold every internal page.
+const warmCachePages = 65536
 
 // sweepFPPs adapts an fpp sweep to a backend: approximate backends get
 // the full sweep, exact ones a single don't-care point (their build
@@ -111,39 +48,48 @@ func fppLabel(fpp float64) string {
 // BF-Trees at four fpp settings, for both the PK and ATT1 indexes of the
 // synthetic relation.
 func RunTable2(scale Scale) (*Table, error) {
-	cfg := StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
-	env, syn, err := syntheticEnv(cfg, scale, 0)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title: fmt.Sprintf("Table 2: index size in 4KB pages (%d-tuple relation, %d MB)",
 			scale.SyntheticTuples, scale.SyntheticTuples*256/(1<<20)),
 		Header: []string{"variation", "fpp", "pages(PK)", "pages(ATT1)", "gain(PK)", "gain(ATT1)"},
 	}
-	bpPK, err := BuildIndex("bptree", env, syn.File, 0, pointOpts(0, 0))
-	if err != nil {
-		return nil, err
-	}
-	bpATT, err := BuildIndex("bptree", env, syn.File, 1, pointOpts(1, 0))
-	if err != nil {
-		return nil, err
-	}
-	pkPages, attPages := bpPK.Stats().Pages, bpATT.Stats().Pages
-	t.AddRow("B+-Tree", "-", fmt.Sprint(pkPages), fmt.Sprint(attPages), "1x", "1x")
-	for _, fpp := range table2FPPs {
-		bfPK, err := BuildIndex("bftree", env, syn.File, 0, pointOpts(0, fpp))
+	// sizes builds the B+-Tree, then a BF-Tree per fpp, over one field
+	// and returns their page counts in that order.
+	sizes := func(field int) ([]uint64, error) {
+		env, rel, err := newCell(memMem, 0, syntheticRel(scale, field))
 		if err != nil {
 			return nil, err
 		}
-		bfATT, err := BuildIndex("bftree", env, syn.File, 1, pointOpts(1, fpp))
-		if err != nil {
-			return nil, err
+		var pages []uint64
+		for i, fpp := range append([]float64{0}, table2FPPs...) {
+			backend := "bftree"
+			if i == 0 {
+				backend = "bptree"
+			}
+			ix, err := index.New(backend, env.IdxStore, rel.file, rel.field, rel.opts(core.Options{FPP: fpp}))
+			if err != nil {
+				return nil, err
+			}
+			pages = append(pages, ix.Stats().Pages)
+			if err := ix.Close(); err != nil {
+				return nil, err
+			}
 		}
-		t.AddRow("BF-Tree", fmtF(fpp),
-			fmt.Sprint(bfPK.Stats().Pages), fmt.Sprint(bfATT.Stats().Pages),
-			fmt.Sprintf("%.3gx", float64(pkPages)/float64(bfPK.Stats().Pages)),
-			fmt.Sprintf("%.3gx", float64(attPages)/float64(bfATT.Stats().Pages)))
+		return pages, nil
+	}
+	pk, err := sizes(0)
+	if err != nil {
+		return nil, err
+	}
+	att, err := sizes(1)
+	if err != nil {
+		return nil, err
+	}
+	t.AddRow("B+-Tree", "-", fmt.Sprint(pk[0]), fmt.Sprint(att[0]), "1x", "1x")
+	for i, fpp := range table2FPPs {
+		t.AddRow("BF-Tree", fmtF(fpp), fmt.Sprint(pk[i+1]), fmt.Sprint(att[i+1]),
+			fmt.Sprintf("%.3gx", float64(pk[0])/float64(pk[i+1])),
+			fmt.Sprintf("%.3gx", float64(att[0])/float64(att[i+1])))
 	}
 	t.Notes = append(t.Notes, "paper (1GB): PK gain 48x at fpp=0.2 down to 2.25x at 1e-15; ATT1 46x to 2.22x")
 	return t, nil
@@ -153,7 +99,6 @@ func RunTable2(scale Scale) (*Table, error) {
 // the PK index (100 % hits) and the ATT1 index (14 % hits). The -index
 // flag swaps in any registered backend (exact backends report 0).
 func RunTable3(scale Scale) (*Table, error) {
-	cfg := StorageConfig{Name: "mem/mem", Index: device.Memory, Data: device.Memory}
 	backend := scale.IndexBackend()
 	fpps, err := sweepFPPs(backend, table3FPPs)
 	if err != nil {
@@ -164,35 +109,15 @@ func RunTable3(scale Scale) (*Table, error) {
 		Header: []string{"fpp", "false-reads(PK)", "false-reads(ATT1)"},
 	}
 	for _, fpp := range fpps {
-		env, syn, err := syntheticEnv(cfg, scale, 0)
+		pk, err := measureCell(memMem, 0, syntheticRel(scale, 0), backend, core.Options{FPP: fpp})
 		if err != nil {
 			return nil, err
 		}
-		ixPK, err := BuildIndex(backend, env, syn.File, 0, pointOpts(0, fpp))
+		att, err := measureCell(memMem, 0, syntheticRel(scale, 1), backend, core.Options{FPP: fpp})
 		if err != nil {
 			return nil, err
 		}
-		pk, err := pkProbes(syn, scale)
-		if err != nil {
-			return nil, err
-		}
-		mPK, err := MeasureIndex(env, ixPK, pk, true)
-		if err != nil {
-			return nil, err
-		}
-		ixATT, err := BuildIndex(backend, env, syn.File, 1, pointOpts(1, fpp))
-		if err != nil {
-			return nil, err
-		}
-		att, err := att1Probes(syn, scale)
-		if err != nil {
-			return nil, err
-		}
-		mATT, err := MeasureIndex(env, ixATT, att, false)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fppLabel(fpp), fmtF(mPK.FalsePerProbe), fmtF(mATT.FalsePerProbe))
+		t.AddRow(fppLabel(fpp), fmtF(pk.FalsePerProbe), fmtF(att.FalsePerProbe))
 	}
 	t.Notes = append(t.Notes, "paper (1GB): PK 13.58 → 0.01; ATT1 701 → 0.04 over the same sweep")
 	return t, nil
@@ -226,19 +151,7 @@ func runPerfSweep(scale Scale, fieldIdx int, title string) (*Table, error) {
 	for _, fpp := range fpps {
 		row := []string{fppLabel(fpp)}
 		for _, cfg := range configs {
-			env, syn, err := syntheticEnv(cfg, scale, 0)
-			if err != nil {
-				return nil, err
-			}
-			ix, err := BuildIndex(backend, env, syn.File, fieldIdx, pointOpts(fieldIdx, fpp))
-			if err != nil {
-				return nil, err
-			}
-			keys, unique, err := syntheticProbes(syn, scale, fieldIdx)
-			if err != nil {
-				return nil, err
-			}
-			m, err := MeasureIndex(env, ix, keys, unique)
+			m, err := measureCell(cfg, 0, syntheticRel(scale, fieldIdx), backend, core.Options{FPP: fpp})
 			if err != nil {
 				return nil, err
 			}
@@ -284,19 +197,7 @@ func runBaselines(scale Scale, fieldIdx int, title string) (*Table, error) {
 			continue // the approximate side is Figures 5(a)/8(a)
 		}
 		for _, cfg := range baselineConfigs(b) {
-			env, syn, err := syntheticEnv(cfg, scale, 0)
-			if err != nil {
-				return nil, err
-			}
-			ix, err := BuildIndex(name, env, syn.File, fieldIdx, pointOpts(fieldIdx, 0))
-			if err != nil {
-				return nil, err
-			}
-			keys, unique, err := syntheticProbes(syn, scale, fieldIdx)
-			if err != nil {
-				return nil, err
-			}
-			m, err := MeasureIndex(env, ix, keys, unique)
+			m, err := measureCell(cfg, 0, syntheticRel(scale, fieldIdx), name, core.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -327,48 +228,22 @@ func RunFig9(scale Scale) (*Table, error) {
 
 func runBreakEven(scale Scale, fieldIdx int, title string) (*Table, error) {
 	var rows []breakEvenRow
+	gen := syntheticRel(scale, fieldIdx)
 	for _, cfg := range FiveConfigs() {
-		// Baseline per config.
-		env, syn, err := syntheticEnv(cfg, scale, 0)
+		bp, err := measureCell(cfg, 0, gen, "bptree", core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		bp, err := BuildIndex("bptree", env, syn.File, fieldIdx, pointOpts(fieldIdx, 0))
-		if err != nil {
-			return nil, err
-		}
-		keys, unique, err := syntheticProbes(syn, scale, fieldIdx)
-		if err != nil {
-			return nil, err
-		}
-		mBP, err := MeasureIndex(env, bp, keys, unique)
-		if err != nil {
-			return nil, err
-		}
-		bpSize := bp.Stats().Pages
 		for _, fpp := range fig5FPPs {
-			env2, syn2, err := syntheticEnv(cfg, scale, 0)
+			bf, err := measureCell(cfg, 0, gen, "bftree", core.Options{FPP: fpp})
 			if err != nil {
 				return nil, err
 			}
-			bf, err := BuildIndex("bftree", env2, syn2.File, fieldIdx, pointOpts(fieldIdx, fpp))
-			if err != nil {
-				return nil, err
-			}
-			keys2, unique2, err := syntheticProbes(syn2, scale, fieldIdx)
-			if err != nil {
-				return nil, err
-			}
-			m, err := MeasureIndex(env2, bf, keys2, unique2)
-			if err != nil {
-				return nil, err
-			}
-			perf := float64(mBP.AvgTime) / float64(m.AvgTime)
 			rows = append(rows, breakEvenRow{
 				config:   cfg.Name,
 				fpp:      fpp,
-				gain:     float64(bpSize) / float64(bf.Stats().Pages),
-				normPerf: perf,
+				gain:     float64(bp.Index.Pages) / float64(bf.Index.Pages),
+				normPerf: float64(bp.AvgTime) / float64(bf.AvgTime),
 			})
 		}
 	}
@@ -400,59 +275,18 @@ func RunFig10(scale Scale) (*Table, error) {
 }
 
 func runWarm(scale Scale, fieldIdx int, title string) (*Table, error) {
-	const cachePages = 65536
 	t := &Table{Title: title, Header: []string{"config", "B+-Tree", "best BF-Tree", "bf-fpp", "capacity-gain"}}
+	gen := syntheticRel(scale, fieldIdx)
 	for _, cfg := range WarmConfigs() {
-		env, syn, err := syntheticEnv(cfg, scale, cachePages)
+		bp, err := measureCell(cfg, warmCachePages, gen, "bptree", core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		bp, err := BuildIndex("bptree", env, syn.File, fieldIdx, pointOpts(fieldIdx, 0))
+		best, bestFPP, gain, err := fastestBF(cfg, warmCachePages, gen, fig5FPPs, bp.Index.Pages)
 		if err != nil {
 			return nil, err
 		}
-		if err := WarmBuiltIndex(env, bp); err != nil {
-			return nil, err
-		}
-		keys, unique, err := syntheticProbes(syn, scale, fieldIdx)
-		if err != nil {
-			return nil, err
-		}
-		mBP, err := MeasureIndex(env, bp, keys, unique)
-		if err != nil {
-			return nil, err
-		}
-		bpPages := bp.Stats().Pages
-		bestTime := time.Duration(1<<62 - 1)
-		bestFPP := 0.0
-		bestGain := 0.0
-		for _, fpp := range fig5FPPs {
-			env2, syn2, err := syntheticEnv(cfg, scale, cachePages)
-			if err != nil {
-				return nil, err
-			}
-			bf, err := BuildIndex("bftree", env2, syn2.File, fieldIdx, pointOpts(fieldIdx, fpp))
-			if err != nil {
-				return nil, err
-			}
-			if err := WarmBuiltIndex(env2, bf); err != nil {
-				return nil, err
-			}
-			keys2, unique2, err := syntheticProbes(syn2, scale, fieldIdx)
-			if err != nil {
-				return nil, err
-			}
-			m, err := MeasureIndex(env2, bf, keys2, unique2)
-			if err != nil {
-				return nil, err
-			}
-			if m.AvgTime < bestTime {
-				bestTime = m.AvgTime
-				bestFPP = fpp
-				bestGain = float64(bpPages) / float64(bf.Stats().Pages)
-			}
-		}
-		t.AddRow(cfg.Name, mBP.AvgTime.String(), bestTime.String(), fmtF(bestFPP), fmtF(bestGain)+"x")
+		t.AddRow(cfg.Name, bp.AvgTime.String(), best.String(), fmtF(bestFPP), fmtF(gain)+"x")
 	}
 	t.Notes = append(t.Notes,
 		"paper: warm caches help the (taller) B+-Tree more, but BF-Tree stays competitive except ATT1 SSD/SSD")

@@ -2,64 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"bftree/index"
 	"bftree/internal/core"
-	"bftree/internal/workload"
 )
-
-// tpchEnv creates a configuration cell with the TPCH-like lineitem
-// table on the data device, ordered on shipdate.
-func tpchEnv(cfg StorageConfig, scale Scale, cachePages int) (*Env, *workload.TPCH, error) {
-	env := NewEnv(cfg, cachePages)
-	tp, err := workload.GenerateTPCH(env.DataStore, scale.TPCHTuples, scale.TPCHDates, scale.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return env, tp, nil
-}
-
-// shdEnv creates a configuration cell with the smart-home dataset on the
-// data device, ordered on timestamp.
-func shdEnv(cfg StorageConfig, scale Scale, cachePages int) (*Env, *workload.SHD, error) {
-	env := NewEnv(cfg, cachePages)
-	shd, err := workload.GenerateSHD(env.DataStore, scale.SHDTuples, scale.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return env, shd, nil
-}
-
-// tpchProbes builds probe keys over ship dates at the given hit rate;
-// misses are dates outside the populated range, as every in-range date
-// has lineitems at TPCH densities.
-func tpchProbes(tp *workload.TPCH, scale Scale, hitRate float64) ([]uint64, error) {
-	existing := make([]uint64, 0, len(tp.DateCards))
-	for d := range tp.DateCards {
-		existing = append(existing, d)
-	}
-	absent := workload.AbsentKeys(tp.MaxDate, 4096)
-	ps, err := workload.MakeProbes(scale.Probes, hitRate, existing, absent, scale.Seed+3)
-	if err != nil {
-		return nil, err
-	}
-	return ps.Keys, nil
-}
-
-// shdProbes builds 100 % hit-rate probes over SHD timestamps
-// (Section 6.5: the hardest case for BF-Trees).
-func shdProbes(shd *workload.SHD, scale Scale) ([]uint64, error) {
-	existing := make([]uint64, 0, len(shd.Cards))
-	for ts := range shd.Cards {
-		existing = append(existing, ts)
-	}
-	ps, err := workload.MakeProbes(scale.Probes, 1.0, existing, nil, scale.Seed+4)
-	if err != nil {
-		return nil, err
-	}
-	return ps.Keys, nil
-}
 
 // fig11HitRates is the x-axis of Figure 11.
 var fig11HitRates = []float64{0, 0.05, 0.10, 0.20}
@@ -77,44 +23,19 @@ func RunFig11(scale Scale) (*Table, error) {
 		header = append(header, c.Name)
 	}
 	t := &Table{Title: "Figure 11: TPCH shipdate, BF-Tree time / B+-Tree time", Header: header}
-	shipIdx := workload.TPCHSchema.FieldIndex("shipdate")
 	for _, hr := range fig11HitRates {
+		gen := tpchRel(scale, hr)
 		row := []string{fmtF(hr)}
 		for _, cfg := range configs {
-			env, tp, err := tpchEnv(cfg, scale, 0)
+			bp, err := measureCell(cfg, 0, gen, "bptree", core.Options{})
 			if err != nil {
 				return nil, err
 			}
-			bp, err := BuildIndex("bptree", env, tp.File, shipIdx, pointOpts(shipIdx, 0))
+			bf, err := measureCell(cfg, 0, gen, "bftree", core.Options{FPP: fpp})
 			if err != nil {
 				return nil, err
 			}
-			keys, err := tpchProbes(tp, scale, hr)
-			if err != nil {
-				return nil, err
-			}
-			mBP, err := MeasureIndex(env, bp, keys, false)
-			if err != nil {
-				return nil, err
-			}
-
-			env2, tp2, err := tpchEnv(cfg, scale, 0)
-			if err != nil {
-				return nil, err
-			}
-			bf, err := BuildIndex("bftree", env2, tp2.File, shipIdx, pointOpts(shipIdx, fpp))
-			if err != nil {
-				return nil, err
-			}
-			keys2, err := tpchProbes(tp2, scale, hr)
-			if err != nil {
-				return nil, err
-			}
-			mBF, err := MeasureIndex(env2, bf, keys2, false)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtF(float64(mBF.AvgTime)/float64(mBP.AvgTime)))
+			row = append(row, fmtF(float64(bf.AvgTime)/float64(bp.AvgTime)))
 		}
 		t.AddRow(row...)
 	}
@@ -132,127 +53,52 @@ func RunFig12a(scale Scale) (*Table, error) {
 		Title:  "Figure 12(a): SHD cold caches — optimal BF-Tree vs B+-Tree",
 		Header: []string{"config", "B+-Tree", "best BF-Tree", "bf-fpp", "capacity-gain"},
 	}
-	tsIdx := workload.SHDSchema.FieldIndex("timestamp")
+	gen := shdRel(scale)
 	for _, cfg := range FiveConfigs() {
-		env, shd, err := shdEnv(cfg, scale, 0)
+		// The SHD timestamp is non-unique, so the B+-Tree takes the
+		// deduplicated ordered layout (relation.opts).
+		bp, err := measureCell(cfg, 0, gen, "bptree", core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		// The SHD timestamp is field 0 but non-unique: the baselines use
-		// the deduplicated ordered layout regardless of field position.
-		bp, err := BuildIndex("bptree", env, shd.File, tsIdx, index.Options{DedupKeys: true})
+		best, bestFPP, gain, err := fastestBF(cfg, 0, gen, shdFPPs, bp.Index.Pages)
 		if err != nil {
 			return nil, err
 		}
-		keys, err := shdProbes(shd, scale)
-		if err != nil {
-			return nil, err
-		}
-		mBP, err := MeasureIndex(env, bp, keys, false)
-		if err != nil {
-			return nil, err
-		}
-		best, bestFPP, bestGain, err := bestSHDBF(cfg, scale, tsIdx, bp.Stats().Pages, 0)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(cfg.Name, mBP.AvgTime.String(), best.String(), fmtF(bestFPP), fmtF(bestGain)+"x")
+		t.AddRow(cfg.Name, bp.AvgTime.String(), best.String(), fmtF(bestFPP), fmtF(gain)+"x")
 	}
 	t.Notes = append(t.Notes, "paper: BF-Tree matches B+-Tree at 2x-3x capacity gain on the 100%-hit SHD workload")
 	return t, nil
 }
 
-// bestSHDBF sweeps fpp and returns the fastest BF-Tree measurement on
-// the SHD workload for one configuration.
-func bestSHDBF(cfg StorageConfig, scale Scale, tsIdx int, bpPages uint64, cachePages int) (time.Duration, float64, float64, error) {
-	bestTime := time.Duration(1<<62 - 1)
-	var bestFPP, bestGain float64
-	for _, fpp := range []float64{0.1, 1.9e-2, 1.8e-3, 1.72e-4, 1.5e-7} {
-		env, shd, err := shdEnv(cfg, scale, cachePages)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		bf, err := BuildIndex("bftree", env, shd.File, tsIdx, index.Options{BFTree: core.Options{FPP: fpp}})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if cachePages > 0 {
-			if err := WarmBuiltIndex(env, bf); err != nil {
-				return 0, 0, 0, err
-			}
-		}
-		keys, err := shdProbes(shd, scale)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		m, err := MeasureIndex(env, bf, keys, false)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if m.AvgTime < bestTime {
-			bestTime = m.AvgTime
-			bestFPP = fpp
-			bestGain = float64(bpPages) / float64(bf.Stats().Pages)
-		}
-	}
-	return bestTime, bestFPP, bestGain, nil
-}
+// shdFPPs is the BF-Tree fpp sweep of Figures 12(a) and (b).
+var shdFPPs = []float64{0.1, 1.9e-2, 1.8e-3, 1.72e-4, 1.5e-7}
 
 // RunFig12b reproduces Figure 12(b): SHD with warm caches for the three
 // on-device configurations, adding the FD-Tree comparator — all four
-// measurements through the same MeasureIndex path.
+// measurements through the same cell path (measureCell).
 func RunFig12b(scale Scale) (*Table, error) {
-	const cachePages = 65536
 	t := &Table{
 		Title:  "Figure 12(b): SHD warm caches — BF-Tree vs B+-Tree vs FD-Tree",
 		Header: []string{"config", "B+-Tree", "best BF-Tree", "FD-Tree", "capacity-gain"},
 	}
-	tsIdx := workload.SHDSchema.FieldIndex("timestamp")
+	gen := shdRel(scale)
 	for _, cfg := range WarmConfigs() {
-		env, shd, err := shdEnv(cfg, scale, cachePages)
+		bp, err := measureCell(cfg, warmCachePages, gen, "bptree", core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		bp, err := BuildIndex("bptree", env, shd.File, tsIdx, index.Options{DedupKeys: true})
+		best, _, gain, err := fastestBF(cfg, warmCachePages, gen, shdFPPs, bp.Index.Pages)
 		if err != nil {
 			return nil, err
 		}
-		if err := WarmBuiltIndex(env, bp); err != nil {
-			return nil, err
-		}
-		keys, err := shdProbes(shd, scale)
-		if err != nil {
-			return nil, err
-		}
-		mBP, err := MeasureIndex(env, bp, keys, false)
-		if err != nil {
-			return nil, err
-		}
-
-		best, _, bestGain, err := bestSHDBF(cfg, scale, tsIdx, bp.Stats().Pages, cachePages)
-		if err != nil {
-			return nil, err
-		}
-
 		// FD-Tree: head tree memory-resident (its design), runs on the
 		// index device.
-		envFD, shdFD, err := shdEnv(cfg, scale, 0)
+		fd, err := measureCell(cfg, 0, gen, "fdtree", core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		fd, err := BuildIndex("fdtree", envFD, shdFD.File, tsIdx, index.Options{DedupKeys: true})
-		if err != nil {
-			return nil, err
-		}
-		keysFD, err := shdProbes(shdFD, scale)
-		if err != nil {
-			return nil, err
-		}
-		mFD, err := MeasureIndex(envFD, fd, keysFD, false)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(cfg.Name, mBP.AvgTime.String(), best.String(), mFD.AvgTime.String(), fmtF(bestGain)+"x")
+		t.AddRow(cfg.Name, bp.AvgTime.String(), best.String(), fd.AvgTime.String(), fmtF(gain)+"x")
 	}
 	t.Notes = append(t.Notes,
 		"paper: FD-Tree ≈ BF-Tree and B+-Tree on HDD data; ~33% slower than BF-Tree on SSD/SSD")
@@ -275,21 +121,19 @@ func RunFig13(scale Scale) (*Table, error) {
 	}
 	t := &Table{Title: "Figure 13: range-scan data I/Os, BF-Tree / B+-Tree", Header: header}
 	// One shared dataset; a fresh index store per fpp.
-	cfg := StorageConfig{Name: "mem/mem"}
-	_, syn, err := syntheticEnv(cfg, scale, 0)
+	_, rel, err := newCell(memMem, 0, syntheticRel(scale, 0))
 	if err != nil {
 		return nil, err
 	}
 	for _, fpp := range fig13FPPs {
-		idxEnv := NewEnv(cfg, 0)
-		bf, err := BuildIndex("bftree", idxEnv, syn.File, 0, index.Options{BFTree: core.Options{FPP: fpp}})
+		bf, err := index.New("bftree", NewEnv(memMem, 0).IdxStore, rel.file, 0, rel.opts(core.Options{FPP: fpp}))
 		if err != nil {
 			return nil, err
 		}
 		row := []string{fmtF(fpp)}
 		for _, frac := range fig13Ranges {
-			span := uint64(float64(syn.MaxPK+1) * frac)
-			lo := (syn.MaxPK + 1) / 3 // start a third in, away from file edges
+			span := uint64(float64(rel.maxKey+1) * frac)
+			lo := (rel.maxKey + 1) / 3 // start a third in, away from file edges
 			hi := lo + span - 1
 			res, err := bf.RangeScan(lo, hi)
 			if err != nil {
@@ -297,9 +141,7 @@ func RunFig13(scale Scale) (*Table, error) {
 			}
 			// B+-Tree I/O: the matching tuples occupy a contiguous page
 			// span; the B+-Tree reads exactly those pages.
-			firstPage := syn.File.PageOf(lo)
-			lastPage := syn.File.PageOf(hi)
-			bpIO := int(lastPage-firstPage) + 1
+			bpIO := int(rel.file.PageOf(hi)-rel.file.PageOf(lo)) + 1
 			row = append(row, fmtF(float64(res.Stats.DataPagesRead)/float64(bpIO)))
 		}
 		t.AddRow(row...)

@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -23,15 +27,16 @@ func microScale() Scale {
 }
 
 // TestEveryExperimentRuns executes the full registry end to end: every
-// table and figure of the paper must produce rows without error.
+// table and figure of the paper must produce rows without error, and
+// the experiments in experimentChecks must pass their own checks.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry run")
 	}
-	scale := microScale()
 	for _, name := range ExperimentNames() {
-		name := name
 		t.Run(name, func(t *testing.T) {
+			scale := microScale()
+			scale.JSONDir = t.TempDir()
 			start := time.Now()
 			tbl, err := Run(name, scale)
 			if err != nil {
@@ -48,9 +53,103 @@ func TestEveryExperimentRuns(t *testing.T) {
 					t.Fatalf("%s row %d: %d cells for %d columns", name, i, len(row), len(tbl.Header))
 				}
 			}
+			if check := experimentChecks[name]; check != nil {
+				check(t, tbl, scale)
+			}
 			t.Logf("%s: %d rows in %v", name, len(tbl.Rows), time.Since(start))
 		})
 	}
+}
+
+// experimentChecks holds per-experiment checks of the rendered table
+// (and, under the scale's JSONDir, the written artifact).
+var experimentChecks = map[string]func(t *testing.T, tbl *Table, scale Scale){
+	"concurrent-probe": sweepRows(ConcurrentWorkerCounts),
+	"mixed-rw":         sweepRows(MixedRWReaderCounts),
+	"multi-writer":     sweepRows(MultiWriterCounts),
+	"churn": func(t *testing.T, tbl *Table, _ Scale) {
+		for _, row := range tbl.Rows {
+			if row[0] == "page economy" {
+				if len(row[1]) == 0 || row[1][len(row[1])-1] != ')' {
+					t.Errorf("economy row malformed: %q", row[1])
+				}
+				return
+			}
+		}
+		t.Error("no page-economy row in the churn table")
+	},
+	"compaction-stall": func(t *testing.T, tbl *Table, _ Scale) {
+		for _, row := range tbl.Rows {
+			if row[0] == "max writer stall" {
+				if len(row) != 3 || row[1] == "" || row[2] == "" {
+					t.Errorf("max-stall row malformed: %v", row)
+				}
+				return
+			}
+		}
+		t.Error("no max-writer-stall row in the table")
+	},
+	"serve-load": func(t *testing.T, tbl *Table, scale Scale) {
+		blob, err := os.ReadFile(filepath.Join(scale.JSONDir, ArtifactFor("serve-load")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var records []Record
+		if err := json.Unmarshal(blob, &records); err != nil {
+			t.Fatal(err)
+		}
+		backends := index.Backends()
+		if scale.Index != "" && scale.Index != "each" {
+			backends = []string{scale.Index}
+		}
+		if want := len(backends) * len(ServeLoadLevels); len(tbl.Rows) != want || len(records) != want {
+			t.Fatalf("%d rows and %d records, want %d (one per backend and connection level)",
+				len(tbl.Rows), len(records), want)
+		}
+		for i, r := range records {
+			backend, conns := backends[i/len(ServeLoadLevels)], ServeLoadLevels[i%len(ServeLoadLevels)]
+			if r.Experiment != "serve-load" || r.Backend != backend || r.Preset != "oltp" {
+				t.Errorf("record %d mislabeled: %+v", i, r)
+			}
+			if r.Workers != conns {
+				t.Errorf("record %d: workers %d, want %d", i, r.Workers, conns)
+			}
+			if r.Throughput <= 0 || r.P50 <= 0 || r.P99 < r.P50 {
+				t.Errorf("record %d: implausible latency row: %+v", i, r)
+			}
+		}
+	},
+}
+
+// sweepRows checks a sweep table's row count and its first and last
+// row labels against the sweep points.
+func sweepRows(points []int) func(*testing.T, *Table, Scale) {
+	return func(t *testing.T, tbl *Table, _ Scale) {
+		if len(tbl.Rows) != len(points) {
+			t.Fatalf("table has %d rows, want %d", len(tbl.Rows), len(points))
+		}
+		first, last := fmt.Sprint(points[0]), fmt.Sprint(points[len(points)-1])
+		if tbl.Rows[0][0] != first || tbl.Rows[len(tbl.Rows)-1][0] != last {
+			t.Errorf("sweep rows wrong: first=%q last=%q, want %s and %s",
+				tbl.Rows[0][0], tbl.Rows[len(tbl.Rows)-1][0], first, last)
+		}
+	}
+}
+
+// runRegistered runs one registered experiment at the given scale, with
+// its artifact (if any) under a fresh JSONDir, and applies its entry in
+// experimentChecks.
+func runRegistered(t *testing.T, name string, scale Scale) {
+	t.Helper()
+	scale.JSONDir = t.TempDir()
+	tbl, err := Run(name, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) == 0 {
+		t.Fatalf("%s produced no rows", name)
+	}
+	experimentChecks[name](t, tbl, scale)
 }
 
 // TestFig5aTimesOrderedByDevice checks the physical sanity of the probe
@@ -147,22 +246,7 @@ func TestFig7WarmBeatsColdForBP(t *testing.T) {
 // TestFig11MissesAreCheap: at 0 % hit rate neither index should touch
 // the data device.
 func TestFig11MissesAreCheap(t *testing.T) {
-	scale := microScale()
-	cfg := FiveConfigs()[0] // mem/HDD
-	env, tp, err := tpchEnv(cfg, scale, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipIdx := 1
-	keys, err := tpchProbes(tp, scale, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, err := BuildIndex("bftree", env, tp.File, shipIdx, index.Options{BFTree: core.Options{FPP: 1e-3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := MeasureIndex(env, bf, keys, false)
+	m, err := measureCell(FiveConfigs()[0], 0, tpchRel(microScale(), 0), "bftree", core.Options{FPP: 1e-3}) // mem/HDD
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bftree/index"
 	"bftree/internal/core"
-	"bftree/internal/device"
 	"bftree/internal/heapfile"
-	"bftree/internal/pagestore"
 	"bftree/internal/workload"
 )
 
@@ -23,12 +22,6 @@ var MixedRWReaderCounts = []int{1, 2, 4, 8}
 // claims is free of locks on the read side.
 const mixedRWLatency = 100 * time.Microsecond
 
-// mixedRWSchema is the appended relation: a unique ordered key.
-var mixedRWSchema = heapfile.Schema{
-	TupleSize: 64,
-	Fields:    []heapfile.Field{{Name: "k", Offset: 0}},
-}
-
 // MixedRWResult is one row of the sweep: reader-side throughput and
 // tail latency while one writer streams appends through the COW
 // structural path.
@@ -41,41 +34,8 @@ type MixedRWResult struct {
 	P99           time.Duration
 	WriterInserts int64   // inserts the live writer completed meanwhile
 	WriterRate    float64 // inserts per second over the measured window
-	LeavesAdded   uint64  // structural changes the readers raced
+	PagesAdded    uint64  // index pages the writer's structural changes added
 	FreedPages    uint64  // COW pages reclaimed through the free list
-}
-
-// mixedRWFixture builds a fresh unique-key relation and BF-Tree on
-// Memory devices (no latency during the build).
-func mixedRWFixture(scale Scale) (*core.Tree, *heapfile.File, *pagestore.Store, *device.Device, *device.Device, error) {
-	n := scale.SyntheticTuples
-	if n < 1024 {
-		n = 1024
-	}
-	dataDev := device.New(device.Memory, PageSize)
-	idxDev := device.New(device.Memory, PageSize)
-	dataStore := pagestore.New(dataDev)
-	idxStore := pagestore.New(idxDev)
-	b, err := heapfile.NewBuilder(dataStore, mixedRWSchema)
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	tup := make([]byte, mixedRWSchema.TupleSize)
-	for i := uint64(0); i < n; i++ {
-		mixedRWSchema.Set(tup, 0, i)
-		if err := b.Append(tup); err != nil {
-			return nil, nil, nil, nil, nil, err
-		}
-	}
-	file, err := b.Finish()
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	tr, err := core.BulkLoad(idxStore, file, 0, core.Options{FPP: 1e-3})
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	return tr, file, dataStore, idxDev, dataDev, nil
 }
 
 // MixedRWSweep measures probe throughput and latency at each reader
@@ -87,17 +47,15 @@ func mixedRWFixture(scale Scale) (*core.Tree, *heapfile.File, *pagestore.Store, 
 // the background appender below is fixture machinery — it grows the
 // relation the readers race, and is not itself measured.
 func MixedRWSweep(scale Scale, readerCounts []int) ([]*MixedRWResult, error) {
-	probes := scale.Probes
-	if probes < 64 {
-		probes = 64
-	}
+	probes := max(scale.Probes, 64)
+	n := max(scale.SyntheticTuples, 1024)
 	var out []*MixedRWResult
 	for _, readers := range readerCounts {
-		tr, file, dataStore, idxDev, dataDev, err := mixedRWFixture(scale)
+		env, rel, ix, err := buildCell(memMem, 0, keyedRel(n, 1), "bftree", core.Options{FPP: 1e-3})
 		if err != nil {
 			return nil, err
 		}
-		n := file.NumTuples()
+		file := rel.file
 		// Probe keys come from the run seed's sub-stream, so the probed
 		// set is reproducible from -seed like every other driver input.
 		keys := make([]uint64, 512)
@@ -105,9 +63,9 @@ func MixedRWSweep(scale Scale, readerCounts []int) ([]*MixedRWResult, error) {
 		for i := range keys {
 			keys[i] = krng.Uint64n(n)
 		}
-		leaves0 := tr.NumLeaves()
-		idxDev.SetRealLatency(mixedRWLatency)
-		dataDev.SetRealLatency(mixedRWLatency)
+		pages0 := ix.Stats().Pages
+		env.IdxDev.SetRealLatency(mixedRWLatency)
+		env.DataDev.SetRealLatency(mixedRWLatency)
 
 		stop := make(chan struct{})
 		writerDone := make(chan error, 1)
@@ -115,7 +73,7 @@ func MixedRWSweep(scale Scale, readerCounts []int) ([]*MixedRWResult, error) {
 		go func() { // the single writer: append one data page per batch
 			perPage := file.TuplesPerPage()
 			next := n
-			tup := make([]byte, mixedRWSchema.TupleSize)
+			tup := make([]byte, keyedSchema.TupleSize)
 			for {
 				select {
 				case <-stop:
@@ -123,13 +81,13 @@ func MixedRWSweep(scale Scale, readerCounts []int) ([]*MixedRWResult, error) {
 					return
 				default:
 				}
-				b, err := heapfile.NewBuilder(dataStore, mixedRWSchema)
+				b, err := heapfile.NewBuilder(env.DataStore, keyedSchema)
 				if err != nil {
 					writerDone <- err
 					return
 				}
 				for i := 0; i < perPage; i++ {
-					mixedRWSchema.Set(tup, 0, next+uint64(i))
+					keyedSchema.Set(tup, 0, next+uint64(i))
 					if err := b.Append(tup); err != nil {
 						writerDone <- err
 						return
@@ -142,7 +100,7 @@ func MixedRWSweep(scale Scale, readerCounts []int) ([]*MixedRWResult, error) {
 				}
 				file.Extend(seg.NumPages(), seg.NumTuples())
 				for i := 0; i < perPage; i++ {
-					if err := tr.Insert(next+uint64(i), seg.FirstPage()); err != nil {
+					if err := ix.Insert(next+uint64(i), index.Ref{Page: seg.FirstPage()}); err != nil {
 						writerDone <- err
 						return
 					}
@@ -156,19 +114,23 @@ func MixedRWSweep(scale Scale, readerCounts []int) ([]*MixedRWResult, error) {
 		// inserts during the writer's ramp-up and its final in-flight
 		// batch after stop would otherwise inflate the reported rate.
 		insBefore := inserted.Load()
-		r, probeErr := RunConcurrentProbes(tr, keys, readers, probes)
+		r, probeErr := RunConcurrentProbes(ix, keys, readers, probes)
 		insDuring := inserted.Load() - insBefore
 		close(stop)
 		werr := <-writerDone
-		idxDev.SetRealLatency(0)
-		dataDev.SetRealLatency(0)
+		env.IdxDev.SetRealLatency(0)
+		env.DataDev.SetRealLatency(0)
 		if probeErr != nil {
 			return nil, probeErr
 		}
 		if werr != nil {
 			return nil, fmt.Errorf("bench: mixed-rw writer: %w", werr)
 		}
-		freed, _ := tr.Store().FreeListStats()
+		freed, _ := env.IdxStore.FreeListStats()
+		pagesAdded := ix.Stats().Pages - pages0
+		if err := ix.Close(); err != nil {
+			return nil, err
+		}
 		out = append(out, &MixedRWResult{
 			Readers:       readers,
 			Probes:        r.Probes,
@@ -178,7 +140,7 @@ func MixedRWSweep(scale Scale, readerCounts []int) ([]*MixedRWResult, error) {
 			P99:           r.P99,
 			WriterInserts: insDuring,
 			WriterRate:    float64(insDuring) / r.Elapsed.Seconds(),
-			LeavesAdded:   tr.NumLeaves() - leaves0,
+			PagesAdded:    pagesAdded,
 			FreedPages:    freed,
 		})
 	}
@@ -199,7 +161,7 @@ func RunMixedRW(scale Scale) (*Table, error) {
 	}
 	t := &Table{
 		Title:  fmt.Sprintf("Mixed read/write: probes vs one streaming writer, %v per page access", mixedRWLatency),
-		Header: []string{"readers", "probes", "wall time", "probes/s", "speedup", "p50", "p99", "writer ins/s", "leaves+", "pages freed"},
+		Header: []string{"readers", "probes", "wall time", "probes/s", "speedup", "p50", "p99", "writer ins/s", "pages+", "pages freed"},
 		Notes: []string{
 			"one writer streams appends (fresh leaves, capacity splits, root growth)",
 			"through the COW path for the whole measured window; readers never block.",
@@ -218,7 +180,7 @@ func RunMixedRW(scale Scale) (*Table, error) {
 			r.P50.Round(10*time.Microsecond).String(),
 			r.P99.Round(10*time.Microsecond).String(),
 			fmt.Sprintf("%.0f", r.WriterRate),
-			fmt.Sprint(r.LeavesAdded),
+			fmt.Sprint(r.PagesAdded),
 			fmt.Sprint(r.FreedPages),
 		)
 	}

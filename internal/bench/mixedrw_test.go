@@ -32,7 +32,7 @@ func TestMixedRWSweepLiveWriter(t *testing.T) {
 		if r.P50 <= 0 || r.P99 < r.P50 {
 			t.Errorf("readers=%d: implausible latencies p50=%v p99=%v", r.Readers, r.P50, r.P99)
 		}
-		if r.LeavesAdded == 0 {
+		if r.PagesAdded == 0 {
 			t.Errorf("readers=%d: no structural changes raced the readers", r.Readers)
 		}
 	}
@@ -53,14 +53,5 @@ func TestMixedRWSweepLiveWriter(t *testing.T) {
 // TestMixedRWExperimentRegistered runs the registered experiment
 // end-to-end and sanity-checks the rendered table.
 func TestMixedRWExperimentRegistered(t *testing.T) {
-	tbl, err := Run("mixed-rw", mixedScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != len(MixedRWReaderCounts) {
-		t.Fatalf("table has %d rows, want %d", len(tbl.Rows), len(MixedRWReaderCounts))
-	}
-	if tbl.Rows[0][0] != "1" || tbl.Rows[len(tbl.Rows)-1][0] != "8" {
-		t.Errorf("reader sweep rows wrong: first=%q last=%q", tbl.Rows[0][0], tbl.Rows[len(tbl.Rows)-1][0])
-	}
+	runRegistered(t, "mixed-rw", mixedScale())
 }

@@ -64,7 +64,7 @@ func mixedSyntheticFixture(scale Scale) (*mixedFixture, error) {
 		file:     file,
 		dataDev:  dataDev,
 		fieldIdx: 0,
-		opts:     pointOpts(0, 1e-3),
+		opts:     index.Options{BFTree: core.Options{FPP: 1e-3}},
 		numKeys:  syn.MaxPK + 1,
 		refOf: func(k uint64) index.Ref {
 			return index.Ref{Page: file.PageOf(k), Slot: uint16(k % per)}
@@ -149,8 +149,8 @@ type MixedWorkloadCell struct {
 }
 
 // MixedWorkloadSweep runs every requested preset × distribution against
-// every requested backend through DriveMix. Backends without the
-// ConcurrentWriters trait drive with serialized writers (readers still
+// every requested backend through DriveMix, which serializes the writers
+// of backends without the ConcurrentWriters trait (readers still
 // overlap); the per-cell index is built fresh on its own Memory device
 // and real latency applies only during the measured window.
 func MixedWorkloadSweep(scale Scale, names []string, presets []workload.Mix) ([]*MixedWorkloadCell, error) {
@@ -175,10 +175,6 @@ func MixedWorkloadSweep(scale Scale, names []string, presets []workload.Mix) ([]
 
 	var out []*MixedWorkloadCell
 	for _, name := range names {
-		b, ok := index.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("bench: mixed-workload: %w: %q", index.ErrUnknownBackend, name)
-		}
 		for _, preset := range presets {
 			fx, err := fixtureFor(preset)
 			if err != nil {
@@ -193,18 +189,17 @@ func MixedWorkloadSweep(scale Scale, names []string, presets []workload.Mix) ([]
 				idxDev.SetRealLatency(mixedWorkloadLatency)
 				fx.dataDev.SetRealLatency(mixedWorkloadLatency)
 				res, derr := DriveMix(ix, MixConfig{
-					Mix:             preset,
-					Dist:            ds.dist,
-					Skew:            ds.skew,
-					NumKeys:         fx.numKeys,
-					KeyAt:           fx.keyAt,
-					Seed:            scale.Seed,
-					Workers:         mixedWorkloadWorkers,
-					Ops:             ops,
-					Warmup:          mixedWorkloadWarmup,
-					RefOf:           fx.refOf,
-					SerializeWrites: !b.ConcurrentWriters,
-					UseSearchFirst:  fx.unique,
+					Mix:            preset,
+					Dist:           ds.dist,
+					Skew:           ds.skew,
+					NumKeys:        fx.numKeys,
+					KeyAt:          fx.keyAt,
+					Seed:           scale.Seed,
+					Workers:        mixedWorkloadWorkers,
+					Ops:            ops,
+					Warmup:         mixedWorkloadWarmup,
+					RefOf:          fx.refOf,
+					UseSearchFirst: fx.unique,
 				})
 				idxDev.SetRealLatency(0)
 				fx.dataDev.SetRealLatency(0)

@@ -6,9 +6,7 @@ import (
 
 	"bftree/index"
 	"bftree/internal/core"
-	"bftree/internal/device"
 	"bftree/internal/heapfile"
-	"bftree/internal/pagestore"
 	"bftree/internal/workload"
 )
 
@@ -41,49 +39,15 @@ type MultiWriterResult struct {
 	ContendedThroughput float64
 }
 
-// multiWriterFixture builds a fresh unique-key relation and BF-Tree on
-// Memory devices (no latency during the build). The fpp is chosen low
-// so the tree has enough leaves for 8 writers to claim disjoint sets.
-func multiWriterFixture(scale Scale) (*core.Tree, *heapfile.File, *device.Device, *device.Device, error) {
-	n := scale.SyntheticTuples
-	if n < 32768 {
-		n = 32768
-	}
-	dataDev := device.New(device.Memory, PageSize)
-	idxDev := device.New(device.Memory, PageSize)
-	dataStore := pagestore.New(dataDev)
-	idxStore := pagestore.New(idxDev)
-	b, err := heapfile.NewBuilder(dataStore, mixedRWSchema)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	tup := make([]byte, mixedRWSchema.TupleSize)
-	for i := uint64(0); i < n; i++ {
-		mixedRWSchema.Set(tup, 0, i)
-		if err := b.Append(tup); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	file, err := b.Finish()
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	tr, err := core.BulkLoad(idxStore, file, 0, core.Options{FPP: 1e-4})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return tr, file, idxDev, dataDev, nil
-}
-
 // runMultiWriter measures aggregate wall-clock insert throughput for
 // the given writer count through the shared Driver. keyFor maps a
 // writer and its seeded sub-stream to the key that writer re-inserts;
 // re-inserting a present key at its own page is the non-structural
 // in-place rewrite of Algorithm 3, so the measurement isolates the
 // latched write path (no splits, no COW).
-func runMultiWriter(tr *core.Tree, file *heapfile.File, writers, ops int, seed int64,
+func runMultiWriter(ix index.Index, file *heapfile.File, writers, ops int, seed int64,
 	keyFor func(w int, rng *workload.SplitMix64) uint64) (time.Duration, float64, error) {
-	res, err := Drive(coreTarget{tr}, DriverConfig{
+	res, err := Drive(ix, DriverConfig{
 		Workers: writers,
 		Ops:     ops,
 		RefOf:   func(k uint64) index.Ref { return index.Ref{Page: file.PageOf(k)} },
@@ -105,17 +69,18 @@ func runMultiWriter(tr *core.Tree, file *heapfile.File, writers, ops int, seed i
 // (each writer draws from its own contiguous slice of the keyspace via
 // its seeded sub-stream), and writers contending for one leaf (everyone
 // re-inserts keys from the same 64-key range). Each measurement runs
-// against a fresh tree so rows stay comparable.
+// against a fresh tree so rows stay comparable; the fpp is chosen low
+// so the tree has enough leaves for 8 writers to claim disjoint sets.
 func MultiWriterSweep(scale Scale, writerCounts []int) ([]*MultiWriterResult, error) {
+	n := max(scale.SyntheticTuples, 32768)
 	var out []*MultiWriterResult
 	for _, writers := range writerCounts {
 		r := &MultiWriterResult{Writers: writers, Ops: multiWriterOps}
 		for _, contended := range []bool{false, true} {
-			tr, file, idxDev, dataDev, err := multiWriterFixture(scale)
+			env, rel, ix, err := buildCell(memMem, 0, keyedRel(n, 1), "bftree", core.Options{FPP: 1e-4})
 			if err != nil {
 				return nil, err
 			}
-			n := file.NumTuples()
 			chunk := n / uint64(writers)
 			keyFor := func(w int, rng *workload.SplitMix64) uint64 {
 				if contended {
@@ -123,11 +88,14 @@ func MultiWriterSweep(scale Scale, writerCounts []int) ([]*MultiWriterResult, er
 				}
 				return uint64(w)*chunk + rng.Uint64n(chunk)
 			}
-			idxDev.SetRealLatency(multiWriterLatency)
-			dataDev.SetRealLatency(multiWriterLatency)
-			elapsed, thr, err := runMultiWriter(tr, file, writers, multiWriterOps, scale.Seed, keyFor)
-			idxDev.SetRealLatency(0)
-			dataDev.SetRealLatency(0)
+			env.IdxDev.SetRealLatency(multiWriterLatency)
+			env.DataDev.SetRealLatency(multiWriterLatency)
+			elapsed, thr, err := runMultiWriter(ix, rel.file, writers, multiWriterOps, scale.Seed, keyFor)
+			env.IdxDev.SetRealLatency(0)
+			env.DataDev.SetRealLatency(0)
+			if cerr := ix.Close(); err == nil {
+				err = cerr
+			}
 			if err != nil {
 				return nil, err
 			}

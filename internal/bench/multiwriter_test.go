@@ -39,14 +39,5 @@ func TestMultiWriterSweepScalesOnDisjointLeaves(t *testing.T) {
 // TestMultiWriterExperimentRegistered runs the registered experiment
 // end-to-end and sanity-checks the rendered table.
 func TestMultiWriterExperimentRegistered(t *testing.T) {
-	tbl, err := Run("multi-writer", multiWriterScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != len(MultiWriterCounts) {
-		t.Fatalf("table has %d rows, want %d", len(tbl.Rows), len(MultiWriterCounts))
-	}
-	if tbl.Rows[0][0] != "1" || tbl.Rows[len(tbl.Rows)-1][0] != "8" {
-		t.Errorf("writer sweep rows wrong: first=%q last=%q", tbl.Rows[0][0], tbl.Rows[len(tbl.Rows)-1][0])
-	}
+	runRegistered(t, "multi-writer", multiWriterScale())
 }

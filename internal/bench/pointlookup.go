@@ -4,12 +4,12 @@ import (
 	"fmt"
 
 	"bftree/index"
-	"bftree/internal/device"
+	"bftree/internal/core"
 )
 
 // RunPointLookup is the paper's headline comparison as a registry walk:
 // the same relation, the same probe batches, every selected backend
-// measured through the one generic MeasureIndex path. Scale.Index picks
+// measured through the one cell path (measureCell). Scale.Index picks
 // a single backend; "each" (the default here) walks the whole registry.
 // Two rows per backend: the unique PK at 100 % hits and the non-unique
 // ATT1 at 14 % hits, both on the SSD/SSD configuration.
@@ -18,7 +18,6 @@ func RunPointLookup(scale Scale) (*Table, error) {
 	if scale.Index == "each" || scale.Index == "" {
 		names = index.Backends()
 	}
-	cfg := StorageConfig{Name: "SSD/SSD", Index: device.SSD, Data: device.SSD}
 	t := &Table{
 		Title:  "Point lookups across registered backends (SSD/SSD)",
 		Header: []string{"index", "field", "avg-time", "p99", "idx-reads", "data-reads", "false/probe", "size-pages", "size-bytes", "tuples"},
@@ -26,31 +25,18 @@ func RunPointLookup(scale Scale) (*Table, error) {
 	var records []Record
 	for _, name := range names {
 		for _, fieldIdx := range []int{0, 1} {
-			env, syn, err := syntheticEnv(cfg, scale, 0)
+			m, err := measureCell(ssdSSD, 0, syntheticRel(scale, fieldIdx), name, core.Options{FPP: 1e-3})
 			if err != nil {
 				return nil, err
 			}
-			ix, err := BuildIndex(name, env, syn.File, fieldIdx, pointOpts(fieldIdx, 1e-3))
-			if err != nil {
-				return nil, err
-			}
-			keys, unique, err := syntheticProbes(syn, scale, fieldIdx)
-			if err != nil {
-				return nil, err
-			}
-			m, err := MeasureIndex(env, ix, keys, unique)
-			if err != nil {
-				return nil, err
-			}
-			st := ix.Stats()
 			field := "PK"
 			if fieldIdx != 0 {
 				field = "ATT1"
 			}
 			t.AddRow(name, field, m.AvgTime.String(), m.P99.String(),
 				fmt.Sprint(m.IdxReads), fmt.Sprint(m.DataReads),
-				fmtF(m.FalsePerProbe), fmt.Sprint(st.Pages),
-				fmt.Sprint(st.SizeBytes), fmt.Sprint(m.Tuples))
+				fmtF(m.FalsePerProbe), fmt.Sprint(m.Index.Pages),
+				fmt.Sprint(m.Index.SizeBytes), fmt.Sprint(m.Tuples))
 			records = append(records, Record{
 				Experiment:       "point-lookup",
 				Backend:          name,
@@ -58,11 +44,8 @@ func RunPointLookup(scale Scale) (*Table, error) {
 				Throughput:       1 / m.AvgTime.Seconds(),
 				P50:              m.P50.Seconds(),
 				P99:              m.P99.Seconds(),
-				IndexReadsPerKey: float64(m.IdxReads) / float64(len(keys)),
+				IndexReadsPerKey: float64(m.IdxReads) / float64(scale.Probes),
 			})
-			if err := ix.Close(); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if err := writeArtifact(scale, "point-lookup", records); err != nil {

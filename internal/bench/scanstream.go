@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"bftree/index"
-	"bftree/internal/device"
+	"bftree/internal/core"
 )
 
 // ScanStreamLimits is the LIMIT-k sweep of the scan-stream experiment;
@@ -56,20 +56,15 @@ func latencyQuantiles(lats []time.Duration) (p50, p99 time.Duration) {
 // LIMIT. The streaming rows show what the pull API buys: a LIMIT-k
 // consumer pays for the pages behind its k tuples, not the whole range.
 func ScanStreamSweep(scale Scale) ([]*ScanStreamResult, error) {
-	cfg := StorageConfig{Name: "SSD/SSD", Index: device.SSD, Data: device.SSD}
-	env, syn, err := syntheticEnv(cfg, scale, 0)
-	if err != nil {
-		return nil, err
-	}
 	backend := scale.IndexBackend()
-	ix, err := BuildIndex(backend, env, syn.File, 1, pointOpts(1, 1e-3))
+	env, rel, ix, err := buildCell(ssdSSD, 0, syntheticRel(scale, 1), backend, core.Options{FPP: 1e-3})
 	if err != nil {
 		return nil, err
 	}
 	defer ix.Close()
 
 	// ~10% selectivity of the ATT1 key domain, starts spread by seed.
-	maxKey := syn.ATT1Keys[len(syn.ATT1Keys)-1]
+	maxKey := rel.maxKey
 	span := maxKey / 10
 	if span == 0 {
 		span = 1

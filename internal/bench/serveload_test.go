@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"regexp"
 	"testing"
 )
@@ -56,37 +53,7 @@ func TestServeLoadExperimentRegistered(t *testing.T) {
 	}
 	scale := serveScaleForTest()
 	scale.Index = "bftree"
-	scale.JSONDir = t.TempDir()
-	tbl, err := Run("serve-load", scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(ServeLoadLevels); len(tbl.Rows) != want {
-		t.Fatalf("expected %d rows (one per connection level), got %d", want, len(tbl.Rows))
-	}
-
-	blob, err := os.ReadFile(filepath.Join(scale.JSONDir, ArtifactFor("serve-load")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var records []Record
-	if err := json.Unmarshal(blob, &records); err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != len(ServeLoadLevels) {
-		t.Fatalf("expected %d records, got %d", len(ServeLoadLevels), len(records))
-	}
-	for i, r := range records {
-		if r.Experiment != "serve-load" || r.Backend != "bftree" || r.Preset != "oltp" {
-			t.Errorf("record %d mislabeled: %+v", i, r)
-		}
-		if r.Workers != ServeLoadLevels[i] {
-			t.Errorf("record %d: workers %d, want %d", i, r.Workers, ServeLoadLevels[i])
-		}
-		if r.Throughput <= 0 || r.P50 <= 0 || r.P99 < r.P50 {
-			t.Errorf("record %d: implausible latency row: %+v", i, r)
-		}
-	}
+	runRegistered(t, "serve-load", scale)
 }
 
 // TestArtifactRegistryConsistent pins the contract between the

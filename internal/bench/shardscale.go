@@ -9,7 +9,6 @@ import (
 	"bftree/internal/device"
 	"bftree/internal/forest"
 	"bftree/internal/heapfile"
-	"bftree/internal/pagestore"
 	"bftree/internal/workload"
 )
 
@@ -58,40 +57,21 @@ type ShardScaleResult struct {
 }
 
 // shardScaleFixture builds a fresh strided-key relation and a
-// range-partitioned forest over it on Memory devices (no latency during
+// range-partitioned forest over it on a mem/mem cell (no latency during
 // the build).
-func shardScaleFixture(scale Scale, shards int) (*forest.Forest, *heapfile.File, *device.Device, *device.Device, error) {
-	n := scale.SyntheticTuples
-	if n < 32768 {
-		n = 32768
-	}
-	dataDev := device.New(device.Memory, PageSize)
-	idxDev := device.New(device.Memory, PageSize)
-	dataStore := pagestore.New(dataDev)
-	idxStore := pagestore.New(idxDev)
-	b, err := heapfile.NewBuilder(dataStore, mixedRWSchema)
+func shardScaleFixture(scale Scale, shards int) (*forest.Forest, *heapfile.File, *Env, error) {
+	env, rel, err := newCell(memMem, 0, keyedRel(max(scale.SyntheticTuples, 32768), shardKeyGap))
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	tup := make([]byte, mixedRWSchema.TupleSize)
-	for i := uint64(0); i < n; i++ {
-		mixedRWSchema.Set(tup, 0, i*shardKeyGap)
-		if err := b.Append(tup); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	file, err := b.Finish()
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	f, err := forest.New(idxStore, file, 0, forest.Options{
+	f, err := forest.New(env.IdxStore, rel.file, 0, forest.Options{
 		Shards: shards,
 		Tree:   core.Options{FPP: 1e-4},
 	})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	return f, file, idxDev, dataDev, nil
+	return f, rel.file, env, nil
 }
 
 // shardAppendPlan is one shard's append state: the next key (just above
@@ -171,17 +151,17 @@ func runShardScale(f *forest.Forest, plans []*shardAppendPlan, writers, ops int,
 func ShardScaleSweep(scale Scale, shardCounts []int) ([]*ShardScaleResult, error) {
 	var out []*ShardScaleResult
 	for _, shards := range shardCounts {
-		f, file, idxDev, dataDev, err := shardScaleFixture(scale, shards)
+		f, file, env, err := shardScaleFixture(scale, shards)
 		if err != nil {
 			return nil, err
 		}
 		n := f.NumShards() // separators can collapse; use the real count
 		plans := shardAppendPlans(f, file)
-		idxDev.SetRealLatency(shardScaleLatency)
-		dataDev.SetRealLatency(shardScaleLatency)
+		env.IdxDev.SetRealLatency(shardScaleLatency)
+		env.DataDev.SetRealLatency(shardScaleLatency)
 		elapsed, thr, p50, p99, err := runShardScale(f, plans, shardScaleWriters, shardScaleOps, scale.Skew, scale.Seed)
-		idxDev.SetRealLatency(0)
-		dataDev.SetRealLatency(0)
+		env.IdxDev.SetRealLatency(0)
+		env.DataDev.SetRealLatency(0)
 		closeErr := f.Close()
 		if err != nil {
 			return nil, err

@@ -68,7 +68,7 @@ func TestShardScaleSkewErodesScaling(t *testing.T) {
 // start above each shard's resident maximum and below the next
 // separator, pids start past the relation in disjoint regions.
 func TestShardScalePlans(t *testing.T) {
-	f, file, _, _, err := shardScaleFixture(DefaultScale(), 4)
+	f, file, _, err := shardScaleFixture(DefaultScale(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

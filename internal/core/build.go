@@ -214,10 +214,10 @@ func bulkLoadTree(idxStore *pagestore.Store, file *heapfile.File, fieldIdx int, 
 		if part != nil && len(keys) == 0 {
 			// No accepted keys on this page. A leading gap is skipped
 			// outright (leaf spans start at the shard's first owned
-			// page); an interior gap — possible under hash partitioning
-			// — must stay in the leaf as an empty entry, because leaf
-			// geometry (bfIndexOf, pageRangeOf) assumes its page run is
-			// contiguous. Trailing gaps are trimmed at flush.
+			// page); an interior gap must stay in the leaf as an empty
+			// entry, because leaf geometry (bfIndexOf, pageRangeOf)
+			// assumes its page run is contiguous. Trailing gaps are
+			// trimmed at flush.
 			if len(cur) > 0 {
 				cur = append(cur, pageKeys{pid: pid})
 			}

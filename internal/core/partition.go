@@ -15,12 +15,9 @@ import (
 // straddling page without ever double-claiming an association (the
 // cross-shard exactly-once rule of the forest layer).
 //
-// Two kinds exist. A range partition (Hash == false) accepts the keys
-// in [KeyLo, KeyHi], which is how the forest keeps shards ordered and
-// range scans mergeable by concatenation. A hash partition (Hash ==
-// true) accepts keys whose mixed hash lands on the shard ordinal —
-// point-lookup-friendly under skew, at the cost of every shard's leaves
-// spanning most of the file.
+// A partition accepts the keys in [KeyLo, KeyHi], which is how the
+// forest keeps shards ordered and range scans mergeable by
+// concatenation.
 //
 // The partition is part of the tree's identity: it survives Rebuild
 // (drift compaction re-applies the same filter, so a shard never
@@ -30,12 +27,8 @@ type Partition struct {
 	// Shard is this partition's ordinal in [0, Shards); Shards the
 	// total shard count.
 	Shard, Shards int
-	// KeyLo, KeyHi are the inclusive accepted key bounds of a range
-	// partition; ignored when Hash is set.
+	// KeyLo, KeyHi are the inclusive accepted key bounds.
 	KeyLo, KeyHi uint64
-	// Hash selects hash partitioning: accept keys with
-	// HashKey(key) % Shards == Shard.
-	Hash bool
 }
 
 // validate rejects malformed partitions before they reach a build.
@@ -46,7 +39,7 @@ func (p *Partition) validate() error {
 	if p.Shards < 1 || p.Shard < 0 || p.Shard >= p.Shards {
 		return fmt.Errorf("%w: partition %d of %d", ErrOptions, p.Shard, p.Shards)
 	}
-	if !p.Hash && p.KeyLo > p.KeyHi {
+	if p.KeyLo > p.KeyHi {
 		return fmt.Errorf("%w: partition key range [%d,%d] inverted", ErrOptions, p.KeyLo, p.KeyHi)
 	}
 	return nil
@@ -58,22 +51,7 @@ func (p *Partition) Accept(key uint64) bool {
 	if p == nil {
 		return true
 	}
-	if p.Hash {
-		return HashKey(key)%uint64(p.Shards) == uint64(p.Shard)
-	}
 	return key >= p.KeyLo && key <= p.KeyHi
-}
-
-// HashKey is the shard-routing mix (a splitmix64 finalizer): every
-// consumer of hash partitions — build, probe routing, scan filtering —
-// must agree on it, so it is exported alongside Partition.
-func HashKey(k uint64) uint64 {
-	k ^= k >> 30
-	k *= 0xbf58476d1ce4e5b9
-	k ^= k >> 27
-	k *= 0x94d049bb133111eb
-	k ^= k >> 31
-	return k
 }
 
 // BulkLoadPartition is BulkLoad restricted to one partition of the
@@ -109,7 +87,3 @@ func OpenPartition(store *pagestore.Store, file *heapfile.File, meta []byte, par
 	}
 	return open(store, file, meta, part)
 }
-
-// PartitionOf returns the tree's partition (nil for a whole-relation
-// tree).
-func (t *Tree) PartitionOf() *Partition { return t.part }

@@ -4,12 +4,10 @@
 // reclamation and background maintainer, so a split or compaction
 // stalls one shard instead of the whole index (DESIGN.md §7).
 //
-// Partitioning is by key. The range kind cuts the (ordered) relation at
-// page boundaries so shards stay ordered and cross-shard scans merge by
-// concatenation; the hash kind spreads keys by a mixed hash — the
-// point-lookup-friendly choice under skew, paying a k-way merge on
-// scans. Either way every association of a key lives in exactly one
-// shard, which is what makes forest Search/Scan/MultiSearch exactly-once
+// Partitioning is by key range: the (ordered) relation is cut at page
+// boundaries so shards stay ordered and cross-shard scans merge by
+// concatenation. Every association of a key lives in exactly one shard,
+// which is what makes forest Search/Scan/MultiSearch exactly-once
 // without cross-shard deduplication.
 package forest
 
@@ -30,12 +28,9 @@ const DefaultShards = 4
 // Options configures a forest build.
 type Options struct {
 	// Shards is the partition count; 0 selects DefaultShards. The
-	// effective count may come out lower for a range forest over a
-	// relation too small to yield that many distinct cut keys.
+	// effective count may come out lower for a relation too small to
+	// yield that many distinct cut keys.
 	Shards int
-	// Hash selects hash partitioning (core.HashKey modulo shards)
-	// instead of range partitioning by page cuts.
-	Hash bool
 	// Tree carries the per-shard BF-Tree build options.
 	Tree core.Options
 	// Maintenance, when non-nil, is the forest-level maintenance
@@ -69,8 +64,7 @@ type Forest struct {
 	store    *pagestore.Store
 	file     *heapfile.File
 	fieldIdx int
-	hash     bool
-	// seps are the range-kind shard separators, strictly increasing,
+	// seps are the shard separators, strictly increasing,
 	// len(trees)-1 of them: shard i owns [seps[i-1], seps[i]-1] with
 	// the first shard reaching down to 0 and the last up to ^uint64(0).
 	seps  []uint64
@@ -89,15 +83,12 @@ func New(store *pagestore.Store, file *heapfile.File, fieldIdx int, opts Options
 	if n < 1 {
 		return nil, fmt.Errorf("%w: %d shards", core.ErrOptions, n)
 	}
-	f := &Forest{store: store, file: file, fieldIdx: fieldIdx, hash: opts.Hash}
-	if !opts.Hash {
-		seps, err := rangeSeparators(file, fieldIdx, n)
-		if err != nil {
-			return nil, err
-		}
-		f.seps = seps
-		n = len(seps) + 1
+	seps, err := rangeSeparators(file, fieldIdx, n)
+	if err != nil {
+		return nil, err
 	}
+	f := &Forest{store: store, file: file, fieldIdx: fieldIdx, seps: seps}
+	n = len(seps) + 1
 	treeOpts := opts.Tree
 	if opts.Maintenance != nil {
 		treeOpts.Maintenance = ShardPolicy(*opts.Maintenance, n)
@@ -113,16 +104,13 @@ func New(store *pagestore.Store, file *heapfile.File, fieldIdx int, opts Options
 	return f, nil
 }
 
-// partition builds shard i's Partition from the forest's kind.
+// partition builds shard i's Partition from the separators.
 func (f *Forest) partition(i, n int) *core.Partition {
-	p := &core.Partition{Shard: i, Shards: n, Hash: f.hash}
-	if !f.hash {
-		p.KeyLo, p.KeyHi = f.bounds(i)
-	}
-	return p
+	lo, hi := f.bounds(i)
+	return &core.Partition{Shard: i, Shards: n, KeyLo: lo, KeyHi: hi}
 }
 
-// bounds returns range shard i's inclusive key interval.
+// bounds returns shard i's inclusive key interval.
 func (f *Forest) bounds(i int) (lo, hi uint64) {
 	if i > 0 {
 		lo = f.seps[i-1]
@@ -165,9 +153,6 @@ func rangeSeparators(file *heapfile.File, fieldIdx, shards int) ([]uint64, error
 
 // shardOf routes a key to its owning shard.
 func (f *Forest) shardOf(key uint64) int {
-	if f.hash {
-		return int(core.HashKey(key) % uint64(len(f.trees)))
-	}
 	// First separator greater than key = count of separators ≤ key.
 	lo, hi := 0, len(f.seps)
 	for lo < hi {
@@ -188,13 +173,10 @@ func (f *Forest) NumShards() int { return len(f.trees) }
 // tests inspect per shard.
 func (f *Forest) Shard(i int) *core.Tree { return f.trees[i] }
 
-// HashKind reports whether the forest is hash-partitioned.
-func (f *Forest) HashKind() bool { return f.hash }
-
 // FieldIndex returns the indexed field.
 func (f *Forest) FieldIndex() int { return f.fieldIdx }
 
-// Separators returns a copy of the range-kind cut keys (nil for hash).
+// Separators returns a copy of the cut keys.
 func (f *Forest) Separators() []uint64 {
 	return append([]uint64(nil), f.seps...)
 }

@@ -83,28 +83,17 @@ func sameTuples(a, b [][]byte) bool {
 	return true
 }
 
-func buildForest(t *testing.T, file *heapfile.File, hash bool, shards int) (*forest.Forest, *pagestore.Store) {
+func buildForest(t *testing.T, file *heapfile.File, shards int) (*forest.Forest, *pagestore.Store) {
 	t.Helper()
 	idxStore := pagestore.New(device.New(device.Memory, 4096))
 	f, err := forest.New(idxStore, file, 0, forest.Options{
 		Shards: shards,
-		Hash:   hash,
 		Tree:   core.Options{FPP: 1e-4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f, idxStore
-}
-
-func kinds() []struct {
-	name string
-	hash bool
-} {
-	return []struct {
-		name string
-		hash bool
-	}{{"range", false}, {"hash", true}}
 }
 
 // TestForestBuild pins shard construction: the requested count (modulo
@@ -116,90 +105,84 @@ func TestForestBuild(t *testing.T) {
 	file, _ := buildRelation(t, n, dups)
 	distinct := uint64((n + dups - 1) / dups)
 
-	for _, k := range kinds() {
-		t.Run(k.name, func(t *testing.T) {
-			f, _ := buildForest(t, file, k.hash, 4)
-			defer f.Close()
-			if f.NumShards() != 4 {
-				t.Fatalf("NumShards = %d, want 4", f.NumShards())
+	t.Run("range", func(t *testing.T) {
+		f, _ := buildForest(t, file, 4)
+		defer f.Close()
+		if f.NumShards() != 4 {
+			t.Fatalf("NumShards = %d, want 4", f.NumShards())
+		}
+		if got := f.NumKeys(); got != distinct {
+			t.Errorf("NumKeys = %d, want %d (shards must partition keys disjointly)", got, distinct)
+		}
+		if f.Height() < 1 || f.NumNodes() == 0 || f.SizeBytes() == 0 {
+			t.Errorf("degenerate aggregate stats: height %d, nodes %d, bytes %d",
+				f.Height(), f.NumNodes(), f.SizeBytes())
+		}
+		seps := f.Separators()
+		if len(seps) != f.NumShards()-1 {
+			t.Fatalf("%d separators for %d shards", len(seps), f.NumShards())
+		}
+		for i := 1; i < len(seps); i++ {
+			if seps[i] <= seps[i-1] {
+				t.Fatalf("separators not strictly increasing: %v", seps)
 			}
-			if got := f.NumKeys(); got != distinct {
-				t.Errorf("NumKeys = %d, want %d (shards must partition keys disjointly)", got, distinct)
-			}
-			if f.Height() < 1 || f.NumNodes() == 0 || f.SizeBytes() == 0 {
-				t.Errorf("degenerate aggregate stats: height %d, nodes %d, bytes %d",
-					f.Height(), f.NumNodes(), f.SizeBytes())
-			}
-			if !k.hash {
-				seps := f.Separators()
-				if len(seps) != f.NumShards()-1 {
-					t.Fatalf("%d separators for %d shards", len(seps), f.NumShards())
-				}
-				for i := 1; i < len(seps); i++ {
-					if seps[i] <= seps[i-1] {
-						t.Fatalf("separators not strictly increasing: %v", seps)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestForestSearch asserts point lookups and MultiSearch agree with
-// brute force on both kinds — hits, misses, and batches mixing both.
+// brute force — hits, misses, and batches mixing both.
 func TestForestSearch(t *testing.T) {
 	const n, dups = 6000, 7
 	file, _ := buildRelation(t, n, dups)
 	maxKey := uint64((n-1)/dups) * 5
 
-	for _, k := range kinds() {
-		t.Run(k.name, func(t *testing.T) {
-			f, _ := buildForest(t, file, k.hash, 4)
-			defer f.Close()
-			for key := uint64(0); key <= maxKey; key += 5 * 53 {
-				res, err := f.Search(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := brute(t, file, key, key); !sameTuples(res.Tuples, want) {
-					t.Fatalf("Search(%d): %d tuples, want %d", key, len(res.Tuples), len(want))
-				}
-				first, err := f.SearchFirst(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(first.Tuples) == 0 {
-					t.Fatalf("SearchFirst(%d): empty on a hit", key)
-				}
-			}
-			for _, key := range []uint64{1, 7, maxKey + 1000} {
-				res, err := f.Search(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Tuples) != 0 {
-					t.Fatalf("Search(miss %d): %d tuples", key, len(res.Tuples))
-				}
-			}
-
-			batch := []uint64{0, 35, 35, 7, 250, maxKey, maxKey + 1000}
-			res, err := f.MultiSearch(batch)
+	t.Run("range", func(t *testing.T) {
+		f, _ := buildForest(t, file, 4)
+		defer f.Close()
+		for key := uint64(0); key <= maxKey; key += 5 * 53 {
+			res, err := f.Search(key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want [][]byte
-			seen := map[uint64]bool{}
-			for _, key := range batch {
-				if !seen[key] {
-					seen[key] = true
-					want = append(want, brute(t, file, key, key)...)
-				}
+			if want := brute(t, file, key, key); !sameTuples(res.Tuples, want) {
+				t.Fatalf("Search(%d): %d tuples, want %d", key, len(res.Tuples), len(want))
 			}
-			if !sameTuples(res.Tuples, want) {
-				t.Fatalf("MultiSearch: %d tuples, want %d", len(res.Tuples), len(want))
+			first, err := f.SearchFirst(key)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if len(first.Tuples) == 0 {
+				t.Fatalf("SearchFirst(%d): empty on a hit", key)
+			}
+		}
+		for _, key := range []uint64{1, 7, maxKey + 1000} {
+			res, err := f.Search(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Tuples) != 0 {
+				t.Fatalf("Search(miss %d): %d tuples", key, len(res.Tuples))
+			}
+		}
+
+		batch := []uint64{0, 35, 35, 7, 250, maxKey, maxKey + 1000}
+		res, err := f.MultiSearch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]byte
+		seen := map[uint64]bool{}
+		for _, key := range batch {
+			if !seen[key] {
+				seen[key] = true
+				want = append(want, brute(t, file, key, key)...)
+			}
+		}
+		if !sameTuples(res.Tuples, want) {
+			t.Fatalf("MultiSearch: %d tuples, want %d", len(res.Tuples), len(want))
+		}
+	})
 }
 
 // TestForestCrossShardBoundaries is the partition-boundary contract:
@@ -212,124 +195,110 @@ func TestForestSearch(t *testing.T) {
 func TestForestCrossShardBoundaries(t *testing.T) {
 	const n, dups = 6000, 7
 	file, _ := buildRelation(t, n, dups)
-	maxKey := uint64((n-1)/dups) * 5
 
-	for _, k := range kinds() {
-		t.Run(k.name, func(t *testing.T) {
-			f, _ := buildForest(t, file, k.hash, 4)
-			defer f.Close()
+	t.Run("range", func(t *testing.T) {
+		f, _ := buildForest(t, file, 4)
+		defer f.Close()
 
-			// Boundary keys: for the range kind the actual separators;
-			// for hash every key is a boundary (each page mixes shard
-			// ownership), so probe a spread.
-			var boundary []uint64
-			if k.hash {
-				for key := uint64(0); key <= maxKey; key += 5 * 29 {
-					boundary = append(boundary, key)
-				}
-			} else {
-				for _, sep := range f.Separators() {
-					boundary = append(boundary, sep)
-					if sep >= 5 {
-						boundary = append(boundary, sep-5)
-					}
-					boundary = append(boundary, sep+5)
-				}
+		// Boundary keys: the separators and one key either side.
+		var boundary []uint64
+		for _, sep := range f.Separators() {
+			boundary = append(boundary, sep)
+			if sep >= 5 {
+				boundary = append(boundary, sep-5)
 			}
+			boundary = append(boundary, sep+5)
+		}
 
-			for _, key := range boundary {
-				want := brute(t, file, key, key)
-				res, err := f.Search(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameTuples(res.Tuples, want) {
-					t.Errorf("Search(boundary %d): %d tuples, want %d", key, len(res.Tuples), len(want))
-				}
-				scanned, err := f.RangeScan(key, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameTuples(scanned.Tuples, want) {
-					t.Errorf("RangeScan(boundary %d): %d tuples, want %d (straddling dups must appear exactly once)",
-						key, len(scanned.Tuples), len(want))
-				}
-				if wlo := key - 10; key >= 10 {
-					win, err := f.RangeScan(wlo, key+10)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := brute(t, file, wlo, key+10); !sameTuples(win.Tuples, want) {
-						t.Errorf("RangeScan[%d,%d]: %d tuples, want %d", wlo, key+10, len(win.Tuples), len(want))
-					}
-				}
-			}
-
-			res, err := f.MultiSearch(boundary)
+		for _, key := range boundary {
+			want := brute(t, file, key, key)
+			res, err := f.Search(key)
 			if err != nil {
 				t.Fatal(err)
-			}
-			var want [][]byte
-			seen := map[uint64]bool{}
-			for _, key := range boundary {
-				if !seen[key] {
-					seen[key] = true
-					want = append(want, brute(t, file, key, key)...)
-				}
 			}
 			if !sameTuples(res.Tuples, want) {
-				t.Fatalf("MultiSearch(boundaries): %d tuples, want %d", len(res.Tuples), len(want))
+				t.Errorf("Search(boundary %d): %d tuples, want %d", key, len(res.Tuples), len(want))
 			}
-
-			full, err := f.RangeScan(0, math.MaxUint64)
+			scanned, err := f.RangeScan(key, key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := brute(t, file, 0, math.MaxUint64); !sameTuples(full.Tuples, want) {
-				t.Fatalf("full-domain scan: %d tuples, want %d", len(full.Tuples), len(want))
+			if !sameTuples(scanned.Tuples, want) {
+				t.Errorf("RangeScan(boundary %d): %d tuples, want %d (straddling dups must appear exactly once)",
+					key, len(scanned.Tuples), len(want))
 			}
-		})
-	}
+			if wlo := key - 10; key >= 10 {
+				win, err := f.RangeScan(wlo, key+10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := brute(t, file, wlo, key+10); !sameTuples(win.Tuples, want) {
+					t.Errorf("RangeScan[%d,%d]: %d tuples, want %d", wlo, key+10, len(win.Tuples), len(want))
+				}
+			}
+		}
+
+		res, err := f.MultiSearch(boundary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]byte
+		seen := map[uint64]bool{}
+		for _, key := range boundary {
+			if !seen[key] {
+				seen[key] = true
+				want = append(want, brute(t, file, key, key)...)
+			}
+		}
+		if !sameTuples(res.Tuples, want) {
+			t.Fatalf("MultiSearch(boundaries): %d tuples, want %d", len(res.Tuples), len(want))
+		}
+
+		full, err := f.RangeScan(0, math.MaxUint64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := brute(t, file, 0, math.MaxUint64); !sameTuples(full.Tuples, want) {
+			t.Fatalf("full-domain scan: %d tuples, want %d", len(full.Tuples), len(want))
+		}
+	})
 }
 
-// TestForestScanOrder pins that range-kind scans come out in
-// nondecreasing key order across shard boundaries (concatenation), and
-// hash-kind scans in nondecreasing key order too (the k-way merge).
+// TestForestScanOrder pins that scans come out in nondecreasing key
+// order across shard boundaries (concatenation).
 func TestForestScanOrder(t *testing.T) {
 	const n, dups = 4000, 7
 	file, _ := buildRelation(t, n, dups)
 
-	for _, k := range kinds() {
-		t.Run(k.name, func(t *testing.T) {
-			f, _ := buildForest(t, file, k.hash, 4)
-			defer f.Close()
-			it, err := f.Scan(0, math.MaxUint64)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("range", func(t *testing.T) {
+		f, _ := buildForest(t, file, 4)
+		defer f.Close()
+		it, err := f.Scan(0, math.MaxUint64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		prev := uint64(0)
+		for it.Next() {
+			key := file.Schema().Get(it.Tuple(), 0)
+			if key < prev {
+				t.Fatalf("scan regressed: %d after %d", key, prev)
 			}
-			defer it.Close()
-			prev := uint64(0)
-			for it.Next() {
-				key := file.Schema().Get(it.Tuple(), 0)
-				if key < prev {
-					t.Fatalf("scan regressed: %d after %d", key, prev)
-				}
-				prev = key
-			}
-			if err := it.Err(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+			prev = key
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-// TestForestLazyShardOpen pins the range kind's LIMIT-k shape: pulling
+// TestForestLazyShardOpen pins the chained scan's LIMIT-k shape: pulling
 // one tuple of a full-domain scan must not charge pages from shards
 // past the first.
 func TestForestLazyShardOpen(t *testing.T) {
 	const n, dups = 6000, 7
 	file, _ := buildRelation(t, n, dups)
-	f, _ := buildForest(t, file, false, 4)
+	f, _ := buildForest(t, file, 4)
 	defer f.Close()
 
 	drained, err := f.RangeScan(0, math.MaxUint64)
@@ -363,136 +332,130 @@ func TestForestInsertDelete(t *testing.T) {
 	file, _ := buildRelation(t, n, dups)
 	maxKey := uint64((n-1)/dups) * 5
 
-	for _, k := range kinds() {
-		t.Run(k.name, func(t *testing.T) {
-			f, _ := buildForest(t, file, k.hash, 4)
-			defer f.Close()
+	t.Run("range", func(t *testing.T) {
+		f, _ := buildForest(t, file, 4)
+		defer f.Close()
 
-			pageOf := func(key uint64) []device.PageID {
-				var pids []device.PageID
-				err := file.Scan(func(pid device.PageID, _ int, tup []byte) bool {
-					if file.Schema().Get(tup, 0) == key {
-						if len(pids) == 0 || pids[len(pids)-1] != pid {
-							pids = append(pids, pid)
-						}
-					}
-					return true
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return pids
-			}
-
-			for key := uint64(0); key <= maxKey; key += 5 * 17 {
-				for _, pid := range pageOf(key) {
-					if err := f.Insert(key, pid); err != nil {
-						t.Fatalf("Insert(%d, %d): %v", key, pid, err)
+		pageOf := func(key uint64) []device.PageID {
+			var pids []device.PageID
+			err := file.Scan(func(pid device.PageID, _ int, tup []byte) bool {
+				if file.Schema().Get(tup, 0) == key {
+					if len(pids) == 0 || pids[len(pids)-1] != pid {
+						pids = append(pids, pid)
 					}
 				}
-			}
-			for key := uint64(0); key <= maxKey; key += 5 * 17 {
-				res, err := f.Search(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := brute(t, file, key, key); !sameTuples(res.Tuples, want) {
-					t.Fatalf("post-insert Search(%d): %d tuples, want %d", key, len(res.Tuples), len(want))
-				}
-			}
-
-			const victim = uint64(500)
-			golden := brute(t, file, victim, victim)
-			for _, pid := range pageOf(victim) {
-				if err := f.Delete(victim, pid); err != nil {
-					t.Fatalf("Delete(%d, %d): %v", victim, pid, err)
-				}
-			}
-			res, err := f.Search(victim)
+				return true
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Tuples) > len(golden) {
-				t.Fatalf("post-delete Search(%d): %d tuples exceeds physical %d", victim, len(res.Tuples), len(golden))
-			}
-			for _, pid := range pageOf(victim) {
-				if err := f.Insert(victim, pid); err != nil {
-					t.Fatal(err)
+			return pids
+		}
+
+		for key := uint64(0); key <= maxKey; key += 5 * 17 {
+			for _, pid := range pageOf(key) {
+				if err := f.Insert(key, pid); err != nil {
+					t.Fatalf("Insert(%d, %d): %v", key, pid, err)
 				}
 			}
-			res, err = f.Search(victim)
+		}
+		for key := uint64(0); key <= maxKey; key += 5 * 17 {
+			res, err := f.Search(key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameTuples(res.Tuples, golden) {
-				t.Fatalf("post-reinsert Search(%d): %d tuples, want %d", victim, len(res.Tuples), len(golden))
+			if want := brute(t, file, key, key); !sameTuples(res.Tuples, want) {
+				t.Fatalf("post-insert Search(%d): %d tuples, want %d", key, len(res.Tuples), len(want))
 			}
-		})
-	}
+		}
+
+		const victim = uint64(500)
+		golden := brute(t, file, victim, victim)
+		for _, pid := range pageOf(victim) {
+			if err := f.Delete(victim, pid); err != nil {
+				t.Fatalf("Delete(%d, %d): %v", victim, pid, err)
+			}
+		}
+		res, err := f.Search(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) > len(golden) {
+			t.Fatalf("post-delete Search(%d): %d tuples exceeds physical %d", victim, len(res.Tuples), len(golden))
+		}
+		for _, pid := range pageOf(victim) {
+			if err := f.Insert(victim, pid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err = f.Search(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTuples(res.Tuples, golden) {
+			t.Fatalf("post-reinsert Search(%d): %d tuples, want %d", victim, len(res.Tuples), len(golden))
+		}
+	})
 }
 
-// TestForestPersistence round-trips MarshalMeta/Open on the same store
-// for both kinds, checking searches, scans and the reconstructed
-// partitioning (shard count, separators).
+// TestForestPersistence round-trips MarshalMeta/Open on the same store,
+// checking searches, scans and the reconstructed partitioning (shard
+// count, separators).
 func TestForestPersistence(t *testing.T) {
 	const n, dups = 4000, 7
 	file, _ := buildRelation(t, n, dups)
 	maxKey := uint64((n-1)/dups) * 5
 
-	for _, k := range kinds() {
-		t.Run(k.name, func(t *testing.T) {
-			f, idxStore := buildForest(t, file, k.hash, 4)
-			blob := f.MarshalMeta()
-			seps := f.Separators()
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("range", func(t *testing.T) {
+		f, idxStore := buildForest(t, file, 4)
+		blob := f.MarshalMeta()
+		seps := f.Separators()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			g, err := forest.Open(idxStore, file, blob)
+		g, err := forest.Open(idxStore, file, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		if g.NumShards() != 4 {
+			t.Fatalf("reopened %d shards, want 4", g.NumShards())
+		}
+		reSeps := g.Separators()
+		if len(reSeps) != len(seps) {
+			t.Fatalf("reopened %d separators, want %d", len(reSeps), len(seps))
+		}
+		for i := range seps {
+			if reSeps[i] != seps[i] {
+				t.Fatalf("separator %d: %d != %d", i, reSeps[i], seps[i])
+			}
+		}
+		for key := uint64(0); key <= maxKey; key += 5 * 31 {
+			res, err := g.Search(key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer g.Close()
-			if g.NumShards() != 4 || g.HashKind() != k.hash {
-				t.Fatalf("reopened %d shards hash=%v, want 4/%v", g.NumShards(), g.HashKind(), k.hash)
+			if want := brute(t, file, key, key); !sameTuples(res.Tuples, want) {
+				t.Fatalf("reopened Search(%d): %d tuples, want %d", key, len(res.Tuples), len(want))
 			}
-			if !k.hash {
-				reSeps := g.Separators()
-				if len(reSeps) != len(seps) {
-					t.Fatalf("reopened %d separators, want %d", len(reSeps), len(seps))
-				}
-				for i := range seps {
-					if reSeps[i] != seps[i] {
-						t.Fatalf("separator %d: %d != %d", i, reSeps[i], seps[i])
-					}
-				}
-			}
-			for key := uint64(0); key <= maxKey; key += 5 * 31 {
-				res, err := g.Search(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := brute(t, file, key, key); !sameTuples(res.Tuples, want) {
-					t.Fatalf("reopened Search(%d): %d tuples, want %d", key, len(res.Tuples), len(want))
-				}
-			}
-			full, err := g.RangeScan(0, maxKey)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := brute(t, file, 0, maxKey); !sameTuples(full.Tuples, want) {
-				t.Fatalf("reopened scan: %d tuples, want %d", len(full.Tuples), len(want))
-			}
+		}
+		full, err := g.RangeScan(0, maxKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := brute(t, file, 0, maxKey); !sameTuples(full.Tuples, want) {
+			t.Fatalf("reopened scan: %d tuples, want %d", len(full.Tuples), len(want))
+		}
 
-			// Corrupt blobs fail loudly instead of misrouting.
-			if _, err := forest.Open(idxStore, file, blob[:8]); err == nil {
-				t.Error("Open(truncated blob) succeeded")
-			}
-			if _, err := forest.Open(idxStore, file, []byte("XXXX")); err == nil {
-				t.Error("Open(bad magic) succeeded")
-			}
-		})
-	}
+		// Corrupt blobs fail loudly instead of misrouting.
+		if _, err := forest.Open(idxStore, file, blob[:8]); err == nil {
+			t.Error("Open(truncated blob) succeeded")
+		}
+		if _, err := forest.Open(idxStore, file, []byte("XXXX")); err == nil {
+			t.Error("Open(bad magic) succeeded")
+		}
+	})
 }
 
 // TestEmptyPartition pins the sentinel shard: a partition owning no
@@ -550,7 +513,7 @@ func TestEmptyPartition(t *testing.T) {
 func TestForestMaintenance(t *testing.T) {
 	const n, dups = 4000, 7
 	file, _ := buildRelation(t, n, dups)
-	f, _ := buildForest(t, file, false, 4)
+	f, _ := buildForest(t, file, 4)
 	defer f.Close()
 
 	if err := f.Maintain(); err != nil {

@@ -21,20 +21,13 @@ type Iterator interface {
 // all shards, in nondecreasing key order, each association exactly
 // once.
 //
-// Range forests chain shard cursors lazily: shards are ordered and
-// disjoint by key, so the merge degenerates to concatenation, and a
-// LIMIT-k consumer never touches shards past the one holding its k-th
-// tuple. Each shard's sub-scan is clamped to the shard's own key bounds
-// — a data page straddling a partition cut is covered by both adjacent
-// shards' leaves, and the clamp is what keeps the lower shard from
-// emitting the upper shard's tuples (and vice versa).
-//
-// Hash forests need a genuine k-way merge: every shard may hold keys
-// anywhere in [lo, hi], so all shard cursors open up front and the
-// smallest current key wins each step (the fdtree multi-run merge
-// shape). Each shard's stream keeps only the tuples whose keys it owns:
-// shard leaves span nearly the whole file, so a shard's cursor reads
-// boundary pages holding other shards' keys too.
+// Shard cursors chain lazily: shards are ordered and disjoint by key,
+// so the merge degenerates to concatenation, and a LIMIT-k consumer
+// never touches shards past the one holding its k-th tuple. Each
+// shard's sub-scan is clamped to the shard's own key bounds — a data
+// page straddling a partition cut is covered by both adjacent shards'
+// leaves, and the clamp is what keeps the lower shard from emitting the
+// upper shard's tuples (and vice versa).
 //
 // Cross-shard consistency: each shard cursor holds its own epoch
 // registration, so the scan is per-shard consistent, not a single
@@ -43,9 +36,6 @@ type Iterator interface {
 func (f *Forest) Scan(lo, hi uint64) (Iterator, error) {
 	if lo > hi {
 		return nil, fmt.Errorf("%w: range [%d,%d] inverted", core.ErrOptions, lo, hi)
-	}
-	if f.hash {
-		return f.mergeScan(lo, hi)
 	}
 	return &chainCursor{f: f, lo: lo, hi: hi}, nil
 }
@@ -69,8 +59,8 @@ func (f *Forest) RangeScan(lo, hi uint64) (*core.Result, error) {
 	return res, nil
 }
 
-// chainCursor is the range-kind scan: shard cursors opened one at a
-// time in shard (= key) order, each clamped to its shard's bounds.
+// chainCursor is the forest scan: shard cursors opened one at a time
+// in shard (= key) order, each clamped to its shard's bounds.
 type chainCursor struct {
 	f      *Forest
 	lo, hi uint64
@@ -163,116 +153,6 @@ func (c *chainCursor) Close() error {
 		addStats(&c.prior, c.cur.Stats())
 		c.cur.Close()
 		c.cur = nil
-	}
-	return nil
-}
-
-// mergeSrc is one shard's stream inside a hash-kind merge: the shard's
-// clamped cursor plus its current (owned) tuple.
-type mergeSrc struct {
-	cur   *core.Cursor
-	shard int
-	tup   []byte
-	key   uint64
-	done  bool
-}
-
-// mergeCursor k-way merges the shard streams of a hash forest by
-// current key; ownership filtering makes the streams key-disjoint, so
-// the merge needs no tie-break beyond lowest shard first.
-type mergeCursor struct {
-	f      *Forest
-	srcs   []*mergeSrc
-	primed bool
-	tup    []byte
-	err    error
-	closed bool
-}
-
-func (f *Forest) mergeScan(lo, hi uint64) (Iterator, error) {
-	m := &mergeCursor{f: f}
-	for i, tr := range f.trees {
-		cur, err := tr.ScanOptimized(lo, hi)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.srcs = append(m.srcs, &mergeSrc{cur: cur, shard: i})
-	}
-	return m, nil
-}
-
-// advance steps src to its next owned tuple, skipping tuples whose keys
-// hash to other shards (read off boundary pages both shards' leaves
-// cover).
-func (m *mergeCursor) advance(src *mergeSrc) {
-	n := uint64(len(m.f.trees))
-	for src.cur.Next() {
-		tup := src.cur.Tuple()
-		key := m.f.file.Schema().Get(tup, m.f.fieldIdx)
-		if core.HashKey(key)%n != uint64(src.shard) {
-			continue
-		}
-		src.tup, src.key = tup, key
-		return
-	}
-	src.done = true
-	if err := src.cur.Err(); err != nil && m.err == nil {
-		m.err = err
-	}
-}
-
-func (m *mergeCursor) Next() bool {
-	if m.closed || m.err != nil {
-		return false
-	}
-	if !m.primed {
-		m.primed = true
-		for _, src := range m.srcs {
-			m.advance(src)
-		}
-		if m.err != nil {
-			return false
-		}
-	}
-	var best *mergeSrc
-	for _, src := range m.srcs {
-		if src.done {
-			continue
-		}
-		if best == nil || src.key < best.key {
-			best = src
-		}
-	}
-	if best == nil {
-		return false
-	}
-	m.tup = best.tup
-	// Advance the winner now (the fdtree merge shape); an error it hits
-	// surfaces on the next call — the current tuple is already valid.
-	m.advance(best)
-	return true
-}
-
-func (m *mergeCursor) Tuple() []byte { return m.tup }
-
-func (m *mergeCursor) Stats() core.ProbeStats {
-	var s core.ProbeStats
-	for _, src := range m.srcs {
-		addStats(&s, src.cur.Stats())
-	}
-	return s
-}
-
-func (m *mergeCursor) Err() error { return m.err }
-
-func (m *mergeCursor) Close() error {
-	if m.closed {
-		return nil
-	}
-	m.closed = true
-	for _, src := range m.srcs {
-		src.cur.Close()
 	}
 	return nil
 }

@@ -58,15 +58,13 @@ type Options struct {
 	// while no writer runs. Mount-time wiring (cmd/bfserve, the bench
 	// experiment) sets it from the registry trait.
 	SerializeWrites bool
-	// ScanChunk is the tuple count per streamed /scan NDJSON line;
-	// 0 selects 64.
-	ScanChunk int
 }
 
 const (
 	defaultBackpressureFraction = 0.9
 	defaultRetryAfter           = 50 * time.Millisecond
-	defaultScanChunk            = 64
+	// scanChunk is the tuple count per streamed /scan NDJSON line.
+	scanChunk = 64
 )
 
 // Server mounts one index.Index behind the HTTP protocol of wire.go.
@@ -110,9 +108,6 @@ func New(ix index.Index, opts Options) *Server {
 	}
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = defaultRetryAfter
-	}
-	if opts.ScanChunk <= 0 {
-		opts.ScanChunk = defaultScanChunk
 	}
 	s := &Server{
 		ix:        ix,
@@ -323,7 +318,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	for (req.Limit <= 0 || sent < req.Limit) && it.Next() {
 		chunk = append(chunk, it.Tuple())
 		sent++
-		if len(chunk) >= s.opts.ScanChunk {
+		if len(chunk) >= scanChunk {
 			s.tuplesSent.Add(int64(len(chunk)))
 			if !emit(ScanChunk{Tuples: chunk, Stats: it.Stats()}) {
 				return
