@@ -5,7 +5,7 @@ GO ?= go
 
 # Packages with concurrency-sensitive code; `make race` and CI run these
 # under the race detector.
-RACE_PKGS := ./internal/core/... ./internal/pagestore/... ./internal/device/... ./internal/forest/...
+RACE_PKGS := ./internal/core/... ./internal/pagestore/... ./internal/device/... ./internal/heapfile/... ./internal/forest/...
 
 .PHONY: help build test race bench bench-json bfperf conformance forest mixed compact serve fmt fmt-fix vet ci clean
 
@@ -14,7 +14,7 @@ help:
 	@echo ""
 	@echo "  make build    - go build ./..."
 	@echo "  make test     - go test ./..."
-	@echo "  make race     - race-detector tests on core/pagestore/device"
+	@echo "  make race     - race-detector tests on core/pagestore/device/heapfile/forest"
 	@echo "  make conformance - cross-backend index API conformance suite"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"

@@ -1,0 +1,332 @@
+package core
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"bftree/internal/device"
+	"bftree/internal/pagestore"
+	"bftree/internal/workload"
+)
+
+// TestHeldImagesSurviveWrites holds every index page image read before
+// each write path runs — an in-place insert, a delete, a buffered
+// flush, CompactLeaves, a leaf split and the persist path (MarshalMeta,
+// Open, Rebuild) — and then compares each held image with its checksum.
+// Readers keep the images ReadPage hands out without a lock, so no
+// write may ever reach one; recycled page ids must get fresh images too.
+func TestHeldImagesSurviveWrites(t *testing.T) {
+	keys, tr, idx, f := driftFixture(t, 4000, Options{FPP: 0.01, Filter: CountingFilter})
+	type held struct {
+		step string
+		pid  device.PageID
+		img  []byte
+		sum  uint32
+	}
+	var images []held
+	hold := func(step string) {
+		for pid := device.PageID(0); uint64(pid) < idx.Device().NumPages(); pid++ {
+			img, err := idx.ReadPage(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			images = append(images, held{step, pid, img, crc32.ChecksumIEEE(img)})
+		}
+	}
+	check := func() {
+		t.Helper()
+		for _, h := range images {
+			if crc32.ChecksumIEEE(h.img) != h.sum {
+				t.Fatalf("the image of page %d held before %s changed", h.pid, h.step)
+			}
+		}
+	}
+	oddKey := func(ord int) (uint64, device.PageID) { return keys[ord] + 1, f.PageOf(uint64(ord)) }
+
+	hold("insert")
+	for i := 0; i < 50; i++ {
+		if err := tr.Insert(oddKey(i * 79 % len(keys))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+
+	hold("delete")
+	for i := 0; i < 50; i++ {
+		ord := i * 173 % len(keys)
+		if err := tr.Delete(keys[ord], f.PageOf(uint64(ord))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+
+	hold("flush")
+	b := tr.NewBufferedInserter(1 << 20)
+	for i := 0; i < 50; i++ {
+		if err := b.Insert(oddKey(i * 131 % len(keys))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check()
+
+	hold("compact")
+	drifts, err := tr.DriftByLeaf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drifted []device.PageID
+	for _, d := range drifts {
+		if d.Total() > 0 {
+			drifted = append(drifted, d.Pid)
+		}
+	}
+	if n, err := tr.CompactLeaves(drifted); err != nil || n == 0 {
+		t.Fatalf("CompactLeaves compacted %d leaves (err %v), want some", n, err)
+	}
+	check()
+
+	// A split: saturate a leaf's key count, then insert a new key into it
+	// (as TestCOWSplitRecyclesPages does).
+	hold("split")
+	before := tr.NumLeaves()
+	for ord := 1; ord < len(keys) && tr.NumLeaves() == before; ord += 97 {
+		k, pid := oddKey(ord)
+		leaf, leafPid, _, err := tr.descendPath(k, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pid < leaf.minPid || pid > leaf.maxPid || leaf.probeOne(leaf.bfIndexOf(pid), k) {
+			continue
+		}
+		leaf.numKeys = uint32(tr.geo.KeysPerLeaf)
+		if err := tr.writeLeaf(leafPid, leaf); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Insert(k, pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.NumLeaves() == before {
+		t.Fatal("no insert split a leaf; fixture broken")
+	}
+	if err := tr.Maintain(); err != nil { // reclaim, so later writes recycle ids
+		t.Fatal(err)
+	}
+	check()
+
+	hold("persist")
+	re, err := Open(idx, f, tr.MarshalMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, pid := oddKey(7)
+	if err := re.Insert(k, pid); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := re.SearchFirst(keys[1]); err != nil || len(res.Tuples) != 1 {
+		t.Fatalf("search after rebuild: %v (err %v)", res, err)
+	}
+	check()
+	if freed, reused := idx.FreeListStats(); freed == 0 || reused == 0 {
+		t.Errorf("freed %d and reused %d page ids: the check never saw a recycled page", freed, reused)
+	}
+}
+
+// TestCachedSearchFirstAllocations gates the warm point lookup: with the
+// index and data pages cached, SearchFirst copies no page and decodes no
+// internal node. What is left is the result, the leaf header, the
+// filter-match list, the data-page match list and the tuple copy with
+// its slot in the result.
+func TestCachedSearchFirstAllocations(t *testing.T) {
+	data := pagestore.New(device.New(device.Memory, 4096), pagestore.WithCache(1024))
+	syn, err := workload.GenerateSynthetic(data, 20000, 11, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := pagestore.New(device.New(device.Memory, 4096), pagestore.WithCache(256))
+	tr, err := BulkLoad(idx, syn.File, 0, Options{FPP: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("height %d: the gate needs an internal level", tr.Height())
+	}
+	key := syn.MaxPK / 2
+	if res, err := tr.SearchFirst(key); err != nil || len(res.Tuples) != 1 {
+		t.Fatalf("warm-up search: %v (err %v)", res, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = tr.SearchFirst(key) }); n > 6 {
+		t.Errorf("cached SearchFirst allocates %v objects, want <= 6", n)
+	}
+}
+
+// encodedInternal is a valid internal node of count sorted keys drawn
+// from rng, with distinct children.
+func encodedInternal(rng *rand.Rand, pageSize, count int) []byte {
+	n := &internalNode{keys: make([]uint64, count), children: make([]device.PageID, count+1)}
+	for i := range n.keys {
+		n.keys[i] = uint64(rng.Intn(64)) // small domain: duplicate separators
+	}
+	slices.Sort(n.keys)
+	for i := range n.children {
+		n.children[i] = device.PageID(1000 + i)
+	}
+	buf := make([]byte, pageSize)
+	if err := encodeInternal(buf, n); err != nil {
+		panic(err)
+	}
+	return buf
+}
+
+// FuzzRoute fuzzes the in-place routing of internal nodes. No image may
+// panic it; a key count whose keys and children overflow the page must
+// be ErrCorrupt; on every image decodeInternal accepts, route must pick
+// the child a binary search of the decoded node picks, for both the
+// search and the insert rule. The seed corpus — valid nodes up to full
+// fanout, their truncations, and counts just past what fits — runs
+// under plain go test.
+func FuzzRoute(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{64, 256} {
+		for _, count := range []int{0, 1, 2, 7, internalCapacity(size) - 1} {
+			if count >= internalCapacity(size) {
+				continue
+			}
+			buf := encodedInternal(rng, size, count)
+			for _, key := range []uint64{0, 5, 31, 63, 1 << 40} {
+				f.Add(buf, key)
+			}
+			f.Add(buf[:len(buf)/2], uint64(31))
+			over := slices.Clone(buf)
+			binary.LittleEndian.PutUint16(over[1:3], uint16(internalCapacity(size)))
+			f.Add(over, uint64(31))
+		}
+	}
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{nodeBFLeaf, 0, 0}, uint64(0))
+
+	f.Fuzz(func(t *testing.T, buf []byte, key uint64) {
+		for _, forInsert := range []bool{false, true} {
+			slot, child, err := route(buf, key, forInsert)
+			n, derr := decodeInternal(buf)
+			if derr != nil {
+				if err == nil || !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("decodeInternal rejects (%v) but route returned (%d, %d, %v)", derr, slot, child, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("route rejects a node decodeInternal accepts: %v", err)
+			}
+			want := sort.Search(len(n.keys), func(i int) bool {
+				if forInsert {
+					return key < n.keys[i]
+				}
+				return key <= n.keys[i]
+			})
+			if slot != want || child != n.children[want] {
+				t.Fatalf("insert=%v key %d: route gives slot %d child %d, decoded node gives %d %d",
+					forInsert, key, slot, child, want, n.children[want])
+			}
+		}
+		if len(buf) >= nodeHeaderSize && buf[0] == nodeInternal {
+			count := int(binary.LittleEndian.Uint16(buf[1:3]))
+			if nodeHeaderSize+16*count+8 > len(buf) {
+				if _, _, err := route(buf, key, false); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("count %d overflows a %d-byte page, route returned %v", count, len(buf), err)
+				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeBFLeaf fuzzes the BF-leaf decoder. No image may panic it or
+// be rejected with anything but ErrCorrupt; on an accepted image every
+// probe and update path must stay inside the filters (probe, addKey,
+// removeKey on every covered page), the image itself must stay
+// unchanged (the leaf copies on write), and the leaf must re-encode and
+// decode to the same header. The seed corpus — standard and counting
+// leaves, their truncations and single-byte flips of the header — runs
+// under plain go test.
+func FuzzDecodeBFLeaf(f *testing.F) {
+	for _, kind := range []FilterKind{StandardFilter, CountingFilter} {
+		o, _ := Options{FPP: 0.01, Hashes: 3, Granularity: 2, Filter: kind}.withDefaults()
+		l := newBFLeaf(10, 17, o, 64, 4)
+		for k := uint64(0); k < 20; k++ {
+			if err := l.addKey(k, 10+device.PageID(k%8)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		l.minKey, l.maxKey, l.numKeys = 0, 19, 20
+		buf := make([]byte, 256)
+		if err := encodeBFLeaf(buf, l); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+		f.Add(buf[:leafHeaderSize])
+		f.Add(buf[:leafHeaderSize+10])
+		for i := 0; i < leafHeaderSize; i++ {
+			flipped := slices.Clone(buf)
+			flipped[i] ^= 0xff
+			f.Add(flipped)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		l, err := decodeBFLeaf(buf)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejected with %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		orig := slices.Clone(buf)
+		if l.numPages() > 1<<12 {
+			return // valid, but too wide to walk page by page here
+		}
+		for pid := l.minPid; ; pid++ {
+			key := uint64(pid) * 7919
+			l.probe(key, false)
+			if err := l.addKey(key, pid); err != nil {
+				t.Fatalf("addKey on covered page %d: %v", pid, err)
+			}
+			if l.kind == CountingFilter {
+				if _, err := l.removeKey(key, pid); err != nil {
+					t.Fatalf("removeKey of a key just added to page %d: %v", pid, err)
+				}
+			}
+			if pid == l.maxPid {
+				break
+			}
+		}
+		if !slices.Equal(buf, orig) {
+			t.Fatal("updating the decoded leaf wrote into its image")
+		}
+		out := make([]byte, leafHeaderSize+len(l.filters))
+		if err := encodeBFLeaf(out, l); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		back, err := decodeBFLeaf(out)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if back.minPid != l.minPid || back.maxPid != l.maxPid || back.s != l.s || back.fb != l.fb ||
+			back.hashes != l.hashes || back.kind != l.kind || back.posPerBF != l.posPerBF {
+			t.Fatalf("round trip changed the header: %+v -> %+v", l, back)
+		}
+	})
+}

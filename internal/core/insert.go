@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"bftree/internal/device"
@@ -49,17 +48,9 @@ func (t *Tree) descendLeafPid(key uint64, forInsert bool) (device.PageID, error)
 		if kind == nodeBFLeaf {
 			return pid, nil
 		}
-		n, err := decodeInternal(buf)
-		if err != nil {
+		if _, pid, err = route(buf, key, forInsert); err != nil {
 			return 0, err
 		}
-		var i int
-		if forInsert {
-			i = sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
-		} else {
-			i = sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })
-		}
-		pid = n.children[i]
 	}
 }
 
@@ -105,18 +96,16 @@ func (t *Tree) descendPathBuf(key uint64, forInsert bool) (device.PageID, []fram
 		if kind == nodeBFLeaf {
 			return pid, path, buf, nil
 		}
+		slot, child, err := route(buf, key, forInsert)
+		if err != nil {
+			return 0, nil, nil, err
+		}
 		n, err := decodeInternal(buf)
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		var i int
-		if forInsert {
-			i = sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
-		} else {
-			i = sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })
-		}
-		path = append(path, frame{pid: pid, node: n, slot: i})
-		pid = n.children[i]
+		path = append(path, frame{pid: pid, node: n, slot: slot})
+		pid = child
 	}
 }
 
@@ -661,11 +650,11 @@ func (t *Tree) predecessorLeaf(path []frame) (device.PageID, error) {
 			if kind == nodeBFLeaf {
 				return pid, nil
 			}
-			n, err := decodeInternal(buf)
+			count, err := internalCount(buf)
 			if err != nil {
 				return device.InvalidPage, err
 			}
-			pid = n.children[len(n.children)-1]
+			pid = internalChild(buf, count, count)
 		}
 	}
 	return device.InvalidPage, nil

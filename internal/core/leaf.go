@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"bftree/internal/bloom"
@@ -58,9 +59,12 @@ const posBufLen = 32
 //
 // The filters stay in page layout: filters holds S arrays of fb bytes
 // back to back, and every probe and update works on those bytes. A
-// decoded leaf aliases the page image it was decoded from, which is the
-// caller's own copy (pagestore.ReadPage copies); a writer mutates only
-// that copy and publishes the change by writing the leaf back.
+// decoded leaf aliases the page image it was decoded from, which is
+// shared and read-only (pagestore.ReadPage hands every reader the same
+// image), so probing a leaf copies nothing. Writers copy on write: the
+// first addKey or removeKey on a decoded leaf clones its filters, so a
+// mutation never reaches an image a lock-free reader may hold, and the
+// stored page changes only when the leaf is written back.
 //
 // driftIns and driftDel are this leaf's contribution to the tree-wide
 // Equation 14 drift counters (treeMeta.inserts/deletes): every published
@@ -84,6 +88,16 @@ type bfLeaf struct {
 	s       int    // number of filters
 	fb      int    // bytes per filter, filterBytes(kind, posPerBF)
 	filters []byte // s*fb bytes in page layout
+	shared  bool   // filters alias a page image; ownFilters before writing
+}
+
+// ownFilters gives the leaf its own copy of the filters before the
+// first write into them (see bfLeaf).
+func (l *bfLeaf) ownFilters() {
+	if l.shared {
+		l.filters = slices.Clone(l.filters)
+		l.shared = false
+	}
 }
 
 // numBFs returns S.
@@ -150,6 +164,7 @@ func (l *bfLeaf) addKey(key uint64, pid device.PageID) error {
 	if pid < l.minPid || pid > l.maxPid {
 		return fmt.Errorf("%w: pid %d outside [%d,%d]", ErrKeyRange, pid, l.minPid, l.maxPid)
 	}
+	l.ownFilters()
 	f := l.filter(l.bfIndexOf(pid))
 	h1, h2 := bloom.HashUint64(key)
 	if l.kind == CountingFilter {
@@ -191,6 +206,7 @@ func (l *bfLeaf) removeKey(key uint64, pid device.PageID) (lastGone bool, err er
 	if !l.contains(bid, pos) {
 		return false, fmt.Errorf("%w: key %d not in the filter of page %d", ErrNotIndexed, key, pid)
 	}
+	l.ownFilters()
 	f := l.filter(bid)
 	for _, p := range pos {
 		sh := (p & 1) << 2
@@ -326,8 +342,9 @@ func encodeBFLeaf(buf []byte, l *bfLeaf) error {
 }
 
 // decodeBFLeaf parses a BF-leaf's header and returns a leaf whose filters
-// alias buf (see bfLeaf). It checks every invariant the probe and update
-// paths index by, so a corrupt header is an ErrCorrupt, never a panic.
+// alias buf until its first write (see bfLeaf); buf itself is never
+// written. It checks every invariant the probe and update paths index
+// by, so a corrupt header is an ErrCorrupt, never a panic.
 func decodeBFLeaf(buf []byte) (*bfLeaf, error) {
 	if len(buf) < leafHeaderSize || buf[0] != nodeBFLeaf {
 		return nil, fmt.Errorf("%w: not a BF-leaf", ErrCorrupt)
@@ -367,5 +384,6 @@ func decodeBFLeaf(buf []byte) (*bfLeaf, error) {
 		return nil, fmt.Errorf("%w: %d filters of %d bytes overflow page", ErrCorrupt, s, l.fb)
 	}
 	l.filters = buf[leafHeaderSize:end:end]
+	l.shared = true
 	return l, nil
 }

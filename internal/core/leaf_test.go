@@ -283,42 +283,62 @@ func TestLeafDecodeRejectsCorruptHeaders(t *testing.T) {
 	}
 }
 
-// TestDecodedLeafAliasesPageCopy pins the aliasing contract: a decoded
-// leaf's filters are the bytes of the page copy ReadPage returned, so
-// mutating the leaf changes that copy but not the stored page until the
-// leaf is written back.
-func TestDecodedLeafAliasesPageCopy(t *testing.T) {
+// TestDecodedLeafCopiesOnWrite pins the copy-on-write contract: a
+// decoded leaf aliases the shared page image ReadPage returned, and
+// mutating it (addKey, removeKey) changes neither that image nor the
+// stored page until the leaf is written back.
+func TestDecodedLeafCopiesOnWrite(t *testing.T) {
 	fx := newFixture(t, 5000, 11)
-	tr := fx.build(t, 0, Options{FPP: 0.01})
-	pid := tr.loadMeta().firstLeaf
-	stored, err := fx.idxStore.ReadPage(pid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := slices.Clone(stored)
-	l, err := decodeBFLeaf(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key := uint64(1 << 40); ; key++ {
-		if !l.probeOne(0, key) {
+	for _, kind := range []FilterKind{StandardFilter, CountingFilter} {
+		tr := fx.build(t, 0, Options{FPP: 0.01, Filter: kind})
+		pid := tr.loadMeta().firstLeaf
+		image, err := tr.store.ReadPage(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := slices.Clone(image)
+		l, err := decodeBFLeaf(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := uint64(1 << 40)
+		for l.probeOne(0, key) {
+			key++
+		}
+		if err := l.addKey(key, l.minPid); err != nil {
+			t.Fatal(err)
+		}
+		if kind == CountingFilter {
+			if _, err := l.removeKey(key, l.minPid); err != nil {
+				t.Fatal(err)
+			}
 			if err := l.addKey(key, l.minPid); err != nil {
 				t.Fatal(err)
 			}
-			break
 		}
-	}
-	if bytes.Equal(buf, stored) {
-		t.Fatal("addKey did not write through to the decoded page copy")
-	}
-	if now, err := fx.idxStore.ReadPage(pid); err != nil || !bytes.Equal(now, stored) {
-		t.Fatalf("stored page changed before write-back (err %v)", err)
-	}
-	if err := tr.writeLeaf(pid, l); err != nil {
-		t.Fatal(err)
-	}
-	if now, err := fx.idxStore.ReadPage(pid); err != nil || !bytes.Equal(now, buf) {
-		t.Fatalf("stored page after write-back differs from the mutated leaf (err %v)", err)
+		if !l.probeOne(0, key) {
+			t.Fatalf("%v: the leaf lost the key it absorbed", kind)
+		}
+		if !bytes.Equal(image, orig) {
+			t.Fatalf("%v: mutating the decoded leaf wrote into the image it was decoded from", kind)
+		}
+		if now, err := tr.store.ReadPage(pid); err != nil || !bytes.Equal(now, orig) {
+			t.Fatalf("%v: stored page changed before write-back (err %v)", kind, err)
+		}
+		if err := tr.writeLeaf(pid, l); err != nil {
+			t.Fatal(err)
+		}
+		now, err := tr.store.ReadPage(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeBFLeaf(now)
+		if err != nil || !back.probeOne(0, key) {
+			t.Fatalf("%v: the written-back leaf lacks the key (err %v)", kind, err)
+		}
+		if !bytes.Equal(image, orig) {
+			t.Fatalf("%v: writeLeaf changed an image read before it", kind)
+		}
 	}
 }
 

@@ -339,7 +339,11 @@ func TestMaintainerReclaimsWithoutForegroundStructuralChange(t *testing.T) {
 
 	// One structural change populates limbo. In auto mode the foreground
 	// writer only requests maintenance, so the pages may only reach the
-	// free list through the maintainer.
+	// free list through the maintainer. A reader registered across the
+	// split pins the retired pages until the workers below run, so the
+	// maintainer cannot reclaim them before any probe completes: only a
+	// probe exit (the epoch-exit hook) or the ticker can drive it.
+	_, pinned := tr.beginProbe()
 	if err := forceSplit(t, tr, f, keys[100], keys[100]+1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -400,6 +404,7 @@ func TestMaintainerReclaimsWithoutForegroundStructuralChange(t *testing.T) {
 		}(r)
 	}
 
+	tr.endProbe(pinned)
 	deadline := time.Now().Add(10 * time.Second)
 	reclaimed := false
 	for time.Now().Before(deadline) {

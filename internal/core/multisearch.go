@@ -48,7 +48,7 @@ func (t *Tree) MultiSearch(keys []uint64) (*Result, error) {
 	defer t.endProbe(ep)
 	cache := &nodeCache{
 		t:      t,
-		nodes:  make(map[device.PageID]*internalNode),
+		nodes:  make(map[device.PageID][]byte),
 		leaves: make(map[device.PageID]*bfLeaf),
 	}
 	// Phase 1: index side. Collect the union of flagged data pages.
@@ -141,12 +141,13 @@ func (t *Tree) multiProbeKey(root device.PageID, key uint64, cache *nodeCache,
 	}
 }
 
-// nodeCache memoizes decoded index pages for the lifetime of one batch.
+// nodeCache memoizes index pages for the lifetime of one batch: the
+// images of internal nodes, routed in place, and decoded leaves.
 // IndexReads is charged only on a miss, so the stat reflects distinct
 // index pages touched — the quantity a buffer pool would serve.
 type nodeCache struct {
 	t      *Tree
-	nodes  map[device.PageID]*internalNode
+	nodes  map[device.PageID][]byte
 	leaves map[device.PageID]*bfLeaf
 }
 
@@ -154,9 +155,12 @@ type nodeCache struct {
 func (c *nodeCache) descend(root device.PageID, key uint64, stats *ProbeStats) (*bfLeaf, error) {
 	pid := root
 	for {
-		if n, ok := c.nodes[pid]; ok {
-			i := sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })
-			pid = n.children[i]
+		if buf, ok := c.nodes[pid]; ok {
+			_, next, err := route(buf, key, false)
+			if err != nil {
+				return nil, err
+			}
+			pid = next
 			continue
 		}
 		if l, ok := c.leaves[pid]; ok {
@@ -179,13 +183,12 @@ func (c *nodeCache) descend(root device.PageID, key uint64, stats *ProbeStats) (
 			c.leaves[pid] = l
 			return l, nil
 		}
-		n, err := decodeInternal(buf)
+		_, next, err := route(buf, key, false)
 		if err != nil {
 			return nil, err
 		}
-		c.nodes[pid] = n
-		i := sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })
-		pid = n.children[i]
+		c.nodes[pid] = buf
+		pid = next
 	}
 }
 

@@ -53,13 +53,55 @@ func encodeInternal(buf []byte, n *internalNode) error {
 	return nil
 }
 
-func decodeInternal(buf []byte) (*internalNode, error) {
+// internalCount checks an encoded internal node's header and returns its
+// key count; a count whose keys and children overflow the page is
+// ErrCorrupt.
+func internalCount(buf []byte) (int, error) {
 	if len(buf) < nodeHeaderSize || buf[0] != nodeInternal {
-		return nil, fmt.Errorf("%w: not an internal node", ErrCorrupt)
+		return 0, fmt.Errorf("%w: not an internal node", ErrCorrupt)
 	}
 	count := int(binary.LittleEndian.Uint16(buf[1:3]))
 	if nodeHeaderSize+count*8+(count+1)*8 > len(buf) {
-		return nil, fmt.Errorf("%w: internal count %d overflows page", ErrCorrupt, count)
+		return 0, fmt.Errorf("%w: internal count %d overflows page", ErrCorrupt, count)
+	}
+	return count, nil
+}
+
+// internalChild returns child i of an encoded internal node of count
+// keys; the caller has checked count with internalCount.
+func internalChild(buf []byte, count, i int) device.PageID {
+	return device.PageID(binary.LittleEndian.Uint64(buf[nodeHeaderSize+(count+i)*8:]))
+}
+
+// route picks key's child in the encoded internal node buf, reading the
+// separators in place, and returns the child and its slot. Searches
+// route leftmost (key <= separator goes left); inserts route rightmost
+// (key == separator goes right; see descendPath). Probes route every
+// internal node this way, so they never decode one.
+func route(buf []byte, key uint64, forInsert bool) (slot int, child device.PageID, err error) {
+	count, err := internalCount(buf)
+	if err != nil {
+		return 0, 0, err
+	}
+	lo, hi := 0, count // slot is the first separator key routes left of
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		sep := binary.LittleEndian.Uint64(buf[nodeHeaderSize+mid*8:])
+		if key < sep || (key == sep && !forInsert) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, internalChild(buf, count, lo), nil
+}
+
+// decodeInternal copies an encoded internal node into a writer-private
+// internalNode, which the structural write paths mutate and re-encode.
+func decodeInternal(buf []byte) (*internalNode, error) {
+	count, err := internalCount(buf)
+	if err != nil {
+		return nil, err
 	}
 	n := &internalNode{
 		keys:     make([]uint64, count),

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"bftree/internal/bloom"
 	"bftree/internal/device"
@@ -115,12 +114,12 @@ func (t *Tree) internalPagesOf(m *treeMeta) ([]device.PageID, error) {
 		if err != nil {
 			return err
 		}
-		n, err := decodeInternal(buf)
+		count, err := internalCount(buf)
 		if err != nil {
 			return err
 		}
-		for _, c := range n.children {
-			if err := walk(c, depth+1); err != nil {
+		for i := 0; i <= count; i++ {
+			if err := walk(internalChild(buf, count, i), depth+1); err != nil {
 				return err
 			}
 		}
@@ -143,8 +142,9 @@ func (t *Tree) readLeaf(pid device.PageID, stats *ProbeStats) (*bfLeaf, error) {
 }
 
 // descend walks the internal levels from root to the leftmost leaf that
-// may hold key, charging one index read per level. The root comes from
-// the caller's snapshot, so a whole probe sees one consistent tree.
+// may hold key, charging one index read per level and routing each
+// internal node in place. The root comes from the caller's snapshot, so
+// a whole probe sees one consistent tree.
 func (t *Tree) descend(root device.PageID, key uint64, stats *ProbeStats) (*bfLeaf, device.PageID, error) {
 	pid := root
 	for {
@@ -164,12 +164,9 @@ func (t *Tree) descend(root device.PageID, key uint64, stats *ProbeStats) (*bfLe
 			}
 			return l, pid, nil
 		}
-		n, err := decodeInternal(buf)
-		if err != nil {
+		if _, pid, err = route(buf, key, false); err != nil {
 			return nil, 0, err
 		}
-		i := sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })
-		pid = n.children[i]
 	}
 }
 

@@ -23,10 +23,9 @@ func TestConcurrentReadsExactTotals(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			buf := make([]byte, 512)
 			for i := 0; i < perW; i++ {
 				id := PageID((w*perW + i) % pages)
-				if _, err := d.ReadPage(id, buf); err != nil {
+				if _, _, err := d.ReadPage(id); err != nil {
 					t.Error(err)
 					return
 				}
@@ -48,7 +47,8 @@ func TestConcurrentReadsExactTotals(t *testing.T) {
 
 // TestConcurrentReadWriteDistinctPages runs writers and readers over
 // disjoint page sets concurrently with ongoing allocation; the race
-// detector verifies the striped locking, and the totals must be exact.
+// detector verifies the lock-free directory, and the totals must be
+// exact.
 func TestConcurrentReadWriteDistinctPages(t *testing.T) {
 	const (
 		readPages  = 64
@@ -63,9 +63,8 @@ func TestConcurrentReadWriteDistinctPages(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			buf := make([]byte, 256)
 			for i := 0; i < perW; i++ {
-				if _, err := d.ReadPage(PageID(i%readPages), buf); err != nil {
+				if _, _, err := d.ReadPage(PageID(i % readPages)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -78,7 +77,7 @@ func TestConcurrentReadWriteDistinctPages(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				payload[0] = byte(w)
 				id := PageID(readPages + (w*perW+i)%writePages)
-				if err := d.WritePage(id, payload); err != nil {
+				if _, err := d.WritePage(id, payload); err != nil {
 					t.Error(err)
 					return
 				}
@@ -107,8 +106,8 @@ func TestConcurrentReadWriteDistinctPages(t *testing.T) {
 }
 
 // TestConcurrentSamePageReadWrite verifies a page read racing a write to
-// the same page always observes a fully-copied image (never a torn mix),
-// because both sides go through the page's stripe lock.
+// the same page always observes a whole image (never a torn mix),
+// because a write installs a fresh image instead of overwriting one.
 func TestConcurrentSamePageReadWrite(t *testing.T) {
 	d := New(Memory, 128)
 	d.Allocate(1)
@@ -127,15 +126,15 @@ func TestConcurrentSamePageReadWrite(t *testing.T) {
 			for i := range payload {
 				payload[i] = v
 			}
-			if err := d.WritePage(0, payload); err != nil {
+			if _, err := d.WritePage(0, payload); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
-	buf := make([]byte, 128)
 	for i := 0; i < 2000; i++ {
-		if _, err := d.ReadPage(0, buf); err != nil {
+		buf, _, err := d.ReadPage(0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for j := 1; j < len(buf); j++ {
@@ -160,9 +159,8 @@ func TestSetRealLatencyDefaultOff(t *testing.T) {
 	}
 	d.SetRealLatency(1)
 	d.SetRealLatency(0)
-	buf := make([]byte, 64)
 	for i := 0; i < 3; i++ {
-		if _, err := d.ReadPage(0, buf); err != nil {
+		if _, _, err := d.ReadPage(0); err != nil {
 			t.Fatal(err)
 		}
 	}

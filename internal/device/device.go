@@ -14,21 +14,27 @@
 // sequential I/O is orders of magnitude cheaper than random I/O, while on
 // the SSD the two are nearly identical.
 //
-// Concurrency: a Device is safe for concurrent use and the read path is
-// designed to scale. Accounting (Stats, the sequential-access tracker)
-// is kept in atomics, the page directory is published through an atomic
-// pointer, and page data is guarded by striped reader/writer locks — so
-// concurrent readers of distinct pages never contend on a lock, and
-// readers of the same page share a read lock.
+// Pages are immutable images. WritePage never overwrites the bytes of a
+// page: it copies the payload into a fresh image and installs that, and
+// ReadPage returns the current image itself, with no copy. A caller may
+// keep an image it read for as long as it likes and never sees it
+// change; it must not write into it, since every later reader of the
+// page, and the page store's cache, share the same bytes.
+//
+// Concurrency: a Device is safe for concurrent use and its read path
+// takes no lock. Accounting (Stats, the sequential-access tracker) is
+// kept in atomics, and each page's current image is published through
+// an atomic pointer, so a read racing a write to the same page returns
+// the whole pre- or post-write image, never a torn one.
 package device
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // PageID identifies a page on a device. Pages are numbered from 0.
@@ -100,30 +106,6 @@ func (s Stats) String() string {
 // ErrOutOfRange reports access to a page beyond the device size.
 var ErrOutOfRange = errors.New("device: page out of range")
 
-// ParallelStripes returns GOMAXPROCS rounded up to a power of two,
-// floored at 8 and never exceeding limit (the floor wins should a
-// caller pass a limit below 8) — the shared sizing rule for
-// parallelism-bound lock tables: the device's page-data stripes here
-// and the page-cache shard bound in pagestore. More independent locks
-// than runnable goroutines buys nothing, while a big fixed count (the
-// old constant 64) wastes footprint on small hosts; the power-of-two
-// rounding keeps selection a mask or cheap modulo.
-func ParallelStripes(limit int) int {
-	n := runtime.GOMAXPROCS(0)
-	s := 8
-	for s < n && s*2 <= limit {
-		s *= 2
-	}
-	return s
-}
-
-// pageStripes is the page-data lock stripe count for a new device.
-// Accesses to pages in different stripes proceed fully in parallel;
-// the count only bounds how many *writers* can be active at once.
-func pageStripes() int {
-	return ParallelStripes(1024)
-}
-
 // statsCounters is the lock-free backing of Stats.
 type statsCounters struct {
 	randomReads  atomic.Uint64
@@ -158,10 +140,11 @@ func (c *statsCounters) reset() {
 }
 
 // Device is a simulated page-addressable storage device, safe for
-// concurrent use. The page directory is a grow-only slice published via
-// an atomic pointer (page buffers are stable once allocated), page data
-// is guarded by striped RW locks, and all accounting is atomic, so
-// concurrent readers never serialize behind a device-wide mutex.
+// concurrent use. The page directory is a grow-only list of fixed-size
+// chunks, so an entry never moves once allocated; each entry is an
+// atomic pointer to the page's current image (nil until the first
+// write: the page reads as zeroes). Reads take no lock and all
+// accounting is atomic, so concurrent readers never serialize.
 //
 // Under concurrency the random/sequential classification of an
 // individual access depends on interleaving (the tracker holds the
@@ -173,15 +156,24 @@ type Device struct {
 	pageSize int
 	cost     CostModel
 
-	allocMu sync.Mutex               // serializes Allocate
-	pages   atomic.Pointer[[][]byte] // grow-only directory; buffers stable
-	locks   []sync.RWMutex           // striped page-data locks (pageStripes-sized)
+	allocMu  sync.Mutex                   // serializes Allocate
+	chunks   atomic.Pointer[[]*pageChunk] // grow-only; chunks never move
+	numPages atomic.Uint64                // published after chunks covers it
+	zero     []byte                       // the image of a never-written page
 
 	lastPage atomic.Uint64 // sequential detection; InvalidPage initially
 	stats    statsCounters
 
 	realLatency atomic.Int64 // optional real ns slept per I/O op (see SetRealLatency)
 }
+
+// chunkPages is the number of directory entries per chunk.
+const chunkPages = 512
+
+// pageChunk holds the image pointers of chunkPages consecutive pages.
+// An entry points at the first byte of a pageSize-long image: one word
+// per page, and no heap object besides the image itself.
+type pageChunk [chunkPages]atomic.Pointer[byte]
 
 // New creates a device of the given kind with the default profile for
 // that kind (see profiles.go) and a fixed page size in bytes.
@@ -199,10 +191,9 @@ func NewWithProfile(p Profile, pageSize int) *Device {
 		name:     p.Name,
 		pageSize: pageSize,
 		cost:     p.Cost,
-		locks:    make([]sync.RWMutex, pageStripes()),
+		zero:     make([]byte, pageSize),
 	}
-	empty := make([][]byte, 0)
-	d.pages.Store(&empty)
+	d.chunks.Store(new([]*pageChunk))
 	d.lastPage.Store(uint64(InvalidPage))
 	return d
 }
@@ -218,7 +209,7 @@ func (d *Device) PageSize() int { return d.pageSize }
 
 // NumPages returns the number of allocated pages.
 func (d *Device) NumPages() uint64 {
-	return uint64(len(*d.pages.Load()))
+	return d.numPages.Load()
 }
 
 // SetRealLatency makes every subsequent page access block for perOp of
@@ -239,24 +230,35 @@ func (d *Device) sleepRealLatency() {
 	}
 }
 
-// stripe returns the data lock guarding page id.
-func (d *Device) stripe(id PageID) *sync.RWMutex {
-	return &d.locks[uint64(id)%uint64(len(d.locks))]
-}
-
-// Allocate appends n zeroed pages and returns the id of the first.
+// Allocate appends n zeroed pages and returns the id of the first. It
+// grows only the directory: a page has no image until its first write.
 func (d *Device) Allocate(n int) PageID {
 	d.allocMu.Lock()
 	defer d.allocMu.Unlock()
-	old := *d.pages.Load()
-	first := PageID(len(old))
-	grown := make([][]byte, len(old), len(old)+n)
-	copy(grown, old)
-	for i := 0; i < n; i++ {
-		grown = append(grown, make([]byte, d.pageSize))
+	first := d.numPages.Load()
+	total := first + uint64(n)
+	if chunks := *d.chunks.Load(); uint64(len(chunks))*chunkPages < total {
+		grown := make([]*pageChunk, len(chunks), (total+chunkPages-1)/chunkPages)
+		copy(grown, chunks)
+		for uint64(len(grown))*chunkPages < total {
+			grown = append(grown, new(pageChunk))
+		}
+		d.chunks.Store(&grown)
 	}
-	d.pages.Store(&grown)
-	return first
+	d.numPages.Store(total)
+	return PageID(first)
+}
+
+// entry returns the image pointer of page id, or an ErrOutOfRange
+// error naming op. Loading the page count before the directory means a
+// page counted as allocated always has its chunk in the loaded
+// directory.
+func (d *Device) entry(op string, id PageID) (*atomic.Pointer[byte], error) {
+	if n := d.numPages.Load(); uint64(id) >= n {
+		return nil, fmt.Errorf("%w: %s page %d of %d", ErrOutOfRange, op, id, n)
+	}
+	chunks := *d.chunks.Load()
+	return &chunks[id/chunkPages][id%chunkPages], nil
 }
 
 // chargeRead classifies the access against the sequential tracker and
@@ -275,44 +277,40 @@ func (d *Device) chargeRead(id PageID) (sequential bool) {
 	return sequential
 }
 
-// ReadPage reads page id into buf (which must be at least PageSize long)
-// and charges the appropriate cost. It reports whether the access was
-// sequential.
-func (d *Device) ReadPage(id PageID, buf []byte) (sequential bool, err error) {
-	pages := *d.pages.Load()
-	if uint64(id) >= uint64(len(pages)) {
-		return false, fmt.Errorf("%w: read page %d of %d", ErrOutOfRange, id, len(pages))
+// ReadPage returns the current image of page id and charges the
+// appropriate cost. It reports whether the access was sequential. The
+// image is shared and read-only: the device never changes it, and the
+// caller must not either (see the package comment).
+func (d *Device) ReadPage(id PageID) (page []byte, sequential bool, err error) {
+	e, err := d.entry("read", id)
+	if err != nil {
+		return nil, false, err
 	}
-	if len(buf) < d.pageSize {
-		return false, fmt.Errorf("device: buffer %d smaller than page size %d", len(buf), d.pageSize)
+	page = d.zero
+	if p := e.Load(); p != nil {
+		page = unsafe.Slice(p, d.pageSize)
 	}
-	mu := d.stripe(id)
-	mu.RLock()
-	copy(buf, pages[id])
-	mu.RUnlock()
 	sequential = d.chargeRead(id)
 	d.sleepRealLatency()
-	return sequential, nil
+	return page, sequential, nil
 }
 
-// WritePage writes buf to page id, charging the appropriate cost. The
-// page must already be allocated.
-func (d *Device) WritePage(id PageID, buf []byte) error {
-	pages := *d.pages.Load()
-	if uint64(id) >= uint64(len(pages)) {
-		return fmt.Errorf("%w: write page %d of %d", ErrOutOfRange, id, len(pages))
+// WritePage copies buf, zero-padded to the page size, into a fresh
+// image, installs it as page id and charges the appropriate cost. The
+// page must already be allocated. It returns the installed image, which
+// is shared and read-only like every image ReadPage returns; images
+// read before the write keep their old contents.
+func (d *Device) WritePage(id PageID, buf []byte) ([]byte, error) {
+	e, err := d.entry("write", id)
+	if err != nil {
+		return nil, err
 	}
 	if len(buf) > d.pageSize {
-		return fmt.Errorf("device: payload %d exceeds page size %d", len(buf), d.pageSize)
+		return nil, fmt.Errorf("device: payload %d exceeds page size %d", len(buf), d.pageSize)
 	}
-	mu := d.stripe(id)
-	mu.Lock()
-	page := pages[id]
+	page := make([]byte, d.pageSize)
 	copy(page, buf)
-	for i := len(buf); i < d.pageSize; i++ {
-		page[i] = 0
-	}
-	mu.Unlock()
+	e.Store(&page[0])
 	prev := d.lastPage.Swap(uint64(id))
 	if prev != uint64(InvalidPage) && uint64(id) == prev+1 {
 		d.stats.seqWrites.Add(1)
@@ -323,7 +321,7 @@ func (d *Device) WritePage(id PageID, buf []byte) error {
 	}
 	d.stats.bytesWritten.Add(uint64(d.pageSize))
 	d.sleepRealLatency()
-	return nil
+	return page, nil
 }
 
 // Stats returns a snapshot of the accumulated counters.

@@ -19,11 +19,11 @@ func TestAllocateAndRoundTrip(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i % 251)
 	}
-	if err := d.WritePage(1, payload); err != nil {
+	if _, err := d.WritePage(1, payload); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 4096)
-	if _, err := d.ReadPage(1, buf); err != nil {
+	buf, _, err := d.ReadPage(1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range payload {
@@ -36,17 +36,13 @@ func TestAllocateAndRoundTrip(t *testing.T) {
 func TestOutOfRange(t *testing.T) {
 	d := New(Memory, 512)
 	d.Allocate(1)
-	buf := make([]byte, 512)
-	if _, err := d.ReadPage(5, buf); err == nil {
+	if _, _, err := d.ReadPage(5); err == nil {
 		t.Error("reading unallocated page should fail")
 	}
-	if err := d.WritePage(5, buf); err == nil {
+	if _, err := d.WritePage(5, make([]byte, 512)); err == nil {
 		t.Error("writing unallocated page should fail")
 	}
-	if _, err := d.ReadPage(0, make([]byte, 10)); err == nil {
-		t.Error("short buffer should fail")
-	}
-	if err := d.WritePage(0, make([]byte, 1024)); err == nil {
+	if _, err := d.WritePage(0, make([]byte, 1024)); err == nil {
 		t.Error("oversized payload should fail")
 	}
 }
@@ -58,14 +54,14 @@ func TestShortWriteZeroFills(t *testing.T) {
 	for i := range full {
 		full[i] = 0xff
 	}
-	if err := d.WritePage(0, full); err != nil {
+	if _, err := d.WritePage(0, full); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WritePage(0, []byte{1, 2, 3}); err != nil {
+	if _, err := d.WritePage(0, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 128)
-	if _, err := d.ReadPage(0, buf); err != nil {
+	buf, _, err := d.ReadPage(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 1 || buf[1] != 2 || buf[2] != 3 {
@@ -81,24 +77,22 @@ func TestShortWriteZeroFills(t *testing.T) {
 func TestSequentialDetection(t *testing.T) {
 	d := New(HDD, 4096)
 	d.Allocate(10)
-	buf := make([]byte, 4096)
-
-	seq, err := d.ReadPage(3, buf)
+	_, seq, err := d.ReadPage(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq {
 		t.Error("first access can never be sequential")
 	}
-	seq, _ = d.ReadPage(4, buf)
+	_, seq, _ = d.ReadPage(4)
 	if !seq {
 		t.Error("page 4 after page 3 should be sequential")
 	}
-	seq, _ = d.ReadPage(4, buf)
+	_, seq, _ = d.ReadPage(4)
 	if seq {
 		t.Error("re-reading the same page is not sequential")
 	}
-	seq, _ = d.ReadPage(0, buf)
+	_, seq, _ = d.ReadPage(0)
 	if seq {
 		t.Error("jumping backwards is not sequential")
 	}
@@ -111,10 +105,9 @@ func TestSequentialDetection(t *testing.T) {
 func TestCostAccounting(t *testing.T) {
 	d := New(HDD, 4096)
 	d.Allocate(4)
-	buf := make([]byte, 4096)
-	d.ReadPage(0, buf) // random
-	d.ReadPage(1, buf) // seq
-	d.ReadPage(2, buf) // seq
+	d.ReadPage(0) // random
+	d.ReadPage(1) // seq
+	d.ReadPage(2) // seq
 	want := DefaultCost(HDD).RandomRead + 2*DefaultCost(HDD).SeqRead
 	if got := d.Stats().Elapsed; got != want {
 		t.Errorf("elapsed = %v, want %v", got, want)
@@ -124,7 +117,7 @@ func TestCostAccounting(t *testing.T) {
 		t.Error("ResetStats should zero the counters")
 	}
 	// After reset, the next access is charged random again.
-	d.ReadPage(3, buf)
+	d.ReadPage(3)
 	if d.Stats().RandomReads != 1 {
 		t.Error("sequential tracker should reset with stats")
 	}
@@ -240,12 +233,12 @@ func TestQuickLastWriteWins(t *testing.T) {
 		for i := range payload {
 			payload[i] = val
 		}
-		if err := d.WritePage(id, payload); err != nil {
+		if _, err := d.WritePage(id, payload); err != nil {
 			return false
 		}
 		last[id] = payload
-		buf := make([]byte, 64)
-		if _, err := d.ReadPage(id, buf); err != nil {
+		buf, _, err := d.ReadPage(id)
+		if err != nil {
 			return false
 		}
 		for i := range buf {
@@ -257,5 +250,43 @@ func TestQuickLastWriteWins(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteInstallsFreshImage pins the image contract: a read returns
+// the page's current image without copying, a later write installs a
+// new image and leaves the one already read unchanged, and the device
+// keeps no reference to the caller's buffer.
+func TestWriteInstallsFreshImage(t *testing.T) {
+	d := New(Memory, 64)
+	d.Allocate(2)
+	if zero, _, err := d.ReadPage(1); err != nil || len(zero) != 64 || zero[0] != 0 {
+		t.Fatalf("never-written page = %v (err %v), want 64 zero bytes", zero, err)
+	}
+	payload := []byte{1, 2, 3}
+	installed, err := d.WritePage(0, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[0] = 9 // the caller's buffer is its own
+	before, _, err := d.ReadPage(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &before[0] != &installed[0] || before[0] != 1 {
+		t.Fatalf("read %v, want the installed image %v", before[:3], installed[:3])
+	}
+	if _, err := d.WritePage(0, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if before[0] != 1 || before[1] != 2 {
+		t.Fatalf("a write changed an image read before it: %v", before[:3])
+	}
+	after, _, _ := d.ReadPage(0)
+	if after[0] != 7 || after[1] != 0 {
+		t.Fatalf("read after write = %v, want [7 0 ...]", after[:3])
+	}
+	if n := testing.AllocsPerRun(100, func() { d.ReadPage(0) }); n != 0 {
+		t.Errorf("ReadPage allocates %v times, want 0", n)
 	}
 }

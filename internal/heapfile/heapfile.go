@@ -263,40 +263,58 @@ func (f *File) PageOf(ordinal uint64) device.PageID {
 	return f.firstPage + device.PageID(ordinal/uint64(f.perPage))
 }
 
-// ReadPageTuples reads data page id and returns its packed tuples as
-// sub-slices of one page buffer.
-func (f *File) ReadPageTuples(id device.PageID) ([][]byte, error) {
+// readPage returns the image of data page id and its tuple count.
+func (f *File) readPage(id device.PageID) (buf []byte, n int, err error) {
 	if np := f.numPages.Load(); id < f.firstPage || id >= f.firstPage+device.PageID(np) {
-		return nil, fmt.Errorf("heapfile: page %d outside file [%d,%d)",
+		return nil, 0, fmt.Errorf("heapfile: page %d outside file [%d,%d)",
 			id, f.firstPage, f.firstPage+device.PageID(np))
 	}
-	buf, err := f.store.ReadPage(id)
+	buf, err = f.store.ReadPage(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	n = int(binary.BigEndian.Uint16(buf[0:2]))
+	if n > f.perPage {
+		return nil, 0, fmt.Errorf("heapfile: corrupt page %d: count %d > capacity %d", id, n, f.perPage)
+	}
+	return buf, n, nil
+}
+
+// tuple returns slot i of a page image.
+func (f *File) tuple(buf []byte, i int) []byte {
+	off := pageHeaderSize + i*f.schema.TupleSize
+	return buf[off : off+f.schema.TupleSize : off+f.schema.TupleSize]
+}
+
+// ReadPageTuples reads data page id and returns its packed tuples. They
+// are sub-slices of the page's shared, read-only image (see package
+// pagestore): a caller may keep them, and a later write to the page
+// leaves them unchanged, but must copy a tuple before changing it.
+func (f *File) ReadPageTuples(id device.PageID) ([][]byte, error) {
+	buf, n, err := f.readPage(id)
 	if err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint16(buf[0:2]))
-	if n > f.perPage {
-		return nil, fmt.Errorf("heapfile: corrupt page %d: count %d > capacity %d", id, n, f.perPage)
-	}
 	tuples := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		off := pageHeaderSize + i*f.schema.TupleSize
-		tuples[i] = buf[off : off+f.schema.TupleSize]
+	for i := range tuples {
+		tuples[i] = f.tuple(buf, i)
 	}
 	return tuples, nil
 }
 
 // SearchPage scans data page id for tuples whose field fieldIdx equals
-// key and returns them. This is the "search the data page for the desired
-// value" step of a BF-Tree probe (Algorithm 1 step 7).
+// key and returns them, as read-only sub-slices of the page image like
+// ReadPageTuples's. This is the "search the data page for the desired
+// value" step of a BF-Tree probe (Algorithm 1 step 7); it scans the
+// image in place, so only a match allocates.
 func (f *File) SearchPage(id device.PageID, fieldIdx int, key uint64) ([][]byte, error) {
-	tuples, err := f.ReadPageTuples(id)
+	buf, n, err := f.readPage(id)
 	if err != nil {
 		return nil, err
 	}
 	var out [][]byte
-	for _, tup := range tuples {
-		if f.schema.Get(tup, fieldIdx) == key {
+	for i := 0; i < n; i++ {
+		if tup := f.tuple(buf, i); f.schema.Get(tup, fieldIdx) == key {
 			out = append(out, tup)
 		}
 	}

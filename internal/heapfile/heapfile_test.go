@@ -182,6 +182,20 @@ func TestSearchPage(t *testing.T) {
 	}
 }
 
+// TestSearchPageAllocations gates the data-page step of a probe:
+// SearchPage scans the shared page image in place, so a miss allocates
+// nothing and a hit only its one-element result.
+func TestSearchPageAllocations(t *testing.T) {
+	f := buildFile(t, 300)
+	id := f.PageOf(100)
+	if n := testing.AllocsPerRun(100, func() { _, _ = f.SearchPage(id, 0, 100) }); n > 1 {
+		t.Errorf("a matching SearchPage allocates %v objects, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = f.SearchPage(id, 0, 99999999) }); n != 0 {
+		t.Errorf("a missing SearchPage allocates %v objects, want 0", n)
+	}
+}
+
 func TestPageKeyRange(t *testing.T) {
 	f := buildFile(t, 200)
 	minKey, maxKey, err := f.PageKeyRange(f.FirstPage(), 0)

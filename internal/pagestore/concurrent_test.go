@@ -35,25 +35,24 @@ func TestShardCount(t *testing.T) {
 	}
 }
 
-// TestParallelStripes pins the GOMAXPROCS derivation (shared with the
-// device's page-lock stripes): a power of two, floored at 8, capped at
-// the given limit.
+// TestParallelStripes pins the GOMAXPROCS derivation of the cache-shard
+// bound: a power of two, floored at 8, capped at the given limit.
 func TestParallelStripes(t *testing.T) {
 	for _, limit := range []int{8, 64, 256, 1024} {
-		s := device.ParallelStripes(limit)
+		s := parallelStripes(limit)
 		if s < 8 {
-			t.Errorf("ParallelStripes(%d) = %d, below the floor of 8", limit, s)
+			t.Errorf("parallelStripes(%d) = %d, below the floor of 8", limit, s)
 		}
 		if s&(s-1) != 0 {
-			t.Errorf("ParallelStripes(%d) = %d, not a power of two", limit, s)
+			t.Errorf("parallelStripes(%d) = %d, not a power of two", limit, s)
 		}
 		if s > limit {
-			t.Errorf("ParallelStripes(%d) = %d, runs past the cap", limit, s)
+			t.Errorf("parallelStripes(%d) = %d, runs past the cap", limit, s)
 		}
 	}
-	if maxCacheShards != device.ParallelStripes(256) {
-		t.Errorf("maxCacheShards = %d, want ParallelStripes(256) = %d",
-			maxCacheShards, device.ParallelStripes(256))
+	if maxCacheShards != parallelStripes(256) {
+		t.Errorf("maxCacheShards = %d, want parallelStripes(256) = %d",
+			maxCacheShards, parallelStripes(256))
 	}
 }
 

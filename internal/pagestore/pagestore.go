@@ -8,6 +8,15 @@
 // like the paper's O_DIRECT cold-cache runs, where every page access pays
 // device cost.
 //
+// Pages are immutable images (see package device). ReadPage hands out
+// the page's current image itself — the cached one on a hit, the
+// device's own on a miss, which the cache then admits as is — so a read
+// copies and allocates nothing. The image is shared and read-only:
+// every reader of the page and the cache hold the same bytes, so a
+// caller that wants to change a page builds its own buffer and writes
+// it with WritePage, which installs a fresh image and leaves every
+// image handed out before it unchanged.
+//
 // Concurrency: a Store is safe for concurrent use and the read path is
 // built to scale. The cache is sharded — each shard owns an independent
 // LRU list behind its own lock, and a page's shard is fixed by its id —
@@ -31,6 +40,7 @@ package pagestore
 import (
 	"container/list"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -250,21 +260,21 @@ func (s *Store) PressureStats() (fresh, freed, reused uint64) {
 	return s.fresh.Load(), s.freed.Load(), s.reused.Load()
 }
 
-// ReadPage returns the contents of page id. The returned slice is a copy
-// owned by the caller. A cache hit costs no device I/O.
+// ReadPage returns the current image of page id. The image is shared
+// and read-only: the caller must not write into it, and a later
+// WritePage leaves it unchanged (see the package comment). A cache hit
+// costs no device I/O; neither a hit nor a miss copies the page.
 func (s *Store) ReadPage(id device.PageID) ([]byte, error) {
 	var sh *cacheShard
 	if s.cache != nil {
 		sh = s.cache.shardFor(id)
 		sh.mu.Lock()
-		if data, ok := sh.lru.get(id); ok {
-			out := make([]byte, len(data))
-			copy(out, data)
-			sh.mu.Unlock()
-			s.hits.Add(1)
-			return out, nil
-		}
+		data, ok := sh.lru.get(id)
 		sh.mu.Unlock()
+		if ok {
+			s.hits.Add(1)
+			return data, nil
+		}
 		s.misses.Add(1)
 	}
 
@@ -272,14 +282,12 @@ func (s *Store) ReadPage(id device.PageID) ([]byte, error) {
 	if sh != nil && !s.pinnedOnly {
 		gen = sh.gen.Load()
 	}
-	buf := make([]byte, s.dev.PageSize())
-	if _, err := s.dev.ReadPage(id, buf); err != nil {
+	page, _, err := s.dev.ReadPage(id)
+	if err != nil {
 		return nil, err
 	}
 
 	if sh != nil && !s.pinnedOnly {
-		cp := make([]byte, len(buf))
-		copy(cp, buf)
 		sh.mu.Lock()
 		// Admit only if no write to this shard overlapped the device
 		// read: a concurrent writer bumps gen both before its device
@@ -287,21 +295,23 @@ func (s *Store) ReadPage(id device.PageID) ([]byte, error) {
 		// it — and could be holding the pre-write image — the check
 		// fails and the cache never regresses to stale data.
 		if sh.gen.Load() == gen {
-			sh.lru.put(id, cp)
+			sh.lru.put(id, page)
 		}
 		sh.mu.Unlock()
 	}
-	return buf, nil
+	return page, nil
 }
 
-// WritePage writes buf to page id, updating the cache (write-through).
+// WritePage writes buf to page id and caches the image it installs
+// (write-through). The caller keeps buf: the device copies it.
 func (s *Store) WritePage(id device.PageID, buf []byte) error {
 	var sh *cacheShard
 	if s.cache != nil {
 		sh = s.cache.shardFor(id)
 		sh.gen.Add(1) // readers sampling after this must not admit pre-write data
 	}
-	if err := s.dev.WritePage(id, buf); err != nil {
+	page, err := s.dev.WritePage(id, buf)
+	if err != nil {
 		return err
 	}
 	if sh != nil {
@@ -310,9 +320,7 @@ func (s *Store) WritePage(id device.PageID, buf []byte) error {
 		// A pinned-only cache must stay coherent for pages it already
 		// holds, but writes never admit new pages into it.
 		if !s.pinnedOnly || sh.lru.contains(id) {
-			full := make([]byte, s.dev.PageSize())
-			copy(full, buf)
-			sh.lru.put(id, full)
+			sh.lru.put(id, page)
 		}
 		sh.mu.Unlock()
 	}
@@ -327,13 +335,13 @@ func (s *Store) Warm(ids []device.PageID) error {
 		return fmt.Errorf("pagestore: Warm on an uncached store")
 	}
 	for _, id := range ids {
-		buf := make([]byte, s.dev.PageSize())
-		if _, err := s.dev.ReadPage(id, buf); err != nil {
+		page, _, err := s.dev.ReadPage(id)
+		if err != nil {
 			return err
 		}
 		sh := s.cache.shardFor(id)
 		sh.mu.Lock()
-		sh.lru.putResident(id, buf)
+		sh.lru.putResident(id, page)
 		sh.mu.Unlock()
 	}
 	// Warming is free: it models pages already resident, so refund the
@@ -369,10 +377,23 @@ func (s *Store) DropCache() {
 const minShardCapacity = 64
 
 // maxCacheShards bounds the shard count. It tracks the host's
-// parallelism (device.ParallelStripes) instead of a fixed constant:
-// more independent locks than runnable goroutines buys nothing, while
-// a big fixed count fragments small caches' LRU for no contention win.
-var maxCacheShards = device.ParallelStripes(256)
+// parallelism (parallelStripes) instead of a fixed constant: more
+// independent locks than runnable goroutines buys nothing, while a big
+// fixed count fragments small caches' LRU for no contention win.
+var maxCacheShards = parallelStripes(256)
+
+// parallelStripes returns GOMAXPROCS rounded up to a power of two,
+// floored at 8 and never exceeding limit (the floor wins should a
+// caller pass a limit below 8). The power-of-two rounding keeps shard
+// selection a mask.
+func parallelStripes(limit int) int {
+	n := runtime.GOMAXPROCS(0)
+	s := 8
+	for s < n && s*2 <= limit {
+		s *= 2
+	}
+	return s
+}
 
 // shardedCache splits a page cache into independently locked LRU shards.
 // A page's shard is a hash of its id, so tree levels laid out on
@@ -462,13 +483,18 @@ func (c *lruCache) put(id device.PageID, data []byte) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{id: id, data: data})
-	c.index[id] = el
-	if c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.index, oldest.Value.(*cacheEntry).id)
+	if c.ll.Len() < c.capacity {
+		c.index[id] = c.ll.PushFront(&cacheEntry{id: id, data: data})
+		return
 	}
+	// Full: the least recently used entry is evicted and recycled for
+	// the new page, so a miss on a warm cache allocates nothing.
+	oldest := c.ll.Back()
+	e := oldest.Value.(*cacheEntry)
+	delete(c.index, e.id)
+	e.id, e.data = id, data
+	c.ll.MoveToFront(oldest)
+	c.index[id] = oldest
 }
 
 // putResident inserts without ever evicting, growing the shard's budget

@@ -102,16 +102,49 @@ func TestLRUOrderOnGet(t *testing.T) {
 	}
 }
 
-func TestReadReturnsCopy(t *testing.T) {
+// TestReadSharesImmutableImage pins the read contract: ReadPage hands
+// out the page's shared image, on a miss the device's own and on a hit
+// the cached one, with no copy and no allocation; a later WritePage
+// installs a new image and leaves every image read before it unchanged.
+func TestReadSharesImmutableImage(t *testing.T) {
 	s := newMemStore(2, WithCache(2))
 	payload := make([]byte, 256)
 	payload[0] = 1
-	s.WritePage(0, payload)
-	a, _ := s.ReadPage(0)
-	a[0] = 99 // mutate the caller's copy
-	b, _ := s.ReadPage(0)
-	if b[0] != 1 {
-		t.Error("mutating a returned page must not corrupt the cache")
+	if err := s.WritePage(0, payload); err != nil {
+		t.Fatal(err)
+	}
+	s.DropCache()
+	miss, err := s.ReadPage(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, _, _ := s.Device().ReadPage(0)
+	hit, _ := s.ReadPage(0)
+	if &miss[0] != &dev[0] || &hit[0] != &dev[0] {
+		t.Fatal("ReadPage copied the page instead of sharing the device's image")
+	}
+	payload[0] = 2
+	if err := s.WritePage(0, payload); err != nil {
+		t.Fatal(err)
+	}
+	if miss[0] != 1 {
+		t.Errorf("a later WritePage changed an image ReadPage returned: byte 0 = %d, want 1", miss[0])
+	}
+	if now, _ := s.ReadPage(0); now[0] != 2 {
+		t.Errorf("read after write = %d, want 2", now[0])
+	}
+	if n := testing.AllocsPerRun(100, func() { s.ReadPage(0) }); n != 0 {
+		t.Errorf("a cached ReadPage allocates %v times, want 0", n)
+	}
+	// Three pages cycling through a full two-page cache: every read
+	// misses, admits the device's image and evicts, allocating nothing.
+	cycling := newMemStore(3, WithCache(2))
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { cycling.ReadPage(device.PageID(i % 3)); i++ }); n != 0 {
+		t.Errorf("a missing ReadPage on a full cache allocates %v times, want 0", n)
+	}
+	if hits, _ := cycling.CacheStats(); hits != 0 {
+		t.Fatalf("%d reads hit; the cycle must miss every time", hits)
 	}
 }
 

@@ -298,6 +298,10 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer it.Close()
+	// However the stream ends — Done, an iterator error, or a client that
+	// went away, as every LIMIT-k reader that closes early does — the
+	// pages the iterator read were read: account them.
+	defer func() { s.recordProbe(it.Stats(), 0) }()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -307,6 +311,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		if err := enc.Encode(c); err != nil {
 			return false // client went away; stop pulling pages
 		}
+		s.tuplesSent.Add(int64(len(c.Tuples)))
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -319,7 +324,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		chunk = append(chunk, it.Tuple())
 		sent++
 		if len(chunk) >= scanChunk {
-			s.tuplesSent.Add(int64(len(chunk)))
 			if !emit(ScanChunk{Tuples: chunk, Stats: it.Stats()}) {
 				return
 			}
@@ -331,13 +335,9 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		emit(ScanChunk{Stats: it.Stats(), Error: err.Error()})
 		return
 	}
-	if len(chunk) > 0 {
-		s.tuplesSent.Add(int64(len(chunk)))
-		if !emit(ScanChunk{Tuples: chunk, Stats: it.Stats()}) {
-			return
-		}
+	if len(chunk) > 0 && !emit(ScanChunk{Tuples: chunk, Stats: it.Stats()}) {
+		return
 	}
-	s.recordProbe(it.Stats(), 0)
 	emit(ScanChunk{Stats: it.Stats(), Done: true})
 }
 

@@ -3,7 +3,9 @@ package server_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -292,5 +294,74 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st2.Served.Probe.DataPagesRead == 0 {
 		t.Error("served probe accounting did not record the search's page reads")
+	}
+}
+
+// failAfterWriter is an http.ResponseWriter whose writes fail once ok
+// of them have succeeded: a client that goes away mid-stream. It keeps
+// what it accepted.
+type failAfterWriter struct {
+	header http.Header
+	ok     int
+	got    bytes.Buffer
+}
+
+func (w *failAfterWriter) Header() http.Header { return w.header }
+func (w *failAfterWriter) WriteHeader(int)     {}
+
+func (w *failAfterWriter) Write(p []byte) (int, error) {
+	if w.ok == 0 {
+		return 0, errors.New("client went away")
+	}
+	w.ok--
+	return w.got.Write(p)
+}
+
+// TestAbandonedScanAccounted drives /scan through a writer that fails
+// after the first chunk, as a LIMIT-k reader that closes early does.
+// The server stops pulling pages, but what its iterator read must still
+// reach the served counters: exactly the stats of the same scan pulled
+// directly for the two chunks the server assembled.
+func TestAbandonedScanAccounted(t *testing.T) {
+	const n = 600
+	file, _ := servedRelation(t, n)
+	ix, err := index.New("bftree", pagestore.New(device.New(device.Memory, 4096)), file, 0, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	srv := server.New(ix, server.Options{})
+	body, _ := json.Marshal(server.ScanRequest{Lo: 0, Hi: 5 * n})
+	req := httptest.NewRequest(http.MethodPost, "/scan", bytes.NewReader(body))
+	w := &failAfterWriter{header: http.Header{}, ok: 1}
+	srv.ServeHTTP(w, req)
+
+	// The server pulled the chunk the client took and one more it could
+	// not send.
+	var first server.ScanChunk
+	if err := json.Unmarshal(w.got.Bytes(), &first); err != nil || first.Done || len(first.Tuples) == 0 {
+		t.Fatalf("first chunk %+v (err %v): want a chunk of tuples", first, err)
+	}
+	pulled := 2 * len(first.Tuples)
+	it, err := ix.Scan(0, 5*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pulled; i++ {
+		if !it.Next() {
+			t.Fatalf("direct scan ended after %d tuples", i)
+		}
+	}
+	want := it.Stats()
+	it.Close()
+	got := srv.Served()
+	if got.Probe != want {
+		t.Errorf("served probe = %+v, want the iterator's %+v", got.Probe, want)
+	}
+	if want.DataPagesRead == 0 {
+		t.Error("the direct scan read no data pages; fixture broken")
+	}
+	if got.TuplesSent != int64(len(first.Tuples)) {
+		t.Errorf("tuples sent = %d, want the %d of the chunk the client took", got.TuplesSent, len(first.Tuples))
 	}
 }
