@@ -18,7 +18,7 @@ help:
 	@echo "  make conformance - cross-backend index API conformance suite"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
-	@echo "  make compact  - incremental-compaction gate: stall comparison + race test"
+	@echo "  make compact  - incremental-compaction gate: stall comparison + race test + drift bound"
 	@echo "  make serve    - serving-layer gate: server + loadgen suites under -race, serve-load scaling test"
 	@echo "  make bench    - run every benchmark once (smoke) "
 	@echo "  make bfperf   - smoke-test the wall-clock benchmark (its own module)"
@@ -57,15 +57,19 @@ mixed:
 	$(GO) test -race -run 'TestDriver|TestMixedWorkload' ./internal/bench/
 
 # The incremental-compaction gate: the writer/maintainer race test
-# (drift accounting + page economy under -race) and the stall-comparison
-# smoke asserting incremental cuts the max writer stall vs full rebuild.
+# (drift accounting + page economy under -race), the bound the
+# maintainer alone keeps on drift under full-rate churn, and the
+# stall-comparison smoke asserting incremental cuts the max writer
+# stall vs full rebuild.
 compact:
 	$(GO) test -race -run 'TestIncrementalCompactionRace|TestIncrementalMaintainConverges' ./internal/core/
+	$(GO) test -run TestMaintainerBoundsDrift ./index/
 	$(GO) test -run 'TestCompactionStall' ./internal/bench/
 
 # The serving-layer gate: golden equivalence + capability matrix +
-# backpressure + the 8-client concurrency test under -race, then the
-# serve-load queue-depth scaling assertion over real connections.
+# bad-write rejection + write serialization on every backend + the
+# 8-client concurrency test under -race, then the serve-load
+# queue-depth scaling assertion over real connections.
 serve:
 	$(GO) test -race ./internal/server/...
 	$(GO) test -run 'TestServeLoad|TestArtifactRegistry' ./internal/bench/

@@ -11,7 +11,7 @@
 //	bfserve -index bfforest -shards 8        # sharded forest
 //	bfserve -index bptree -tuples 500000     # exact baseline, bigger relation
 //	bfserve -addr 127.0.0.1:9000 -fpp 0.01   # custom bind and design point
-//	bfserve -backpressure 0.5 -latency 200us # early 429 ramp, real device waits
+//	bfserve -latency 200us                   # real device waits
 //
 // Probe it with curl (see the README quickstart):
 //
@@ -20,10 +20,9 @@
 //	curl -s -XPOST localhost:8080/scan -d '{"lo":100,"hi":200,"limit":5}'
 //
 // Writes against a backend without concurrent-writer support are
-// serialized server-side (the registry trait decides); writes against a
-// drifting BF-tree are admission-gated — a 429 with Retry-After means
-// the tree is approaching its compaction threshold and the maintainer
-// needs a moment to catch up.
+// serialized server-side (the registry trait decides). A BF-tree's
+// background maintainer bounds the drift that writes cause, so every
+// valid write is accepted.
 package main
 
 import (
@@ -48,14 +47,13 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		backend      = flag.String("index", "bftree", "index backend to mount (see registry names)")
-		tuples       = flag.Uint64("tuples", 100000, "synthetic relation size in tuples")
-		fpp          = flag.Float64("fpp", 1e-3, "BF-tree false positive design point")
-		shards       = flag.Int("shards", 0, "bfforest shard count (0: forest default)")
-		backpressure = flag.Float64("backpressure", 0, "fraction of the compaction threshold where write 429s begin ramping (0: server default 0.9, >=1: disabled)")
-		latency      = flag.Duration("latency", 0, "real blocking time per page access (0: none)")
-		seed         = flag.Int64("seed", 42, "relation generator seed")
+		addr    = flag.String("addr", ":8080", "listen address")
+		backend = flag.String("index", "bftree", "index backend to mount (see registry names)")
+		tuples  = flag.Uint64("tuples", 100000, "synthetic relation size in tuples")
+		fpp     = flag.Float64("fpp", 1e-3, "BF-tree false positive design point")
+		shards  = flag.Int("shards", 0, "bfforest shard count (0: forest default)")
+		latency = flag.Duration("latency", 0, "real blocking time per page access (0: none)")
+		seed    = flag.Int64("seed", 42, "relation generator seed")
 	)
 	flag.Parse()
 
@@ -76,9 +74,9 @@ func main() {
 	ix, err := index.New(*backend, pagestore.New(idxDev), file, 0, index.Options{
 		BFTree: core.Options{
 			FPP: *fpp,
-			// A served index must drain its own drift: without the
-			// background maintainer, the admission gate's 429s would
-			// be terminal under sustained writes.
+			// A served index must drain its own drift: the background
+			// maintainer's compaction is what bounds the false-read
+			// rate under sustained writes.
 			Maintenance: core.MaintenancePolicy{
 				Mode:             core.MaintenanceAuto,
 				ReclaimInterval:  time.Millisecond,
@@ -93,10 +91,7 @@ func main() {
 
 	// Writes on a backend without the concurrent-writers trait are
 	// serialized against all reads by the server itself.
-	srv := server.New(ix, server.Options{
-		SerializeWrites:      !b.ConcurrentWriters,
-		BackpressureFraction: *backpressure,
-	})
+	srv := server.New(ix, server.Options{})
 	ln, err := net.Listen("tcp", *addr)
 	fail(err)
 
@@ -129,8 +124,8 @@ func main() {
 	fail(err)
 
 	served := srv.Served()
-	fmt.Printf("bfserve: served %d requests (%d errors, %d backpressure rejections), %d tuples\n",
-		served.Requests, served.Errors, served.Rejected, served.TuplesSent)
+	fmt.Printf("bfserve: served %d requests (%d errors), %d tuples\n",
+		served.Requests, served.Errors, served.TuplesSent)
 }
 
 func fail(err error) {

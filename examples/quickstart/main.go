@@ -89,7 +89,8 @@ func main() {
 		}
 
 		// Range scan: every backend answers it (the hash via its bucket
-		// walk), in key order.
+		// walk). Exact backends return key order; the BF-trees return
+		// each tuple once, in no defined order.
 		scan, err := ix.RangeScan(700, 1400)
 		if err != nil {
 			log.Fatal(err)

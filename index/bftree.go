@@ -97,11 +97,21 @@ func (ix *bfIndex) Stats() Stats {
 
 // Insert adds a key→page association; the BF-Tree indexes pages, not
 // slots, so the reference's slot is ignored.
-func (ix *bfIndex) Insert(key uint64, ref Ref) error { return ix.tree.Insert(key, ref.Page) }
+func (ix *bfIndex) Insert(key uint64, ref Ref) error {
+	if err := checkRef(ix.tree.File(), ref); err != nil {
+		return err
+	}
+	return keyOrder(ix.tree.Insert(key, ref.Page))
+}
 
 // Delete removes a key→page association (physically for counting
 // filters; as tracked fpp drift for standard ones).
-func (ix *bfIndex) Delete(key uint64, ref Ref) error { return ix.tree.Delete(key, ref.Page) }
+func (ix *bfIndex) Delete(key uint64, ref Ref) error {
+	if err := checkRef(ix.tree.File(), ref); err != nil {
+		return err
+	}
+	return keyOrder(ix.tree.Delete(key, ref.Page))
+}
 
 func (ix *bfIndex) MarshalMeta() []byte { return ix.tree.MarshalMeta() }
 
@@ -191,20 +201,26 @@ func (ix *bufferedBFIndex) Stats() Stats { return (&bfIndex{tree: ix.tree}).Stat
 func (ix *bufferedBFIndex) Close() error { return ix.tree.Close() }
 
 func (ix *bufferedBFIndex) Insert(key uint64, ref Ref) error {
+	if err := checkRef(ix.tree.File(), ref); err != nil {
+		return err
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.buf.Insert(key, ref.Page)
+	return keyOrder(ix.buf.Insert(key, ref.Page))
 }
 
 // Delete applies the pending buffer first so a just-buffered
 // association can be deleted like any other.
 func (ix *bufferedBFIndex) Delete(key uint64, ref Ref) error {
+	if err := checkRef(ix.tree.File(), ref); err != nil {
+		return err
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if err := ix.buf.Flush(); err != nil {
-		return err
+		return keyOrder(err)
 	}
-	return ix.tree.Delete(key, ref.Page)
+	return keyOrder(ix.tree.Delete(key, ref.Page))
 }
 
 func (ix *bufferedBFIndex) Flush() error {

@@ -127,6 +127,9 @@ func (ix *bpIndex) Stats() Stats {
 func (ix *bpIndex) Close() error { return nil }
 
 func (ix *bpIndex) Insert(key uint64, ref Ref) error {
+	if err := checkRef(ix.file, ref); err != nil {
+		return err
+	}
 	return ix.tree.Insert(bptree.Entry{Key: key, Ref: ref})
 }
 

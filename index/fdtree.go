@@ -116,7 +116,12 @@ func (ix *fdIndex) Stats() Stats {
 
 func (ix *fdIndex) Close() error { return nil }
 
-func (ix *fdIndex) Insert(key uint64, ref Ref) error { return ix.tree.Insert(key, ref) }
+func (ix *fdIndex) Insert(key uint64, ref Ref) error {
+	if err := checkRef(ix.file, ref); err != nil {
+		return err
+	}
+	return ix.tree.Insert(key, ref)
+}
 
 // Flush forces the memory-resident head tree's records onto the device
 // through the merge cascade.

@@ -25,14 +25,14 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &forestIndex{f: f}, nil
+			return &forestIndex{f: f, file: file}, nil
 		},
 		Open: func(store *Store, file *File, meta []byte) (Index, error) {
 			f, err := forest.Open(store, file, meta)
 			if err != nil {
 				return nil, err
 			}
-			return &forestIndex{f: f}, nil
+			return &forestIndex{f: f, file: file}, nil
 		},
 	})
 }
@@ -44,7 +44,8 @@ func init() {
 // Structural writers on distinct shards never contend, which is the
 // backend's whole reason to exist.
 type forestIndex struct {
-	f *forest.Forest
+	f    *forest.Forest
+	file *File
 }
 
 func (ix *forestIndex) Search(key uint64) (*Result, error)      { return ix.f.Search(key) }
@@ -54,8 +55,9 @@ func (ix *forestIndex) RangeScan(lo, hi uint64) (*Result, error) {
 	return scanRange(ix, lo, hi)
 }
 
-// Scan streams across shards in key order, chaining shard cursors
-// lazily (LIMIT-k never opens shards past its k-th tuple). Each shard
+// Scan streams shard after shard in key order, chaining shard cursors
+// lazily (LIMIT-k never opens shards past its k-th tuple); within a
+// shard the order is its BF-tree's, which is not key order. Each shard
 // cursor holds its own epoch registration.
 func (ix *forestIndex) Scan(lo, hi uint64) (Iterator, error) {
 	if lo > hi {
@@ -89,10 +91,20 @@ func (ix *forestIndex) Stats() Stats {
 }
 
 // Insert adds a key→page association to the key's owner shard.
-func (ix *forestIndex) Insert(key uint64, ref Ref) error { return ix.f.Insert(key, ref.Page) }
+func (ix *forestIndex) Insert(key uint64, ref Ref) error {
+	if err := checkRef(ix.file, ref); err != nil {
+		return err
+	}
+	return keyOrder(ix.f.Insert(key, ref.Page))
+}
 
 // Delete removes a key→page association from the key's owner shard.
-func (ix *forestIndex) Delete(key uint64, ref Ref) error { return ix.f.Delete(key, ref.Page) }
+func (ix *forestIndex) Delete(key uint64, ref Ref) error {
+	if err := checkRef(ix.file, ref); err != nil {
+		return err
+	}
+	return keyOrder(ix.f.Delete(key, ref.Page))
+}
 
 func (ix *forestIndex) MarshalMeta() []byte { return ix.f.MarshalMeta() }
 

@@ -86,6 +86,9 @@ func (ix *hashIndex) Stats() Stats {
 func (ix *hashIndex) Close() error { return nil }
 
 func (ix *hashIndex) Insert(key uint64, ref Ref) error {
+	if err := checkRef(ix.file, ref); err != nil {
+		return err
+	}
 	ix.idx.Insert(key, ref)
 	return nil
 }
@@ -93,6 +96,9 @@ func (ix *hashIndex) Insert(key uint64, ref Ref) error {
 // Delete removes one key→tuple mapping; deleting an absent mapping is a
 // tolerable no-op, matching the hash map semantics.
 func (ix *hashIndex) Delete(key uint64, ref Ref) error {
+	if err := checkRef(ix.file, ref); err != nil {
+		return err
+	}
 	ix.idx.Delete(key, ref)
 	return nil
 }

@@ -89,7 +89,8 @@ type Index interface {
 	// paper's early-exit unit is the page read).
 	SearchFirst(key uint64) (*Result, error)
 	// RangeScan returns every tuple whose indexed field lies in
-	// [lo, hi], in key order.
+	// [lo, hi], each exactly once, in the backend's scan order (see
+	// Iterator).
 	RangeScan(lo, hi uint64) (*Result, error)
 	// Stats reports the index's size and shape.
 	Stats() Stats

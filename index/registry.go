@@ -42,7 +42,9 @@ type Backend struct {
 	Name string
 	// Approximate marks backends whose probe cost (not result) depends
 	// on a false positive probability; the fpp sweeps of the paper's
-	// figures apply only to these.
+	// figures apply only to these. Their scans return each tuple once
+	// in no defined order (see Iterator); every other backend's scans
+	// return key order.
 	Approximate bool
 	// MemoryResident marks backends whose index structure lives in
 	// memory: probes charge no index-device I/O, and the index-device
@@ -51,8 +53,8 @@ type Backend struct {
 	// ConcurrentWriters marks backends whose capability writers
 	// (Insert/Delete) are safe to run concurrently with probes and each
 	// other, per the DESIGN.md §3 contract. Backends without it are
-	// read-safe after build only while no writer runs; the concurrent
-	// conformance suite keys its writer goroutines on this.
+	// read-safe after build only while no writer runs; Serializer and
+	// the concurrent conformance suite key on this.
 	ConcurrentWriters bool
 	// BulkLoad builds the index over the fieldIdx-th field of file,
 	// writing any index pages to store. Required.
@@ -124,6 +126,20 @@ func NewByField(name string, store *Store, file *File, field string, opts Option
 		return nil, &heapfile.UnknownFieldError{Field: field}
 	}
 	return New(name, store, file, fieldIdx, opts)
+}
+
+// Serializer returns the lock pairs under which ix serves probes and
+// writes from many goroutines. A backend whose registry entry lacks
+// ConcurrentWriters gets one RWMutex: probes share it, and each write
+// (Insert, Delete, Flush) holds it alone. Every other backend gets
+// no-ops.
+func Serializer(ix Index) (readLock, readUnlock, writeLock, writeUnlock func()) {
+	if b, _ := Lookup(ix.Stats().Backend); b.ConcurrentWriters {
+		nop := func() {}
+		return nop, nop, nop, nop
+	}
+	var mu sync.RWMutex
+	return mu.RLock, mu.RUnlock, mu.Lock, mu.Unlock
 }
 
 // Open reopens a persisted index from a Persister's MarshalMeta blob.

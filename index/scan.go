@@ -2,15 +2,52 @@ package index
 
 import (
 	"errors"
+	"fmt"
+
+	"bftree/internal/core"
 )
 
-// ErrInvalidRange reports an inverted scan range (lo > hi). Every
-// backend's Scan and RangeScan return it, so range validation behaves
-// identically across the registry.
+// ErrInvalidRange reports input outside what the index covers: an
+// inverted scan range (lo > hi), or a write whose ref names a page
+// outside the relation or, on a BF-tree, a page that breaks the
+// relation's key/page order. Every backend's Scan, RangeScan, Insert
+// and Delete return it, so validation behaves identically across the
+// registry.
 var ErrInvalidRange = errors.New("index: invalid range")
 
+// checkRef rejects a write whose ref names a page outside file: the
+// association would send every later probe of its key to a page the
+// relation does not hold.
+func checkRef(file *File, ref Ref) error {
+	first := file.FirstPage()
+	end := first + PageID(file.NumPages())
+	if ref.Page < first || ref.Page >= end {
+		return fmt.Errorf("%w: page %d outside the relation's pages [%d,%d)", ErrInvalidRange, ref.Page, first, end)
+	}
+	return nil
+}
+
+// keyOrder reports a BF-tree write whose page lies outside the key's
+// leaf (core.ErrKeyRange) as the caller's ErrInvalidRange.
+func keyOrder(err error) error {
+	if errors.Is(err, core.ErrKeyRange) {
+		return fmt.Errorf("%w: %w", ErrInvalidRange, err)
+	}
+	return err
+}
+
 // Iterator streams the tuples of a range scan, one at a time, in the
-// backend's scan order. The contract:
+// backend's scan order, each tuple exactly once:
+//
+//   - exact backends (bptree, fdtree, hash) return key order;
+//   - approximate backends (the registry's Approximate trait) return no
+//     defined order: a BF-leaf only partly inside the range reads each
+//     page as soon as a probed key flags it, so its pages come out in
+//     probe order, neither key nor page order;
+//   - bfforest chains its shards in key order, each shard in its
+//     BF-tree's order.
+//
+// The contract:
 //
 //   - Next advances to the next tuple and reports whether one exists;
 //     after it returns false the iterator is exhausted (check Err).

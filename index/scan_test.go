@@ -50,6 +50,17 @@ func backendOf(v scanVariant) string {
 	return v.name
 }
 
+// unsortedAt returns the index of the first tuple whose key is below
+// its predecessor's, or -1 when tuples are in key order.
+func unsortedAt(file *heapfile.File, tuples [][]byte) int {
+	for i := 1; i < len(tuples); i++ {
+		if file.Schema().Get(tuples[i], 0) < file.Schema().Get(tuples[i-1], 0) {
+			return i
+		}
+	}
+	return -1
+}
+
 func buildVariant(t *testing.T, v scanVariant, file *heapfile.File) index.Index {
 	t.Helper()
 	idxStore := pagestore.New(device.New(device.Memory, 4096))
@@ -161,6 +172,17 @@ func TestConformanceScanStream(t *testing.T) {
 				if streamed.Stats != sliced.Stats {
 					t.Fatalf("Drain(Scan[%d,%d]) stats %+v != RangeScan stats %+v",
 						lo, hi, streamed.Stats, sliced.Stats)
+				}
+				// Exact backends return key order; approximate ones only
+				// promise each tuple once, which the multiset checks
+				// above already pin.
+				if b, _ := index.Lookup(backendOf(v)); !b.Approximate {
+					if i := unsortedAt(file, streamed.Tuples); i >= 0 {
+						t.Fatalf("Scan[%d,%d]: tuple %d breaks key order", lo, hi, i)
+					}
+					if i := unsortedAt(file, sliced.Tuples); i >= 0 {
+						t.Fatalf("RangeScan[%d,%d]: tuple %d breaks key order", lo, hi, i)
+					}
 				}
 			}
 

@@ -52,9 +52,6 @@ type Record struct {
 	LeavesCompacted   uint64 `json:"leaves_compacted,omitempty"`
 	// MaxFPP is the highest sampled effective false-positive rate.
 	MaxFPP float64 `json:"max_fpp,omitempty"`
-	// Backpressure counts the 429 rejections a serve-load client
-	// absorbed (sleep-and-retry) during its level.
-	Backpressure int64 `json:"backpressure,omitempty"`
 }
 
 // Artifacts maps each JSON-emitting experiment to its canonical

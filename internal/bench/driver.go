@@ -120,10 +120,10 @@ type opLat struct {
 // Drive executes the configured operation streams against t from
 // Workers goroutines and aggregates throughput, per-kind latency
 // quantiles and probe-cost accounting. The first worker error aborts
-// the run. An index.Index whose backend lacks the ConcurrentWriters
-// trait is read-safe only while no writer runs, so Drive serializes its
-// writers behind an RWMutex (readers proceed shared); a remote target's
-// server serializes its own writes.
+// the run. An index.Index runs under index.Serializer, so writers on a
+// backend without the ConcurrentWriters trait hold its RWMutex alone
+// while readers share it; a remote target's server serializes its own
+// writes.
 func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -138,14 +138,10 @@ func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 
 	del, _ := t.(index.Deleter)
 
-	var writeMu sync.RWMutex
-	readLock, readUnlock := func() {}, func() {}
-	writeLock, writeUnlock := func() {}, func() {}
+	nop := func() {}
+	readLock, readUnlock, writeLock, writeUnlock := nop, nop, nop, nop
 	if ix, ok := t.(index.Index); ok {
-		if b, _ := index.Lookup(ix.Stats().Backend); !b.ConcurrentWriters {
-			readLock, readUnlock = writeMu.RLock, writeMu.RUnlock
-			writeLock, writeUnlock = writeMu.Lock, writeMu.Unlock
-		}
+		readLock, readUnlock, writeLock, writeUnlock = index.Serializer(ix)
 	}
 
 	exec := func(w int, op workload.Op) (*index.Result, error) {

@@ -56,15 +56,11 @@ type ServeLoadCell struct {
 	Backend string
 	Conns   int
 	Result  *DriverResult
-	// Backpressure counts the 429 rejections the client absorbed
-	// (sleep-and-retry) during the level.
-	Backpressure int64
 }
 
 // ServeLoadSweep mounts each named backend behind an HTTP server on a
 // loopback listener and drives the OLTP preset through the load
-// generator at every connection level. SerializeWrites follows the
-// registry trait, exactly as cmd/bfserve wires it.
+// generator at every connection level.
 func ServeLoadSweep(scale Scale, names []string, levels []int) ([]*ServeLoadCell, error) {
 	fx, err := mixedSyntheticFixture(scale)
 	if err != nil {
@@ -74,17 +70,12 @@ func ServeLoadSweep(scale Scale, names []string, levels []int) ([]*ServeLoadCell
 
 	var out []*ServeLoadCell
 	for _, name := range names {
-		b, ok := index.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("bench: serve-load: %w: %q", index.ErrUnknownBackend, name)
-		}
 		// A served index must drain its own drift: the OLTP preset's
 		// writes push the fpp estimate toward the compaction threshold,
-		// and the server's admission gate turns that drift into 429s.
-		// Without a background maintainer those rejections would be
-		// terminal — nothing ever compacts — so serve-load mounts every
-		// backend exactly as cmd/bfserve does: auto maintenance on a
-		// short reclaim tick (exact backends ignore the policy).
+		// and only a background maintainer compacts it back. So
+		// serve-load mounts every backend exactly as cmd/bfserve does:
+		// auto maintenance on a short reclaim tick (exact backends
+		// ignore the policy).
 		opts := fx.opts
 		opts.BFTree.Maintenance = core.MaintenancePolicy{
 			Mode:             core.MaintenanceAuto,
@@ -96,10 +87,7 @@ func ServeLoadSweep(scale Scale, names []string, levels []int) ([]*ServeLoadCell
 		if err != nil {
 			return nil, err
 		}
-		srv := server.New(ix, server.Options{
-			SerializeWrites: !b.ConcurrentWriters,
-			RetryAfter:      time.Millisecond,
-		})
+		srv := server.New(ix, server.Options{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			ix.Close()
@@ -111,14 +99,7 @@ func ServeLoadSweep(scale Scale, names []string, levels []int) ([]*ServeLoadCell
 
 		runLevels := func() error {
 			for _, conns := range levels {
-				// MaxRetries must outlast the longest backpressure
-				// drain: at drift >= threshold every write rejects
-				// until the maintainer compacts the estimate back
-				// below the admission ramp.
-				cl, err := loadgen.Dial(base, loadgen.Options{
-					Connections: conns,
-					MaxRetries:  10000,
-				})
+				cl, err := loadgen.Dial(base, loadgen.Options{Connections: conns})
 				if err != nil {
 					return err
 				}
@@ -143,18 +124,12 @@ func ServeLoadSweep(scale Scale, names []string, levels []int) ([]*ServeLoadCell
 				})
 				idxDev.SetRealLatency(0)
 				fx.dataDev.SetRealLatency(0)
-				bp := cl.BackpressureEvents()
 				cl.Close()
 				if derr != nil {
 					return fmt.Errorf("bench: serve-load %s @%d conns: %w", name, conns, derr)
 				}
 				res.Moves = moves
-				out = append(out, &ServeLoadCell{
-					Backend:      name,
-					Conns:        conns,
-					Result:       res,
-					Backpressure: bp,
-				})
+				out = append(out, &ServeLoadCell{Backend: name, Conns: conns, Result: res})
 			}
 			return nil
 		}
@@ -195,15 +170,14 @@ func RunServeLoad(scale Scale) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Latency under load: OLTP preset over HTTP, %v per page access",
 			serveLoadLatency),
-		Header: []string{"backend", "conns", "ops", "wall", "ops/s", "speedup", "p50", "p99", "429s"},
+		Header: []string{"backend", "conns", "ops", "wall", "ops/s", "speedup", "p50", "p99"},
 		Notes: []string{
 			"every row drives the OLTP preset through the load generator over",
 			"real loopback connections against an HTTP server mounting the",
 			"backend (internal/server). One connection is latency-bound: each",
 			"probe waits out its page reads end to end. N connections overlap",
 			"those waits in the server's handler pool; speedup is ops/s over",
-			"the backend's own 1-connection row. 429s counts backpressure",
-			"rejections the client absorbed by sleep-and-retry.",
+			"the backend's own 1-connection row.",
 		},
 	}
 	var records []Record
@@ -222,19 +196,17 @@ func RunServeLoad(scale Scale) (*Table, error) {
 			speedup,
 			r.P50.Round(10*time.Microsecond).String(),
 			r.P99.Round(10*time.Microsecond).String(),
-			fmt.Sprint(c.Backpressure),
 		)
 		records = append(records, Record{
-			Experiment:   "serve-load",
-			Backend:      c.Backend,
-			Preset:       "oltp",
-			Workers:      c.Conns,
-			Ops:          r.Ops,
-			Throughput:   r.Throughput,
-			P50:          r.P50.Seconds(),
-			P99:          r.P99.Seconds(),
-			Moved:        mixedMovesLabel(r.Moves),
-			Backpressure: c.Backpressure,
+			Experiment: "serve-load",
+			Backend:    c.Backend,
+			Preset:     "oltp",
+			Workers:    c.Conns,
+			Ops:        r.Ops,
+			Throughput: r.Throughput,
+			P50:        r.P50.Seconds(),
+			P99:        r.P99.Seconds(),
+			Moved:      mixedMovesLabel(r.Moves),
 		})
 	}
 	if err := writeArtifact(scale, "serve-load", records); err != nil {

@@ -38,7 +38,7 @@ type MaintenanceStats struct {
 	// FPPThreshold is the policy's compaction threshold (after
 	// defaulting): the Equation 14 estimate at which drift compaction
 	// triggers, 1 when drift compaction is disabled. Exposed so layers
-	// above the tree — the serving layer's admission backpressure — can
+	// above the tree — the server's /stats, tests that bound drift — can
 	// relate live drift to the compaction point without holding the
 	// policy themselves.
 	FPPThreshold float64

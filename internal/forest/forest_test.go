@@ -264,8 +264,9 @@ func TestForestCrossShardBoundaries(t *testing.T) {
 	})
 }
 
-// TestForestScanOrder pins that scans come out in nondecreasing key
-// order across shard boundaries (concatenation).
+// TestForestScanOrder pins that shards are chained in key order: a
+// full-domain scan, which covers every leaf whole, comes out in
+// nondecreasing key order across shard boundaries.
 func TestForestScanOrder(t *testing.T) {
 	const n, dups = 4000, 7
 	file, _ := buildRelation(t, n, dups)

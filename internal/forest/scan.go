@@ -18,8 +18,10 @@ type Iterator interface {
 }
 
 // Scan streams every tuple whose indexed field lies in [lo, hi] across
-// all shards, in nondecreasing key order, each association exactly
-// once.
+// all shards, each association exactly once. Shards come out in key
+// order; within a shard, tuples come in the order of its BF-tree's
+// scan, which emits a boundary leaf's pages in probe order, so the
+// whole stream is in key order only when no leaf straddles lo or hi.
 //
 // Shard cursors chain lazily: shards are ordered and disjoint by key,
 // so the merge degenerates to concatenation, and a LIMIT-k consumer

@@ -7,9 +7,9 @@
 //
 // One Client is safe for concurrent use by many workers; the underlying
 // http.Transport pools one connection per concurrent request up to
-// Options.Connections. Writes honor the server's 429 backpressure:
-// they pause for the X-Retry-After-Ms the server asked for and retry,
-// counting each pause in BackpressureEvents.
+// Options.Connections. Every request is sent once: the server accepts
+// each valid write whatever the drift, so a write error is the
+// answer, never a signal to retry.
 //
 // Capability note: the Go type implements every capability method, so
 // index.Capabilities(client) reports everything as supported. What the
@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
-	"time"
 
 	"bftree/index"
 	"bftree/internal/server"
@@ -39,8 +37,6 @@ type Options struct {
 	// driver's worker count so every concurrent worker keeps its own
 	// connection instead of churning through dials. 0 selects 2.
 	Connections int
-	// MaxRetries bounds the 429 retry loop per write; 0 selects 16.
-	MaxRetries int
 }
 
 // Client speaks the serving layer's wire protocol. Zero value is not
@@ -48,12 +44,9 @@ type Options struct {
 type Client struct {
 	base string
 	hc   *http.Client
-	opts Options
 
 	backend string
 	caps    index.CapSet
-
-	backpressure atomic.Int64
 }
 
 // Dial builds a Client for the server at base (e.g.
@@ -63,9 +56,6 @@ func Dial(base string, opts Options) (*Client, error) {
 	if opts.Connections <= 0 {
 		opts.Connections = 2
 	}
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 16
-	}
 	tr := &http.Transport{
 		MaxIdleConns:        opts.Connections,
 		MaxIdleConnsPerHost: opts.Connections,
@@ -73,7 +63,6 @@ func Dial(base string, opts Options) (*Client, error) {
 	c := &Client{
 		base: base,
 		hc:   &http.Client{Transport: tr},
-		opts: opts,
 	}
 	st, err := c.Stats()
 	if err != nil {
@@ -99,10 +88,6 @@ func (c *Client) WorkloadCaps() workload.Caps {
 	return workload.Caps{Delete: c.caps.Delete}
 }
 
-// BackpressureEvents returns how many 429 rejections this client has
-// absorbed (each one slept and retried).
-func (c *Client) BackpressureEvents() int64 { return c.backpressure.Load() }
-
 // Close releases pooled connections.
 func (c *Client) Close() error {
 	c.hc.CloseIdleConnections()
@@ -112,10 +97,9 @@ func (c *Client) Close() error {
 // apiError is a non-2xx answer, carrying enough of the wire
 // ErrorResponse to map back onto the index package's sentinel errors.
 type apiError struct {
-	Status       int
-	Msg          string
-	Capability   string
-	RetryAfterMs int
+	Status     int
+	Msg        string
+	Capability string
 }
 
 func (e *apiError) Error() string {
@@ -124,7 +108,8 @@ func (e *apiError) Error() string {
 
 // Unwrap maps protocol statuses onto the index sentinels so callers
 // keep their errors.Is checks: 405 is a capability gap
-// (ErrUnsupported), 400 a range the backend rejected (ErrInvalidRange).
+// (ErrUnsupported), 400 a range or write the backend rejected
+// (ErrInvalidRange).
 func (e *apiError) Unwrap() error {
 	switch e.Status {
 	case http.StatusMethodNotAllowed:
@@ -161,12 +146,7 @@ func (c *Client) post(method, path string, body, out any) error {
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var wire server.ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&wire)
-		return &apiError{
-			Status:       resp.StatusCode,
-			Msg:          wire.Error,
-			Capability:   wire.Capability,
-			RetryAfterMs: wire.RetryAfterMs,
-		}
+		return &apiError{Status: resp.StatusCode, Msg: wire.Error, Capability: wire.Capability}
 	}
 	if out != nil {
 		return json.NewDecoder(resp.Body).Decode(out)
@@ -252,41 +232,19 @@ func (c *Client) Scan(lo, hi uint64) (index.Iterator, error) {
 	return c.ScanLimit(lo, hi, 0)
 }
 
-// write runs one mutating request with the backpressure retry loop.
-func (c *Client) write(path string, req any) error {
-	for attempt := 0; ; attempt++ {
-		err := c.post(http.MethodPost, path, req, nil)
-		if err == nil {
-			return nil
-		}
-		var ae *apiError
-		if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests || attempt >= c.opts.MaxRetries {
-			return err
-		}
-		c.backpressure.Add(1)
-		pause := time.Duration(ae.RetryAfterMs) * time.Millisecond
-		if pause <= 0 {
-			pause = 10 * time.Millisecond
-		}
-		time.Sleep(pause)
-	}
-}
-
-// Insert adds a key→tuple association, served remotely; 429
-// backpressure is absorbed by sleep-and-retry.
+// Insert adds a key→tuple association, served remotely.
 func (c *Client) Insert(key uint64, ref index.Ref) error {
-	return c.write("/insert", server.WriteRequest{Key: key, Page: uint64(ref.Page), Slot: ref.Slot})
+	return c.post(http.MethodPost, "/insert", server.WriteRequest{Key: key, Page: uint64(ref.Page), Slot: ref.Slot}, nil)
 }
 
-// Delete removes a key→tuple association, served remotely; 429
-// backpressure is absorbed by sleep-and-retry.
+// Delete removes a key→tuple association, served remotely.
 func (c *Client) Delete(key uint64, ref index.Ref) error {
-	return c.write("/delete", server.WriteRequest{Key: key, Page: uint64(ref.Page), Slot: ref.Slot})
+	return c.post(http.MethodPost, "/delete", server.WriteRequest{Key: key, Page: uint64(ref.Page), Slot: ref.Slot}, nil)
 }
 
 // Flush forces the server's buffered writes to the device.
 func (c *Client) Flush() error {
-	return c.write("/flush", nil)
+	return c.post(http.MethodPost, "/flush", nil, nil)
 }
 
 // scanIterator adapts one streamed /scan response to index.Iterator.

@@ -12,60 +12,37 @@
 // served-probe accounting, and the maintenance snapshot — which is also
 // how clients learn what they may call.
 //
-// The server turns the maintenance layer's drift accounting into flow
-// control: when a mounted Maintainer's live drift estimate
-// (Stats().EffectiveFPP, which writers update continuously) approaches
-// its Equation-14 compaction threshold, writes are rejected
-// with 429 + Retry-After at a probability that ramps from 0 at
-// BackpressureFraction×threshold to 1 at the threshold itself. The ramp
-// matters: rejecting every write below the threshold would freeze the
-// drift just under the compaction point and the maintainer would never
-// fire — a permanent write outage. Probabilistic admission always lets
-// some writes through, so drift still reaches the threshold, compaction
-// runs, the published drift drops, and admission reopens.
+// Nothing about the mount is configured: the backend's registry entry
+// decides whether writes run exclusive of every other request
+// (index.Serializer), and a BF-tree's drift is bounded by its own
+// background maintainer, so every valid write is accepted at any drift.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net/http"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"bftree/index"
 )
 
-// Options configures a Server.
+// Options configures nothing: the server works out all it needs from
+// the mounted index, and New reads none of these fields. Pass
+// Options{}.
 type Options struct {
-	// BackpressureFraction positions the admission ramp: writes start
-	// being rejected once drift exceeds fraction×threshold, and are
-	// always rejected at the threshold. 0 selects 0.9; a value >= 1
-	// disables backpressure entirely. Ignored when the mounted backend
-	// is not a Maintainer or its policy disables drift compaction
-	// (threshold 0 or >= 1).
+	// Deprecated: ignored. Drift never refuses a write; the mounted
+	// backend's maintainer bounds it.
 	BackpressureFraction float64
-	// RetryAfter is the pause a 429 asks rejected writers to take,
-	// carried at millisecond precision in X-Retry-After-Ms (the
-	// standard Retry-After header rounds up to whole seconds). 0
-	// selects 50ms.
-	RetryAfter time.Duration
-	// SerializeWrites serializes capability writes behind an RWMutex
-	// (reads proceed shared) — the serving mode for backends without
-	// the ConcurrentWriters registry trait, which are read-safe only
-	// while no writer runs. Mount-time wiring (cmd/bfserve, the bench
-	// experiment) sets it from the registry trait.
+	// Deprecated: ignored. Writes are serialized exactly when the
+	// mounted backend's registry entry lacks ConcurrentWriters (see
+	// index.Serializer).
 	SerializeWrites bool
 }
 
-const (
-	defaultBackpressureFraction = 0.9
-	defaultRetryAfter           = 50 * time.Millisecond
-	// scanChunk is the tuple count per streamed /scan NDJSON line.
-	scanChunk = 64
-)
+// scanChunk is the tuple count per streamed /scan NDJSON line.
+const scanChunk = 64
 
 // Server mounts one index.Index behind the HTTP protocol of wire.go.
 // It is an http.Handler; run it under any http.Server.
@@ -73,59 +50,30 @@ type Server struct {
 	ix      index.Index
 	backend string
 	caps    index.CapSet
-	opts    Options
 	mux     *http.ServeMux
 
-	// threshold is the mounted Maintainer's Equation-14 compaction
-	// threshold, cached at mount (the policy never changes after
-	// build); 0 when the backend has no maintainer. The admission gate
-	// compares the *live* drift estimate (Stats().EffectiveFPP, which
-	// writers update continuously) against it — the pass-published
-	// MaintenanceStats().EffectiveFPP is post-compaction and would
-	// always read as healthy.
-	threshold float64
-
-	// writeMu implements Options.SerializeWrites; the zero-overhead
-	// no-op pairs are installed when serialization is off.
-	writeMu                sync.RWMutex
+	// The index.Serializer pairs: real RWMutex halves for a backend
+	// without ConcurrentWriters, no-ops otherwise.
 	readLock, readUnlock   func()
 	writeLock, writeUnlock func()
 
 	// served accounting, accumulated with atomics on the request path.
-	requests, errCount, rejected, tuplesSent atomic.Int64
-	indexReads, bfProbes, candPages          atomic.Int64
-	dataPages, falseReads                    atomic.Int64
-
-	// admitRand draws the admission coin; replaced in tests.
-	admitRand func() float64
+	requests, errCount, tuplesSent  atomic.Int64
+	indexReads, bfProbes, candPages atomic.Int64
+	dataPages, falseReads           atomic.Int64
 }
 
-// New mounts ix behind a Server. The capability surface is discovered
-// once here — backends do not grow or lose capabilities after build.
+// New mounts ix behind a Server. The capability surface and the write
+// serialization are worked out once here — backends do not grow or
+// lose capabilities after build. opts is ignored (see Options).
 func New(ix index.Index, opts Options) *Server {
-	if opts.BackpressureFraction == 0 {
-		opts.BackpressureFraction = defaultBackpressureFraction
-	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = defaultRetryAfter
-	}
 	s := &Server{
-		ix:        ix,
-		backend:   ix.Stats().Backend,
-		caps:      index.Capabilities(ix),
-		opts:      opts,
-		mux:       http.NewServeMux(),
-		admitRand: rand.Float64,
+		ix:      ix,
+		backend: ix.Stats().Backend,
+		caps:    index.Capabilities(ix),
+		mux:     http.NewServeMux(),
 	}
-	if m, ok := ix.(index.Maintainer); ok {
-		s.threshold = m.MaintenanceStats().FPPThreshold
-	}
-	nop := func() {}
-	s.readLock, s.readUnlock, s.writeLock, s.writeUnlock = nop, nop, nop, nop
-	if opts.SerializeWrites {
-		s.readLock, s.readUnlock = s.writeMu.RLock, s.writeMu.RUnlock
-		s.writeLock, s.writeUnlock = s.writeMu.Lock, s.writeMu.Unlock
-	}
+	s.readLock, s.readUnlock, s.writeLock, s.writeUnlock = index.Serializer(ix)
 
 	s.mux.HandleFunc("POST /search", s.handleSearch)
 	s.mux.HandleFunc("POST /range", s.handleRange)
@@ -154,7 +102,6 @@ func (s *Server) Served() ServedStats {
 	return ServedStats{
 		Requests:   s.requests.Load(),
 		Errors:     s.errCount.Load(),
-		Rejected:   s.rejected.Load(),
 		TuplesSent: s.tuplesSent.Load(),
 		Probe: index.ProbeStats{
 			IndexReads:     int(s.indexReads.Load()),
@@ -183,9 +130,11 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// fail maps an index error onto the protocol: invalid ranges are the
-// caller's fault (400), ErrUnsupported means a capability gap (405),
-// anything else is the server's (500).
+// fail maps an index error onto the protocol: ErrInvalidRange (an
+// inverted range, or a write whose page lies outside the relation or
+// breaks its key/page order) is the caller's fault (400),
+// ErrUnsupported means a capability gap (405), anything else is the
+// server's (500).
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	s.errCount.Add(1)
 	status := http.StatusInternalServerError
@@ -341,57 +290,9 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	emit(ScanChunk{Stats: it.Stats(), Done: true})
 }
 
-// admitWrite decides one write's admission given the published drift,
-// the compaction threshold, the ramp start fraction, and a uniform
-// draw in [0,1). Pure, so the contract is directly testable:
-//
-//	drift <  fraction×T          → always admit
-//	drift in [fraction×T, T)     → admit with probability 1 − ramp
-//	drift >= T                   → always reject (until compaction
-//	                               publishes a lower drift)
-func admitWrite(drift, threshold, fraction, draw float64) bool {
-	if threshold <= 0 || threshold >= 1 || fraction >= 1 {
-		return true // drift compaction or backpressure disabled
-	}
-	start := fraction * threshold
-	if drift < start {
-		return true
-	}
-	if drift >= threshold {
-		return false
-	}
-	ramp := (drift - start) / (threshold - start)
-	return draw >= ramp
-}
-
-// admit runs the backpressure gate for one write. A false return has
-// already answered the request with 429 + Retry-After.
-func (s *Server) admit(w http.ResponseWriter) bool {
-	if s.threshold == 0 {
-		return true // no maintainer mounted
-	}
-	if admitWrite(s.ix.Stats().EffectiveFPP, s.threshold, s.opts.BackpressureFraction, s.admitRand()) {
-		return true
-	}
-	s.rejected.Add(1)
-	retryMs := int(s.opts.RetryAfter / time.Millisecond)
-	// Retry-After is whole seconds by spec; round up so "50ms" does not
-	// become "0". X-Retry-After-Ms carries the real pause.
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", (s.opts.RetryAfter+time.Second-1)/time.Second))
-	w.Header().Set("X-Retry-After-Ms", fmt.Sprintf("%d", retryMs))
-	s.writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-		Error:        "write rejected: drift at the compaction threshold; retry after maintenance",
-		RetryAfterMs: retryMs,
-	})
-	return false
-}
-
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req WriteRequest
 	if !s.decode(w, r, &req) {
-		return
-	}
-	if !s.admit(w) {
 		return
 	}
 	s.writeLock()
@@ -411,9 +312,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	var req WriteRequest
 	if !s.decode(w, r, &req) {
-		return
-	}
-	if !s.admit(w) {
 		return
 	}
 	s.writeLock()

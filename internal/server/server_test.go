@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"testing"
 
 	"bftree/index"
@@ -49,23 +52,18 @@ func servedRelation(t testing.TB, n int) (*heapfile.File, *pagestore.Store) {
 	return file, store
 }
 
-// mount builds backend name over file, serves it over a real listener,
-// and dials a client. SerializeWrites is set from the registry trait,
-// exactly as production wiring does.
-func mount(t testing.TB, name string, file *heapfile.File, sopts server.Options) (index.Index, *loadgen.Client) {
+// mount builds backend name over file, serves it over a real listener
+// with zero Options, as every production mount does, and dials a
+// client.
+func mount(t testing.TB, name string, file *heapfile.File) (index.Index, *loadgen.Client) {
 	t.Helper()
-	b, ok := index.Lookup(name)
-	if !ok {
-		t.Fatalf("backend %q not registered", name)
-	}
 	idxStore := pagestore.New(device.New(device.Memory, 4096))
 	ix, err := index.New(name, idxStore, file, 0, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	sopts.SerializeWrites = !b.ConcurrentWriters
-	ts := httptest.NewServer(server.New(ix, sopts))
+	ts := httptest.NewServer(server.New(ix, server.Options{}))
 	t.Cleanup(ts.Close)
 	cl, err := loadgen.Dial(ts.URL, loadgen.Options{})
 	if err != nil {
@@ -106,7 +104,7 @@ func TestGoldenEquivalence(t *testing.T) {
 
 	for _, name := range index.Backends() {
 		t.Run(name, func(t *testing.T) {
-			ix, cl := mount(t, name, file, server.Options{})
+			ix, cl := mount(t, name, file)
 
 			for _, key := range []uint64{0, 5, maxKey / 2, maxKey, 7, maxKey + 100} {
 				got, err := cl.Search(key)
@@ -226,7 +224,7 @@ func TestCapabilityMatrix(t *testing.T) {
 
 	for _, name := range index.Backends() {
 		t.Run(name, func(t *testing.T) {
-			_, cl := mount(t, name, file, server.Options{})
+			_, cl := mount(t, name, file)
 			caps := cl.Caps()
 			ref := index.Ref{Page: file.PageOf(0)}
 
@@ -262,7 +260,7 @@ func TestCapabilityMatrix(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	const n = 600
 	file, _ := servedRelation(t, n)
-	ix, cl := mount(t, "bftree", file, server.Options{})
+	ix, cl := mount(t, "bftree", file)
 
 	st, err := cl.Stats()
 	if err != nil {
@@ -363,5 +361,126 @@ func TestAbandonedScanAccounted(t *testing.T) {
 	}
 	if got.TuplesSent != int64(len(first.Tuples)) {
 		t.Errorf("tuples sent = %d, want the %d of the chunk the client took", got.TuplesSent, len(first.Tuples))
+	}
+}
+
+// tuplesOf brute-force scans file for the tuples with key in [lo, hi],
+// canonicalized for multiset comparison.
+func tuplesOf(t *testing.T, file *heapfile.File, lo, hi uint64) []string {
+	t.Helper()
+	var out []string
+	err := file.Scan(func(_ device.PageID, _ int, tup []byte) bool {
+		if k := file.Schema().Get(tup, 0); k >= lo && k <= hi {
+			out = append(out, string(tup))
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sortedTuples canonicalizes a probe's tuples for multiset comparison.
+func sortedTuples(res *index.Result) []string {
+	out := make([]string, len(res.Tuples))
+	for i, tup := range res.Tuples {
+		out[i] = string(tup)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestInvalidWriteRefs sends every backend writes whose ref no probe
+// could follow: a page past the relation's end, and on a BF-tree a page
+// outside the key's leaf, which breaks the relation's key/page order.
+// In process each returns ErrInvalidRange, over HTTP each answers 400,
+// and afterwards every read of the key, in process and over HTTP, still
+// returns its golden tuples.
+func TestInvalidWriteRefs(t *testing.T) {
+	const n = 6000 // keys 0,5,...,9995; 3 tuples each; 3 BF-leaves
+	file, _ := servedRelation(t, n)
+	maxKey := uint64(n/3-1) * 5
+	end := uint64(file.FirstPage()) + file.NumPages()
+	cases := []struct {
+		name string
+		key  uint64
+		page uint64
+		// keyOrder marks an association that names a real page but
+		// breaks key/page order. Only a BF-tree insert refuses it: the
+		// exact backends index refs, not page ranges, and deleting an
+		// association nobody inserted is a no-op on every backend.
+		keyOrder bool
+	}{
+		{"far past the end", maxKey, 999999, false},
+		{"one past the end", n / 6 * 5, end, false},
+		{"first page, tail key", maxKey, uint64(file.FirstPage()), true},
+		{"first page, key past the domain", math.MaxUint64, uint64(file.FirstPage()), true},
+	}
+
+	for _, name := range index.Backends() {
+		b, _ := index.Lookup(name)
+		for _, viaHTTP := range []bool{false, true} {
+			mode := "direct"
+			if viaHTTP {
+				mode = "http"
+			}
+			t.Run(name+"/"+mode, func(t *testing.T) {
+				ix, cl := mount(t, name, file)
+				// Over HTTP the client maps a 400, and only a 400, back
+				// to ErrInvalidRange.
+				ins, del := index.Inserter(cl), index.Deleter(cl)
+				if !viaHTTP {
+					ins = ix
+					del, _ = ix.(index.Deleter)
+				}
+				if !cl.Caps().Delete {
+					del = nil
+				}
+				for _, c := range cases {
+					ref := index.Ref{Page: device.PageID(c.page)}
+					writes := map[string]error{"insert": ins.Insert(c.key, ref)}
+					if del != nil {
+						writes["delete"] = del.Delete(c.key, ref)
+					}
+					for op, err := range writes {
+						if c.keyOrder && !(b.Approximate && op == "insert") {
+							if err != nil {
+								t.Errorf("%s %s (key %d, page %d): %v, want accepted", op, c.name, c.key, c.page, err)
+							}
+						} else if !errors.Is(err, index.ErrInvalidRange) {
+							t.Errorf("%s %s (key %d, page %d): %v, want ErrInvalidRange", op, c.name, c.key, c.page, err)
+						}
+					}
+				}
+
+				for _, c := range cases {
+					want := tuplesOf(t, file, c.key, c.key)
+					reads := map[string]func() (*index.Result, error){
+						"search": func() (*index.Result, error) { return cl.Search(c.key) },
+						"multi":  func() (*index.Result, error) { return cl.MultiSearch([]uint64{c.key}) },
+						"range":  func() (*index.Result, error) { return cl.RangeScan(c.key, c.key) },
+						"direct": func() (*index.Result, error) { return ix.RangeScan(c.key, c.key) },
+					}
+					for op, read := range reads {
+						res, err := read()
+						if err != nil {
+							t.Fatalf("%s of key %d after %s: %v", op, c.key, c.name, err)
+						}
+						if got := sortedTuples(res); !slices.Equal(got, want) {
+							t.Errorf("%s of key %d after %s: %d tuples, want %d", op, c.key, c.name, len(got), len(want))
+						}
+					}
+					first, err := cl.SearchFirst(c.key)
+					if err != nil {
+						t.Fatalf("first-match search of key %d after %s: %v", c.key, c.name, err)
+					}
+					if len(first.Tuples) > len(want) || (len(want) > 0 && len(first.Tuples) == 0) {
+						t.Errorf("first-match search of key %d: %d tuples, want 1..%d", c.key, len(first.Tuples), len(want))
+					}
+				}
+			})
+		}
 	}
 }

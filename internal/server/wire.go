@@ -72,13 +72,10 @@ type ScanChunk struct {
 }
 
 // ErrorResponse is the body of every non-2xx answer. Capability names
-// the missing optional interface on a 405; RetryAfterMs carries the
-// backpressure pause on a 429 (the Retry-After header only has 1-second
-// granularity).
+// the missing optional interface on a 405.
 type ErrorResponse struct {
-	Error        string `json:"error"`
-	Capability   string `json:"capability,omitempty"`
-	RetryAfterMs int    `json:"retry_after_ms,omitempty"`
+	Error      string `json:"error"`
+	Capability string `json:"capability,omitempty"`
 }
 
 // ServedStats is the server-side accounting exposed at /stats:
@@ -86,14 +83,14 @@ type ErrorResponse struct {
 type ServedStats struct {
 	Requests   int64            `json:"requests"`
 	Errors     int64            `json:"errors"`
-	Rejected   int64            `json:"rejected"` // 429 backpressure rejections
 	TuplesSent int64            `json:"tuples_sent"`
 	Probe      index.ProbeStats `json:"probe"`
 }
 
 // StatsResponse is the body of GET /stats: what is mounted, what it can
 // do, how big it is, what has been served, and (for Maintainer
-// backends) the maintenance snapshot the backpressure gate reads.
+// backends) the maintenance snapshot: the last pass's drift, the
+// compaction threshold and what the maintainer has done.
 type StatsResponse struct {
 	Backend     string                  `json:"backend"`
 	Caps        index.CapSet            `json:"caps"`
