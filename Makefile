@@ -7,7 +7,7 @@ GO ?= go
 # under the race detector.
 RACE_PKGS := ./internal/core/... ./internal/pagestore/... ./internal/device/... ./internal/heapfile/... ./internal/forest/...
 
-.PHONY: help build test race bench bench-json bfperf conformance forest mixed compact serve fmt fmt-fix vet ci clean
+.PHONY: help build test race fuzz bench bench-json bfperf conformance forest mixed compact serve fmt fmt-fix vet ci clean
 
 help:
 	@echo "BF-Tree — available targets:"
@@ -15,6 +15,7 @@ help:
 	@echo "  make build    - go build ./..."
 	@echo "  make test     - go test ./..."
 	@echo "  make race     - race-detector tests on core/pagestore/device/heapfile/forest"
+	@echo "  make fuzz     - fuzz the BF-leaf, internal-node and metadata decoders, 10s each"
 	@echo "  make conformance - cross-backend index API conformance suite"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
@@ -38,6 +39,14 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Fuzzes the decoders of untrusted index bytes for a fixed time each:
+# BF-leaf pages, internal-node routing and the metadata blob. Plain
+# `go test` runs only their seed corpora.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBFLeaf$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenMeta$$' -fuzztime 10s ./internal/core/
 
 conformance:
 	$(GO) test -run 'TestConformance|TestCapabilityMatrix' -v ./index/
@@ -106,7 +115,7 @@ vet:
 	$(GO) vet ./...
 	$(GO) -C cmd/bfperf vet ./...
 
-ci: fmt vet build test race conformance forest mixed compact serve bench bfperf
+ci: fmt vet build test race fuzz conformance forest mixed compact serve bench bfperf
 
 clean:
 	$(GO) clean -testcache

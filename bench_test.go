@@ -120,7 +120,6 @@ func BenchmarkServeLoad(b *testing.B) {
 
 func BenchmarkAblationBFGranularity(b *testing.B) { runExperiment(b, "ablation-granularity") }
 func BenchmarkAblationHashCount(b *testing.B)     { runExperiment(b, "ablation-hashes") }
-func BenchmarkAblationParallelProbe(b *testing.B) { runExperiment(b, "ablation-parallel") }
 func BenchmarkAblationDeletes(b *testing.B)       { runExperiment(b, "ablation-deletes") }
 
 // Micro-benchmarks of the core operations through the public API: real

@@ -62,9 +62,9 @@ import (
 )
 
 // Re-exported types. Options configures a build (false positive
-// probability, pages per filter, hash count, counting filters, parallel
-// probing); Tree is the index; Result carries matching tuples plus the
-// probe's cost accounting.
+// probability, pages per filter, hash count, counting filters,
+// maintenance); Tree is the index; Result carries matching tuples plus
+// the probe's cost accounting.
 type (
 	Options    = core.Options
 	Tree       = core.Tree

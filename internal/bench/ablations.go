@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"bftree/index"
 	"bftree/internal/core"
@@ -44,40 +43,6 @@ func RunAblationHashCount(scale Scale) (*Table, error) {
 		t.AddRow(fmt.Sprint(k), m.AvgTime.String(), fmtF(m.FalsePerProbe))
 	}
 	t.Notes = append(t.Notes, "k=3 is the paper's setting; very low k raises false reads, very high k saturates the filters")
-	return t, nil
-}
-
-// RunAblationParallelProbe measures wall-clock probe CPU with and
-// without the Section 8 parallel-probing optimization. Virtual I/O time
-// is identical by construction; this ablation reports real CPU time.
-func RunAblationParallelProbe(scale Scale) (*Table, error) {
-	t := &Table{
-		Title:  "Ablation: sequential vs parallel BF probing (Section 8), wall clock",
-		Header: []string{"mode", "wall-time/probe", "tuples"},
-	}
-	for _, parallel := range []bool{false, true} {
-		_, rel, ix, err := buildCell(memMem, 0, syntheticRel(scale, 0), "bftree", core.Options{FPP: 0.1, ParallelProbe: parallel})
-		if err != nil {
-			return nil, err
-		}
-		keys := rel.probes
-		start := time.Now()
-		tuples := 0
-		for _, k := range keys {
-			res, err := ix.SearchFirst(k)
-			if err != nil {
-				return nil, err
-			}
-			tuples += len(res.Tuples)
-		}
-		wall := time.Since(start) / time.Duration(len(keys))
-		mode := "sequential"
-		if parallel {
-			mode = "parallel(8)"
-		}
-		t.AddRow(mode, wall.String(), fmt.Sprint(tuples))
-	}
-	t.Notes = append(t.Notes, "the paper saw no probe bottleneck in its experiments; parallelism pays off only for very wide leaves")
 	return t, nil
 }
 

@@ -47,7 +47,6 @@ var Experiments = map[string]Runner{
 
 	"ablation-granularity": RunAblationGranularity,
 	"ablation-hashes":      RunAblationHashCount,
-	"ablation-parallel":    RunAblationParallelProbe,
 	"ablation-deletes":     RunAblationDeletes,
 	"ablation-buffer":      RunAblationBufferedInserts,
 }

@@ -138,6 +138,10 @@ func (c *CountingFilter) ContainsUint64(key uint64) bool {
 // Count returns the net number of keys (adds minus removes).
 func (c *CountingFilter) Count() uint64 { return c.count }
 
+// Counter returns the value of counter i, for embedders that store
+// counters in a layout of their own.
+func (c *CountingFilter) Counter(i uint64) uint8 { return c.get(i) }
+
 // SizeBytes returns the memory footprint of the counter array.
 func (c *CountingFilter) SizeBytes() uint64 { return uint64(len(c.counters)) }
 

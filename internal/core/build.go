@@ -249,21 +249,21 @@ func bulkLoadTree(idxStore *pagestore.Store, file *heapfile.File, fieldIdx int, 
 		lo := o
 		lo.Granularity = 1
 		lo.Hashes = hashesFor(o.Hashes, posPerBF, geo.KeysPerLeaf, 1)
-		leaves = append(leaves, newBFLeaf(file.FirstPage(), file.FirstPage(), lo, posPerBF, 1))
+		leaves = append(leaves, newBFLeaf(file.FirstPage(), file.FirstPage(), lo, posPerBF, 1, geo.PageSize))
 	}
 
 	// Write the leaf level to contiguous pages, chaining next pointers.
 	var m treeMeta
 	firstLeaf := idxStore.Allocate(len(leaves))
-	buf := make([]byte, idxStore.PageSize())
 	for i, l := range leaves {
 		if i < len(leaves)-1 {
 			l.next = firstLeaf + device.PageID(i) + 1
 		}
-		if err := encodeBFLeaf(buf, l); err != nil {
+		page, err := encodeBFLeaf(l)
+		if err != nil {
 			return nil, err
 		}
-		if err := idxStore.WritePage(firstLeaf+device.PageID(i), buf); err != nil {
+		if err := idxStore.WritePage(firstLeaf+device.PageID(i), page); err != nil {
 			return nil, err
 		}
 		m.numKeys += uint64(l.numKeys)
@@ -283,6 +283,7 @@ func bulkLoadTree(idxStore *pagestore.Store, file *heapfile.File, fieldIdx int, 
 		level[i] = childRef{minKey: l.minKey, pid: firstLeaf + device.PageID(i)}
 	}
 	fanout := internalCapacity(idxStore.PageSize())
+	buf := make([]byte, idxStore.PageSize())
 	for len(level) > 1 {
 		numNodes := (len(level) + fanout - 1) / fanout
 		firstNode := idxStore.Allocate(numNodes)
@@ -421,7 +422,7 @@ func buildLeaf(pages []pageKeys, o Options, geo Geometry) (*bfLeaf, error) {
 	lo := o
 	lo.Granularity = g
 	lo.Hashes = hashesFor(o.Hashes, posPerBF, geo.KeysPerLeaf, s)
-	l := newBFLeaf(pages[0].pid, pages[len(pages)-1].pid, lo, posPerBF, s)
+	l := newBFLeaf(pages[0].pid, pages[len(pages)-1].pid, lo, posPerBF, s, geo.PageSize)
 	var distinct uint32
 	var last uint64
 	have := false

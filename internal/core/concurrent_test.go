@@ -265,25 +265,3 @@ func TestConcurrentMixedProbes(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestConcurrentParallelProbeOption exercises the ParallelProbe leaf
-// option (per-leaf fan-out) nested inside concurrent callers.
-func TestConcurrentParallelProbeOption(t *testing.T) {
-	fx := newFixture(t, 20000, 11)
-	tr := fx.build(t, 1, Options{FPP: 1e-3, ParallelProbe: true})
-	keys := probeKeys(fx)
-	var wg sync.WaitGroup
-	for w := 0; w < concurrentWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				if _, err := tr.Search(keys[(i+w)%len(keys)]); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}

@@ -326,29 +326,9 @@ func TestGranularityGroupsPages(t *testing.T) {
 	}
 }
 
-func TestParallelProbeMatchesSequential(t *testing.T) {
-	fx := newFixture(t, 30000, 11)
-	seq := fx.build(t, 0, Options{FPP: 0.05})
-	fxp := newFixture(t, 30000, 11)
-	par := fxp.build(t, 0, Options{FPP: 0.05, ParallelProbe: true})
-	for key := uint64(0); key < 2000; key += 13 {
-		a, err := seq.Search(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.Search(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Tuples) != len(b.Tuples) {
-			t.Fatalf("key %d: sequential %d vs parallel %d tuples", key, len(a.Tuples), len(b.Tuples))
-		}
-	}
-}
-
 func TestLeafEncodeDecodeRoundTrip(t *testing.T) {
 	o, _ := Options{FPP: 0.01, Hashes: 3}.withDefaults()
-	l := newBFLeaf(10, 19, o, 512, 10)
+	l := newBFLeaf(10, 19, o, 512, 10, 4096)
 	for k := uint64(100); k < 200; k++ {
 		pid := device.PageID(10 + (k-100)/10)
 		if err := l.addKey(k, pid); err != nil {
@@ -363,8 +343,8 @@ func TestLeafEncodeDecodeRoundTrip(t *testing.T) {
 		l.numKeys++
 	}
 	l.next = 77
-	buf := make([]byte, 4096)
-	if err := encodeBFLeaf(buf, l); err != nil {
+	buf, err := encodeBFLeaf(l)
+	if err != nil {
 		t.Fatal(err)
 	}
 	back, err := decodeBFLeaf(buf)
@@ -401,15 +381,15 @@ func TestLeafDecodeCorruption(t *testing.T) {
 
 func TestCountingLeafRoundTrip(t *testing.T) {
 	o, _ := Options{FPP: 0.01, Filter: CountingFilter, Hashes: 3}.withDefaults()
-	l := newBFLeaf(0, 3, o, 256, 4)
+	l := newBFLeaf(0, 3, o, 256, 4, 4096)
 	for k := uint64(0); k < 40; k++ {
 		if err := l.addKey(k, device.PageID(k/10)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	l.minKey, l.maxKey, l.numKeys = 0, 39, 40
-	buf := make([]byte, 4096)
-	if err := encodeBFLeaf(buf, l); err != nil {
+	buf, err := encodeBFLeaf(l)
+	if err != nil {
 		t.Fatal(err)
 	}
 	back, err := decodeBFLeaf(buf)
@@ -443,7 +423,7 @@ func TestCountingLeafRoundTrip(t *testing.T) {
 	}
 	// Standard leaves cannot remove.
 	so, _ := Options{FPP: 0.01, Hashes: 3}.withDefaults()
-	sl := newBFLeaf(0, 0, so, 256, 1)
+	sl := newBFLeaf(0, 0, so, 256, 1, 4096)
 	if _, err := sl.removeKey(1, 0); err == nil {
 		t.Error("standard leaf allowed a delete")
 	}

@@ -256,26 +256,33 @@ func FuzzRoute(f *testing.F) {
 
 // FuzzDecodeBFLeaf fuzzes the BF-leaf decoder. No image may panic it or
 // be rejected with anything but ErrCorrupt; on an accepted image every
-// probe and update path must stay inside the filters (probe, addKey,
-// removeKey on every covered page), the image itself must stay
-// unchanged (the leaf copies on write), and the leaf must re-encode and
-// decode to the same header. The seed corpus — standard and counting
-// leaves, their truncations and single-byte flips of the header — runs
-// under plain go test.
+// probe and update path must stay inside the filter region (probe,
+// addKey, removeKey on every covered page), the word-AND probe must
+// return exactly the filters the per-filter test accepts, the image
+// itself must stay unchanged (the leaf copies on write), and the leaf
+// must re-encode and decode to the same header. The seed corpus —
+// standard and counting leaves, their truncations, single-byte flips of
+// the header, and leaves of S = 1, 64, 65 and 127 whose region ends at
+// the buffer's last byte, where a probe's windows take the tail path —
+// runs under plain go test.
 func FuzzDecodeBFLeaf(f *testing.F) {
 	for _, kind := range []FilterKind{StandardFilter, CountingFilter} {
 		o, _ := Options{FPP: 0.01, Hashes: 3, Granularity: 2, Filter: kind}.withDefaults()
-		l := newBFLeaf(10, 17, o, 64, 4)
-		for k := uint64(0); k < 20; k++ {
-			if err := l.addKey(k, 10+device.PageID(k%8)); err != nil {
+		fill := func(l *bfLeaf) []byte {
+			n := uint64(l.numPages())
+			for k := uint64(0); k < 20; k++ {
+				if err := l.addKey(k, l.minPid+device.PageID(k%n)); err != nil {
+					f.Fatal(err)
+				}
+			}
+			l.minKey, l.maxKey, l.numKeys = 0, 19, 20
+			buf, err := encodeBFLeaf(l)
+			if err != nil {
 				f.Fatal(err)
 			}
+			return buf
 		}
-		l.minKey, l.maxKey, l.numKeys = 0, 19, 20
-		buf := make([]byte, 256)
-		if err := encodeBFLeaf(buf, l); err != nil {
-			f.Fatal(err)
-		}
+		buf := fill(newBFLeaf(10, 17, o, 64, 4, 256))
 		f.Add(buf)
 		f.Add(buf[:leafHeaderSize])
 		f.Add(buf[:leafHeaderSize+10])
@@ -283,6 +290,12 @@ func FuzzDecodeBFLeaf(f *testing.F) {
 			flipped := slices.Clone(buf)
 			flipped[i] ^= 0xff
 			f.Add(flipped)
+		}
+		for _, s := range []int{1, 64, 65, 127} {
+			// Rows of 64 positions fill the region to its last byte, and
+			// the page ends with the region.
+			page := leafHeaderSize + s*filterBytes(kind, 64)
+			f.Add(fill(newBFLeaf(10, 10+device.PageID(2*s-1), o, 64, s, page)))
 		}
 	}
 
@@ -295,14 +308,25 @@ func FuzzDecodeBFLeaf(f *testing.F) {
 			return
 		}
 		orig := slices.Clone(buf)
-		if l.numPages() > 1<<12 {
-			return // valid, but too wide to walk page by page here
+		if l.numPages()*l.s > 1<<20 {
+			return // valid, but too wide to walk page by page, filter by filter here
 		}
 		for pid := l.minPid; ; pid++ {
 			key := uint64(pid) * 7919
-			l.probe(key, false)
+			var want []int
+			for bid := 0; bid < l.s; bid++ {
+				if l.probeOne(bid, key) {
+					want = append(want, bid)
+				}
+			}
+			if got := l.probe(key); !slices.Equal(got, want) {
+				t.Fatalf("probe(%d) = %v, per-filter tests accept %v", key, got, want)
+			}
 			if err := l.addKey(key, pid); err != nil {
 				t.Fatalf("addKey on covered page %d: %v", pid, err)
+			}
+			if !slices.Contains(l.probe(key), l.bfIndexOf(pid)) {
+				t.Fatalf("probe(%d) misses the filter of page %d it was just added to", key, pid)
 			}
 			if l.kind == CountingFilter {
 				if _, err := l.removeKey(key, pid); err != nil {
@@ -316,15 +340,15 @@ func FuzzDecodeBFLeaf(f *testing.F) {
 		if !slices.Equal(buf, orig) {
 			t.Fatal("updating the decoded leaf wrote into its image")
 		}
-		out := make([]byte, leafHeaderSize+len(l.filters))
-		if err := encodeBFLeaf(out, l); err != nil {
+		out, err := encodeBFLeaf(l)
+		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
 		back, err := decodeBFLeaf(out)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if back.minPid != l.minPid || back.maxPid != l.maxPid || back.s != l.s || back.fb != l.fb ||
+		if back.minPid != l.minPid || back.maxPid != l.maxPid || back.s != l.s || len(back.filters) != len(l.filters) ||
 			back.hashes != l.hashes || back.kind != l.kind || back.posPerBF != l.posPerBF {
 			t.Fatalf("round trip changed the header: %+v -> %+v", l, back)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"bftree/internal/device"
 )
@@ -116,11 +115,11 @@ func (t *Tree) writeLeaf(pid device.PageID, l *bfLeaf) error {
 			return err
 		}
 	}
-	buf := make([]byte, t.store.PageSize())
-	if err := encodeBFLeaf(buf, l); err != nil {
+	page, err := encodeBFLeaf(l)
+	if err != nil {
 		return err
 	}
-	return t.store.WritePage(pid, buf)
+	return t.store.WritePage(pid, page)
 }
 
 // Insert implements Algorithm 3: route to the BF-leaf for key, split if
@@ -467,7 +466,7 @@ func (t *Tree) appendLeaf(key uint64, pid device.PageID, lastLeaf *bfLeaf, lastP
 	span := device.PageID(maxS*t.opts.Granularity) - 1
 	o := t.opts
 	o.Hashes = hashesFor(t.opts.Hashes, posPerBF, t.geo.KeysPerLeaf, maxS)
-	nl := newBFLeaf(pid, pid+span, o, posPerBF, maxS)
+	nl := newBFLeaf(pid, pid+span, o, posPerBF, maxS, t.geo.PageSize)
 	if err := nl.addKey(key, pid); err != nil {
 		return err
 	}
@@ -514,8 +513,8 @@ func (t *Tree) appendLeaf(key uint64, pid device.PageID, lastLeaf *bfLeaf, lastP
 
 // splitLeaf implements Algorithm 2: divide the leaf's key range at its
 // midpoint, discover each half's page range by probing the old filters
-// for every key in the domain (parallelized across workers when the
-// option is set), and build two fresh leaves from the probe results.
+// for every key in the domain, and build two fresh leaves from the
+// probe results.
 // False positives of the old filters carry into the new ones, which is
 // exactly the accuracy contract of the paper. Leaves whose key span
 // exceeds splitEnumLimit are rebuilt exactly from their data pages
@@ -669,51 +668,18 @@ type keyPages struct {
 // splitByProbe enumerates [minKey, maxKey], probing the old leaf for
 // every key (Algorithm 2 lines 7-17), then packs the halves.
 func (t *Tree) splitByProbe(leaf *bfLeaf) (*bfLeaf, *bfLeaf, error) {
-	span := leaf.maxKey - leaf.minKey + 1
-	results := make([][]int, span)
-	probeRange := func(lo, hi uint64) {
-		for k := lo; k < hi; k++ {
-			m := leaf.probe(leaf.minKey+k, false)
-			if len(m) > 0 {
-				results[k] = m
-			}
-		}
-	}
-	if t.opts.ParallelProbe && span >= 1024 {
-		const workers = 8
-		var wg sync.WaitGroup
-		chunk := (span + workers - 1) / workers
-		for w := uint64(0); w < workers; w++ {
-			lo := w * chunk
-			if lo >= span {
-				break
-			}
-			hi := lo + chunk
-			if hi > span {
-				hi = span
-			}
-			wg.Add(1)
-			go func(lo, hi uint64) {
-				defer wg.Done()
-				probeRange(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		probeRange(0, span)
-	}
-
 	midKey := leaf.minKey + (leaf.maxKey-leaf.minKey)/2
 	var lowKeys, highKeys []keyPages
-	for off, bids := range results {
-		if bids == nil {
-			continue
+	for k := leaf.minKey; ; k++ {
+		if bids := leaf.probe(k); len(bids) > 0 {
+			if k <= midKey {
+				lowKeys = append(lowKeys, keyPages{key: k, bids: bids})
+			} else {
+				highKeys = append(highKeys, keyPages{key: k, bids: bids})
+			}
 		}
-		k := leaf.minKey + uint64(off)
-		if k <= midKey {
-			lowKeys = append(lowKeys, keyPages{key: k, bids: bids})
-		} else {
-			highKeys = append(highKeys, keyPages{key: k, bids: bids})
+		if k == leaf.maxKey {
+			break
 		}
 	}
 	return t.packHalves(leaf, lowKeys, highKeys)
@@ -802,7 +768,7 @@ func (t *Tree) packHalves(leaf *bfLeaf, lowKeys, highKeys []keyPages) (*bfLeaf, 
 		o.Granularity = g
 		posPerBF := t.geo.positionsFor(s, t.opts.Filter)
 		o.Hashes = hashesFor(t.opts.Hashes, posPerBF, t.geo.KeysPerLeaf, s)
-		nl := newBFLeaf(lo, hi, o, posPerBF, s)
+		nl := newBFLeaf(lo, hi, o, posPerBF, s, t.geo.PageSize)
 		for _, kp := range keys {
 			for _, oldBid := range kp.bids {
 				plo, phi := leaf.pageRangeOf(oldBid)

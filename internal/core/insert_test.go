@@ -218,40 +218,6 @@ func TestSplitByRebuildMatchesProbe(t *testing.T) {
 	}
 }
 
-func TestParallelSplitMatchesSequential(t *testing.T) {
-	f, _ := buildInitialFile(t, 3000)
-	idxA := pagestore.New(device.New(device.Memory, 512))
-	seq, err := BulkLoad(idxA, f, 0, Options{FPP: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idxB := pagestore.New(device.New(device.Memory, 512))
-	par, err := BulkLoad(idxB, f, 0, Options{FPP: 0.2, ParallelProbe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	la, _, _, err := seq.descendPath(1000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, _, _, err := par.descendPath(1000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	al, ar, err := seq.splitByProbe(la)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, br, err := par.splitByProbe(lb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if al.numKeys != bl.numKeys || ar.numKeys != br.numKeys {
-		t.Errorf("parallel split differs: left %d/%d right %d/%d",
-			al.numKeys, bl.numKeys, ar.numKeys, br.numKeys)
-	}
-}
-
 func TestInsertTriggersSplitAtCapacity(t *testing.T) {
 	// Sparse even keys leave odd keys free to insert as genuinely new;
 	// only a new key may trigger the capacity split — a key the leaf

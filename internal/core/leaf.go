@@ -3,8 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sync"
 
 	"bftree/internal/bloom"
 	"bftree/internal/device"
@@ -33,13 +33,20 @@ const (
 //	bytes 51-54 positions per filter (uint32)
 //	bytes 55-58 drift inserts (uint32, keys absorbed since build/compaction)
 //	bytes 59-62 drift deletes (uint32, associations deleted since build/compaction)
-//	bytes 63+   S packed filter arrays
+//	bytes 63+   the filter region
 //
-// Each filter array is filterBytes long. A standard filter's position p
-// is bit p%8 of byte p/8; a counting filter's is the 4-bit counter in
-// byte p/2, the low nibble for even p. Both match the in-memory layout
-// of bloom.Filter (little-endian words) and bloom.CountingFilter, and
-// every position is derived as those filters derive it.
+// The filter region is bit-sliced: it stores the S filters transposed,
+// one row per filter position, so a row is a bitmap over the filters.
+// Region bit r·S+b is bit b of row r, and region bit i is bit i%8 of
+// byte i/8. On a standard leaf, row p holds bit p of every filter. On a
+// counting leaf, rows 4p…4p+3 hold the four bit-planes of position p's
+// 4-bit counters, low bit first. Rows are packed at an S-bit stride, and
+// the region is S·filterBytes(kind, positions) bytes long, the size of S
+// filters stored one after another, so the leaf geometry does not
+// depend on the layout. Column b of the region holds exactly the bits
+// (or counters) of a bloom.Filter (bloom.CountingFilter) with the
+// leaf's positions and hash count, and every position is derived as
+// those filters derive it.
 const leafHeaderSize = 63
 
 // counterMax is the value at which a counting filter's 4-bit counters
@@ -57,14 +64,15 @@ const posBufLen = 32
 // pointer for range scans, and S Bloom filters each covering granularity
 // consecutive data pages.
 //
-// The filters stay in page layout: filters holds S arrays of fb bytes
-// back to back, and every probe and update works on those bytes. A
+// The leaf stays in page layout: page is a whole page image and filters
+// its filter region, and every probe and update works on those bytes. A
 // decoded leaf aliases the page image it was decoded from, which is
 // shared and read-only (pagestore.ReadPage hands every reader the same
 // image), so probing a leaf copies nothing. Writers copy on write: the
-// first addKey or removeKey on a decoded leaf clones its filters, so a
-// mutation never reaches an image a lock-free reader may hold, and the
-// stored page changes only when the leaf is written back.
+// first addKey, removeKey or encodeBFLeaf on a decoded leaf clones the
+// image once, so a mutation never reaches an image a lock-free reader
+// may hold, and the stored page changes only when the leaf is written
+// back. A leaf built in memory owns its page from the start.
 //
 // driftIns and driftDel are this leaf's contribution to the tree-wide
 // Equation 14 drift counters (treeMeta.inserts/deletes): every published
@@ -80,22 +88,24 @@ type bfLeaf struct {
 	next           device.PageID
 	hashes         int
 	kind           FilterKind
+	shared         bool // page is a shared image; ownPage before writing
 	granularity    int
 	posPerBF       uint64
 	driftIns       uint32
 	driftDel       uint32
 
 	s       int    // number of filters
-	fb      int    // bytes per filter, filterBytes(kind, posPerBF)
-	filters []byte // s*fb bytes in page layout
-	shared  bool   // filters alias a page image; ownFilters before writing
+	page    []byte // the page image: header, filter region, zero tail
+	filters []byte // the filter region of page; its capacity ends with it
 }
 
-// ownFilters gives the leaf its own copy of the filters before the
-// first write into them (see bfLeaf).
-func (l *bfLeaf) ownFilters() {
+// ownPage gives the leaf its own copy of the page image before the
+// first write into it (see bfLeaf).
+func (l *bfLeaf) ownPage() {
 	if l.shared {
-		l.filters = slices.Clone(l.filters)
+		end := leafHeaderSize + len(l.filters)
+		l.page = slices.Clone(l.page)
+		l.filters = l.page[leafHeaderSize:end:end]
 		l.shared = false
 	}
 }
@@ -123,11 +133,6 @@ func (l *bfLeaf) pageRangeOf(bid int) (lo, hi device.PageID) {
 	return lo, hi
 }
 
-// filter returns the bytes of filter bid.
-func (l *bfLeaf) filter(bid int) []byte {
-	return l.filters[bid*l.fb : (bid+1)*l.fb]
-}
-
 // positions appends key's k filter positions to pos. Every filter of a
 // leaf shares one geometry, so a key is hashed once per leaf rather than
 // once per filter.
@@ -139,19 +144,84 @@ func (l *bfLeaf) positions(key uint64, pos []uint32) []uint32 {
 	return pos
 }
 
-// contains tests filter bid at the given positions.
-func (l *bfLeaf) contains(bid int, pos []uint32) bool {
-	f := l.filter(bid)
+// counter returns the 4-bit counter whose lowest plane is region bit i;
+// its other planes follow at an S-bit stride.
+func (l *bfLeaf) counter(i uint64) uint8 {
+	var c uint8
+	for j := 0; j < 4; j++ {
+		c |= (l.filters[i>>3] >> (i & 7) & 1) << j
+		i += uint64(l.s)
+	}
+	return c
+}
+
+// setCounter stores c in the four planes of the counter at region bit i.
+func (l *bfLeaf) setCounter(i uint64, c uint8) {
+	for j := 0; j < 4; j++ {
+		if m := byte(1) << (i & 7); c>>j&1 != 0 {
+			l.filters[i>>3] |= m
+		} else {
+			l.filters[i>>3] &^= m
+		}
+		i += uint64(l.s)
+	}
+}
+
+// window returns the 64 region bits that start at bit i, low bit first.
+// Bits past the region's end read as zero: a window that would load
+// beyond its last byte is assembled from the bytes that are left.
+func (l *bfLeaf) window(i uint64) uint64 {
+	at, sh := i>>3, i&7
+	if at+9 <= uint64(len(l.filters)) {
+		b := l.filters[at : at+9]
+		return binary.LittleEndian.Uint64(b)>>sh | uint64(b[8])<<(64-sh)
+	}
+	var tail [8]byte
+	copy(tail[:], l.filters[at:])
+	return binary.LittleEndian.Uint64(tail[:]) >> sh
+}
+
+// match returns the filters w·64 … w·64+63 that hold every position in
+// pos, as a bitmap: the AND of the positions' rows over that word of
+// filters, where a counting leaf's row is the OR of its four planes. It
+// stops once the word is zero, which for an absent key usually takes a
+// few positions.
+func (l *bfLeaf) match(pos []uint32, w int) uint64 {
+	s, lo := uint64(l.s), uint64(w)*64
+	acc := ^uint64(0)
+	if n := s - lo; n < 64 {
+		acc >>= 64 - n
+	}
 	if l.kind == CountingFilter {
 		for _, p := range pos {
-			if f[p>>1]>>((p&1)<<2)&0x0f == 0 {
+			i := 4*uint64(p)*s + lo
+			if acc &= l.window(i) | l.window(i+s) | l.window(i+2*s) | l.window(i+3*s); acc == 0 {
+				return 0
+			}
+		}
+		return acc
+	}
+	for _, p := range pos {
+		if acc &= l.window(uint64(p)*s + lo); acc == 0 {
+			return 0
+		}
+	}
+	return acc
+}
+
+// contains tests filter bid at the given positions.
+func (l *bfLeaf) contains(bid int, pos []uint32) bool {
+	s, b := uint64(l.s), uint64(bid)
+	if l.kind == CountingFilter {
+		for _, p := range pos {
+			if l.counter(4*uint64(p)*s+b) == 0 {
 				return false
 			}
 		}
 		return true
 	}
 	for _, p := range pos {
-		if f[p>>3]&(1<<(p&7)) == 0 {
+		if at := uint64(p)*s + b; l.filters[at>>3]&(1<<(at&7)) == 0 {
 			return false
 		}
 	}
@@ -159,27 +229,28 @@ func (l *bfLeaf) contains(bid int, pos []uint32) bool {
 }
 
 // addKey inserts key into the filter covering data page pid. Bulk load
-// calls it once per tuple, so it derives each position inline.
+// and compaction call it once per tuple, so it derives each position
+// inline and sets its bit directly.
 func (l *bfLeaf) addKey(key uint64, pid device.PageID) error {
 	if pid < l.minPid || pid > l.maxPid {
 		return fmt.Errorf("%w: pid %d outside [%d,%d]", ErrKeyRange, pid, l.minPid, l.maxPid)
 	}
-	l.ownFilters()
-	f := l.filter(l.bfIndexOf(pid))
+	l.ownPage()
+	s, b := uint64(l.s), uint64(l.bfIndexOf(pid))
 	h1, h2 := bloom.HashUint64(key)
 	if l.kind == CountingFilter {
 		for i := 0; i < l.hashes; i++ {
-			p := (h1 + uint64(i)*h2) % l.posPerBF
-			sh := (p & 1) << 2
-			if f[p>>1]>>sh&0x0f < counterMax {
-				f[p>>1] += 1 << sh
+			at := 4*((h1+uint64(i)*h2)%l.posPerBF)*s + b
+			if c := l.counter(at); c < counterMax {
+				l.setCounter(at, c+1)
 			}
 		}
 		return nil
 	}
+	f := l.filters
 	for i := 0; i < l.hashes; i++ {
-		p := (h1 + uint64(i)*h2) % l.posPerBF
-		f[p>>3] |= 1 << (p & 7)
+		at := (h1+uint64(i)*h2)%l.posPerBF*s + b
+		f[at>>3] |= 1 << (at & 7)
 	}
 	return nil
 }
@@ -206,16 +277,16 @@ func (l *bfLeaf) removeKey(key uint64, pid device.PageID) (lastGone bool, err er
 	if !l.contains(bid, pos) {
 		return false, fmt.Errorf("%w: key %d not in the filter of page %d", ErrNotIndexed, key, pid)
 	}
-	l.ownFilters()
-	f := l.filter(bid)
+	l.ownPage()
+	s, b := uint64(l.s), uint64(bid)
 	for _, p := range pos {
-		sh := (p & 1) << 2
-		if c := f[p>>1] >> sh & 0x0f; c > 0 && c < counterMax {
-			f[p>>1] -= 1 << sh
+		at := 4*uint64(p)*s + b
+		if c := l.counter(at); c > 0 && c < counterMax {
+			l.setCounter(at, c-1)
 		}
 	}
-	for b := 0; b < l.s; b++ {
-		if l.contains(b, pos) {
+	for w := 0; w*64 < l.s; w++ {
+		if l.match(pos, w) != 0 {
 			return false, nil
 		}
 	}
@@ -230,62 +301,23 @@ func (l *bfLeaf) probeOne(bid int, key uint64) bool {
 
 // probe tests every filter for key and returns the matching filter
 // indices in ascending order — the candidate page groups of Algorithm 1.
-// When parallel is true the probes fan out over goroutines (the Section 8
-// optimization for leaves with hundreds of filters).
-func (l *bfLeaf) probe(key uint64, parallel bool) []int {
+// It ANDs the key's k rows one word of 64 filters at a time: the
+// parallel probe of a leaf's many filters that Section 8 proposes, done
+// with word operations instead of goroutines.
+func (l *bfLeaf) probe(key uint64) []int {
 	var buf [posBufLen]uint32
 	pos := l.positions(key, buf[:0])
-	if parallel && l.s >= 16 {
-		// The workers share one heap copy of the positions, which keeps
-		// buf on the sequential path's stack.
-		return l.probeParallel(append([]uint32(nil), pos...))
-	}
 	var out []int
-	for bid := 0; bid < l.s; bid++ {
-		if l.contains(bid, pos) {
-			out = append(out, bid)
+	for w := 0; w*64 < l.s; w++ {
+		for m := l.match(pos, w); m != 0; m &= m - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(m))
 		}
 	}
 	return out
 }
 
-// probeParallel is probe's fan-out over 8 workers.
-func (l *bfLeaf) probeParallel(pos []uint32) []int {
-	const workers = 8
-	s := l.s
-	matched := make([]bool, s)
-	var wg sync.WaitGroup
-	chunk := (s + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= s {
-			break
-		}
-		hi := lo + chunk
-		if hi > s {
-			hi = s
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for bid := lo; bid < hi; bid++ {
-				if l.contains(bid, pos) {
-					matched[bid] = true
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	var out []int
-	for bid, m := range matched {
-		if m {
-			out = append(out, bid)
-		}
-	}
-	return out
-}
-
-// filterBytes returns the serialized size of one filter.
+// filterBytes returns the filter region's bytes per filter: the size
+// one filter of the given positions takes on its own.
 func filterBytes(kind FilterKind, positions uint64) int {
 	if kind == CountingFilter {
 		return int((positions + 1) / 2) // 4-bit counters
@@ -294,9 +326,12 @@ func filterBytes(kind FilterKind, positions uint64) int {
 }
 
 // newBFLeaf constructs an empty leaf covering [minPid, maxPid] with S
-// filters of posPerBF positions each.
-func newBFLeaf(minPid, maxPid device.PageID, o Options, posPerBF uint64, s int) *bfLeaf {
-	fb := filterBytes(o.Filter, posPerBF)
+// filters of posPerBF positions each, in a page of pageSize bytes that
+// the leaf owns. The filters must fit the page, as Geometry.positionsFor
+// guarantees.
+func newBFLeaf(minPid, maxPid device.PageID, o Options, posPerBF uint64, s, pageSize int) *bfLeaf {
+	end := leafHeaderSize + s*filterBytes(o.Filter, posPerBF)
+	page := make([]byte, pageSize)
 	return &bfLeaf{
 		minPid:      minPid,
 		maxPid:      maxPid,
@@ -308,20 +343,21 @@ func newBFLeaf(minPid, maxPid device.PageID, o Options, posPerBF uint64, s int) 
 		granularity: o.Granularity,
 		posPerBF:    posPerBF,
 		s:           s,
-		fb:          fb,
-		filters:     make([]byte, s*fb),
+		page:        page,
+		filters:     page[leafHeaderSize:end:end],
 	}
 }
 
-// encodeBFLeaf serializes the leaf into a page buffer.
-func encodeBFLeaf(buf []byte, l *bfLeaf) error {
-	need := leafHeaderSize + len(l.filters)
-	if need > len(buf) {
-		return fmt.Errorf("%w: BF-leaf needs %d bytes > page %d", ErrCorrupt, need, len(buf))
-	}
+// encodeBFLeaf writes the leaf's header into the page the leaf owns
+// (taking its own copy first if it still aliases a shared image) and
+// returns that page. The page stays the leaf's: a caller writes it out
+// before the leaf changes again.
+func encodeBFLeaf(l *bfLeaf) ([]byte, error) {
 	if l.s > 0xffff {
-		return fmt.Errorf("%w: %d filters exceed uint16", ErrCorrupt, l.s)
+		return nil, fmt.Errorf("%w: %d filters exceed uint16", ErrCorrupt, l.s)
 	}
+	l.ownPage()
+	buf := l.page
 	buf[0] = nodeBFLeaf
 	binary.LittleEndian.PutUint16(buf[1:3], uint16(l.s))
 	binary.LittleEndian.PutUint64(buf[3:11], uint64(l.minPid))
@@ -336,15 +372,14 @@ func encodeBFLeaf(buf []byte, l *bfLeaf) error {
 	binary.LittleEndian.PutUint32(buf[51:55], uint32(l.posPerBF))
 	binary.LittleEndian.PutUint32(buf[55:59], l.driftIns)
 	binary.LittleEndian.PutUint32(buf[59:63], l.driftDel)
-	copy(buf[leafHeaderSize:], l.filters)
-	clear(buf[need:])
-	return nil
+	clear(buf[leafHeaderSize+len(l.filters):])
+	return buf, nil
 }
 
-// decodeBFLeaf parses a BF-leaf's header and returns a leaf whose filters
-// alias buf until its first write (see bfLeaf); buf itself is never
-// written. It checks every invariant the probe and update paths index
-// by, so a corrupt header is an ErrCorrupt, never a panic.
+// decodeBFLeaf parses a BF-leaf's header and returns a leaf that aliases
+// buf until its first write (see bfLeaf); buf itself is never written.
+// It checks every invariant the probe and update paths index by, so a
+// corrupt header is an ErrCorrupt, never a panic.
 func decodeBFLeaf(buf []byte) (*bfLeaf, error) {
 	if len(buf) < leafHeaderSize || buf[0] != nodeBFLeaf {
 		return nil, fmt.Errorf("%w: not a BF-leaf", ErrCorrupt)
@@ -378,11 +413,12 @@ func decodeBFLeaf(buf []byte) (*bfLeaf, error) {
 		return nil, fmt.Errorf("%w: %d filters of %d pages cannot cover pages [%d,%d]",
 			ErrCorrupt, s, l.granularity, l.minPid, l.maxPid)
 	}
-	l.fb = filterBytes(l.kind, l.posPerBF)
-	end := leafHeaderSize + s*l.fb
+	fb := filterBytes(l.kind, l.posPerBF)
+	end := leafHeaderSize + s*fb
 	if end > len(buf) {
-		return nil, fmt.Errorf("%w: %d filters of %d bytes overflow page", ErrCorrupt, s, l.fb)
+		return nil, fmt.Errorf("%w: %d filters of %d bytes overflow page", ErrCorrupt, s, fb)
 	}
+	l.page = buf
 	l.filters = buf[leafHeaderSize:end:end]
 	l.shared = true
 	return l, nil

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,35 +21,85 @@ type diffAssoc struct {
 	pid device.PageID
 }
 
-// Shape of the leaves fillDiffLeaf builds: 8 filters of 2 pages each, at
-// a position count that is neither a multiple of 8 nor of 64, so the
-// last byte (standard) and last nibble (counting) are partial.
+// diffShape is the shape of a leaf fillDiffLeaf builds: S filters of 2
+// pages each, with the given positions per filter, in a 4 KB page.
+// Positions 0 takes what a 4 KB page gives S filters of the kind
+// (Geometry.positionsFor), so the filter region fills the page as a
+// bulk-loaded leaf's does.
+type diffShape struct {
+	name      string
+	s         int
+	positions uint64
+}
+
 const (
-	diffS        = 8
-	diffPosPerBF = 1001
+	diffPageSize = 4096
 	diffMinPid   = 100
 )
 
-// fillDiffLeaf builds a leaf of the given kind and hash count from a
-// seeded stream of associations, plus one key added 20 times, which
-// saturates its counters in a counting leaf.
-func fillDiffLeaf(t *testing.T, kind FilterKind, k int) (*bfLeaf, []diffAssoc) {
+var diffShapes = []diffShape{
+	// 1001 positions are neither a multiple of 8 nor of 64: rows end
+	// mid-byte and the region ends in padding.
+	{"S8x1001", 8, 1001},
+	// One filter past a word: every row spans two words, the second
+	// holding one filter.
+	{"S65", 65, 0},
+	// bfperf's leaf: 127 filters of 248 standard positions, two words
+	// per row.
+	{"S127", 127, 0},
+	// One filter over the whole page: the region ends at the page's last
+	// byte, so the last rows' windows take the tail path.
+	{"S1", 1, 0},
+}
+
+// diffGolden holds, per filter kind and hash count up to the automatic
+// cap of 30, the SHA-256 of the pages the diffShapes leaves encode to,
+// in diffShapes order. Each page is first checked against the bloom
+// filters transposed independently of leaf.go, so the pins record the
+// reference layout, not whatever the encoder wrote.
+var diffGolden = []struct {
+	kind   FilterKind
+	hashes int
+	sha256 string
+}{
+	{StandardFilter, 1, "da60f241f99ae3d3b811f6eab37e54183420e78feef4a89aa72cb345936798b9"},
+	{StandardFilter, 3, "9e5cde225719ab48f15fbd5d5d2eb0dddf6383be9de379455ce23f47b900f9f2"},
+	{StandardFilter, 10, "d5d227402f1889dece8346d988c26846d6270f5f6c355425d39679f3c8c7436e"},
+	{StandardFilter, 30, "49abd22a7e9463341e6eb4484f1149b387d2e5d6a7a1959d52c1605fbe69d042"},
+	{CountingFilter, 1, "97ac8a7e32e7868837cb8d4d20b5862cea86848e494857fa4e94924a40b203ea"},
+	{CountingFilter, 3, "b2d065388f4154df928c6cac92e20f1e5a6456bc73edbaf0bbb7db021f0a68c0"},
+	{CountingFilter, 10, "d66d9f6edc41ba522aa7085fbe456923606303712007207965b5902434d9925c"},
+	{CountingFilter, 30, "249c0685a47459d72f2e621e1ab9695a27bb12756d7199255dd393c111ba69f9"},
+}
+
+// positionsFor resolves the shape's positions per filter for kind.
+func (sh diffShape) positionsFor(kind FilterKind) uint64 {
+	if sh.positions != 0 {
+		return sh.positions
+	}
+	return Geometry{PageSize: diffPageSize}.positionsFor(sh.s, kind)
+}
+
+// fillDiffLeaf builds a leaf of the given shape, kind and hash count
+// from a seeded stream of associations, plus one key added 20 times,
+// which saturates its counters in a counting leaf.
+func fillDiffLeaf(t *testing.T, sh diffShape, kind FilterKind, k int) (*bfLeaf, []diffAssoc) {
 	t.Helper()
 	o, err := Options{FPP: 0.01, Hashes: k, Filter: kind, Granularity: 2}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newBFLeaf(diffMinPid, diffMinPid+2*diffS-1, o, diffPosPerBF, diffS)
+	l := newBFLeaf(diffMinPid, diffMinPid+device.PageID(2*sh.s-1), o, sh.positionsFor(kind), sh.s, diffPageSize)
 	rng := rand.New(rand.NewSource(int64(k)*10 + int64(kind)))
 	var added []diffAssoc
 	for i := 0; i < 120; i++ {
-		a := diffAssoc{key: rng.Uint64() >> 8, pid: device.PageID(diffMinPid + rng.Intn(2*diffS))}
+		a := diffAssoc{key: rng.Uint64() >> 8, pid: device.PageID(diffMinPid + rng.Intn(2*sh.s))}
 		if err := l.addKey(a.key, a.pid); err != nil {
 			t.Fatal(err)
 		}
 		added = append(added, a)
 	}
-	hot := diffAssoc{key: 42, pid: 103}
+	hot := diffAssoc{key: 42, pid: diffMinPid + 1}
 	for i := 0; i < 20; i++ {
 		if err := l.addKey(hot.key, hot.pid); err != nil {
 			t.Fatal(err)
@@ -59,36 +110,18 @@ func fillDiffLeaf(t *testing.T, kind FilterKind, k int) (*bfLeaf, []diffAssoc) {
 	return l, added
 }
 
-// diffGolden holds the SHA-256 of the 4 KB page that fillDiffLeaf's leaf
-// encoded to when each leaf filter was a bloom.Filter or
-// bloom.CountingFilter packed by its word/counter array. Matching it
-// proves the on-disk format is bit-identical.
-var diffGolden = []struct {
-	kind   FilterKind
-	hashes int
-	sha256 string
-}{
-	{StandardFilter, 1, "564a378eb79268e255ec7a9abf20ca27cd3b9793a880a27ee623ccf271b32239"},
-	{StandardFilter, 3, "1ec59f8bb4f9a2a94de3916763641af5a86a3b4ec406b37520a1be62fdef9ebd"},
-	{StandardFilter, 10, "f5e28dd90636301b2e0c1323409ef7b582c68c89e20a572e332140a464db5fd0"},
-	{StandardFilter, 30, "e952179f254822ab9387ed826b5616484c13385b5ee78bdc9c41fe7e8983ff15"},
-	{CountingFilter, 1, "10d45f046cd1579b92bfb92c16705e70541e92437e18d6529231f3c2921bcaeb"},
-	{CountingFilter, 3, "452494e07891274bac61b1a8554f783fc3ad964429c656db0b4ad375684b4e5a"},
-	{CountingFilter, 10, "ed1c71aa6d7eb9735d35a39eeb4957d5fc14e90a9a828ac9d43c3dfac2af3c4c"},
-	{CountingFilter, 30, "65e6a35375ba1da8594e2dfdb1cb7d1b44bf045642f6b9c97913db481ba048cf"},
-}
-
 // referenceFilters is the leaf's content rebuilt as one bloom package
 // filter per page group.
 type referenceFilters struct {
-	std []*bloom.Filter
-	cnt []*bloom.CountingFilter
+	positions uint64
+	std       []*bloom.Filter
+	cnt       []*bloom.CountingFilter
 }
 
-func newReference(kind FilterKind, k int, added []diffAssoc) *referenceFilters {
-	r := &referenceFilters{}
-	p := bloom.Params{Bits: diffPosPerBF, Hashes: k}
-	for i := 0; i < diffS; i++ {
+func newReference(s int, positions uint64, kind FilterKind, k int, added []diffAssoc) *referenceFilters {
+	r := &referenceFilters{positions: positions}
+	p := bloom.Params{Bits: positions, Hashes: k}
+	for i := 0; i < s; i++ {
 		if kind == CountingFilter {
 			r.cnt = append(r.cnt, bloom.NewCountingWithParams(p))
 		} else {
@@ -103,6 +136,8 @@ func newReference(kind FilterKind, k int, added []diffAssoc) *referenceFilters {
 	}
 	return r
 }
+
+func (r *referenceFilters) s() int { return len(r.std) + len(r.cnt) }
 
 func (r *referenceFilters) bid(pid device.PageID) int { return int(pid-diffMinPid) / 2 }
 
@@ -123,7 +158,7 @@ func (r *referenceFilters) contains(bid int, key uint64) bool {
 
 func (r *referenceFilters) matches(key uint64) []int {
 	var out []int
-	for bid := 0; bid < diffS; bid++ {
+	for bid := 0; bid < r.s(); bid++ {
 		if r.contains(bid, key) {
 			out = append(out, bid)
 		}
@@ -131,9 +166,43 @@ func (r *referenceFilters) matches(key uint64) []int {
 	return out
 }
 
-// checkAgreement asserts that probe (sequential and parallel) and
-// probeOne answer exactly as the reference filters for every added key
-// and 10k random ones.
+// region transposes the reference filters into the bit-sliced layout of
+// leaf.go, written out here from its definition: region bit row·S+b is
+// bit b of the row, bit i of the region is bit i%8 of byte i/8; row p
+// holds bit p of each bloom.Filter, and rows 4p…4p+3 hold the four bits
+// of each bloom.CountingFilter's counter p, low bit first.
+func (r *referenceFilters) region(size int) []byte {
+	out := make([]byte, size)
+	set := func(row uint64, b int) {
+		i := row*uint64(r.s()) + uint64(b)
+		out[i/8] |= 1 << (i % 8)
+	}
+	for b, f := range r.std {
+		words, err := f.MarshalBinary()
+		if err != nil {
+			panic(err)
+		}
+		bitArray := words[24:] // little-endian words: bit p is bit p%8 of byte p/8
+		for p := uint64(0); p < r.positions; p++ {
+			if bitArray[p/8]>>(p%8)&1 == 1 {
+				set(p, b)
+			}
+		}
+	}
+	for b, f := range r.cnt {
+		for p := uint64(0); p < r.positions; p++ {
+			for c, j := f.Counter(p), uint64(0); j < 4; j++ {
+				if c>>j&1 == 1 {
+					set(4*p+j, b)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkAgreement asserts that probe and probeOne answer exactly as the
+// reference filters for every added key and 10k random ones.
 func checkAgreement(t *testing.T, l *bfLeaf, ref *referenceFilters, added []diffAssoc, seed int64) {
 	t.Helper()
 	keys := make([]uint64, 0, len(added)+10000)
@@ -146,13 +215,10 @@ func checkAgreement(t *testing.T, l *bfLeaf, ref *referenceFilters, added []diff
 	}
 	for _, key := range keys {
 		want := ref.matches(key)
-		if got := l.probe(key, false); !slices.Equal(got, want) {
+		if got := l.probe(key); !slices.Equal(got, want) {
 			t.Fatalf("probe(%d) = %v, reference filters match %v", key, got, want)
 		}
-		if got := l.probeParallel(l.positions(key, nil)); !slices.Equal(got, want) {
-			t.Fatalf("parallel probe(%d) = %v, reference filters match %v", key, got, want)
-		}
-		for bid := 0; bid < diffS; bid++ {
+		for bid := 0; bid < ref.s(); bid++ {
 			if got := l.probeOne(bid, key); got != ref.contains(bid, key) {
 				t.Fatalf("probeOne(%d, %d) = %v, reference filter says %v", bid, key, got, !got)
 			}
@@ -160,80 +226,98 @@ func checkAgreement(t *testing.T, l *bfLeaf, ref *referenceFilters, added []diff
 	}
 }
 
-// TestLeafFiltersBitCompatible checks the in-place filters against the
-// bloom package, for both filter kinds and hash counts up to the
-// automatic cap of 30: a leaf filled through addKey encodes to the same
-// page as before, its standard filters hold exactly bloom.Filter's bits,
-// probes agree with the reference filters on hits and misses, and
-// counting removals round-trip.
+// TestLeafFiltersBitCompatible checks the bit-sliced filter region
+// against the bloom package, for both filter kinds, hash counts up to
+// the automatic cap of 30 and every shape of diffShapes: a leaf filled
+// through addKey encodes to exactly the region that transposing
+// bloom.Filter's bits (bloom.CountingFilter's counters) gives, with
+// nothing after it, and the pages hash to the pinned digest; probes
+// agree with the reference filters on hits and misses; and counting
+// removals round-trip.
 func TestLeafFiltersBitCompatible(t *testing.T) {
 	for _, g := range diffGolden {
 		t.Run(fmt.Sprintf("kind%d/k%d", g.kind, g.hashes), func(t *testing.T) {
-			l, added := fillDiffLeaf(t, g.kind, g.hashes)
-			page := make([]byte, 4096)
-			if err := encodeBFLeaf(page, l); err != nil {
-				t.Fatal(err)
+			digest := sha256.New()
+			for _, sh := range diffShapes {
+				t.Run(sh.name, func(t *testing.T) {
+					checkFiltersBitCompatible(t, sh, g.kind, g.hashes, digest)
+				})
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(page)); got != g.sha256 {
-				t.Fatalf("encoded page sha256 %s, want %s", got, g.sha256)
-			}
-			ref := newReference(g.kind, g.hashes, added)
-			for bid, f := range ref.std {
-				words, err := f.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := words[24 : 24+l.fb]; !bytes.Equal(l.filter(bid), want) {
-					t.Fatalf("filter %d bytes differ from bloom.Filter's bit array", bid)
-				}
-			}
-			back, err := decodeBFLeaf(slices.Clone(page)) // back aliases its page
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkAgreement(t, back, ref, added, int64(g.hashes))
-			if g.kind != CountingFilter {
-				return
-			}
-
-			// Add fresh associations, then remove them and one copy of the
-			// saturated hot key: the page returns to its original bytes
-			// and the leaf keeps agreeing with the reference filters put
-			// through the same removals.
-			rng := rand.New(rand.NewSource(99))
-			var extra []diffAssoc
-			for i := 0; i < 50; i++ {
-				a := diffAssoc{key: 1<<60 + rng.Uint64()>>8, pid: device.PageID(diffMinPid + rng.Intn(2*diffS))}
-				if err := back.addKey(a.key, a.pid); err != nil {
-					t.Fatal(err)
-				}
-				ref.add(a)
-				extra = append(extra, a)
-			}
-			for _, a := range append(extra, added[len(added)-1]) {
-				lastGone, err := back.removeKey(a.key, a.pid)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.cnt[ref.bid(a.pid)].RemoveUint64(a.key); err != nil {
-					t.Fatal(err)
-				}
-				if want := len(ref.matches(a.key)) == 0; lastGone != want {
-					t.Fatalf("removeKey(%d) lastGone = %v, reference says %v", a.key, lastGone, want)
-				}
-			}
-			again := make([]byte, 4096)
-			if err := encodeBFLeaf(again, back); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again, page) {
-				t.Fatal("add-then-remove did not restore the leaf's bytes")
-			}
-			checkAgreement(t, back, ref, added, 7)
-			if _, err := back.removeKey(1<<62, diffMinPid); !errors.Is(err, ErrNotIndexed) {
-				t.Errorf("removing an absent key: err = %v, want ErrNotIndexed", err)
+			if got := fmt.Sprintf("%x", digest.Sum(nil)); got != g.sha256 {
+				t.Fatalf("encoded pages sha256 %s, want %s", got, g.sha256)
 			}
 		})
+	}
+}
+
+// checkFiltersBitCompatible runs TestLeafFiltersBitCompatible's checks
+// on one leaf and adds its encoded page to digest.
+func checkFiltersBitCompatible(t *testing.T, sh diffShape, kind FilterKind, k int, digest hash.Hash) {
+	l, added := fillDiffLeaf(t, sh, kind, k)
+	encoded, err := encodeBFLeaf(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := slices.Clone(encoded) // encoded is the leaf's own page
+	digest.Write(page)
+	ref := newReference(sh.s, sh.positionsFor(kind), kind, k, added)
+	want := ref.region(sh.s * filterBytes(kind, ref.positions))
+	got := page[leafHeaderSize:]
+	if !bytes.Equal(got[:len(want)], want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("filter region byte %d is %#x, the transposed bloom filters give %#x", i, got[i], want[i])
+	}
+	if slices.ContainsFunc(got[len(want):], func(b byte) bool { return b != 0 }) {
+		t.Fatal("the page is not zero past the filter region")
+	}
+	back, err := decodeBFLeaf(slices.Clone(page)) // back aliases its page
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgreement(t, back, ref, added, int64(k))
+	if kind != CountingFilter {
+		return
+	}
+
+	// Add fresh associations, then remove them and one copy of the
+	// saturated hot key: the page returns to its original bytes and the
+	// leaf keeps agreeing with the reference filters put through the
+	// same removals.
+	rng := rand.New(rand.NewSource(99))
+	var extra []diffAssoc
+	for i := 0; i < 50; i++ {
+		a := diffAssoc{key: 1<<60 + rng.Uint64()>>8, pid: device.PageID(diffMinPid + rng.Intn(2*sh.s))}
+		if err := back.addKey(a.key, a.pid); err != nil {
+			t.Fatal(err)
+		}
+		ref.add(a)
+		extra = append(extra, a)
+	}
+	for _, a := range append(extra, added[len(added)-1]) {
+		lastGone, err := back.removeKey(a.key, a.pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.cnt[ref.bid(a.pid)].RemoveUint64(a.key); err != nil {
+			t.Fatal(err)
+		}
+		if want := len(ref.matches(a.key)) == 0; lastGone != want {
+			t.Fatalf("removeKey(%d) lastGone = %v, reference says %v", a.key, lastGone, want)
+		}
+	}
+	again, err := encodeBFLeaf(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, page) {
+		t.Fatal("add-then-remove did not restore the leaf's bytes")
+	}
+	checkAgreement(t, back, ref, added, 7)
+	if _, err := back.removeKey(1<<62, diffMinPid); !errors.Is(err, ErrNotIndexed) {
+		t.Errorf("removing an absent key: err = %v, want ErrNotIndexed", err)
 	}
 }
 
@@ -241,9 +325,10 @@ func TestLeafFiltersBitCompatible(t *testing.T) {
 // valid leaf; each must decode to ErrCorrupt rather than a leaf whose
 // probes or updates would index out of range or divide by zero.
 func TestLeafDecodeRejectsCorruptHeaders(t *testing.T) {
-	l, _ := fillDiffLeaf(t, StandardFilter, 3)
-	valid := make([]byte, 4096)
-	if err := encodeBFLeaf(valid, l); err != nil {
+	sh := diffShapes[0]
+	l, _ := fillDiffLeaf(t, sh, StandardFilter, 3)
+	valid, err := encodeBFLeaf(l)
+	if err != nil {
 		t.Fatal(err)
 	}
 	le := binary.LittleEndian
@@ -254,13 +339,13 @@ func TestLeafDecodeRejectsCorruptHeaders(t *testing.T) {
 		{"not a leaf", func(b []byte) { b[0] = nodeInternal }},
 		{"zero positions per filter", func(b []byte) { le.PutUint32(b[51:55], 0) }},
 		{"zero filters", func(b []byte) { le.PutUint16(b[1:3], 0) }},
-		{"filters cover too few pages", func(b []byte) { le.PutUint16(b[1:3], diffS-1) }},
-		{"page range past the filters", func(b []byte) { le.PutUint64(b[11:19], diffMinPid+2*diffS) }},
+		{"filters cover too few pages", func(b []byte) { le.PutUint16(b[1:3], uint16(sh.s-1)) }},
+		{"page range past the filters", func(b []byte) { le.PutUint64(b[11:19], uint64(diffMinPid+2*sh.s)) }},
 		{"page range of 2^64 pages", func(b []byte) {
 			le.PutUint64(b[3:11], 0)
 			le.PutUint64(b[11:19], ^uint64(0))
 		}},
-		{"min pid above max pid", func(b []byte) { le.PutUint64(b[3:11], diffMinPid+2*diffS) }},
+		{"min pid above max pid", func(b []byte) { le.PutUint64(b[3:11], uint64(diffMinPid+2*sh.s)) }},
 		{"zero granularity", func(b []byte) { le.PutUint16(b[49:51], 0) }},
 		{"zero hashes", func(b []byte) { b[47] = 0 }},
 		{"unknown filter kind", func(b []byte) { b[48] = 7 }},
@@ -349,14 +434,14 @@ func TestDecodedLeafCopiesOnWrite(t *testing.T) {
 // unnoticed.
 func TestLeafProbeAllocations(t *testing.T) {
 	o, _ := Options{FPP: 0.01, Hashes: 3}.withDefaults()
-	one := newBFLeaf(0, 0, o, 4096, 1)
+	one := newBFLeaf(0, 0, o, 4096, 1, 4096)
 	for k := uint64(0); k < 100; k++ {
 		if err := one.addKey(k, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	onePage := make([]byte, 4096)
-	if err := encodeBFLeaf(onePage, one); err != nil {
+	onePage, err := encodeBFLeaf(one)
+	if err != nil {
 		t.Fatal(err)
 	}
 	fx := newFixture(t, 20000, 11)
@@ -380,10 +465,10 @@ func TestLeafProbeAllocations(t *testing.T) {
 			t.Errorf("S=%d: decodeBFLeaf allocates %v objects, want <= 1", c.s, n)
 		}
 		absent := uint64(1 << 50)
-		for len(l.probe(absent, false)) > 0 {
+		for len(l.probe(absent)) > 0 {
 			absent++
 		}
-		if n := testing.AllocsPerRun(100, func() { _ = l.probe(absent, false) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { _ = l.probe(absent) }); n != 0 {
 			t.Errorf("S=%d: probing an absent key allocates %v objects, want 0", c.s, n)
 		}
 	}

@@ -115,7 +115,7 @@ func (t *Tree) multiProbeKey(root device.PageID, key uint64, cache *nodeCache,
 		if key < leaf.minKey || key > leaf.maxKey {
 			return nil
 		}
-		matches := leaf.probe(key, t.opts.ParallelProbe)
+		matches := leaf.probe(key)
 		stats.BFProbes += leaf.numBFs()
 		for _, bid := range matches {
 			lo, hi := leaf.pageRangeOf(bid)

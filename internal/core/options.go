@@ -176,9 +176,6 @@ type Options struct {
 	Hashes int
 	// Filter selects standard or counting leaf filters.
 	Filter FilterKind
-	// ParallelProbe enables concurrent probing of a leaf's filters
-	// (Section 8). Off by default: the experiments are I/O-bound.
-	ParallelProbe bool
 	// Maintenance configures the self-maintaining mode: background
 	// limbo reclamation and drift-triggered compaction (DESIGN.md §4).
 	// The zero value keeps the manual, inline-reclamation behavior.

@@ -18,7 +18,7 @@ import (
 //	bytes 12-15 granularity (uint32)
 //	bytes 16-19 hashes (uint32)
 //	byte  20    filter kind
-//	byte  21    parallel probe flag
+//	byte  21    reserved, written as 0
 //	bytes 22-29 root pid
 //	bytes 30-37 first leaf pid
 //	bytes 38-41 height (uint32)
@@ -51,9 +51,6 @@ func (t *Tree) MarshalMeta() []byte {
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(t.opts.Granularity))
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(t.opts.Hashes))
 	buf[20] = byte(t.opts.Filter)
-	if t.opts.ParallelProbe {
-		buf[21] = 1
-	}
 	binary.LittleEndian.PutUint64(buf[22:30], uint64(m.root))
 	binary.LittleEndian.PutUint64(buf[30:38], uint64(m.firstLeaf))
 	binary.LittleEndian.PutUint32(buf[38:42], uint32(m.height))
@@ -95,11 +92,10 @@ func open(store *pagestore.Store, file *heapfile.File, meta []byte, part *Partit
 	hw := min(uint64(binary.LittleEndian.Uint32(meta[103:107])), math.MaxInt)
 	ib := min(uint64(binary.LittleEndian.Uint32(meta[107:111])), math.MaxInt)
 	opts := Options{
-		FPP:           math.Float64frombits(binary.LittleEndian.Uint64(meta[4:12])),
-		Granularity:   int(binary.LittleEndian.Uint32(meta[12:16])),
-		Hashes:        int(binary.LittleEndian.Uint32(meta[16:20])),
-		Filter:        FilterKind(meta[20]),
-		ParallelProbe: meta[21] == 1,
+		FPP:         math.Float64frombits(binary.LittleEndian.Uint64(meta[4:12])),
+		Granularity: int(binary.LittleEndian.Uint32(meta[12:16])),
+		Hashes:      int(binary.LittleEndian.Uint32(meta[16:20])),
+		Filter:      FilterKind(meta[20]),
 		Maintenance: MaintenancePolicy{
 			Mode:             MaintenanceMode(meta[86]),
 			FPPThreshold:     math.Float64frombits(binary.LittleEndian.Uint64(meta[87:95])),

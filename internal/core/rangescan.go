@@ -116,7 +116,7 @@ func (t *Tree) candidatePages(key uint64, stats *ProbeStats) ([]device.PageID, e
 		if key < leaf.minKey || key > leaf.maxKey {
 			return out, nil
 		}
-		matches := leaf.probe(key, t.opts.ParallelProbe)
+		matches := leaf.probe(key)
 		stats.BFProbes += leaf.numBFs()
 		for _, bid := range matches {
 			lo, hi := leaf.pageRangeOf(bid)

@@ -280,7 +280,7 @@ func (c *Cursor) stepEnum() {
 		} else {
 			e.next++
 		}
-		matches := e.leaf.probe(k, c.t.opts.ParallelProbe)
+		matches := e.leaf.probe(k)
 		c.stats.BFProbes += e.leaf.numBFs()
 		var pages []device.PageID
 		for _, bid := range matches {

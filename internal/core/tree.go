@@ -242,7 +242,7 @@ func (t *Tree) search(key uint64, firstOnly bool) (*Result, error) {
 // probeLeaf runs the filter probes and candidate page reads for one leaf.
 // It reports true when firstOnly is set and a match was found.
 func (t *Tree) probeLeaf(leaf *bfLeaf, key uint64, firstOnly bool, res *Result) (bool, error) {
-	matches := leaf.probe(key, t.opts.ParallelProbe)
+	matches := leaf.probe(key)
 	res.Stats.BFProbes += leaf.numBFs()
 	last := t.lastDataPage()
 	for _, bid := range matches {
