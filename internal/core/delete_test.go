@@ -9,12 +9,13 @@ import (
 	"bftree/internal/pagestore"
 )
 
-// separatorFixture bulk-loads a counting-filter tree over a relation of
-// duplicated keys sized so that key runs straddle leaf boundaries: each
-// key occupies 1.25 data pages, so most leaf-flush boundaries fall
-// mid-run and the separator key of a right leaf trails duplicates in
-// the left leaf — the exact shape the Delete routing bug missed.
-func separatorFixture(t *testing.T) (*Tree, uint64, device.PageID, device.PageID) {
+// separatorFixture bulk-loads a tree with the given options over a
+// relation of duplicated keys sized so that key runs straddle leaf
+// boundaries: each key occupies 1.25 data pages, so most leaf-flush
+// boundaries fall mid-run and the separator key of a right leaf trails
+// duplicates in the left leaf — the exact shape the Delete routing bug
+// missed.
+func separatorFixture(t *testing.T, opts Options) (*Tree, uint64, device.PageID, device.PageID) {
 	t.Helper()
 	const reps = 80 // 1.25 pages per key at 64 tuples/page
 	var keys []uint64
@@ -24,8 +25,7 @@ func separatorFixture(t *testing.T) (*Tree, uint64, device.PageID, device.PageID
 		}
 	}
 	f, _ := buildKeyedFile(t, keys)
-	tr, err := BulkLoad(pagestore.New(device.New(device.Memory, 4096)), f, 0,
-		Options{FPP: 0.01, Filter: CountingFilter})
+	tr, err := BulkLoad(pagestore.New(device.New(device.Memory, 4096)), f, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func separatorFixture(t *testing.T) (*Tree, uint64, device.PageID, device.PageID
 // every chained leaf covering the key and removes from the leaf whose
 // page range holds the pid.
 func TestDeleteAtSeparatorFindsLeftDuplicates(t *testing.T) {
-	tr, sep, leftPid, leftPage := separatorFixture(t)
+	tr, sep, leftPid, leftPage := separatorFixture(t, Options{FPP: 0.01, Filter: CountingFilter})
 
 	// The regression is only exercised if insert routing lands elsewhere.
 	_, rightPid, _, err := tr.descendPath(sep, true)
