@@ -67,21 +67,24 @@ mixed:
 
 # The incremental-compaction gate: the writer/maintainer race test
 # (drift accounting + page economy under -race), the bound the
-# maintainer alone keeps on drift under full-rate churn, and the
+# maintainer alone keeps on drift under full-rate churn, the
 # stall-comparison smoke asserting incremental cuts the max writer
-# stall vs full rebuild.
+# stall vs full rebuild, and the registered experiment end to end.
 compact:
 	$(GO) test -race -run 'TestIncrementalCompactionRace|TestIncrementalMaintainConverges' ./internal/core/
 	$(GO) test -run TestMaintainerBoundsDrift ./index/
 	$(GO) test -run 'TestCompactionStall' ./internal/bench/
+	$(GO) test -run 'TestEveryExperimentRuns/^compaction-stall$$' ./internal/bench/
 
 # The serving-layer gate: golden equivalence + capability matrix +
-# bad-write rejection + write serialization on every backend + the
-# 8-client concurrency test under -race, then the serve-load
-# queue-depth scaling assertion over real connections.
+# bad-write rejection + the request-body bound + write serialization
+# on every backend + the 8-client concurrency test under -race, then
+# the serve-load queue-depth scaling assertion over real connections
+# and the registered experiment end to end.
 serve:
 	$(GO) test -race ./internal/server/...
 	$(GO) test -run 'TestServeLoad|TestArtifactRegistry' ./internal/bench/
+	$(GO) test -run 'TestEveryExperimentRuns/^serve-load$$' ./internal/bench/
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

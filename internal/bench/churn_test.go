@@ -52,9 +52,3 @@ func TestChurnSelfMaintains(t *testing.T) {
 			r.LiveNodes, r.FreePages, r.LimboAtEnd, r.DevicePages)
 	}
 }
-
-// TestChurnExperimentRegistered runs the registered experiment
-// end-to-end and sanity-checks the rendered table.
-func TestChurnExperimentRegistered(t *testing.T) {
-	runRegistered(t, "churn", churnScale())
-}

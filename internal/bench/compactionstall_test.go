@@ -73,12 +73,3 @@ func TestCompactionStallIncrementalCutsMaxStall(t *testing.T) {
 		}
 	}
 }
-
-// TestCompactionStallExperimentRegistered runs the registered
-// experiment end-to-end and checks the rendered comparison table.
-func TestCompactionStallExperimentRegistered(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compaction-stall runs both variants; skipped in -short")
-	}
-	runRegistered(t, "compaction-stall", stallScaleForTest())
-}

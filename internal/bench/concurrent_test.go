@@ -40,9 +40,3 @@ func TestConcurrentProbeSweepScales(t *testing.T) {
 		}
 	}
 }
-
-// TestConcurrentProbeExperimentRegistered runs the registered experiment
-// end-to-end and sanity-checks the rendered table.
-func TestConcurrentProbeExperimentRegistered(t *testing.T) {
-	runRegistered(t, "concurrent-probe", sweepScale())
-}

@@ -136,22 +136,6 @@ func sweepRows(points []int) func(*testing.T, *Table, Scale) {
 	}
 }
 
-// runRegistered runs one registered experiment at the given scale, with
-// its artifact (if any) under a fresh JSONDir, and applies its entry in
-// experimentChecks.
-func runRegistered(t *testing.T, name string, scale Scale) {
-	t.Helper()
-	scale.JSONDir = t.TempDir()
-	tbl, err := Run(name, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) == 0 {
-		t.Fatalf("%s produced no rows", name)
-	}
-	experimentChecks[name](t, tbl, scale)
-}
-
 // TestFig5aTimesOrderedByDevice checks the physical sanity of the probe
 // sweep: for any fpp row, probing with data on HDD must cost more than
 // with data on SSD, and index-on-HDD more than index-in-memory.

@@ -49,9 +49,3 @@ func TestMixedRWSweepLiveWriter(t *testing.T) {
 		t.Errorf("8-reader speedup under a live writer = %.2fx, want > 2x", speedup)
 	}
 }
-
-// TestMixedRWExperimentRegistered runs the registered experiment
-// end-to-end and sanity-checks the rendered table.
-func TestMixedRWExperimentRegistered(t *testing.T) {
-	runRegistered(t, "mixed-rw", mixedScale())
-}

@@ -35,9 +35,3 @@ func TestMultiWriterSweepScalesOnDisjointLeaves(t *testing.T) {
 		t.Errorf("4-writer disjoint-leaf speedup = %.2fx, want > 1.5x", speedup)
 	}
 }
-
-// TestMultiWriterExperimentRegistered runs the registered experiment
-// end-to-end and sanity-checks the rendered table.
-func TestMultiWriterExperimentRegistered(t *testing.T) {
-	runRegistered(t, "multi-writer", multiWriterScale())
-}

@@ -44,18 +44,6 @@ func TestServeLoadScalesWithConnections(t *testing.T) {
 	}
 }
 
-// TestServeLoadExperimentRegistered runs the registered experiment
-// end-to-end against one backend with JSON output and checks both the
-// rendered table and the BENCH_serve.json artifact.
-func TestServeLoadExperimentRegistered(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serve-load sweeps four connection levels; skipped in -short")
-	}
-	scale := serveScaleForTest()
-	scale.Index = "bftree"
-	runRegistered(t, "serve-load", scale)
-}
-
 // TestArtifactRegistryConsistent pins the contract between the
 // Artifacts map, the experiment registry, and the flag table: every
 // artifact belongs to a registered experiment that consumes -json,

@@ -57,7 +57,11 @@ func (b *BufferedInserter) Pending() int { return len(b.pending) }
 // merged into the result. Tuples the index probe already fetched (the
 // key can be present on an indexed page and a buffered page at once) are
 // not duplicated: the merge dedups against the probe's tuples, so a
-// buffered page the probe also read contributes nothing twice.
+// buffered page the probe also read contributes nothing twice. A
+// buffered page is charged as the probe charges a flagged page — one
+// candidate page, one data page read, and a false read when it holds no
+// tuple for the key — so a search whose buffered page the probe does
+// not flag yet reports the same counts before and after Flush.
 func (b *BufferedInserter) Search(key uint64) (*Result, error) {
 	res, err := b.tree.Search(key)
 	if err != nil {
@@ -77,7 +81,12 @@ func (b *BufferedInserter) Search(key uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.Stats.CandidatePages++
 		res.Stats.DataPagesRead++
+		if len(tuples) == 0 {
+			res.Stats.FalseReads++
+			continue
+		}
 		if have == nil {
 			have = make(map[string]int, len(res.Tuples))
 			for _, tup := range res.Tuples {
@@ -165,18 +174,19 @@ func (b *BufferedInserter) flushGroupLatched(batch []pendingInsert) (int, error)
 	defer t.writeMu.RUnlock()
 	// The shared lock freezes the structure, so the descent's leaf pid
 	// and routing bound stay valid for the whole group; the descent
-	// skips the leaf decode (descendPathPid) because the leaf image is
-	// read under the latch, like insertLatched — a racing latched
-	// writer may have rewritten it after the descent.
-	leafPid, path, err := t.descendPathPid(batch[0].key, true)
+	// leaves the leaf image undecoded because the leaf is read under
+	// the latch, like insertLatched — a racing latched writer may have
+	// rewritten it after the descent.
+	r := indexReader{t: t}
+	var path []frame
+	leafPid, _, err := r.descend(t.loadMeta().root, batch[0].key, true, &path)
 	if err != nil {
 		return 0, err
 	}
 	bound := routeBound(path)
 	mu := t.latches.lock(leafPid)
 	defer mu.Unlock()
-	var stats ProbeStats
-	leaf, err := t.readLeaf(leafPid, &stats)
+	leaf, err := r.leaf(leafPid)
 	if err != nil {
 		return 0, err
 	}

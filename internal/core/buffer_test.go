@@ -216,6 +216,56 @@ func TestBufferedSearchSeesPending(t *testing.T) {
 	}
 }
 
+// TestBufferedSearchChargesLikeFlushed: the inserter charges a buffered
+// page as the probe charges a flagged one, so a search for a key
+// buffered on a page that does not hold it reports the same counts
+// before and after the Flush that indexes the page.
+func TestBufferedSearchChargesLikeFlushed(t *testing.T) {
+	f, _ := buildInitialFile(t, 10000)
+	tr, err := BulkLoad(pagestore.New(device.New(device.Memory, 4096)), f, 0, Options{FPP: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := uint64(5000)
+	next := f.PageOf(key) + 1
+	leaf, _, _, err := tr.descendPath(key, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.granularity != 1 || next > leaf.maxPid {
+		t.Fatalf("fixture: page %d must have its own filter in the key's leaf [%d,%d] (granularity %d)",
+			next, leaf.minPid, leaf.maxPid, leaf.granularity)
+	}
+	if res, err := tr.Search(key); err != nil || res.Stats.CandidatePages != 1 {
+		t.Fatalf("fixture: the probe must flag only the key's own page: %+v (err %v)", res.Stats, err)
+	}
+
+	buf := tr.NewBufferedInserter(1 << 20)
+	if err := buf.Insert(key, next); err != nil {
+		t.Fatal(err)
+	}
+	pending, err := buf.Search(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := buf.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	flushed, err := buf.Search(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pending.Stats != flushed.Stats {
+		t.Errorf("buffered search %+v, after Flush %+v", pending.Stats, flushed.Stats)
+	}
+	if s := flushed.Stats; s.CandidatePages != 2 || s.DataPagesRead != 2 || s.FalseReads != 1 {
+		t.Errorf("after Flush %+v, want 2 candidate pages, 2 data pages read, 1 false read", s)
+	}
+	if len(pending.Tuples) != 1 || len(flushed.Tuples) != 1 {
+		t.Errorf("tuples: %d buffered, %d after Flush, want 1", len(pending.Tuples), len(flushed.Tuples))
+	}
+}
+
 func TestBufferedAutoFlush(t *testing.T) {
 	f, _ := buildInitialFile(t, 2000)
 	tr, err := BulkLoad(pagestore.New(device.New(device.Memory, 4096)), f, 0, Options{FPP: 0.01})

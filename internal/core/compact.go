@@ -48,10 +48,9 @@ func (t *Tree) DriftByLeaf() ([]LeafDrift, error) {
 // writeMu (maintenance ranking) or are registered as epoch readers.
 func (t *Tree) driftWalk(m *treeMeta) ([]LeafDrift, error) {
 	var out []LeafDrift
-	var stats ProbeStats
 	pid := m.firstLeaf
 	for pid != device.InvalidPage {
-		l, err := t.readLeaf(pid, &stats)
+		l, err := indexReader{t: t}.leaf(pid)
 		if err != nil {
 			return nil, err
 		}
@@ -162,8 +161,8 @@ func (t *Tree) compactIncrementalLocked(k int) (int, error) {
 // leaf claiming the same keys (the old leaf stays frozen in limbo
 // until every reader drains).
 func (t *Tree) compactLeafLocked(pid device.PageID) (bool, error) {
-	var stats ProbeStats
-	leaf, err := t.readLeaf(pid, &stats)
+	r := indexReader{t: t}
+	leaf, err := r.leaf(pid)
 	if err != nil {
 		return false, nil // not a decodable leaf: stale pid, skip
 	}
@@ -181,14 +180,13 @@ func (t *Tree) compactLeafLocked(pid device.PageID) (bool, error) {
 		// be this page. Insert routing matches how separators are
 		// derived (a separator is its right leaf's min key), so a live
 		// leaf always descends to itself; a retired one does not.
-		curPid, p, err := t.descendPathPid(leaf.minKey, true)
+		curPid, _, err := r.descend(m.root, leaf.minKey, true, &path)
 		if err != nil {
 			return false, err
 		}
 		if curPid != pid {
 			return false, nil // stale: the leaf was replaced since ranking
 		}
-		path = p
 	}
 
 	fresh, err := t.rebuildLeafContents(leaf)
@@ -214,7 +212,7 @@ func (t *Tree) compactLeafLocked(pid device.PageID) (bool, error) {
 	relinked := false
 	var pred *bfLeaf
 	if predPid != device.InvalidPage {
-		pred, err = t.readLeaf(predPid, &stats)
+		pred, err = r.leaf(predPid)
 		if err != nil {
 			t.store.Free(newPid)
 			return false, err

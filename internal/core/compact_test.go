@@ -322,9 +322,8 @@ func TestFullRebuildFallbackWhenDriftUnattributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats ProbeStats
 	for _, d := range drifts {
-		leaf, err := tr.readLeaf(d.Pid, &stats)
+		leaf, err := indexReader{t: tr}.leaf(d.Pid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,8 +433,7 @@ func TestSplitByProbeTransfersDrift(t *testing.T) {
 	}
 	preIns, preDel := tr.loadMeta().inserts, tr.loadMeta().deletes
 	// Re-read: the deletes rewrote the leaf page.
-	var stats ProbeStats
-	leaf, err = tr.readLeaf(leafPid, &stats)
+	leaf, err = indexReader{t: tr}.leaf(leafPid)
 	if err != nil {
 		t.Fatal(err)
 	}

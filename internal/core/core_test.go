@@ -248,12 +248,11 @@ func TestSizeShrinksWithFPP(t *testing.T) {
 func TestLeafChainCoversFile(t *testing.T) {
 	fx := newFixture(t, 25000, 11)
 	tr := fx.build(t, 0, Options{FPP: 0.01})
-	var stats ProbeStats
 	pid := tr.loadMeta().firstLeaf
 	expectPid := fx.file.FirstPage()
 	leaves := uint64(0)
 	for pid != device.InvalidPage {
-		leaf, err := tr.readLeaf(pid, &stats)
+		leaf, err := indexReader{t: tr}.leaf(pid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,6 +33,22 @@ func buildKeyedFile(t *testing.T, keys []uint64) (*heapfile.File, *pagestore.Sto
 	return f, store
 }
 
+// descendPath descends to the leaf for key with search or insert
+// routing and returns the decoded leaf, its pid and the recorded
+// internal path.
+func (t *Tree) descendPath(key uint64, forInsert bool) (*bfLeaf, device.PageID, []frame, error) {
+	var path []frame
+	pid, buf, err := indexReader{t: t}.descend(t.loadMeta().root, key, forInsert, &path)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	leaf, err := decodeBFLeaf(buf)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return leaf, pid, path, nil
+}
+
 // TestRouteBoundMatchesInsertRouting pins the Flush routing invariant:
 // for any key, every key up to routeBound of its insert descent must
 // route to the same leaf, and the first key past the bound must not.

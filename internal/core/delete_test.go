@@ -139,8 +139,7 @@ func TestDeleteAccountingWithRemainingDuplicates(t *testing.T) {
 
 	readBack := func() *bfLeaf {
 		t.Helper()
-		var stats ProbeStats
-		l, err := tr.readLeaf(leafPid, &stats)
+		l, err := indexReader{t: tr}.leaf(leafPid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,85 +29,6 @@ type sepInsert struct {
 	child device.PageID
 }
 
-// descendLeafPid walks to the leaf pid for key without decoding the
-// leaf image or recording the internal path. The latched insert path
-// uses it: the leaf must be re-read under its latch anyway, so decoding
-// it during the descent would be wasted work on the hot path.
-func (t *Tree) descendLeafPid(key uint64, forInsert bool) (device.PageID, error) {
-	pid := t.loadMeta().root
-	for {
-		buf, err := t.store.ReadPage(pid)
-		if err != nil {
-			return 0, err
-		}
-		kind, err := nodeKind(buf)
-		if err != nil {
-			return 0, err
-		}
-		if kind == nodeBFLeaf {
-			return pid, nil
-		}
-		if _, pid, err = route(buf, key, forInsert); err != nil {
-			return 0, err
-		}
-	}
-}
-
-// descendPath walks to the leaf for key, recording the internal path.
-// Searches use leftmost routing (key <= separator goes left, because
-// duplicates may trail in the left leaf); inserts use rightmost routing
-// (key == separator goes right, because a separator is the right leaf's
-// min key, so new tuples for it live in the right leaf's page range).
-func (t *Tree) descendPath(key uint64, forInsert bool) (*bfLeaf, device.PageID, []frame, error) {
-	pid, path, buf, err := t.descendPathBuf(key, forInsert)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	l, err := decodeBFLeaf(buf)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return l, pid, path, nil
-}
-
-// descendPathPid is descendPath without the leaf decode, for callers
-// that re-read the leaf under its latch anyway (flushGroupLatched) and
-// need the path only for routeBound.
-func (t *Tree) descendPathPid(key uint64, forInsert bool) (device.PageID, []frame, error) {
-	pid, path, _, err := t.descendPathBuf(key, forInsert)
-	return pid, path, err
-}
-
-// descendPathBuf is the shared body: it returns the leaf's pid, the
-// recorded internal path, and the leaf's undecoded page image.
-func (t *Tree) descendPathBuf(key uint64, forInsert bool) (device.PageID, []frame, []byte, error) {
-	var path []frame
-	pid := t.loadMeta().root
-	for {
-		buf, err := t.store.ReadPage(pid)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		kind, err := nodeKind(buf)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if kind == nodeBFLeaf {
-			return pid, path, buf, nil
-		}
-		slot, child, err := route(buf, key, forInsert)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		n, err := decodeInternal(buf)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		path = append(path, frame{pid: pid, node: n, slot: slot})
-		pid = child
-	}
-}
-
 // writeLeaf serializes and writes a leaf.
 func (t *Tree) writeLeaf(pid device.PageID, l *bfLeaf) error {
 	if t.leafWriteFault != nil {
@@ -213,7 +134,10 @@ func (t *Tree) absorbIntoLeaf(leaf *bfLeaf, key uint64, pid device.PageID) (appl
 func (t *Tree) insertLatched(key uint64, pid device.PageID) (done bool, err error) {
 	t.writeMu.RLock()
 	defer t.writeMu.RUnlock()
-	leafPid, err := t.descendLeafPid(key, true)
+	// The descent leaves the leaf image undecoded: the leaf must be
+	// re-read under its latch anyway.
+	r := indexReader{t: t}
+	leafPid, _, err := r.descend(t.loadMeta().root, key, true, nil)
 	if err != nil {
 		return true, err
 	}
@@ -223,8 +147,7 @@ func (t *Tree) insertLatched(key uint64, pid device.PageID) (done bool, err erro
 	// the leaf between the descent's read and the latch acquisition. The
 	// shared lock guarantees leafPid is still the leaf that covers key —
 	// in-place rewrites never move a leaf's page range or its separators.
-	var stats ProbeStats
-	leaf, err := t.readLeaf(leafPid, &stats)
+	leaf, err := r.leaf(leafPid)
 	if err != nil {
 		return true, err
 	}
@@ -252,7 +175,12 @@ func (t *Tree) insertLatched(key uint64, pid device.PageID) (done bool, err erro
 
 // insertLocked is Insert's body; callers hold writeMu.
 func (t *Tree) insertLocked(key uint64, pid device.PageID) error {
-	leaf, leafPid, path, err := t.descendPath(key, true)
+	var path []frame
+	leafPid, buf, err := indexReader{t: t}.descend(t.loadMeta().root, key, true, &path)
+	if err != nil {
+		return err
+	}
+	leaf, err := decodeBFLeaf(buf)
 	if err != nil {
 		return err
 	}
@@ -328,58 +256,34 @@ func (t *Tree) Delete(key uint64, pid device.PageID) error {
 func (t *Tree) delete(key uint64, pid device.PageID) error {
 	t.writeMu.RLock()
 	defer t.writeMu.RUnlock()
-	var stats ProbeStats
-	leaf, leafPid, err := t.descend(t.loadMeta().root, key, &stats)
-	if err != nil {
-		return err
-	}
-	// Leftmost descent can land one leaf early when key equals a
-	// separator; skip forward while the leaf's range is entirely below.
-	for key > leaf.maxKey && leaf.next != device.InvalidPage {
-		nextPid := leaf.next
-		nl, err := t.readLeaf(nextPid, &stats)
-		if err != nil {
-			return err
-		}
-		if key < nl.minKey {
-			break
-		}
-		leaf, leafPid = nl, nextPid
-	}
 	counting := t.opts.Filter == CountingFilter
 	removed := false
-	for key >= leaf.minKey && key <= leaf.maxKey {
-		if pid >= leaf.minPid && pid <= leaf.maxPid {
+	err := indexReader{t: t}.coveringLeaves(t.loadMeta().root, key,
+		func(leafPid device.PageID, leaf *bfLeaf) (bool, error) {
+			if pid < leaf.minPid || pid > leaf.maxPid {
+				return false, nil
+			}
 			if counting {
 				// Only the first successful removal carries the drift
 				// charge: one published global decrement is attributed to
 				// exactly one leaf (the per-leaf accounting invariant).
-				r, err := t.deleteLatched(key, pid, leafPid, !removed)
-				if err != nil {
-					return err
-				}
-				removed = removed || r
-			} else if !removed && leaf.probeOne(leaf.bfIndexOf(pid), key) {
+				ok, err := t.deleteLatched(key, pid, leafPid, !removed)
+				removed = removed || ok
+				return false, err
+			}
+			if !removed && leaf.probeOne(leaf.bfIndexOf(pid), key) {
 				// Standard filters cannot clear bits; the association is
 				// claimed, so the logical delete counts toward drift —
 				// charged to this first claiming leaf, under its latch,
 				// so the per-leaf counters stay in sync with the global
 				// ones a partial rebuild will decrement.
-				if err := t.chargeDeleteLatched(leafPid); err != nil {
-					return err
-				}
 				removed = true
+				return false, t.chargeDeleteLatched(leafPid)
 			}
-		}
-		if leaf.next == device.InvalidPage {
-			break
-		}
-		nextPid := leaf.next
-		nl, err := t.readLeaf(nextPid, &stats)
-		if err != nil {
-			return err
-		}
-		leaf, leafPid = nl, nextPid
+			return false, nil
+		})
+	if err != nil {
+		return err
 	}
 	if !removed {
 		if counting {
@@ -406,8 +310,7 @@ func (t *Tree) delete(key uint64, pid device.PageID) error {
 func (t *Tree) deleteLatched(key uint64, pid device.PageID, leafPid device.PageID, chargeDrift bool) (bool, error) {
 	mu := t.latches.lock(leafPid)
 	defer mu.Unlock()
-	var stats ProbeStats
-	leaf, err := t.readLeaf(leafPid, &stats)
+	leaf, err := indexReader{t: t}.leaf(leafPid)
 	if err != nil {
 		return false, err
 	}
@@ -444,8 +347,7 @@ func (t *Tree) deleteLatched(key uint64, pid device.PageID, leafPid device.PageI
 func (t *Tree) chargeDeleteLatched(leafPid device.PageID) error {
 	mu := t.latches.lock(leafPid)
 	defer mu.Unlock()
-	var stats ProbeStats
-	leaf, err := t.readLeaf(leafPid, &stats)
+	leaf, err := indexReader{t: t}.leaf(leafPid)
 	if err != nil {
 		return err
 	}
@@ -595,8 +497,7 @@ func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []frame) erro
 	// identically. On failure the unpublished cowPath pages are freed
 	// along with the halves — same page-economy rule as appendLeaf.
 	if predPid != device.InvalidPage {
-		var stats ProbeStats
-		pred, err := t.readLeaf(predPid, &stats)
+		pred, err := indexReader{t: t}.leaf(predPid)
 		if err != nil {
 			t.store.Free(leftPid, rightPid)
 			t.store.Free(fresh...)
@@ -628,32 +529,13 @@ func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []frame) erro
 
 // predecessorLeaf returns the pid of the leaf chained immediately
 // before the leaf at the bottom of path, or InvalidPage when that leaf
-// is the leftmost: the rightmost leaf under the nearest left-sibling
-// pointer along the path.
+// is the leftmost: the last leaf under the nearest left-sibling pointer
+// along the path, which rightmost routing of the largest key reaches.
 func (t *Tree) predecessorLeaf(path []frame) (device.PageID, error) {
 	for lv := len(path) - 1; lv >= 0; lv-- {
-		f := path[lv]
-		if f.slot == 0 {
-			continue
-		}
-		pid := f.node.children[f.slot-1]
-		for {
-			buf, err := t.store.ReadPage(pid)
-			if err != nil {
-				return device.InvalidPage, err
-			}
-			kind, err := nodeKind(buf)
-			if err != nil {
-				return device.InvalidPage, err
-			}
-			if kind == nodeBFLeaf {
-				return pid, nil
-			}
-			count, err := internalCount(buf)
-			if err != nil {
-				return device.InvalidPage, err
-			}
-			pid = internalChild(buf, count, count)
+		if f := path[lv]; f.slot > 0 {
+			pid, _, err := indexReader{t: t}.descend(f.node.children[f.slot-1], ^uint64(0), true, nil)
+			return pid, err
 		}
 	}
 	return device.InvalidPage, nil

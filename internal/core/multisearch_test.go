@@ -15,7 +15,9 @@ import (
 // CandidatePages are the per-key sums; DataPagesRead is the number of
 // distinct candidate pages; and IndexReads is exactly what the
 // uncached index device served during the call, never more than the
-// per-key probes read in total.
+// per-key probes read in total. Each per-key Search must find every
+// copy of its key, including the separator's, whose copies span two
+// leaves.
 func TestMultiSearchMatchesPerKeyProbes(t *testing.T) {
 	// A standard leaf holds four times the keys of a counting leaf at
 	// one fpp, so its fpp is lower to give the relation several leaves.
@@ -58,6 +60,15 @@ func checkMultiSearch(t *testing.T, tr *Tree, keys []uint64) {
 		res, err := tr.Search(k)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// separatorFixture's relation holds 80 copies of each key
+		// below 2000.
+		copies := 0
+		if k < 2000 {
+			copies = 80
+		}
+		if len(res.Tuples) != copies {
+			t.Errorf("Search(%d) found %d tuples, want %d", k, len(res.Tuples), copies)
 		}
 		want.add(res.Stats)
 		for _, tup := range res.Tuples {

@@ -76,8 +76,8 @@ func internalChild(buf []byte, count, i int) device.PageID {
 // route picks key's child in the encoded internal node buf, reading the
 // separators in place, and returns the child and its slot. Searches
 // route leftmost (key <= separator goes left); inserts route rightmost
-// (key == separator goes right; see descendPath). Probes route every
-// internal node this way, so they never decode one.
+// (key == separator goes right; see indexReader.descend). Every descent
+// routes each internal node this way, so a probe never decodes one.
 func route(buf []byte, key uint64, forInsert bool) (slot int, child device.PageID, err error) {
 	count, err := internalCount(buf)
 	if err != nil {

@@ -190,8 +190,7 @@ func (t *Tree) rebuildLocked() error {
 	pid := old.firstLeaf
 	for pid != device.InvalidPage {
 		retired = append(retired, pid)
-		var stats ProbeStats
-		leaf, err := t.readLeaf(pid, &stats)
+		leaf, err := indexReader{t: t}.leaf(pid)
 		if err != nil {
 			return err
 		}

@@ -96,48 +96,5 @@ func (t *Tree) Intersect(other *Tree, keyThis, keyOther uint64) ([]device.PageID
 func (t *Tree) candidatePages(key uint64, stats *ProbeStats) ([]device.PageID, error) {
 	m, ep := t.beginProbe()
 	defer t.endProbe(ep)
-	leaf, _, err := t.descend(m.root, key, stats)
-	if err != nil {
-		return nil, err
-	}
-	for key > leaf.maxKey && leaf.next != device.InvalidPage {
-		nl, err := t.readLeaf(leaf.next, stats)
-		if err != nil {
-			return nil, err
-		}
-		if key < nl.minKey {
-			return nil, nil
-		}
-		leaf = nl
-	}
-	var out []device.PageID
-	last := t.lastDataPage()
-	for {
-		if key < leaf.minKey || key > leaf.maxKey {
-			return out, nil
-		}
-		matches := leaf.probe(key)
-		stats.BFProbes += leaf.numBFs()
-		for _, bid := range matches {
-			lo, hi := leaf.pageRangeOf(bid)
-			if hi > last {
-				hi = last
-			}
-			for p := lo; p <= hi; p++ {
-				out = append(out, p)
-				stats.CandidatePages++
-			}
-		}
-		if leaf.next == device.InvalidPage {
-			return out, nil
-		}
-		nl, err := t.readLeaf(leaf.next, stats)
-		if err != nil {
-			return nil, err
-		}
-		if key < nl.minKey || key > nl.maxKey {
-			return out, nil
-		}
-		leaf = nl
-	}
+	return indexReader{t: t, stats: stats}.candidates(m.root, key, nil)
 }

@@ -1,0 +1,148 @@
+package core
+
+import "bftree/internal/device"
+
+// indexReader reads the index pages of one operation. It owns the one
+// root-to-leaf descent and the one covering-leaf walk of Algorithm 1;
+// every probe, write and maintenance path reads index pages through it.
+//
+// A reader charges one IndexReads per page it reads to stats, when
+// stats is set (writers leave it nil). MultiSearch sets images, a cache
+// of the page images its batch has read: a cached page is answered
+// without calling the store, so the batch neither re-reads nor
+// re-charges a page that several of its keys share. Every other reader
+// leaves images nil and reads straight through.
+type indexReader struct {
+	t      *Tree
+	stats  *ProbeStats
+	images map[device.PageID][]byte
+}
+
+// page returns the image of index page pid.
+func (r indexReader) page(pid device.PageID) ([]byte, error) {
+	if r.images != nil {
+		if buf, ok := r.images[pid]; ok {
+			return buf, nil
+		}
+	}
+	buf, err := r.t.store.ReadPage(pid)
+	if err != nil {
+		return nil, err
+	}
+	if r.stats != nil {
+		r.stats.IndexReads++
+	}
+	if r.images != nil {
+		r.images[pid] = buf
+	}
+	return buf, nil
+}
+
+// leaf reads and decodes the BF-leaf at pid.
+func (r indexReader) leaf(pid device.PageID) (*bfLeaf, error) {
+	buf, err := r.page(pid)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBFLeaf(buf)
+}
+
+// descend walks from root to the leaf that key routes to, routing each
+// internal node in place, and returns the leaf's pid and its undecoded
+// image. Searches route leftmost (key <= separator goes left, because
+// duplicates may trail in the left leaf); inserts route rightmost (key
+// == separator goes right, because a separator is the right leaf's min
+// key, so new tuples for it live in the right leaf's page range). With
+// path set, it also records a writer-private decoded copy of every
+// internal node on the way down, for split propagation and routeBound.
+// The root comes from the caller's snapshot, so a whole operation sees
+// one consistent tree.
+func (r indexReader) descend(root device.PageID, key uint64, forInsert bool, path *[]frame) (device.PageID, []byte, error) {
+	pid := root
+	for {
+		buf, err := r.page(pid)
+		if err != nil {
+			return 0, nil, err
+		}
+		kind, err := nodeKind(buf)
+		if err != nil {
+			return 0, nil, err
+		}
+		if kind == nodeBFLeaf {
+			return pid, buf, nil
+		}
+		slot, child, err := route(buf, key, forInsert)
+		if err != nil {
+			return 0, nil, err
+		}
+		if path != nil {
+			n, err := decodeInternal(buf)
+			if err != nil {
+				return 0, nil, err
+			}
+			*path = append(*path, frame{pid: pid, node: n, slot: slot})
+		}
+		pid = child
+	}
+}
+
+// coveringLeaves is the leaf walk of Algorithm 1. It descends leftmost
+// to the first leaf that may hold key and skips forward while a leaf
+// lies wholly below key: a leftmost descent lands one leaf early when
+// key equals a separator whose duplicates do not trail left. Then it
+// calls visit on each chained leaf whose [minKey, maxKey] covers key,
+// because key's duplicates may continue into following leaves, until a
+// leaf no longer covers key or visit reports done.
+func (r indexReader) coveringLeaves(root device.PageID, key uint64, visit func(pid device.PageID, leaf *bfLeaf) (done bool, err error)) error {
+	pid, buf, err := r.descend(root, key, false, nil)
+	if err != nil {
+		return err
+	}
+	leaf, err := decodeBFLeaf(buf)
+	if err != nil {
+		return err
+	}
+	for key > leaf.maxKey && leaf.next != device.InvalidPage {
+		next, err := r.leaf(leaf.next)
+		if err != nil {
+			return err
+		}
+		if key < next.minKey {
+			return nil
+		}
+		pid, leaf = leaf.next, next
+	}
+	for key >= leaf.minKey && key <= leaf.maxKey {
+		if done, err := visit(pid, leaf); done || err != nil {
+			return err
+		}
+		if leaf.next == device.InvalidPage {
+			return nil
+		}
+		pid = leaf.next
+		if leaf, err = r.leaf(pid); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// candidates appends to pages the data pages that key's covering leaves
+// flag, clamped to the file's last page, charging the filter probes and
+// candidate pages to stats, which must be set: the index part of
+// Algorithm 1.
+func (r indexReader) candidates(root device.PageID, key uint64, pages []device.PageID) ([]device.PageID, error) {
+	last := r.t.lastDataPage()
+	err := r.coveringLeaves(root, key, func(_ device.PageID, leaf *bfLeaf) (bool, error) {
+		r.stats.BFProbes += leaf.numBFs()
+		for _, bid := range leaf.probe(key) {
+			lo, hi := leaf.pageRangeOf(bid)
+			for p := lo; p <= min(hi, last); p++ {
+				pages = append(pages, p)
+				r.stats.CandidatePages++
+			}
+		}
+		return false, nil
+	})
+	return pages, err
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"bftree/internal/device"
+	"bftree/internal/heapfile"
 )
 
 // Cursor is a pull-based streaming range scan over the BF-Tree: the
@@ -83,12 +84,14 @@ func (t *Tree) scan(lo, hi uint64, optimize bool) (*Cursor, error) {
 	c := &Cursor{t: t, lo: lo, hi: hi, optimize: optimize, ti: -1}
 	m, ep := t.beginProbe()
 	c.ep, c.open = ep, true
-	leaf, _, err := t.descend(m.root, lo, &c.stats)
+	_, buf, err := indexReader{t: t, stats: &c.stats}.descend(m.root, lo, false, nil)
+	if err == nil {
+		c.leaf, err = decodeBFLeaf(buf)
+	}
 	if err != nil {
 		c.release()
 		return nil, err
 	}
-	c.leaf = leaf
 	return c, nil
 }
 
@@ -193,7 +196,7 @@ func (c *Cursor) advanceLeaf() error {
 				c.done = true
 				return nil
 			}
-			nl, err := c.t.readLeaf(c.leaf.next, &c.stats)
+			nl, err := indexReader{t: c.t, stats: &c.stats}.leaf(c.leaf.next)
 			if err != nil {
 				return err
 			}
@@ -304,22 +307,14 @@ func (c *Cursor) stepEnum() {
 // collect reads one data page and returns copies of its in-range
 // tuples, charging the read (and a false read when nothing matched).
 func (c *Cursor) collect(pid device.PageID) ([][]byte, error) {
-	tuples, err := c.t.file.ReadPageTuples(pid)
+	out, err := c.t.file.AppendMatches(nil, pid, c.t.fieldIdx, heapfile.Keys{Lo: c.lo, Hi: c.hi})
 	if err != nil {
 		return nil, err
 	}
 	c.stats.DataPagesRead++
-	var out [][]byte
-	for _, tup := range tuples {
-		k := c.t.file.Schema().Get(tup, c.t.fieldIdx)
-		if k >= c.lo && k <= c.hi {
-			cp := make([]byte, len(tup))
-			copy(cp, tup)
-			out = append(out, cp)
-		}
-	}
 	if len(out) == 0 {
 		c.stats.FalseReads++
 	}
+	ownTuples(out)
 	return out, nil
 }

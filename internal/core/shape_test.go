@@ -16,8 +16,7 @@ import (
 func TestChooseShapePKStaysFine(t *testing.T) {
 	fx := newFixture(t, 30000, 11)
 	tr := fx.build(t, 0, Options{FPP: 1e-3})
-	var stats ProbeStats
-	leaf, _, err := tr.descend(tr.Root(), 1000, &stats)
+	leaf, _, _, err := tr.descendPath(1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +41,7 @@ func TestChooseShapeHighCardCoarsens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats ProbeStats
-	leaf, _, err := tr.descend(tr.Root(), 10, &stats)
+	leaf, _, _, err := tr.descendPath(10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +126,7 @@ func TestAvgGroupLoad(t *testing.T) {
 func TestGranularityOptionRespectedAsFloor(t *testing.T) {
 	fx := newFixture(t, 20000, 11)
 	tr := fx.build(t, 0, Options{FPP: 1e-3, Granularity: 4})
-	var stats ProbeStats
-	leaf, _, err := tr.descend(tr.Root(), 500, &stats)
+	leaf, _, _, err := tr.descendPath(500, false)
 	if err != nil {
 		t.Fatal(err)
 	}

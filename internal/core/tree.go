@@ -131,45 +131,6 @@ func (t *Tree) internalPagesOf(m *treeMeta) ([]device.PageID, error) {
 	return out, nil
 }
 
-// readLeaf fetches and decodes the BF-leaf at pid.
-func (t *Tree) readLeaf(pid device.PageID, stats *ProbeStats) (*bfLeaf, error) {
-	buf, err := t.store.ReadPage(pid)
-	if err != nil {
-		return nil, err
-	}
-	stats.IndexReads++
-	return decodeBFLeaf(buf)
-}
-
-// descend walks the internal levels from root to the leftmost leaf that
-// may hold key, charging one index read per level and routing each
-// internal node in place. The root comes from the caller's snapshot, so
-// a whole probe sees one consistent tree.
-func (t *Tree) descend(root device.PageID, key uint64, stats *ProbeStats) (*bfLeaf, device.PageID, error) {
-	pid := root
-	for {
-		buf, err := t.store.ReadPage(pid)
-		if err != nil {
-			return nil, 0, err
-		}
-		stats.IndexReads++
-		kind, err := nodeKind(buf)
-		if err != nil {
-			return nil, 0, err
-		}
-		if kind == nodeBFLeaf {
-			l, err := decodeBFLeaf(buf)
-			if err != nil {
-				return nil, 0, err
-			}
-			return l, pid, nil
-		}
-		if _, pid, err = route(buf, key, false); err != nil {
-			return nil, 0, err
-		}
-	}
-}
-
 // lastDataPage returns the final page id of the indexed file, for
 // clamping candidate ranges of leaves that cover not-yet-written pages.
 func (t *Tree) lastDataPage() device.PageID {
@@ -195,48 +156,14 @@ func (t *Tree) search(key uint64, firstOnly bool) (*Result, error) {
 	m, ep := t.beginProbe()
 	defer t.endProbe(ep)
 	res := &Result{}
-	leaf, _, err := t.descend(m.root, key, &res.Stats)
+	err := indexReader{t: t, stats: &res.Stats}.coveringLeaves(m.root, key,
+		func(_ device.PageID, leaf *bfLeaf) (bool, error) {
+			return t.probeLeaf(leaf, key, firstOnly, res)
+		})
 	if err != nil {
 		return nil, err
 	}
-	// Leftmost descent can land one leaf early when key equals a
-	// separator; skip forward while the leaf's range is entirely below.
-	for key > leaf.maxKey && leaf.next != device.InvalidPage {
-		nextLeaf, err := t.readLeaf(leaf.next, &res.Stats)
-		if err != nil {
-			return nil, err
-		}
-		if key < nextLeaf.minKey {
-			return res, nil
-		}
-		leaf = nextLeaf
-	}
-	// Duplicates of key may continue into following leaves; process
-	// every leaf whose [minKey, maxKey] covers key.
-	for {
-		if key >= leaf.minKey && key <= leaf.maxKey {
-			done, err := t.probeLeaf(leaf, key, firstOnly, res)
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				return res, nil
-			}
-		} else {
-			return res, nil
-		}
-		if leaf.next == device.InvalidPage {
-			return res, nil
-		}
-		nextLeaf, err := t.readLeaf(leaf.next, &res.Stats)
-		if err != nil {
-			return nil, err
-		}
-		if key < nextLeaf.minKey || key > nextLeaf.maxKey {
-			return res, nil
-		}
-		leaf = nextLeaf
-	}
+	return res, nil
 }
 
 // probeLeaf runs the filter probes and candidate page reads for one leaf.
@@ -261,17 +188,24 @@ func (t *Tree) probeLeaf(leaf *bfLeaf, key uint64, firstOnly bool, res *Result) 
 				res.Stats.FalseReads++
 				continue
 			}
-			for _, tup := range tuples {
-				cp := make([]byte, len(tup))
-				copy(cp, tup)
-				res.Tuples = append(res.Tuples, cp)
-			}
+			ownTuples(tuples)
+			res.Tuples = append(res.Tuples, tuples...)
 			if firstOnly {
 				return true, nil
 			}
 		}
 	}
 	return false, nil
+}
+
+// ownTuples replaces each tuple, a read-only sub-slice of a shared
+// page image, with a private copy the caller may keep and change.
+func ownTuples(tuples [][]byte) {
+	for i, tup := range tuples {
+		cp := make([]byte, len(tup))
+		copy(cp, tup)
+		tuples[i] = cp
+	}
 }
 
 // String summarizes the tree.

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"bftree/internal/device"
@@ -302,23 +303,48 @@ func (f *File) ReadPageTuples(id device.PageID) ([][]byte, error) {
 	return tuples, nil
 }
 
+// Keys selects tuples by the value of one field: a value matches when
+// it lies in [Lo, Hi] and, if In is set, is one of In's values, which
+// are sorted ascending.
+type Keys struct {
+	Lo, Hi uint64
+	In     []uint64
+}
+
+// AppendMatches scans data page id in place and appends to out every
+// tuple whose field fieldIdx keys selects, as read-only sub-slices of
+// the page image like ReadPageTuples's, in slot order; only growing out
+// allocates. It is the one in-place page scan behind SearchPage and the
+// BF-tree's batched probes and range-scan cursors.
+func (f *File) AppendMatches(out [][]byte, id device.PageID, fieldIdx int, keys Keys) ([][]byte, error) {
+	buf, n, err := f.readPage(id)
+	if err != nil {
+		return out, err
+	}
+	size, off := f.schema.TupleSize, f.schema.Fields[fieldIdx].Offset
+	for at := pageHeaderSize; at < pageHeaderSize+n*size; at += size {
+		tup := buf[at : at+size : at+size]
+		k := binary.BigEndian.Uint64(tup[off:])
+		if k < keys.Lo || k > keys.Hi {
+			continue
+		}
+		if keys.In != nil {
+			if _, ok := slices.BinarySearch(keys.In, k); !ok {
+				continue
+			}
+		}
+		out = append(out, tup)
+	}
+	return out, nil
+}
+
 // SearchPage scans data page id for tuples whose field fieldIdx equals
 // key and returns them, as read-only sub-slices of the page image like
 // ReadPageTuples's. This is the "search the data page for the desired
 // value" step of a BF-Tree probe (Algorithm 1 step 7); it scans the
-// image in place, so only a match allocates.
+// image in place (AppendMatches), so only a match allocates.
 func (f *File) SearchPage(id device.PageID, fieldIdx int, key uint64) ([][]byte, error) {
-	buf, n, err := f.readPage(id)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]byte
-	for i := 0; i < n; i++ {
-		if tup := f.tuple(buf, i); f.schema.Get(tup, fieldIdx) == key {
-			out = append(out, tup)
-		}
-	}
-	return out, nil
+	return f.AppendMatches(nil, id, fieldIdx, Keys{Lo: key, Hi: key})
 }
 
 // Scan iterates every tuple in file order, invoking fn with the page id,

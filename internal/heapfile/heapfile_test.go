@@ -182,6 +182,49 @@ func TestSearchPage(t *testing.T) {
 	}
 }
 
+// TestAppendMatches checks the page scan's selection against a brute
+// force over the page: a key range, a range narrowed to a sorted key
+// set, and that matches append after what out already holds.
+func TestAppendMatches(t *testing.T) {
+	f := buildFile(t, 300)
+	id := f.PageOf(100) // pks 63..125
+	cases := []struct {
+		keys Keys
+		want func(pk uint64) bool
+	}{
+		{Keys{Lo: 70, Hi: 80}, func(pk uint64) bool { return pk >= 70 && pk <= 80 }},
+		{Keys{Lo: 0, Hi: ^uint64(0)}, func(uint64) bool { return true }},
+		{Keys{Lo: 200, Hi: 300}, func(uint64) bool { return false }},
+		{Keys{Lo: 60, Hi: 125, In: []uint64{60, 63, 64, 99, 125}},
+			func(pk uint64) bool { return pk == 63 || pk == 64 || pk == 99 || pk == 125 }},
+	}
+	for _, c := range cases {
+		prefix := [][]byte{[]byte("kept")}
+		got, err := f.AppendMatches(prefix, id, 0, c.keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := f.ReadPageTuples(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for _, tup := range all {
+			if pk := f.Schema().Get(tup, 0); c.want(pk) {
+				want = append(want, pk)
+			}
+		}
+		if string(got[0]) != "kept" || len(got)-1 != len(want) {
+			t.Fatalf("%+v: got %d tuples after the prefix, want %d", c.keys, len(got)-1, len(want))
+		}
+		for i, pk := range want {
+			if g := f.Schema().Get(got[i+1], 0); g != pk {
+				t.Errorf("%+v: match %d has key %d, want %d", c.keys, i, g, pk)
+			}
+		}
+	}
+}
+
 // TestSearchPageAllocations gates the data-page step of a probe:
 // SearchPage scans the shared page image in place, so a miss allocates
 // nothing and a hit only its one-element result.

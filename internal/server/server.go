@@ -44,6 +44,11 @@ type Options struct {
 // scanChunk is the tuple count per streamed /scan NDJSON line.
 const scanChunk = 64
 
+// maxBodyBytes bounds a request body. The largest body a caller sends
+// is a 16-key /multi of a few hundred bytes; a larger body is answered
+// 413 before it is read past the bound.
+const maxBodyBytes = 1 << 20
+
 // Server mounts one index.Index behind the HTTP protocol of wire.go.
 // It is an http.Handler; run it under any http.Server.
 type Server struct {
@@ -158,15 +163,22 @@ func (s *Server) unsupported(w http.ResponseWriter, capability string) {
 	})
 }
 
-// decode parses the JSON request body into v; on failure it answers 400
-// and reports false.
+// decode parses the JSON request body, read up to maxBodyBytes, into v.
+// On failure it answers 413 for a body over the bound and 400 for any
+// other bad body, and reports false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		s.errCount.Add(1)
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true
+	s.errCount.Add(1)
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeJSON(w, status, ErrorResponse{Error: "bad request body: " + err.Error()})
+	return false
 }
 
 // result sends a probe outcome and folds its cost into the served

@@ -484,3 +484,70 @@ func TestInvalidWriteRefs(t *testing.T) {
 		}
 	}
 }
+
+// TestBodyBound: a request body over the server's 1 MiB bound is
+// answered 413 with an ErrorResponse and counted as an error; a
+// 4,096-key /multi, far above any real batch but under the bound, is
+// answered 200; and the server keeps serving after the refusal.
+func TestBodyBound(t *testing.T) {
+	const n = 3000
+	file, _ := servedRelation(t, n)
+	ix, err := index.New("bftree", pagestore.New(device.New(device.Memory, 4096)), file, 0, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	srv := server.New(ix, server.Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	post := func(route string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s of %d bytes: %v", route, len(body), err)
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.Bytes()
+	}
+
+	huge := append([]byte(`{"keys":[`), bytes.Repeat([]byte("5,"), 1<<20)...)
+	huge = append(huge, "5]}"...)
+	status, body := post("/multi", huge)
+	var refusal server.ErrorResponse
+	if status != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &refusal) != nil || refusal.Error == "" {
+		t.Errorf("2 MiB /multi: status %d, body %.80q; want 413 with an ErrorResponse", status, body)
+	}
+	if got := srv.Served().Errors; got != 1 {
+		t.Errorf("served errors = %d after the refusal, want 1", got)
+	}
+
+	keys := make([]uint64, 4096)
+	for i := range keys {
+		keys[i] = uint64(i) * 5
+	}
+	big, _ := json.Marshal(server.MultiRequest{Keys: keys})
+	status, body = post("/multi", big)
+	var res server.Result
+	if status != http.StatusOK || json.Unmarshal(body, &res) != nil {
+		t.Fatalf("4096-key /multi: status %d, body %.80q; want 200", status, body)
+	}
+	want, err := ix.MultiSearch(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != len(want.Tuples) || len(res.Tuples) != n {
+		t.Errorf("4096-key /multi: %d tuples, direct %d, relation %d", len(res.Tuples), len(want.Tuples), n)
+	}
+
+	point, _ := json.Marshal(server.PointRequest{Key: 10})
+	if status, body := post("/search", point); status != http.StatusOK {
+		t.Errorf("/search after the refusal: status %d, body %.80q", status, body)
+	}
+	if got := srv.Served().Errors; got != 1 {
+		t.Errorf("served errors = %d at the end, want 1", got)
+	}
+}
