@@ -174,6 +174,43 @@ func TestCachedSearchFirstAllocations(t *testing.T) {
 	}
 }
 
+// TestWritePathAllocations gates the latched write tier on a tree with
+// an internal level, for both filter kinds: an in-place Insert of an
+// association the leaf already indexes, and a Delete of an indexed
+// association in an interior leaf. Neither may decode an internal node.
+// An Insert allocates the leaf header it re-reads under the latch, the
+// leaf's private page and the image the write publishes. A Delete adds
+// the headers of the covering leaf and of the next leaf, which ends the
+// covering-leaf walk, and the drift snapshot it publishes.
+func TestWritePathAllocations(t *testing.T) {
+	const n = 20000
+	f, _ := buildInitialFile(t, n)
+	for _, kind := range []FilterKind{StandardFilter, CountingFilter} {
+		tr, err := BulkLoad(pagestore.New(device.New(device.Memory, 4096)), f, 0, Options{FPP: 1e-3, Filter: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Height() < 2 {
+			t.Fatalf("height %d: the gate needs an internal level", tr.Height())
+		}
+		key := uint64(n / 2)
+		if a := testing.AllocsPerRun(100, func() { _ = tr.Insert(key, f.PageOf(key)) }); a > 3 {
+			t.Errorf("filter kind %d: in-place Insert allocates %v objects, want <= 3", kind, a)
+		}
+		// Each run deletes a different association, so a counting leaf
+		// always finds the one it removes.
+		next := uint64(0)
+		if a := testing.AllocsPerRun(100, func() {
+			next += 97
+			if err := tr.Delete(next, f.PageOf(next)); err != nil {
+				t.Fatal(err)
+			}
+		}); a > 6 {
+			t.Errorf("filter kind %d: Delete allocates %v objects, want <= 6", kind, a)
+		}
+	}
+}
+
 // encodedInternal is a valid internal node of count sorted keys drawn
 // from rng, with distinct children.
 func encodedInternal(rng *rand.Rand, pageSize, count int) []byte {
