@@ -23,14 +23,15 @@
 // SearchFirst, RangeScan and friends may be called from any number of
 // goroutines concurrently with writers: every probe loads one
 // immutable metadata snapshot and runs lock-free. Writers run in two
-// tiers: a non-structural Insert or Delete rewrites one BF-leaf in
-// place under a shared tree lock plus that leaf's latch, so writers
-// touching disjoint leaves proceed in parallel; an insert that needs a
+// tiers: a non-structural write rewrites one BF-leaf in place under a
+// shared tree lock plus that leaf's latch, so writers touching
+// disjoint leaves proceed in parallel; an insert that needs a
 // structural change (leaf split, append, root growth) escalates to an
 // exclusive lock and runs copy-on-write, published atomically, with
-// retired pages recycled through an epoch grace period. Flush applies
-// each leaf group under the shared tier, escalating per entry only for
-// structural work; Rebuild takes the exclusive lock. A
+// retired pages recycled through an epoch grace period. Insert is a
+// BufferedInserter Flush of one entry: a Flush rewrites each leaf its
+// sorted entries land in once, and escalates only the entries that
+// need structural work. Rebuild takes the exclusive lock. A
 // BufferedInserter's own buffer is unsynchronized — use each inserter
 // from a single goroutine. See DESIGN.md §3 for the full contract.
 //

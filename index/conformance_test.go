@@ -276,24 +276,17 @@ func TestConformance(t *testing.T) {
 // serving them while capability writers churn delete/re-insert rounds
 // of real associations. Under churn an answer may shrink but never
 // exceeds the physical association count, and after the writers drain
-// every sampled lookup answers golden again. The buffered BF-Tree mode
-// runs too: it registers under bftree, so it inherits the trait. Run
-// with -race.
+// every sampled lookup answers golden again. Run with -race.
 func TestConformanceConcurrent(t *testing.T) {
 	const n = 3000 // 1000 distinct keys, 3 tuples each
 	file, _ := goldenRelation(t, n)
 	maxKey := uint64(n/3-1) * 5
 
-	var variants []scanVariant
 	for _, name := range index.Backends() {
-		variants = append(variants, scanVariant{name: name})
-	}
-	variants = append(variants, scanVariant{"bftree-buffered", index.Options{BufferedInserts: 64}})
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			backend, _ := index.Lookup(backendOf(v))
+		t.Run(name, func(t *testing.T) {
+			backend, _ := index.Lookup(name)
 			idxStore := pagestore.New(device.New(device.Memory, 4096))
-			ix, err := index.New(backendOf(v), idxStore, file, 0, v.opts)
+			ix, err := index.New(name, idxStore, file, 0, index.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,28 +469,5 @@ func TestCapabilityMatrix(t *testing.T) {
 			}
 		}
 		ix.Close()
-	}
-	// The buffered BF-Tree mode adds Flusher and withholds Persister: a
-	// marshal would silently drop unflushed buffered inserts.
-	idxStore := pagestore.New(device.New(device.Memory, 4096))
-	ix, err := index.New("bftree", idxStore, file, 0, index.Options{BufferedInserts: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	if _, ok := ix.(index.Flusher); !ok {
-		t.Error("buffered bftree mode does not implement Flusher")
-	}
-	if _, ok := ix.(index.Persister); ok {
-		t.Error("buffered bftree mode must not implement Persister (buffered inserts would be lost)")
-	}
-	// Delete accounts for the buffer: a just-buffered association is
-	// deletable without an explicit Flush.
-	ref := refsOf(t, file, 35)[0]
-	if err := ix.Insert(35, ref); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.(index.Deleter).Delete(35, ref); err != nil {
-		t.Fatalf("Delete of a buffered association: %v", err)
 	}
 }

@@ -89,7 +89,7 @@ func drainInto(it Iterator, firstOnly bool, res *Result) error {
 			break
 		}
 	}
-	addStats(&res.Stats, it.Stats())
+	res.Stats.Add(it.Stats())
 	return it.Err()
 }
 

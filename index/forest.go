@@ -18,9 +18,8 @@ func init() {
 			// shard: the forest splits IncrementalBatch across shards
 			// so the per-pass compaction budget is forest-wide.
 			f, err := forest.New(store, file, fieldIdx, forest.Options{
-				Shards:      opts.ForestShards,
-				Tree:        o,
-				Maintenance: &o.Maintenance,
+				Shards: opts.ForestShards,
+				Tree:   o,
 			})
 			if err != nil {
 				return nil, err

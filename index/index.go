@@ -138,8 +138,7 @@ type Deleter interface {
 }
 
 // Flusher is implemented by backends that buffer writes in memory and
-// can force them to the device (the BF-Tree's buffered-insert mode, the
-// FD-Tree's head tree).
+// can force them to the device (the FD-Tree's head tree).
 type Flusher interface {
 	Flush() error
 }

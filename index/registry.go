@@ -24,10 +24,6 @@ type Options struct {
 	// (Section 6.3). Ignored by the hash and BF-Tree backends, which
 	// have no per-tuple entries to deduplicate.
 	DedupKeys bool
-	// BufferedInserts, when > 0, puts the BF-Tree backend in the
-	// update-intensive buffered mode of Section 4.2 with that buffer
-	// capacity: Insert batches in memory, Flush applies leaf-by-leaf.
-	BufferedInserts int
 	// ForestShards sets the bfforest backend's shard count; 0 selects
 	// the forest package default (4). Ignored by single-tree backends.
 	ForestShards int

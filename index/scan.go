@@ -115,13 +115,3 @@ func scanRange(s Scanner, lo, hi uint64) (*Result, error) {
 	}
 	return Drain(it)
 }
-
-// addStats accumulates s into dst (the ProbeStats alias keeps its add
-// method unexported in internal/core).
-func addStats(dst *ProbeStats, s ProbeStats) {
-	dst.IndexReads += s.IndexReads
-	dst.BFProbes += s.BFProbes
-	dst.CandidatePages += s.CandidatePages
-	dst.DataPagesRead += s.DataPagesRead
-	dst.FalseReads += s.FalseReads
-}

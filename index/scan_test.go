@@ -28,7 +28,6 @@ type scanVariant struct {
 func scanVariants() []scanVariant {
 	return []scanVariant{
 		{"bftree", index.Options{}},
-		{"bftree-buffered", index.Options{BufferedInserts: 64}},
 		{"bfforest", index.Options{}},
 		{"bptree", index.Options{}},
 		{"bptree-dedup", index.Options{DedupKeys: true}},
@@ -40,8 +39,6 @@ func scanVariants() []scanVariant {
 
 func backendOf(v scanVariant) string {
 	switch v.name {
-	case "bftree-buffered":
-		return "bftree"
 	case "bptree-dedup":
 		return "bptree"
 	case "fdtree-dedup":

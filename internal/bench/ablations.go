@@ -100,8 +100,9 @@ func RunAblationDeletes(scale Scale) (*Table, error) {
 
 // RunAblationBufferedInserts measures the write amortization of the
 // Section 4.2 buffered-update mode: index page writes per insert for
-// direct inserts vs a buffered batch — both modes driven through the
-// Inserter/Flusher capabilities.
+// direct core.Tree inserts vs one core.BufferedInserter batch. Both go
+// through the tree's one insert path; the buffer only sorts the batch
+// so that each leaf is rewritten once.
 func RunAblationBufferedInserts(scale Scale) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: direct vs buffered inserts (Section 4.2)",
@@ -111,34 +112,32 @@ func RunAblationBufferedInserts(scale Scale) (*Table, error) {
 	if n < 100 {
 		n = 100
 	}
-	for _, buffered := range []bool{false, true} {
+	for _, mode := range []string{"direct", "buffered"} {
 		env, rel, err := newCell(ssdSSD, 0, syntheticRel(scale, 0))
 		if err != nil {
 			return nil, err
 		}
-		opts := rel.opts(core.Options{FPP: 1e-3})
-		if buffered {
-			opts.BufferedInserts = int(n) + 1
-		}
-		ix, err := index.New("bftree", env.IdxStore, rel.file, 0, opts)
+		tr, err := core.BulkLoad(env.IdxStore, rel.file, 0, core.Options{FPP: 1e-3})
 		if err != nil {
 			return nil, err
 		}
+		insert := tr.Insert
+		buf := tr.NewBufferedInserter(int(n) + 1)
+		if mode == "buffered" {
+			insert = buf.Insert
+		}
 		env.ResetIO()
 		for k := uint64(0); k < n; k++ {
-			if err := ix.Insert(k, index.Ref{Page: rel.file.PageOf(k)}); err != nil {
+			if err := insert(k, rel.file.PageOf(k)); err != nil {
 				return nil, err
 			}
 		}
-		if fl, ok := ix.(index.Flusher); ok {
-			if err := fl.Flush(); err != nil {
-				return nil, err
-			}
+		if err := buf.Flush(); err != nil {
+			return nil, err
 		}
 		writes := env.IdxDev.Stats().Writes()
-		mode := "direct"
-		if buffered {
-			mode = "buffered"
+		if err := tr.Close(); err != nil {
+			return nil, err
 		}
 		t.AddRow(mode, fmt.Sprint(n), fmt.Sprint(writes),
 			fmtF(float64(writes)/float64(n)))

@@ -257,7 +257,7 @@ func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 				if res != nil {
 					falseReads[w][op.Kind] += res.Stats.FalseReads
 					tuples[w][op.Kind] += len(res.Tuples)
-					addProbeStats(&probes[w], res.Stats)
+					probes[w].Add(res.Stats)
 				}
 				if cfg.OnOp != nil {
 					cfg.OnOp(w, i, op)
@@ -289,7 +289,7 @@ func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 			res.Kinds[k].FalseReads += falseReads[w][k]
 			res.Kinds[k].Tuples += tuples[w][k]
 		}
-		addProbeStats(&res.Probe, probes[w])
+		res.Probe.Add(probes[w])
 	}
 	res.Ops = len(all)
 	res.P50, res.P99 = latencyQuantiles(all)
@@ -305,15 +305,6 @@ func Drive(t Target, cfg DriverConfig) (*DriverResult, error) {
 		res.Maintenance = &snap
 	}
 	return res, nil
-}
-
-// addProbeStats accumulates s into dst.
-func addProbeStats(dst *index.ProbeStats, s index.ProbeStats) {
-	dst.IndexReads += s.IndexReads
-	dst.BFProbes += s.BFProbes
-	dst.CandidatePages += s.CandidatePages
-	dst.DataPagesRead += s.DataPagesRead
-	dst.FalseReads += s.FalseReads
 }
 
 // targetCaps derives the workload-facing capability set of a target

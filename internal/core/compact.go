@@ -180,7 +180,7 @@ func (t *Tree) compactLeafLocked(pid device.PageID) (bool, error) {
 		// be this page. Insert routing matches how separators are
 		// derived (a separator is its right leaf's min key), so a live
 		// leaf always descends to itself; a retired one does not.
-		curPid, _, err := r.descend(m.root, leaf.minKey, true, &path)
+		curPid, _, _, err := r.descend(m.root, leaf.minKey, true, &path)
 		if err != nil {
 			return false, err
 		}

@@ -38,7 +38,7 @@ func buildKeyedFile(t *testing.T, keys []uint64) (*heapfile.File, *pagestore.Sto
 // internal path.
 func (t *Tree) descendPath(key uint64, forInsert bool) (*bfLeaf, device.PageID, []frame, error) {
 	var path []frame
-	pid, buf, err := indexReader{t: t}.descend(t.loadMeta().root, key, forInsert, &path)
+	pid, buf, _, err := indexReader{t: t}.descend(t.loadMeta().root, key, forInsert, &path)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -49,12 +49,13 @@ func (t *Tree) descendPath(key uint64, forInsert bool) (*bfLeaf, device.PageID, 
 	return leaf, pid, path, nil
 }
 
-// TestRouteBoundMatchesInsertRouting pins the Flush routing invariant:
-// for any key, every key up to routeBound of its insert descent must
-// route to the same leaf, and the first key past the bound must not.
-// The old inclusive bound claimed the separator itself for the left
-// leaf, while insert routing (key < separator goes left) sends a key
-// equal to the separator right.
+// TestRouteBoundMatchesInsertRouting pins the route bound an insert
+// descent reports, which bounds the run of sorted entries one latched
+// rewrite absorbs: for any key, every key up to the bound must route to
+// the same leaf, and the first key past the bound must not. An
+// inclusive bound would claim the separator itself for the left leaf,
+// while insert routing (key < separator goes left) sends a key equal to
+// the separator right.
 func TestRouteBoundMatchesInsertRouting(t *testing.T) {
 	f, _ := buildInitialFile(t, 5000)
 	idx := pagestore.New(device.New(device.Memory, 4096))
@@ -65,16 +66,16 @@ func TestRouteBoundMatchesInsertRouting(t *testing.T) {
 	if tr.NumLeaves() < 2 {
 		t.Skip("need multiple leaves")
 	}
+	r, root := indexReader{t: tr}, tr.loadMeta().root
 	for k := uint64(0); k < 5000; k += 37 {
-		_, leafPid, path, err := tr.descendPath(k, true)
+		leafPid, _, bound, err := r.descend(root, k, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := routeBound(path)
 		if bound < k {
 			t.Fatalf("key %d: bound %d below the key itself", k, bound)
 		}
-		_, atBoundPid, _, err := tr.descendPath(bound, true)
+		atBoundPid, _, _, err := r.descend(root, bound, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestRouteBoundMatchesInsertRouting(t *testing.T) {
 		if bound == ^uint64(0) {
 			continue
 		}
-		_, pastPid, _, err := tr.descendPath(bound+1, true)
+		pastPid, _, _, err := r.descend(root, bound+1, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

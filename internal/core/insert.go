@@ -50,33 +50,120 @@ func (t *Tree) writeLeaf(pid device.PageID, l *bfLeaf) error {
 // file's tail (appends), mirroring the paper's assumption that data stays
 // ordered or partitioned on the indexed attribute.
 //
-// Insert is safe to call concurrently with any number of probes and
-// writers. A non-structural insert — the leaf absorbs the key in place —
-// runs under the shared writer lock plus the target leaf's latch, so
-// inserts into disjoint leaves proceed in parallel; an insert that needs
-// a structural change (append past the tail, split at capacity)
-// escalates to the exclusive writer lock (DESIGN.md §3).
+// Insert is a flush of one entry (insertBatch): Section 4.2's
+// update-intensive mode only accumulates inserts before applying this
+// same algorithm leaf by leaf. It is safe to call concurrently with any
+// number of probes and writers. A non-structural insert — the leaf
+// absorbs the key in place — runs under the shared writer lock plus the
+// target leaf's latch, so inserts into disjoint leaves proceed in
+// parallel; an insert that needs a structural change (append past the
+// tail, split at capacity) escalates to the exclusive writer lock
+// (DESIGN.md §3).
 func (t *Tree) Insert(key uint64, pid device.PageID) error {
-	err := t.insert(key, pid)
-	if err == nil {
-		// Outside all tree locks: nudge the maintainer if this insert's
-		// published drift crossed the compaction threshold.
-		t.driftNudge()
-	}
+	_, err := t.insertBatch([]pendingInsert{{key: key, pid: pid}})
 	return err
 }
 
-func (t *Tree) insert(key uint64, pid device.PageID) error {
-	if done, err := t.insertLatched(key, pid); done {
+// insertBatch applies entries, sorted by key, and returns how many it
+// applied: on error, entries[n:] are not applied and entries[:n] are
+// durable. Each run of entries that routes to one leaf and fits in it
+// is absorbed in one latched leaf rewrite (absorbRun). An entry that
+// needs structural work — an append past the tail or a split at
+// capacity — escalates alone to the exclusive lock; insertLocked
+// re-descends, so if another writer did the structural work in between
+// it lands on the in-place path.
+func (t *Tree) insertBatch(entries []pendingInsert) (int, error) {
+	n := 0
+	for n < len(entries) {
+		applied, err := t.absorbRun(entries[n:])
+		if err == nil && applied == 0 {
+			t.writeMu.Lock()
+			err = t.insertLocked(entries[n].key, entries[n].pid)
+			t.writeMu.Unlock()
+			applied = 1
+		}
+		if err != nil {
+			return n, err
+		}
+		n += applied
+		// Outside all tree locks: nudge the maintainer if this step's
+		// published drift crossed the compaction threshold.
+		t.driftNudge()
+	}
+	return n, nil
+}
+
+// absorbRun applies the longest prefix of entries that routes to the
+// head entry's leaf and absorbs in place, under the shared writer lock
+// in one rewriteLatched call, and reports how many entries it applied.
+// Zero with a nil error means the head entry needs the exclusive
+// structural path: its page lies outside the leaf's range, or it is a
+// new key on a leaf at its Equation 5 capacity. On error nothing was
+// applied: the leaf image is written only after the whole run absorbed.
+func (t *Tree) absorbRun(entries []pendingInsert) (int, error) {
+	t.writeMu.RLock()
+	defer t.writeMu.RUnlock()
+	// The shared lock freezes the structure, so the leaf pid and its
+	// route bound stay valid for the whole run. The descent leaves the
+	// leaf image undecoded: rewriteLatched re-reads it under the latch.
+	leafPid, _, bound, err := indexReader{t: t}.descend(t.loadMeta().root, entries[0].key, true, nil)
+	if err != nil {
+		return 0, err
+	}
+	n, newKeys := 0, uint32(0)
+	err = t.rewriteLatched(leafPid, func(leaf *bfLeaf) (bool, error) {
+		for ; n < len(entries) && entries[n].key <= bound; n++ {
+			e := entries[n]
+			if e.pid < leaf.minPid || e.pid > leaf.maxPid {
+				break // append or disorder: structural path
+			}
+			applied, isNew, err := t.absorbIntoLeaf(leaf, e.key, e.pid)
+			if err != nil {
+				return false, err
+			}
+			if !applied {
+				break // split needed: structural path
+			}
+			if isNew {
+				newKeys++
+			}
+		}
+		// The run's new keys are drift charged to this leaf, in the same
+		// image write that records them (the per-leaf accounting
+		// invariant).
+		leaf.driftIns += newKeys
+		return n > 0, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	// The run counts only once its leaf write has landed.
+	if newKeys > 0 {
+		t.publish(func(m *treeMeta) { m.inserts += uint64(newKeys) })
+	}
+	return n, nil
+}
+
+// rewriteLatched is the latched tier of every non-structural write. It
+// latches the leaf at leafPid, re-reads and decodes its image, applies
+// mutate, and writes the leaf back when mutate reports a change. The
+// caller holds the shared writer lock, which guarantees leafPid is
+// still the leaf the caller routed to: in-place rewrites never move a
+// leaf's page range or its separators, and never narrow its key range.
+// The re-read is what the latch protects: another latched writer may
+// have rewritten the leaf since the caller's descent read it.
+func (t *Tree) rewriteLatched(leafPid device.PageID, mutate func(leaf *bfLeaf) (changed bool, err error)) error {
+	mu := t.latches.lock(leafPid)
+	defer mu.Unlock()
+	leaf, err := indexReader{t: t}.leaf(leafPid)
+	if err != nil {
 		return err
 	}
-	// Escalate: re-run the full path under the exclusive lock. Another
-	// writer may have done the structural work between the shared-lock
-	// release and this acquisition; insertLocked re-descends, so it
-	// either performs the change itself or lands on the in-place path.
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
-	return t.insertLocked(key, pid)
+	changed, err := mutate(leaf)
+	if err != nil || !changed {
+		return err
+	}
+	return t.writeLeaf(leafPid, leaf)
 }
 
 // absorbIntoLeaf applies one key→page association to a decoded leaf in
@@ -124,59 +211,11 @@ func (t *Tree) absorbIntoLeaf(leaf *bfLeaf, key uint64, pid device.PageID) (appl
 	return true, isNew, nil
 }
 
-// insertLatched is Insert's leaf-latched fast path: descend under the
-// shared writer lock (the tree structure is frozen; only in-place leaf
-// rewrites may race), latch the target leaf, and absorb the key in
-// place. It reports done=false when the insert needs the exclusive
-// structural path — a page beyond the leaf's range (append or ordering
-// violation, both diagnosed against a stable tree) or a new key landing
-// on a leaf at its Equation 5 capacity (split).
-func (t *Tree) insertLatched(key uint64, pid device.PageID) (done bool, err error) {
-	t.writeMu.RLock()
-	defer t.writeMu.RUnlock()
-	// The descent leaves the leaf image undecoded: the leaf must be
-	// re-read under its latch anyway.
-	r := indexReader{t: t}
-	leafPid, _, err := r.descend(t.loadMeta().root, key, true, nil)
-	if err != nil {
-		return true, err
-	}
-	mu := t.latches.lock(leafPid)
-	defer mu.Unlock()
-	// Re-read under the latch: another latched writer may have rewritten
-	// the leaf between the descent's read and the latch acquisition. The
-	// shared lock guarantees leafPid is still the leaf that covers key —
-	// in-place rewrites never move a leaf's page range or its separators.
-	leaf, err := r.leaf(leafPid)
-	if err != nil {
-		return true, err
-	}
-	if pid < leaf.minPid || pid > leaf.maxPid {
-		return false, nil
-	}
-	applied, isNew, err := t.absorbIntoLeaf(leaf, key, pid)
-	if err != nil {
-		return true, err
-	}
-	if !applied {
-		return false, nil
-	}
-	if isNew {
-		leaf.driftIns++
-	}
-	if err := t.writeLeaf(leafPid, leaf); err != nil {
-		return true, err
-	}
-	if isNew {
-		t.publish(func(m *treeMeta) { m.inserts++ })
-	}
-	return true, nil
-}
-
-// insertLocked is Insert's body; callers hold writeMu.
+// insertLocked is the structural path of one insert; callers hold
+// writeMu exclusively.
 func (t *Tree) insertLocked(key uint64, pid device.PageID) error {
 	var path []frame
-	leafPid, buf, err := indexReader{t: t}.descend(t.loadMeta().root, key, true, &path)
+	leafPid, buf, _, err := indexReader{t: t}.descend(t.loadMeta().root, key, true, &path)
 	if err != nil {
 		return err
 	}
@@ -260,27 +299,41 @@ func (t *Tree) delete(key uint64, pid device.PageID) error {
 	removed := false
 	err := indexReader{t: t}.coveringLeaves(t.loadMeta().root, key,
 		func(leafPid device.PageID, leaf *bfLeaf) (bool, error) {
-			if pid < leaf.minPid || pid > leaf.maxPid {
+			// Standard filters cannot clear bits, so only the first
+			// claiming leaf records the logical delete; a counting delete
+			// removes the association from every leaf that claims it.
+			if pid < leaf.minPid || pid > leaf.maxPid || (removed && !counting) ||
+				!leaf.probeOne(leaf.bfIndexOf(pid), key) {
 				return false, nil
 			}
-			if counting {
-				// Only the first successful removal carries the drift
-				// charge: one published global decrement is attributed to
-				// exactly one leaf (the per-leaf accounting invariant).
-				ok, err := t.deleteLatched(key, pid, leafPid, !removed)
-				removed = removed || ok
-				return false, err
-			}
-			if !removed && leaf.probeOne(leaf.bfIndexOf(pid), key) {
-				// Standard filters cannot clear bits; the association is
-				// claimed, so the logical delete counts toward drift —
-				// charged to this first claiming leaf, under its latch,
-				// so the per-leaf counters stay in sync with the global
-				// ones a partial rebuild will decrement.
+			return false, t.rewriteLatched(leafPid, func(leaf *bfLeaf) (bool, error) {
+				// A racing counting delete may have removed the
+				// association since the walk read this leaf.
+				if !leaf.probeOne(leaf.bfIndexOf(pid), key) {
+					return false, nil
+				}
+				if counting {
+					// The distinct-key count drops only when the key's
+					// last association in the leaf is gone: a key still
+					// claimed on other pages keeps its slot in the
+					// Equation 5 capacity check.
+					lastGone, err := leaf.removeKey(key, pid)
+					if err != nil {
+						return false, err
+					}
+					if lastGone && leaf.numKeys > 0 {
+						leaf.numKeys--
+					}
+				}
+				// One published global decrement is charged to exactly
+				// one leaf, in the image write that records it (the
+				// per-leaf accounting invariant).
+				if !removed {
+					leaf.driftDel++
+				}
 				removed = true
-				return false, t.chargeDeleteLatched(leafPid)
-			}
-			return false, nil
+				return true, nil
+			})
 		})
 	if err != nil {
 		return err
@@ -295,64 +348,6 @@ func (t *Tree) delete(key uint64, pid device.PageID) error {
 	}
 	t.publish(func(m *treeMeta) { m.deletes++ })
 	return nil
-}
-
-// deleteLatched removes the key→page association from the leaf at
-// leafPid under its latch, re-reading the leaf image first (a racing
-// latched writer may have rewritten it since the caller's read) and
-// re-checking coverage. It reports whether an association was removed.
-// The leaf's distinct-key count drops only when removeKey reports the
-// key's last association gone — a key still claimed on other pages of
-// the leaf keeps its slot in the Equation 5 capacity check. With
-// chargeDrift set, a successful removal also records one unit of delete
-// drift on the leaf, matching the single global decrement the caller
-// publishes.
-func (t *Tree) deleteLatched(key uint64, pid device.PageID, leafPid device.PageID, chargeDrift bool) (bool, error) {
-	mu := t.latches.lock(leafPid)
-	defer mu.Unlock()
-	leaf, err := indexReader{t: t}.leaf(leafPid)
-	if err != nil {
-		return false, err
-	}
-	if key < leaf.minKey || key > leaf.maxKey || pid < leaf.minPid || pid > leaf.maxPid {
-		return false, nil
-	}
-	if !leaf.probeOne(leaf.bfIndexOf(pid), key) {
-		return false, nil // the filter never claimed this association
-	}
-	lastGone, err := leaf.removeKey(key, pid)
-	if err != nil {
-		return false, err
-	}
-	if lastGone && leaf.numKeys > 0 {
-		leaf.numKeys--
-	}
-	if chargeDrift {
-		leaf.driftDel++
-	}
-	if err := t.writeLeaf(leafPid, leaf); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// chargeDeleteLatched records one unit of delete drift on the leaf at
-// leafPid — the standard-filter logical-delete counterpart of
-// deleteLatched's chargeDrift. Standard filters cannot clear bits, so
-// the leaf's content is untouched; only the drift counter moves, under
-// the leaf's latch and re-read like any latched rewrite, so no racing
-// writer's increment is lost. A claim observed by the caller cannot
-// vanish before the latch is held: standard filters never clear bits
-// and compaction needs the exclusive lock the caller's RLock excludes.
-func (t *Tree) chargeDeleteLatched(leafPid device.PageID) error {
-	mu := t.latches.lock(leafPid)
-	defer mu.Unlock()
-	leaf, err := indexReader{t: t}.leaf(leafPid)
-	if err != nil {
-		return err
-	}
-	leaf.driftDel++
-	return t.writeLeaf(leafPid, leaf)
 }
 
 // appendLeaf grows the tree at its right edge: a new leaf covering the
@@ -534,7 +529,7 @@ func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []frame) erro
 func (t *Tree) predecessorLeaf(path []frame) (device.PageID, error) {
 	for lv := len(path) - 1; lv >= 0; lv-- {
 		if f := path[lv]; f.slot > 0 {
-			pid, _, err := indexReader{t: t}.descend(f.node.children[f.slot-1], ^uint64(0), true, nil)
+			pid, _, _, err := indexReader{t: t}.descend(f.node.children[f.slot-1], ^uint64(0), true, nil)
 			return pid, err
 		}
 	}

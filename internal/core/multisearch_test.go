@@ -70,7 +70,7 @@ func checkMultiSearch(t *testing.T, tr *Tree, keys []uint64) {
 		if len(res.Tuples) != copies {
 			t.Errorf("Search(%d) found %d tuples, want %d", k, len(res.Tuples), copies)
 		}
-		want.add(res.Stats)
+		want.Add(res.Stats)
 		for _, tup := range res.Tuples {
 			wantTuples = append(wantTuples, string(tup))
 		}

@@ -73,6 +73,12 @@ func internalChild(buf []byte, count, i int) device.PageID {
 	return device.PageID(binary.LittleEndian.Uint64(buf[nodeHeaderSize+(count+i)*8:]))
 }
 
+// internalKey returns separator i of an encoded internal node; the
+// caller has checked i against the count internalCount returned.
+func internalKey(buf []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(buf[nodeHeaderSize+i*8:])
+}
+
 // route picks key's child in the encoded internal node buf, reading the
 // separators in place, and returns the child and its slot. Searches
 // route leftmost (key <= separator goes left); inserts route rightmost
@@ -86,7 +92,7 @@ func route(buf []byte, key uint64, forInsert bool) (slot int, child device.PageI
 	lo, hi := 0, count // slot is the first separator key routes left of
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		sep := binary.LittleEndian.Uint64(buf[nodeHeaderSize+mid*8:])
+		sep := internalKey(buf, mid)
 		if key < sep || (key == sep && !forInsert) {
 			hi = mid
 		} else {

@@ -52,33 +52,45 @@ func (r indexReader) leaf(pid device.PageID) (*bfLeaf, error) {
 // image. Searches route leftmost (key <= separator goes left, because
 // duplicates may trail in the left leaf); inserts route rightmost (key
 // == separator goes right, because a separator is the right leaf's min
-// key, so new tuples for it live in the right leaf's page range). With
-// path set, it also records a writer-private decoded copy of every
-// internal node on the way down, for split propagation and routeBound.
+// key, so new tuples for it live in the right leaf's page range).
+//
+// An insert descent also returns the leaf's route bound, the largest key
+// that still routes to the leaf: one below the separator right of the
+// taken slot at the deepest level that has one, or MaxUint64 on the
+// rightmost spine. The separator itself routes right, so it is already
+// outside the leaf. A search descent returns MaxUint64 and does no work
+// for it. With path set, descend also records a writer-private decoded
+// copy of every internal node on the way down, for split propagation.
 // The root comes from the caller's snapshot, so a whole operation sees
 // one consistent tree.
-func (r indexReader) descend(root device.PageID, key uint64, forInsert bool, path *[]frame) (device.PageID, []byte, error) {
-	pid := root
+func (r indexReader) descend(root device.PageID, key uint64, forInsert bool, path *[]frame) (pid device.PageID, image []byte, bound uint64, err error) {
+	pid, bound = root, ^uint64(0)
 	for {
 		buf, err := r.page(pid)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		kind, err := nodeKind(buf)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		if kind == nodeBFLeaf {
-			return pid, buf, nil
+			return pid, buf, bound, nil
 		}
 		slot, child, err := route(buf, key, forInsert)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
+		}
+		if forInsert {
+			// route has already checked the count.
+			if count, _ := internalCount(buf); slot < count {
+				bound = internalKey(buf, slot) - 1
+			}
 		}
 		if path != nil {
 			n, err := decodeInternal(buf)
 			if err != nil {
-				return 0, nil, err
+				return 0, nil, 0, err
 			}
 			*path = append(*path, frame{pid: pid, node: n, slot: slot})
 		}
@@ -94,7 +106,7 @@ func (r indexReader) descend(root device.PageID, key uint64, forInsert bool, pat
 // because key's duplicates may continue into following leaves, until a
 // leaf no longer covers key or visit reports done.
 func (r indexReader) coveringLeaves(root device.PageID, key uint64, visit func(pid device.PageID, leaf *bfLeaf) (done bool, err error)) error {
-	pid, buf, err := r.descend(root, key, false, nil)
+	pid, buf, _, err := r.descend(root, key, false, nil)
 	if err != nil {
 		return err
 	}

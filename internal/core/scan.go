@@ -84,7 +84,7 @@ func (t *Tree) scan(lo, hi uint64, optimize bool) (*Cursor, error) {
 	c := &Cursor{t: t, lo: lo, hi: hi, optimize: optimize, ti: -1}
 	m, ep := t.beginProbe()
 	c.ep, c.open = ep, true
-	_, buf, err := indexReader{t: t, stats: &c.stats}.descend(m.root, lo, false, nil)
+	_, buf, _, err := indexReader{t: t, stats: &c.stats}.descend(m.root, lo, false, nil)
 	if err == nil {
 		c.leaf, err = decodeBFLeaf(buf)
 	}

@@ -19,8 +19,8 @@ type ProbeStats struct {
 	FalseReads     int // fetched data pages containing no match
 }
 
-// add accumulates s into p.
-func (p *ProbeStats) add(s ProbeStats) {
+// Add accumulates s into p.
+func (p *ProbeStats) Add(s ProbeStats) {
 	p.IndexReads += s.IndexReads
 	p.BFProbes += s.BFProbes
 	p.CandidatePages += s.CandidatePages

@@ -31,17 +31,13 @@ type Options struct {
 	// effective count may come out lower for a relation too small to
 	// yield that many distinct cut keys.
 	Shards int
-	// Tree carries the per-shard BF-Tree build options.
+	// Tree carries the BF-Tree build options every shard shares. Its
+	// Maintenance is the forest-level policy: each shard runs
+	// ShardPolicy(Tree.Maintenance, shards), so IncrementalBatch is the
+	// forest-wide per-pass budget, split evenly across shards (ceiling,
+	// at least 1 per shard), and adding shards does not multiply the
+	// number of leaves compacted per pass.
 	Tree core.Options
-	// Maintenance, when non-nil, is the forest-level maintenance
-	// policy: it replaces Tree.Maintenance on every shard, so one
-	// policy configures the whole forest instead of each shard's
-	// maintainer running whatever the per-tree options happened to
-	// carry. IncrementalBatch is interpreted as the forest-wide
-	// per-pass budget and split evenly across shards (ceiling, at
-	// least 1 per shard), so adding shards does not multiply the
-	// number of leaves compacted per pass. See ShardPolicy.
-	Maintenance *core.MaintenancePolicy
 }
 
 // ShardPolicy derives one shard's maintenance policy from a
@@ -90,9 +86,7 @@ func New(store *pagestore.Store, file *heapfile.File, fieldIdx int, opts Options
 	f := &Forest{store: store, file: file, fieldIdx: fieldIdx, seps: seps}
 	n = len(seps) + 1
 	treeOpts := opts.Tree
-	if opts.Maintenance != nil {
-		treeOpts.Maintenance = ShardPolicy(*opts.Maintenance, n)
-	}
+	treeOpts.Maintenance = ShardPolicy(opts.Tree.Maintenance, n)
 	for i := 0; i < n; i++ {
 		tr, err := core.BulkLoadPartition(store, file, fieldIdx, treeOpts, f.partition(i, n))
 		if err != nil {
@@ -235,7 +229,7 @@ func (f *Forest) MultiSearch(keys []uint64) (*core.Result, error) {
 		}
 		if results[i] != nil {
 			res.Tuples = append(res.Tuples, results[i].Tuples...)
-			addStats(&res.Stats, results[i].Stats)
+			res.Stats.Add(results[i].Stats)
 		}
 	}
 	return res, nil
@@ -388,14 +382,4 @@ func (f *Forest) Close() error {
 		errs = append(errs, tr.Close())
 	}
 	return errors.Join(errs...)
-}
-
-// addStats accumulates s into dst (core keeps its add method
-// unexported).
-func addStats(dst *core.ProbeStats, s core.ProbeStats) {
-	dst.IndexReads += s.IndexReads
-	dst.BFProbes += s.BFProbes
-	dst.CandidatePages += s.CandidatePages
-	dst.DataPagesRead += s.DataPagesRead
-	dst.FalseReads += s.FalseReads
 }

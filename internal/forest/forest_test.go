@@ -17,7 +17,7 @@ import (
 // (key step 5, payload = ordinal). dups is chosen by callers to not
 // divide the page capacity, so duplicate runs straddle page boundaries
 // — and hence partition cuts, whose separators are page minimums.
-func buildRelation(t *testing.T, n, dups int) (*heapfile.File, *pagestore.Store) {
+func buildRelation(t testing.TB, n, dups int) (*heapfile.File, *pagestore.Store) {
 	t.Helper()
 	schema := heapfile.Schema{
 		TupleSize: 64,
@@ -83,7 +83,7 @@ func sameTuples(a, b [][]byte) bool {
 	return true
 }
 
-func buildForest(t *testing.T, file *heapfile.File, shards int) (*forest.Forest, *pagestore.Store) {
+func buildForest(t testing.TB, file *heapfile.File, shards int) (*forest.Forest, *pagestore.Store) {
 	t.Helper()
 	idxStore := pagestore.New(device.New(device.Memory, 4096))
 	f, err := forest.New(idxStore, file, 0, forest.Options{

@@ -9,9 +9,10 @@ import (
 )
 
 // TestForestSinglePolicyConfiguresAllShards pins the forest-level
-// maintenance plumbing: one MaintenancePolicy handed to forest.New
-// reaches every shard's tree, with IncrementalBatch split as the
-// forest-wide per-pass budget rather than multiplied per shard.
+// maintenance plumbing: the one MaintenancePolicy in the Tree options
+// handed to forest.New reaches every shard's tree, with
+// IncrementalBatch split as the forest-wide per-pass budget rather than
+// multiplied per shard.
 func TestForestSinglePolicyConfiguresAllShards(t *testing.T) {
 	file, store := buildRelation(t, 4096, 3)
 	policy := core.MaintenancePolicy{
@@ -22,9 +23,8 @@ func TestForestSinglePolicyConfiguresAllShards(t *testing.T) {
 		IncrementalBatch: 10,
 	}
 	f, err := forest.New(store, file, 0, forest.Options{
-		Shards:      4,
-		Tree:        core.Options{FPP: 0.01},
-		Maintenance: &policy,
+		Shards: 4,
+		Tree:   core.Options{FPP: 0.01, Maintenance: policy},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,11 @@ func (f *Forest) MarshalMeta() []byte {
 }
 
 // Open reopens a forest from a MarshalMeta blob against the same store
-// and file. Shards with MaintenanceAuto restart their maintainers.
+// and file. Shards with MaintenanceAuto restart their maintainers. A
+// blob whose separators do not rise strictly from above 0, or that
+// carries bytes after its last shard blob, is ErrCorrupt: New never
+// writes one, and such separators would route keys to shards that do
+// not hold them.
 func Open(store *pagestore.Store, file *heapfile.File, meta []byte) (*Forest, error) {
 	if len(meta) < len(forestMagic)+4 || string(meta[:len(forestMagic)]) != forestMagic {
 		return nil, fmt.Errorf("%w: not a forest meta blob", core.ErrCorrupt)
@@ -48,27 +52,41 @@ func Open(store *pagestore.Store, file *heapfile.File, meta []byte) (*Forest, er
 		return nil, fmt.Errorf("%w: forest meta truncated", core.ErrCorrupt)
 	}
 	f := &Forest{store: store, file: file}
+	prev := uint64(0)
 	for i := 0; i < n-1; i++ {
-		f.seps = append(f.seps, binary.BigEndian.Uint64(meta[off:]))
+		sep := binary.BigEndian.Uint64(meta[off:])
 		off += 8
+		if sep <= prev {
+			return nil, fmt.Errorf("%w: forest separator %d is %d, not above %d",
+				core.ErrCorrupt, i, sep, prev)
+		}
+		f.seps = append(f.seps, sep)
+		prev = sep
 	}
+	// Split the shard blobs before opening any shard, so a malformed
+	// layout starts no maintainer.
+	blobs := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		if len(meta) < off+4 {
-			f.Close()
 			return nil, fmt.Errorf("%w: forest meta truncated", core.ErrCorrupt)
 		}
 		bl := int(binary.BigEndian.Uint32(meta[off:]))
 		off += 4
 		if len(meta) < off+bl {
-			f.Close()
 			return nil, fmt.Errorf("%w: forest meta truncated", core.ErrCorrupt)
 		}
-		tr, err := core.OpenPartition(store, file, meta[off:off+bl], f.partition(i, n))
+		blobs = append(blobs, meta[off:off+bl])
+		off += bl
+	}
+	if off != len(meta) {
+		return nil, fmt.Errorf("%w: %d bytes after the last shard blob", core.ErrCorrupt, len(meta)-off)
+	}
+	for i, blob := range blobs {
+		tr, err := core.OpenPartition(store, file, blob, f.partition(i, n))
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		off += bl
 		f.trees = append(f.trees, tr)
 	}
 	f.fieldIdx = f.trees[0].FieldIndex()

@@ -88,7 +88,7 @@ func (c *chainCursor) Next() bool {
 			c.fail(err)
 			return false
 		}
-		addStats(&c.prior, c.cur.Stats())
+		c.prior.Add(c.cur.Stats())
 		c.cur.Close()
 		c.cur = nil
 	}
@@ -123,7 +123,7 @@ func (c *chainCursor) openNext() bool {
 func (c *chainCursor) fail(err error) {
 	c.err = err
 	if c.cur != nil {
-		addStats(&c.prior, c.cur.Stats())
+		c.prior.Add(c.cur.Stats())
 		c.cur.Close()
 		c.cur = nil
 	}
@@ -139,7 +139,7 @@ func (c *chainCursor) Tuple() []byte {
 func (c *chainCursor) Stats() core.ProbeStats {
 	s := c.prior
 	if c.cur != nil {
-		addStats(&s, c.cur.Stats())
+		s.Add(c.cur.Stats())
 	}
 	return s
 }
@@ -152,7 +152,7 @@ func (c *chainCursor) Close() error {
 	}
 	c.closed = true
 	if c.cur != nil {
-		addStats(&c.prior, c.cur.Stats())
+		c.prior.Add(c.cur.Stats())
 		c.cur.Close()
 		c.cur = nil
 	}
