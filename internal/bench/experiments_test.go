@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -89,31 +88,6 @@ var experimentChecks = map[string]func(t *testing.T, tbl *Table, scale Scale){
 			}
 		}
 		t.Error("no max-writer-stall row in the table")
-	},
-	// The shard-scale acceptance bar: 4 shards deliver at least 2x the
-	// aggregate structural-insert throughput of 1 shard under the fixed
-	// 8-writer population. The append path holds a shard's writer lock
-	// exclusively across its page waits, so one shard serializes the
-	// whole population and four shards overlap up to four appends; 2x
-	// leaves headroom for scheduler noise on top of the ~4x ideal.
-	"shard-scale": func(t *testing.T, tbl *Table, scale Scale) {
-		sweepRows(ShardScaleCounts)(t, tbl, scale)
-		for _, row := range tbl.Rows {
-			if row[1] != fmt.Sprint(shardScaleOps) {
-				t.Errorf("%s shards: ops = %s, want %d", row[0], row[1], shardScaleOps)
-			}
-			p50, err50 := time.ParseDuration(row[5])
-			p99, err99 := time.ParseDuration(row[6])
-			if err50 != nil || err99 != nil || p50 <= 0 || p99 < p50 {
-				t.Errorf("%s shards: implausible stalls p50=%s p99=%s", row[0], row[5], row[6])
-			}
-			if row[0] == "4" {
-				speedup, err := strconv.ParseFloat(strings.TrimSuffix(row[4], "x"), 64)
-				if err != nil || speedup < 2 {
-					t.Errorf("4-shard speedup %s, want at least 2.00x", row[4])
-				}
-			}
-		}
 	},
 	"serve-load": func(t *testing.T, tbl *Table, scale Scale) {
 		blob, err := os.ReadFile(filepath.Join(scale.JSONDir, ArtifactFor("serve-load")))

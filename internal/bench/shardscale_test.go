@@ -4,6 +4,42 @@ import (
 	"testing"
 )
 
+// TestShardScaleSpeedup is the experiment's acceptance bar: 4 shards
+// must deliver at least 2x the aggregate structural-insert throughput
+// of 1 shard under the fixed 8-writer population. The append path holds
+// a shard's writer lock exclusively across its page waits, so one shard
+// serializes the whole population and four shards overlap up to four
+// appends; 2x leaves headroom for scheduler noise on top of the ~4x
+// ideal.
+func TestShardScaleSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-latency measurement")
+	}
+	scale := DefaultScale()
+	results, err := ShardScaleSweep(scale, []int{1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("got %d rows, want 2", len(results))
+	}
+	one, four := results[0], results[1]
+	if one.Shards != 1 || four.Shards != 4 {
+		t.Fatalf("shard counts = %d, %d; want 1, 4", one.Shards, four.Shards)
+	}
+	if four.Throughput < 2*one.Throughput {
+		t.Errorf("4-shard throughput %.0f/s < 2x 1-shard %.0f/s", four.Throughput, one.Throughput)
+	}
+	for _, r := range results {
+		if r.Ops != shardScaleOps {
+			t.Errorf("%d shards: ops = %d, want %d", r.Shards, r.Ops, shardScaleOps)
+		}
+		if r.P99 < r.P50 || r.P50 <= 0 {
+			t.Errorf("%d shards: implausible stalls p50=%v p99=%v", r.Shards, r.P50, r.P99)
+		}
+	}
+}
+
 // TestShardScaleSkewErodesScaling pins the skew knob's effect: with all
 // ops funnelled to one hot shard (extreme Zipf), a 4-shard forest loses
 // most of its multiplier.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -182,6 +183,12 @@ type maintainer struct {
 	// maintainer-goroutine-only.
 	lastFresh uint64
 	misses    int
+
+	// waiters is closed when the next maintenance pass has run; writers
+	// whose drift reached the ceiling wait on it (awaitPass). nil while
+	// no writer waits; guarded by waitMu.
+	waitMu  sync.Mutex
+	waiters chan struct{}
 }
 
 // missEscalation bounds how many consecutive passes the maintainer
@@ -267,8 +274,40 @@ func (m *maintainer) run() {
 		// completing mid-pass may be the one that drains the last
 		// pinned epoch, and its nudge must queue another pass.
 		m.pending.Store(false)
+		done := m.takeWaiters()
 		m.pass()
+		if done != nil {
+			close(done)
+		}
 	}
+}
+
+// awaitPass blocks a writer until a maintenance pass that starts after
+// the call has run, or the maintainer stops. The writer published its
+// drift before calling, so that pass sees the drift and, since drift
+// past the threshold is overdue work, takes the lock and compacts it.
+func (m *maintainer) awaitPass() {
+	m.waitMu.Lock()
+	if m.waiters == nil {
+		m.waiters = make(chan struct{})
+	}
+	done := m.waiters
+	m.waitMu.Unlock()
+	m.notify()
+	select {
+	case <-done:
+	case <-m.stop:
+	}
+}
+
+// takeWaiters detaches the writers waiting for the next pass; run
+// closes the channel it returns once that pass is over.
+func (m *maintainer) takeWaiters() chan struct{} {
+	m.waitMu.Lock()
+	defer m.waitMu.Unlock()
+	done := m.waiters
+	m.waiters = nil
+	return done
 }
 
 // nudgeProbe is the probe-exit side of the wake signal: only the
@@ -482,14 +521,16 @@ func (t *Tree) maintRequest() {
 // driftNudge is called by writers after a successful mutation, outside
 // all tree locks: when a maintainer is live and the published drift has
 // crossed the compaction threshold, the writer signals it and yields
-// its timeslice. Compaction latency is then bounded by one scheduling
-// round instead of the reclaim ticker — which matters on saturated
-// hosts, where a busy writer pool can keep a timer-woken maintainer off
-// the CPU for tens of milliseconds while drift keeps accruing. The
-// common case (drift counters short of the cached crossing bound) is
-// three atomic loads and a compare; the exact Equation 14 estimate runs
-// only inside the final approach to the threshold. Writers still never
-// perform maintenance — they only request it.
+// its timeslice, so compaction usually starts within one scheduling
+// round instead of one reclaim tick. Yielding bounds nothing when the
+// host itself keeps the maintainer off the CPU while writers run on, so
+// a writer whose drift reached the ceiling (driftCeiling) waits for the
+// maintainer's next pass instead: drift then stops one write per writer
+// past the ceiling. The common case (drift counters short of the cached
+// crossing bound) is three atomic loads and a compare; the exact
+// Equation 14 estimate runs only inside the final approach to the
+// threshold. Writers still never perform maintenance — they only
+// request it, or wait for it.
 func (t *Tree) driftNudge() {
 	m := t.maint.Load()
 	if m == nil {
@@ -507,8 +548,20 @@ func (t *Tree) driftNudge() {
 		return
 	}
 	t.maintStats.driftWakeups.Add(1)
+	if t.EffectiveFPP() >= t.driftCeiling() {
+		m.awaitPass()
+		return
+	}
 	m.notify()
 	runtime.Gosched()
+}
+
+// driftCeiling is the effective fpp at which writers stop adding drift
+// until the maintainer has run: the compaction threshold plus a quarter
+// of the headroom between the design fpp and the threshold.
+func (t *Tree) driftCeiling() float64 {
+	th := t.opts.Maintenance.FPPThreshold
+	return th + (th-t.opts.FPP)/4
 }
 
 // StartMaintenance launches the background maintainer goroutine if none

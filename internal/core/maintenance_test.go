@@ -258,6 +258,82 @@ func TestAutoCompactionOnDriftThreshold(t *testing.T) {
 	}
 }
 
+// TestDriftCeilingHoldsWriters pins the writers' side of the drift
+// bound: while the maintainer cannot run — as on a host that keeps its
+// goroutine off the CPU — deletes stop within one per writer past the
+// drift ceiling instead of running on, and once it runs it compacts
+// and releases them.
+func TestDriftCeilingHoldsWriters(t *testing.T) {
+	const (
+		n       = 8000
+		writers = 4
+		deletes = 800 // would reach fpp 0.11, far past the 0.06 ceiling
+	)
+	f, _ := buildInitialFile(t, n)
+	idx := pagestore.New(device.New(device.Memory, 4096))
+	tr, err := BulkLoad(idx, f, 0, Options{FPP: 0.01, Maintenance: MaintenancePolicy{FPPThreshold: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	// A live maintainer whose goroutine has not been scheduled yet. It
+	// is started before Close on every path, since Close waits for it.
+	m := newMaintainer(tr)
+	tr.maint.Store(m)
+	var once sync.Once
+	start := func() { once.Do(func() { go m.run() }) }
+	defer start()
+	ceiling := tr.driftCeiling()
+	if want := 0.05 + (0.05-0.01)/4; math.Abs(ceiling-want) > 1e-12 {
+		t.Fatalf("ceiling = %g, want %g", ceiling, want)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := uint64(w); k < deletes; k += writers {
+				if err := tr.Delete(k, f.PageOf(k)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	go func() { wg.Wait(); close(done) }()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for tr.EffectiveFPP() < ceiling && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	// The writers are parked until the maintainer runs, so however long
+	// this waits, no further drift may land.
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatalf("all %d deletes ran with no maintainer pass; fpp = %g", deletes, tr.EffectiveFPP())
+	default:
+	}
+	if fpp, max := tr.EffectiveFPP(), ceiling+float64(writers)/n; fpp < ceiling || fpp >= max {
+		t.Errorf("writers stopped at fpp %g, want in [%g, %g)", fpp, ceiling, max)
+	}
+
+	start()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("writers still waiting 10s after the maintainer started")
+	}
+	if st := tr.MaintenanceStats(); st.Compactions == 0 {
+		t.Errorf("writers released without a compaction: %+v", st)
+	}
+	if fpp := tr.EffectiveFPP(); fpp >= ceiling+float64(writers)/n {
+		t.Errorf("fpp %g past the ceiling after the run", fpp)
+	}
+}
+
 // TestCloseDrainsMaintainer pins the lifecycle: Close stops the
 // goroutine, drains limbo at quiescence, and is idempotent; a closed
 // tree keeps answering probes.

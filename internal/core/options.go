@@ -87,7 +87,10 @@ type MaintenancePolicy struct {
 	// delete term) at which the maintainer compacts the index via
 	// Rebuild. It must exceed the design FPP, or the compaction would
 	// re-trigger immediately. 0 selects 4x the design FPP (kept below
-	// 1); 1 disables drift compaction.
+	// 1); 1 disables drift compaction. With a live maintainer, a writer
+	// that pushes the estimate a quarter of the headroom (threshold −
+	// design FPP) past the threshold waits for the maintainer's next
+	// pass.
 	FPPThreshold float64
 	// ReclaimInterval is the maintainer's periodic wakeup: the upper
 	// bound on how long reclaimable limbo or unnoticed drift waits when
