@@ -108,12 +108,10 @@ const (
 
 // Maintenance modes for Options.Maintenance.Mode. Manual (the zero
 // value) keeps inline, on-demand maintenance; Auto runs a background
-// maintainer the tree drains on Close; Disabled suppresses all
-// automatic maintenance (explicit Tree.Maintain still works).
+// maintainer the tree drains on Close.
 const (
-	MaintenanceManual   = core.MaintenanceManual
-	MaintenanceAuto     = core.MaintenanceAuto
-	MaintenanceDisabled = core.MaintenanceDisabled
+	MaintenanceManual = core.MaintenanceManual
+	MaintenanceAuto   = core.MaintenanceAuto
 )
 
 // Error sentinels re-exported for errors.Is matching.

@@ -1,32 +1,36 @@
 package index
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"bftree/internal/bptree"
 	"bftree/internal/device"
-	"bftree/internal/fdtree"
 	"bftree/internal/heapfile"
 )
 
 // The exact backends (B+-Tree, FD-Tree, hash) answer probes with tuple
 // references; everything here turns those references into streamed
 // tuples with the same page-read accounting the BF-Tree's own probe
-// path uses. One primitive does all the reading — fetcher.visit — and
-// two iterators cover every access pattern: refIter resolves a stream
-// of references (PK and hash layouts, each distinct page read once),
-// orderedIter scans consecutive pages from a first occurrence
-// (deduplicated layouts, Section 6.3 of the paper). The materialized
-// Search/RangeScan paths and the streaming Scan/MultiSearch paths all
-// drain these same iterators.
+// path uses. Every data page is read by one in-place scan,
+// heapfile.AppendMatches, selecting by key. Two iterators cover every
+// access pattern: refIter resolves a stream of references (PK and hash
+// layouts, each distinct page read once), orderedIter scans
+// consecutive pages from a first occurrence (deduplicated layouts,
+// Section 6.3 of the paper). The materialized Search/RangeScan paths
+// and the streaming Scan/MultiSearch paths all drain these same
+// iterators.
 
-// fetcher reads data pages on behalf of the iterators. With a cache
-// (newBatchFetcher) each page is decoded and charged once per batch —
-// later visits are free, the page-share of MultiSearch.
+// fetcher reads data pages on behalf of the iterators. A batch fetcher
+// (newBatchFetcher) keeps the tuples of each page an ordered scan has
+// read, so a page that several keys of a MultiSearch batch share is
+// read and charged once.
 type fetcher struct {
 	file     *heapfile.File
 	fieldIdx int
-	cache    map[PageID][][]byte
+	cache    map[PageID][][]byte // batch fetchers only
+	buf      [][]byte            // the last uncached page's selection
 }
 
 func newFetcher(file *heapfile.File, fieldIdx int) *fetcher {
@@ -37,41 +41,63 @@ func newBatchFetcher(file *heapfile.File, fieldIdx int) *fetcher {
 	return &fetcher{file: file, fieldIdx: fieldIdx, cache: make(map[PageID][][]byte)}
 }
 
-// visit reads one data page (through the batch cache when present) and
-// returns copies of the tuples whose indexed field satisfies match,
-// plus whether any tuple lay beyond the probe (the ordered-scan stop
-// signal; nil beyond never stops). Physical reads charge one
-// DataPagesRead, and a FalseRead when nothing matched — cache hits
-// charge nothing, they cost no I/O.
-func (f *fetcher) visit(pid PageID, match, beyond func(uint64) bool,
-	stats *ProbeStats) (matched [][]byte, past bool, err error) {
-	tuples, ok := f.cache[pid]
-	if !ok {
-		tuples, err = f.file.ReadPageTuples(pid)
+// visit reads data page pid and returns private copies of the tuples
+// keys selects, charging one DataPagesRead, and a FalseRead when nothing
+// matched.
+func (f *fetcher) visit(pid PageID, keys heapfile.Keys, stats *ProbeStats) ([][]byte, error) {
+	var err error
+	if f.buf, err = f.file.AppendMatches(f.buf[:0], pid, f.fieldIdx, keys); err != nil {
+		return nil, err
+	}
+	matched := make([][]byte, len(f.buf))
+	for i, tup := range f.buf {
+		matched[i] = slices.Clone(tup)
+	}
+	charge(stats, len(matched))
+	return matched, nil
+}
+
+// visitOrdered returns copies of the tuples of data page pid whose key
+// lies in [lo, hi], and whether the page holds a key above hi: the
+// ordered scan's stop signal. A physical read selects every key from
+// lo up and is charged like visit's; a batch fetcher keeps that
+// selection, and a later visit answers from it without a charge. The
+// batch's keys come in ascending order, so a later visit's lo is never
+// below the one the page was read for.
+func (f *fetcher) visitOrdered(pid PageID, lo, hi uint64, stats *ProbeStats) (matched [][]byte, past bool, err error) {
+	from, cached := f.cache[pid]
+	if !cached {
+		from, err = f.file.AppendMatches(f.buf[:0], pid, f.fieldIdx, heapfile.Keys{Lo: lo, Hi: math.MaxUint64})
 		if err != nil {
 			return nil, false, err
 		}
-		stats.DataPagesRead++
 		if f.cache != nil {
-			f.cache[pid] = tuples
+			f.cache[pid] = from
+		} else {
+			f.buf = from
 		}
 	}
-	for _, tup := range tuples {
-		v := f.file.Schema().Get(tup, f.fieldIdx)
-		if match(v) {
-			cp := make([]byte, len(tup))
-			copy(cp, tup)
-			matched = append(matched, cp)
-			continue
-		}
-		if beyond != nil && beyond(v) {
+	schema := f.file.Schema()
+	for _, tup := range from {
+		switch k := schema.Get(tup, f.fieldIdx); {
+		case k > hi:
 			past = true
+		case k >= lo:
+			matched = append(matched, slices.Clone(tup))
 		}
 	}
-	if !ok && len(matched) == 0 {
-		stats.FalseReads++
+	if !cached {
+		charge(stats, len(matched))
 	}
 	return matched, past, nil
+}
+
+// charge accounts one physical data-page read that matched n tuples.
+func charge(stats *ProbeStats, n int) {
+	stats.DataPagesRead++
+	if n == 0 {
+		stats.FalseReads++
+	}
 }
 
 // lastPage returns the final data page of the fetched file.
@@ -111,18 +137,18 @@ func (it *emptyIter) Close() error      { return nil }
 // move beyond the probe. stats is seeded with the index-side charges of
 // locating the first occurrence.
 type orderedIter struct {
-	f             *fetcher
-	pid, last     PageID
-	match, beyond func(uint64) bool
-	buf           [][]byte
-	i             int
-	stats         ProbeStats
-	err           error
-	done          bool // no pages beyond the buffer
+	f         *fetcher
+	pid, last PageID
+	lo, hi    uint64
+	buf       [][]byte
+	i         int
+	stats     ProbeStats
+	err       error
+	done      bool // no pages beyond the buffer
 }
 
-func newOrderedIter(f *fetcher, start PageID, match, beyond func(uint64) bool, idx ProbeStats) *orderedIter {
-	return &orderedIter{f: f, pid: start, last: f.lastPage(), match: match, beyond: beyond, i: -1, stats: idx}
+func newOrderedIter(f *fetcher, start PageID, lo, hi uint64, idx ProbeStats) *orderedIter {
+	return &orderedIter{f: f, pid: start, last: f.lastPage(), lo: lo, hi: hi, i: -1, stats: idx}
 }
 
 func (it *orderedIter) Next() bool {
@@ -133,28 +159,24 @@ func (it *orderedIter) Next() bool {
 		it.i++
 		return true
 	}
-	for {
-		if it.done || it.pid > it.last {
-			it.done = true
-			return false
-		}
-		matched, past, err := it.f.visit(it.pid, it.match, it.beyond, &it.stats)
-		it.pid++
-		if err != nil {
-			it.err = err
-			it.done = true
-			return false
-		}
-		if len(matched) == 0 {
-			it.done = true
-			return false
-		}
-		if past {
-			it.done = true
-		}
-		it.buf, it.i = matched, 0
-		return true
+	if it.done || it.pid > it.last {
+		it.done = true
+		return false
 	}
+	matched, past, err := it.f.visitOrdered(it.pid, it.lo, it.hi, &it.stats)
+	it.pid++
+	if err != nil {
+		it.err = err
+		it.done = true
+		return false
+	}
+	if len(matched) == 0 {
+		it.done = true
+		return false
+	}
+	it.done = past
+	it.buf, it.i = matched, 0
+	return true
 }
 
 func (it *orderedIter) Tuple() []byte {
@@ -172,81 +194,57 @@ func (it *orderedIter) Close() error {
 	return nil
 }
 
-// refSource feeds an iterator tuple references plus the index-side cost
-// of producing them so far. Sources over backend cursors pull lazily —
-// an abandoned iterator never pays for index pages it didn't reach.
-type refSource interface {
-	next() (Ref, bool)
-	reads() int // index pages read so far
-	err() error
-	close()
+// refCursor is a stream of tuple references plus the index pages read
+// to produce them so far: the method set of bptree.Cursor,
+// fdtree.Cursor and sliceRefs. Tree cursors pull lazily — an abandoned
+// iterator never pays for index pages it didn't reach.
+type refCursor interface {
+	Next() bool
+	Ref() Ref
+	Reads() int
+	Err() error
+	Close() error
 }
 
 // sliceRefs serves a pre-materialized reference list (hash buckets,
-// point-probe answers) whose index cost is already known.
+// point-probe answers, a batch's page-sorted references) whose index
+// cost is already counted elsewhere.
 type sliceRefs struct {
-	refs     []Ref
-	i        int
-	idxReads int
+	refs []Ref
+	i    int // 1 + the current reference
 }
 
-func (s *sliceRefs) next() (Ref, bool) {
+func (s *sliceRefs) Next() bool {
 	if s.i >= len(s.refs) {
-		return Ref{}, false
+		return false
 	}
-	r := s.refs[s.i]
 	s.i++
-	return r, true
+	return true
 }
-func (s *sliceRefs) reads() int { return s.idxReads }
-func (s *sliceRefs) err() error { return nil }
-func (s *sliceRefs) close()     {}
-
-// bpRefs adapts a B+-Tree range cursor.
-type bpRefs struct{ c *bptree.Cursor }
-
-func (s *bpRefs) next() (Ref, bool) {
-	if !s.c.Next() {
-		return Ref{}, false
-	}
-	return s.c.Entry().Ref, true
-}
-func (s *bpRefs) reads() int { return s.c.Reads() }
-func (s *bpRefs) err() error { return s.c.Err() }
-func (s *bpRefs) close()     { s.c.Close() }
-
-// fdRefs adapts an FD-Tree range cursor.
-type fdRefs struct{ c *fdtree.Cursor }
-
-func (s *fdRefs) next() (Ref, bool) {
-	if !s.c.Next() {
-		return Ref{}, false
-	}
-	return s.c.Ref(), true
-}
-func (s *fdRefs) reads() int { return s.c.Stats().PagesRead }
-func (s *fdRefs) err() error { return s.c.Err() }
-func (s *fdRefs) close()     { s.c.Close() }
+func (s *sliceRefs) Ref() Ref     { return s.refs[s.i-1] }
+func (s *sliceRefs) Reads() int   { return 0 }
+func (s *sliceRefs) Err() error   { return nil }
+func (s *sliceRefs) Close() error { return nil }
 
 // refIter streams the tuples behind a reference stream: each distinct
 // referenced page is read once (first appearance order) and all of its
-// matching tuples are yielded, so later references to the same page
-// cost nothing — the sorted access list the paper hands to the device,
-// pull-based.
+// tuples that keys selects are yielded, so later references to the same
+// page cost nothing — the sorted access list the paper hands to the
+// device, pull-based.
 type refIter struct {
-	f     *fetcher
-	src   refSource
-	match func(uint64) bool
-	seen  map[PageID]bool
-	buf   [][]byte
-	i     int
-	data  ProbeStats
-	err   error
-	done  bool
+	f    *fetcher
+	src  refCursor
+	keys heapfile.Keys
+	seen map[PageID]bool
+	buf  [][]byte
+	i    int
+	data ProbeStats
+	err  error
+	done bool
 }
 
-func newRefIter(f *fetcher, src refSource, match func(uint64) bool) *refIter {
-	return &refIter{f: f, src: src, match: match, seen: make(map[PageID]bool), i: -1}
+func newRefIter(f *fetcher, src refCursor, keys heapfile.Keys) *refIter {
+	return &refIter{f: f, src: src, keys: keys, seen: make(map[PageID]bool), i: -1}
 }
 
 func (it *refIter) Next() bool {
@@ -257,18 +255,13 @@ func (it *refIter) Next() bool {
 		it.i++
 		return true
 	}
-	for {
-		r, ok := it.src.next()
-		if !ok {
-			it.err = it.src.err()
-			it.done = true
-			return false
-		}
-		if it.seen[r.Page] {
+	for it.src.Next() {
+		pid := it.src.Ref().Page
+		if it.seen[pid] {
 			continue
 		}
-		it.seen[r.Page] = true
-		matched, _, err := it.f.visit(r.Page, it.match, nil, &it.data)
+		it.seen[pid] = true
+		matched, err := it.f.visit(pid, it.keys, &it.data)
 		if err != nil {
 			it.err = err
 			it.done = true
@@ -279,6 +272,9 @@ func (it *refIter) Next() bool {
 			return true
 		}
 	}
+	it.err = it.src.Err()
+	it.done = true
+	return false
 }
 
 func (it *refIter) Tuple() []byte {
@@ -292,76 +288,64 @@ func (it *refIter) Tuple() []byte {
 // termination is priced correctly) with the data-side charges.
 func (it *refIter) Stats() ProbeStats {
 	s := it.data
-	s.IndexReads += it.src.reads()
+	s.IndexReads += it.src.Reads()
 	return s
 }
 
 func (it *refIter) Err() error { return it.err }
 func (it *refIter) Close() error {
 	it.done = true
-	it.src.close()
+	it.src.Close()
 	it.buf, it.i = nil, -1
 	return nil
 }
 
-// eqKey matches one key; inRange matches [lo, hi]; beyondKey and
-// beyondHi are the ordered-scan stop predicates.
-func eqKey(key uint64) func(uint64) bool     { return func(v uint64) bool { return v == key } }
-func beyondKey(key uint64) func(uint64) bool { return func(v uint64) bool { return v > key } }
-func inRange(lo, hi uint64) func(uint64) bool {
-	return func(v uint64) bool { return v >= lo && v <= hi }
-}
-func beyondHi(hi uint64) func(uint64) bool { return func(v uint64) bool { return v > hi } }
-
-// fetchPointOrdered resolves a deduplicated point probe: duplicates of
-// key are contiguous from the first occurrence.
-func fetchPointOrdered(file *heapfile.File, fieldIdx int, key uint64, start PageID, firstOnly bool, res *Result) error {
-	it := newOrderedIter(newFetcher(file, fieldIdx), start, eqKey(key), beyondKey(key), ProbeStats{})
+// fetchPoint resolves the references of a point probe for key: in the
+// deduplicated layout the first reference starts an ordered scan
+// (duplicates of key are contiguous from the first occurrence),
+// otherwise every referenced page is read; firstOnly stops at the first
+// match.
+func fetchPoint(file *heapfile.File, fieldIdx int, key uint64, refs []Ref, dedup, firstOnly bool, res *Result) error {
+	f := newFetcher(file, fieldIdx)
+	var it Iterator
+	if dedup {
+		it = newOrderedIter(f, refs[0].Page, key, key, ProbeStats{})
+	} else {
+		it = newRefIter(f, &sliceRefs{refs: refs}, heapfile.Keys{Lo: key, Hi: key})
+	}
 	return drainInto(it, firstOnly, res)
-}
-
-// fetchPointRefs resolves a per-tuple reference list for key; firstOnly
-// stops at the first match.
-func fetchPointRefs(file *heapfile.File, fieldIdx int, key uint64, refs []Ref, firstOnly bool, res *Result) error {
-	it := newRefIter(newFetcher(file, fieldIdx), &sliceRefs{refs: refs}, eqKey(key))
-	return drainInto(it, firstOnly, res)
-}
-
-// sortedByPage returns the references ordered by page id — the
-// ascending access list of a non-dedup batched probe.
-func sortedByPage(refs []Ref) []Ref {
-	out := append([]Ref(nil), refs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
-	return out
 }
 
 // multiSearchGroups resolves the grouped answers of an exact backend's
 // batched probe. idx seeds the index-side cost. In dedup mode each
 // key's first occurrence starts an ordered scan; otherwise all refs
 // flatten into one ascending page list matched against the whole batch.
-// Either way a shared batch fetcher reads each data page at most once.
+// Either way each data page is read at most once for the batch.
 func multiSearchGroups(file *heapfile.File, fieldIdx int, groups []bptree.KeyRefs,
 	dedup bool, idx ProbeStats) (*Result, error) {
 	res := &Result{Stats: idx}
-	f := newBatchFetcher(file, fieldIdx)
 	if dedup {
+		f := newBatchFetcher(file, fieldIdx)
 		for _, g := range groups {
-			it := newOrderedIter(f, g.Refs[0].Page, eqKey(g.Key), beyondKey(g.Key), ProbeStats{})
+			it := newOrderedIter(f, g.Refs[0].Page, g.Key, g.Key, ProbeStats{})
 			if err := drainInto(it, false, res); err != nil {
 				return nil, err
 			}
 		}
 		return res, nil
 	}
+	if len(groups) == 0 {
+		return res, nil
+	}
 	var refs []Ref
-	batch := make(map[uint64]bool, len(groups))
-	for _, g := range groups {
-		batch[g.Key] = true
+	batch := make([]uint64, len(groups)) // ascending, as groups come
+	for i, g := range groups {
+		batch[i] = g.Key
 		refs = append(refs, g.Refs...)
 	}
-	it := newRefIter(f, &sliceRefs{refs: sortedByPage(refs)},
-		func(v uint64) bool { return batch[v] })
-	if err := drainInto(it, false, res); err != nil {
+	sort.Slice(refs, func(i, j int) bool { return refs[i].Page < refs[j].Page })
+	keys := heapfile.Keys{Lo: batch[0], Hi: batch[len(batch)-1], In: batch}
+	if err := drainInto(newRefIter(newFetcher(file, fieldIdx), &sliceRefs{refs: refs}, keys), false, res); err != nil {
 		return nil, err
 	}
 	return res, nil

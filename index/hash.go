@@ -41,7 +41,7 @@ func (ix *hashIndex) search(key uint64, firstOnly bool) (*Result, error) {
 	if len(refs) == 0 {
 		return res, nil
 	}
-	if err := fetchPointRefs(ix.file, ix.fieldIdx, key, refs, firstOnly, res); err != nil {
+	if err := fetchPoint(ix.file, ix.fieldIdx, key, refs, false, firstOnly, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -62,7 +62,7 @@ func (ix *hashIndex) Scan(lo, hi uint64) (Iterator, error) {
 		return nil, ErrInvalidRange
 	}
 	refs := ix.idx.SearchRange(lo, hi)
-	return newRefIter(newFetcher(ix.file, ix.fieldIdx), &sliceRefs{refs: refs}, inRange(lo, hi)), nil
+	return newRefIter(newFetcher(ix.file, ix.fieldIdx), &sliceRefs{refs: refs}, heapfile.Keys{Lo: lo, Hi: hi}), nil
 }
 
 // MultiSearch groups the batch by bucket: keys are sorted and deduped,

@@ -94,13 +94,8 @@ type MultiSearcher interface {
 // Drain consumes an iterator to completion and returns the materialized
 // Result. It closes the iterator in all cases.
 func Drain(it Iterator) (*Result, error) {
-	defer it.Close()
 	res := &Result{}
-	for it.Next() {
-		res.Tuples = append(res.Tuples, it.Tuple())
-	}
-	res.Stats = it.Stats()
-	if err := it.Err(); err != nil {
+	if err := drainInto(it, false, res); err != nil {
 		return nil, err
 	}
 	return res, nil

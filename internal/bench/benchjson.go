@@ -31,6 +31,12 @@ type Record struct {
 	Throughput float64 `json:"throughput"`
 	P50        float64 `json:"p50"`
 	P99        float64 `json:"p99"`
+	// FirstTuple is a scan-stream mode's mean time (seconds) until its
+	// first tuple is available: the whole call for the materialized
+	// scan, the first Next for a stream. It is the column that tells a
+	// drained stream from the materialized scan, whose pages and
+	// latencies are the same.
+	FirstTuple float64 `json:"first_tuple,omitempty"`
 	// PagesPerOp is the total index+data pages a scan-stream operation
 	// read; IndexReadsPerKey the index pages a batched probe charged per
 	// key — the two headline economies of the experiments.

@@ -197,6 +197,7 @@ func RunScanStream(scale Scale) (*Table, error) {
 			Throughput: r.Throughput,
 			P50:        r.P50.Seconds(),
 			P99:        r.P99.Seconds(),
+			FirstTuple: r.FirstTuple.Seconds(),
 			PagesPerOp: r.PagesPerOp,
 		})
 	}

@@ -94,7 +94,9 @@ func TestBatchedProbeSharesIndexReads(t *testing.T) {
 
 // TestStreamingJSONRecords pins the BENCH_scan.json / BENCH_batch.json
 // emission: running the experiments with a JSONDir writes well-formed
-// record arrays with the documented schema fields populated.
+// record arrays with the documented schema fields populated, and a
+// drained stream's scan record tells itself from the materialized
+// scan's by its earlier first tuple.
 func TestStreamingJSONRecords(t *testing.T) {
 	dir := t.TempDir()
 	scale := streamScale()
@@ -125,6 +127,16 @@ func TestStreamingJSONRecords(t *testing.T) {
 			if r.P99 < r.P50 {
 				t.Errorf("%s: p99 %v < p50 %v", name, r.P99, r.P50)
 			}
+		}
+		if name != "BENCH_scan.json" {
+			continue
+		}
+		first := map[string]float64{}
+		for _, r := range records {
+			first[r.Mode] = r.FirstTuple
+		}
+		if m, s := first["materialized"], first["stream"]; s <= 0 || s >= m {
+			t.Errorf("%s: first tuple after %vs streamed, %vs materialized; want 0 < stream < materialized", name, s, m)
 		}
 	}
 }

@@ -182,106 +182,6 @@ func (t *Tree) InternalPages() ([]device.PageID, error) {
 	return out, nil
 }
 
-// descend walks from the root to the leaf that may contain key,
-// returning the leaf, its page id, and the pages read on the way down.
-func (t *Tree) descend(key uint64) (*leafNode, device.PageID, int, error) {
-	pid := t.root
-	reads := 0
-	for {
-		buf, err := t.store.ReadPage(pid)
-		if err != nil {
-			return nil, 0, reads, err
-		}
-		reads++
-		kind, err := nodeKind(buf)
-		if err != nil {
-			return nil, 0, reads, err
-		}
-		if kind == nodeLeaf {
-			n, err := decodeLeaf(buf)
-			if err != nil {
-				return nil, 0, reads, err
-			}
-			return n, pid, reads, nil
-		}
-		n, err := decodeInternal(buf)
-		if err != nil {
-			return nil, 0, reads, err
-		}
-		// Leftmost descent: when key equals a separator the left subtree
-		// may still hold equal keys (non-unique indexes), so route left
-		// and let the leaf chain carry the search forward.
-		i := sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })
-		pid = n.children[i]
-	}
-}
-
-// Search returns the tuple references of every entry with the given key.
-// For non-unique indexes duplicates may spill into following leaves,
-// which are chased through the next pointers.
-func (t *Tree) Search(key uint64) ([]TupleRef, error) {
-	refs, _, err := t.SearchStats(key)
-	return refs, err
-}
-
-// SearchStats is Search with cost accounting: it also reports the index
-// pages read by the probe (descent plus leaf-chain chasing).
-func (t *Tree) SearchStats(key uint64) ([]TupleRef, int, error) {
-	leaf, _, reads, err := t.descend(key)
-	if err != nil {
-		return nil, reads, err
-	}
-	var out []TupleRef
-	for {
-		i := sort.Search(len(leaf.entries), func(i int) bool { return leaf.entries[i].Key >= key })
-		for ; i < len(leaf.entries) && leaf.entries[i].Key == key; i++ {
-			out = append(out, leaf.entries[i].Ref)
-		}
-		// If the scan ran off the end of the leaf the key may continue.
-		if i < len(leaf.entries) || leaf.next == device.InvalidPage {
-			return out, reads, nil
-		}
-		buf, err := t.store.ReadPage(leaf.next)
-		if err != nil {
-			return nil, reads, err
-		}
-		reads++
-		leaf, err = decodeLeaf(buf)
-		if err != nil {
-			return nil, reads, err
-		}
-		if len(leaf.entries) == 0 || leaf.entries[0].Key != key {
-			return out, reads, nil
-		}
-	}
-}
-
-// RangeScan returns the tuple references of every entry with key in
-// [lo, hi], in key order.
-func (t *Tree) RangeScan(lo, hi uint64) ([]TupleRef, error) {
-	refs, _, err := t.RangeScanStats(lo, hi)
-	return refs, err
-}
-
-// RangeScanStats is RangeScan with cost accounting: it also reports the
-// index pages read (descent plus the leaf chain covering the range). It
-// is exactly Scan drained to a slice.
-func (t *Tree) RangeScanStats(lo, hi uint64) ([]TupleRef, int, error) {
-	c, err := t.Scan(lo, hi)
-	if err != nil {
-		return nil, 0, err
-	}
-	var out []TupleRef
-	for c.Next() {
-		out = append(out, c.Entry().Ref)
-	}
-	reads := c.Reads()
-	if err := c.Err(); err != nil {
-		return nil, reads, err
-	}
-	return out, reads, nil
-}
-
 // Insert adds an entry, splitting nodes as needed. The implementation
 // reads the root-to-leaf path, inserts into the leaf and splits upwards;
 // the root splits by allocating a new root, growing the height.

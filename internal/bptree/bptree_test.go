@@ -14,6 +14,29 @@ func memStore(pageSize int) *pagestore.Store {
 	return pagestore.New(device.New(device.Memory, pageSize))
 }
 
+// search is a point lookup: a MultiSearch batch of one key.
+func search(tr *Tree, key uint64) ([]TupleRef, error) {
+	groups, _, err := tr.MultiSearch([]uint64{key})
+	if err != nil || len(groups) == 0 {
+		return nil, err
+	}
+	return groups[0].Refs, nil
+}
+
+// rangeScan drains a Scan cursor over [lo, hi].
+func rangeScan(tr *Tree, lo, hi uint64) ([]TupleRef, error) {
+	c, err := tr.Scan(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	var refs []TupleRef
+	for c.Next() {
+		refs = append(refs, c.Ref())
+	}
+	return refs, c.Err()
+}
+
 func seqEntries(n int) []Entry {
 	out := make([]Entry, n)
 	for i := range out {
@@ -47,7 +70,7 @@ func TestBulkLoadAndSearch(t *testing.T) {
 		t.Errorf("height = %d, want 3", tr.Height())
 	}
 	for _, probe := range []uint64{0, 1, 225, 226, 4999, 99999} {
-		refs, err := tr.Search(probe)
+		refs, err := search(tr, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +83,7 @@ func TestBulkLoadAndSearch(t *testing.T) {
 		}
 	}
 	// Absent keys.
-	if refs, _ := tr.Search(200000); len(refs) != 0 {
+	if refs, _ := search(tr, 200000); len(refs) != 0 {
 		t.Error("absent key matched")
 	}
 }
@@ -90,7 +113,7 @@ func TestSingleLeafTree(t *testing.T) {
 	if tr.Height() != 1 {
 		t.Errorf("height = %d, want 1", tr.Height())
 	}
-	refs, err := tr.Search(5)
+	refs, err := search(tr, 5)
 	if err != nil || len(refs) != 1 {
 		t.Fatal("search in single-leaf tree failed")
 	}
@@ -105,7 +128,7 @@ func TestSingleLeafTree(t *testing.T) {
 
 func TestDuplicateKeysAcrossLeaves(t *testing.T) {
 	// One key repeated more than a leaf's capacity forces duplicates to
-	// spill across leaves; Search must chase the next pointers.
+	// spill across leaves; a lookup must chase the next pointers.
 	var entries []Entry
 	for i := 0; i < 500; i++ {
 		entries = append(entries, Entry{Key: 7, Ref: TupleRef{Page: device.PageID(i), Slot: 0}})
@@ -117,7 +140,7 @@ func TestDuplicateKeysAcrossLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := tr.Search(7)
+	refs, err := search(tr, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +154,7 @@ func TestRangeScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := tr.RangeScan(100, 199)
+	refs, err := rangeScan(tr, 100, 199)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +162,7 @@ func TestRangeScan(t *testing.T) {
 		t.Fatalf("range scan returned %d, want 100", len(refs))
 	}
 	// Range past the end.
-	refs, err = tr.RangeScan(9990, 20000)
+	refs, err = rangeScan(tr, 9990, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +170,7 @@ func TestRangeScan(t *testing.T) {
 		t.Fatalf("tail range returned %d, want 10", len(refs))
 	}
 	// Empty range between keys.
-	if _, err := tr.RangeScan(10, 5); err == nil {
+	if _, err := rangeScan(tr, 10, 5); err == nil {
 		t.Error("inverted range should fail")
 	}
 }
@@ -186,7 +209,7 @@ func TestInsertIntoBulkLoaded(t *testing.T) {
 		t.Fatalf("entries = %d", tr.NumEntries())
 	}
 	for i := 0; i < 20000; i++ {
-		refs, err := tr.Search(uint64(i))
+		refs, err := search(tr, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +245,7 @@ func TestInsertGrowsFromSingleLeaf(t *testing.T) {
 		t.Errorf("tree should have grown, height = %d", tr.Height())
 	}
 	for k := range inserted {
-		refs, err := tr.Search(k)
+		refs, err := search(tr, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +388,7 @@ func TestQuickSearchMatchesReference(t *testing.T) {
 			return false
 		}
 		for k, want := range counts {
-			refs, err := tr.Search(k)
+			refs, err := search(tr, k)
 			if err != nil || len(refs) != want {
 				return false
 			}
@@ -389,7 +412,7 @@ func TestQuickRangeScanMatchesReference(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		refs, err := tr.RangeScan(lo, hi)
+		refs, err := rangeScan(tr, lo, hi)
 		if err != nil {
 			return false
 		}

@@ -2,40 +2,146 @@ package bptree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bftree/internal/device"
 )
 
-// Cursor streams the entries of a range scan in key order, one at a
-// time: the leaf-sibling walk of RangeScanStats exposed pull-style, so
-// a LIMIT-k consumer reads only the leaves it actually advances into.
-// Leaves are fetched lazily on Next; Reads reports the index pages read
-// so far (descent plus consumed leaf-chain links). A Cursor holds no
-// locks or pins — the tree is read-only during scans — so Close only
-// drops buffers and is optional.
-type Cursor struct {
+// reader reads the pages of one tree operation and counts them. A batch
+// reader (MultiSearch) memoizes every page it decodes, so a page that
+// several keys of the batch share is read and counted once — what a
+// buffer pool would actually fetch. A scan's reader memoizes nothing and
+// reads straight through.
+type reader struct {
 	t      *Tree
-	hi     uint64
-	leaf   *leafNode
-	i      int // index of the current entry within leaf, -1 before first
+	nodes  map[device.PageID]*internalNode // nil: no memo
+	leaves map[device.PageID]*leafNode
 	reads  int
-	err    error
-	done   bool
-	primed bool // first positioned entry not yet returned
 }
 
-// Scan opens a cursor over every entry with key in [lo, hi]. The
-// materialized RangeScanStats drains exactly this cursor.
+// descend walks from the root to the leaf that may hold key. It routes
+// leftmost: when key equals a separator the left subtree may still hold
+// equal keys (non-unique indexes), so it goes left and lets the leaf
+// chain carry the search forward.
+func (r *reader) descend(key uint64) (*leafNode, error) {
+	pid := r.t.root
+	for {
+		n, ok := r.nodes[pid]
+		if !ok {
+			if l, ok := r.leaves[pid]; ok {
+				return l, nil
+			}
+			buf, err := r.read(pid)
+			if err != nil {
+				return nil, err
+			}
+			kind, err := nodeKind(buf)
+			if err != nil {
+				return nil, err
+			}
+			if kind == nodeLeaf {
+				return r.decodeLeaf(pid, buf)
+			}
+			if n, err = decodeInternal(buf); err != nil {
+				return nil, err
+			}
+			if r.nodes != nil {
+				r.nodes[pid] = n
+			}
+		}
+		pid = n.children[sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })]
+	}
+}
+
+// leaf returns the leaf at pid.
+func (r *reader) leaf(pid device.PageID) (*leafNode, error) {
+	if l, ok := r.leaves[pid]; ok {
+		return l, nil
+	}
+	buf, err := r.read(pid)
+	if err != nil {
+		return nil, err
+	}
+	return r.decodeLeaf(pid, buf)
+}
+
+func (r *reader) read(pid device.PageID) ([]byte, error) {
+	buf, err := r.t.store.ReadPage(pid)
+	if err != nil {
+		return nil, err
+	}
+	r.reads++
+	return buf, nil
+}
+
+func (r *reader) decodeLeaf(pid device.PageID, buf []byte) (*leafNode, error) {
+	l, err := decodeLeaf(buf)
+	if err != nil {
+		return nil, err
+	}
+	if r.leaves != nil {
+		r.leaves[pid] = l
+	}
+	return l, nil
+}
+
+// search returns the tuple references of every entry with the given
+// key. Duplicates may spill into following leaves, which are chased
+// through the next pointers.
+func (r *reader) search(key uint64) ([]TupleRef, error) {
+	leaf, err := r.descend(key)
+	if err != nil {
+		return nil, err
+	}
+	var out []TupleRef
+	for {
+		i := sort.Search(len(leaf.entries), func(i int) bool { return leaf.entries[i].Key >= key })
+		for ; i < len(leaf.entries) && leaf.entries[i].Key == key; i++ {
+			out = append(out, leaf.entries[i].Ref)
+		}
+		// If the scan ran off the end of the leaf the key may continue.
+		if i < len(leaf.entries) || leaf.next == device.InvalidPage {
+			return out, nil
+		}
+		next, err := r.leaf(leaf.next)
+		if err != nil {
+			return nil, err
+		}
+		if len(next.entries) == 0 || next.entries[0].Key != key {
+			return out, nil
+		}
+		leaf = next
+	}
+}
+
+// Cursor streams the entries of a range scan in key order, one at a
+// time: the leaf-sibling walk exposed pull-style, so a LIMIT-k consumer
+// reads only the leaves it actually advances into. Leaves are fetched
+// lazily on Next; Reads reports the index pages read so far (descent
+// plus consumed leaf-chain links). A Cursor holds no locks or pins — the
+// tree is read-only during scans — so Close only drops buffers and is
+// optional.
+type Cursor struct {
+	r    *reader
+	hi   uint64
+	leaf *leafNode
+	i    int // index of the current entry within leaf, -1 before first
+	err  error
+	done bool
+}
+
+// Scan opens a cursor over every entry with key in [lo, hi].
 func (t *Tree) Scan(lo, hi uint64) (*Cursor, error) {
 	if lo > hi {
 		return nil, fmt.Errorf("bptree: range [%d,%d] inverted", lo, hi)
 	}
-	leaf, _, reads, err := t.descend(lo)
+	r := &reader{t: t}
+	leaf, err := r.descend(lo)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cursor{t: t, hi: hi, leaf: leaf, reads: reads}
+	c := &Cursor{r: r, hi: hi, leaf: leaf}
 	c.i = sort.Search(len(leaf.entries), func(i int) bool { return leaf.entries[i].Key >= lo }) - 1
 	return c, nil
 }
@@ -59,32 +165,25 @@ func (c *Cursor) Next() bool {
 			c.done = true
 			return false
 		}
-		buf, err := c.t.store.ReadPage(c.leaf.next)
+		leaf, err := c.r.leaf(c.leaf.next)
 		if err != nil {
 			c.err = err
 			return false
 		}
-		c.reads++
-		leaf, err := decodeLeaf(buf)
-		if err != nil {
-			c.err = err
-			return false
-		}
-		c.leaf = leaf
-		c.i = -1
+		c.leaf, c.i = leaf, -1
 	}
 }
 
-// Entry returns the current entry.
-func (c *Cursor) Entry() Entry {
+// Ref returns the tuple reference of the current entry.
+func (c *Cursor) Ref() TupleRef {
 	if c.leaf == nil || c.i < 0 || c.i >= len(c.leaf.entries) {
-		return Entry{}
+		return TupleRef{}
 	}
-	return c.leaf.entries[c.i]
+	return c.leaf.entries[c.i].Ref
 }
 
 // Reads returns the index pages read so far.
-func (c *Cursor) Reads() int { return c.reads }
+func (c *Cursor) Reads() int { return c.r.reads }
 
 // Err returns the first error the cursor hit, if any.
 func (c *Cursor) Err() error { return c.err }
@@ -106,133 +205,26 @@ type KeyRefs struct {
 	Refs []TupleRef
 }
 
-// MultiSearch answers a batch of point lookups in one pass: keys are
-// sorted and deduped, then probed in order through a per-batch cache of
-// decoded pages, so adjacent keys share their root-to-leaf path and a
-// leaf holding several batch keys is decoded once. Groups come back in
-// ascending key order, keys without matches omitted; reads counts
-// distinct index pages read for the whole batch — the shared-descent
-// savings the batched-probe experiment measures.
+// MultiSearch answers a batch of point lookups in one pass — a point
+// lookup is a batch of one: keys are sorted and deduped, then probed in
+// order through one memoizing reader, so adjacent keys share their
+// root-to-leaf path and a leaf holding several batch keys is decoded
+// once. Groups come back in ascending key order, keys without matches
+// omitted; reads counts distinct index pages read for the whole batch —
+// the shared-descent savings the batched-probe experiment measures.
 func (t *Tree) MultiSearch(keys []uint64) ([]KeyRefs, int, error) {
-	if len(keys) == 0 {
-		return nil, 0, nil
-	}
-	sorted := append([]uint64(nil), keys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	c := &pageCache{t: t}
+	batch := slices.Clone(keys)
+	slices.Sort(batch)
+	r := &reader{t: t, nodes: make(map[device.PageID]*internalNode), leaves: make(map[device.PageID]*leafNode)}
 	var out []KeyRefs
-	var prev uint64
-	for i, key := range sorted {
-		if i > 0 && key == prev {
-			continue
-		}
-		prev = key
-		refs, err := c.search(key)
+	for _, key := range slices.Compact(batch) {
+		refs, err := r.search(key)
 		if err != nil {
-			return nil, c.reads, err
+			return nil, r.reads, err
 		}
 		if len(refs) > 0 {
 			out = append(out, KeyRefs{Key: key, Refs: refs})
 		}
 	}
-	return out, c.reads, nil
-}
-
-// pageCache memoizes decoded pages for one batch; reads is charged only
-// on a miss, so it counts distinct pages — what a buffer pool would
-// actually fetch.
-type pageCache struct {
-	t      *Tree
-	nodes  map[device.PageID]*internalNode
-	leaves map[device.PageID]*leafNode
-	reads  int
-}
-
-func (c *pageCache) search(key uint64) ([]TupleRef, error) {
-	leaf, err := c.descend(key)
-	if err != nil {
-		return nil, err
-	}
-	var out []TupleRef
-	for {
-		i := sort.Search(len(leaf.entries), func(i int) bool { return leaf.entries[i].Key >= key })
-		for ; i < len(leaf.entries) && leaf.entries[i].Key == key; i++ {
-			out = append(out, leaf.entries[i].Ref)
-		}
-		if i < len(leaf.entries) || leaf.next == device.InvalidPage {
-			return out, nil
-		}
-		next, err := c.leaf(leaf.next)
-		if err != nil {
-			return nil, err
-		}
-		if len(next.entries) == 0 || next.entries[0].Key != key {
-			return out, nil
-		}
-		leaf = next
-	}
-}
-
-func (c *pageCache) descend(key uint64) (*leafNode, error) {
-	pid := c.t.root
-	for {
-		if n, ok := c.nodes[pid]; ok {
-			i := sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })
-			pid = n.children[i]
-			continue
-		}
-		if l, ok := c.leaves[pid]; ok {
-			return l, nil
-		}
-		buf, err := c.t.store.ReadPage(pid)
-		if err != nil {
-			return nil, err
-		}
-		c.reads++
-		kind, err := nodeKind(buf)
-		if err != nil {
-			return nil, err
-		}
-		if kind == nodeLeaf {
-			l, err := decodeLeaf(buf)
-			if err != nil {
-				return nil, err
-			}
-			if c.leaves == nil {
-				c.leaves = make(map[device.PageID]*leafNode)
-			}
-			c.leaves[pid] = l
-			return l, nil
-		}
-		n, err := decodeInternal(buf)
-		if err != nil {
-			return nil, err
-		}
-		if c.nodes == nil {
-			c.nodes = make(map[device.PageID]*internalNode)
-		}
-		c.nodes[pid] = n
-		i := sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })
-		pid = n.children[i]
-	}
-}
-
-func (c *pageCache) leaf(pid device.PageID) (*leafNode, error) {
-	if l, ok := c.leaves[pid]; ok {
-		return l, nil
-	}
-	buf, err := c.t.store.ReadPage(pid)
-	if err != nil {
-		return nil, err
-	}
-	c.reads++
-	l, err := decodeLeaf(buf)
-	if err != nil {
-		return nil, err
-	}
-	if c.leaves == nil {
-		c.leaves = make(map[device.PageID]*leafNode)
-	}
-	c.leaves[pid] = l
-	return l, nil
+	return out, r.reads, nil
 }

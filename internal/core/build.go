@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -189,19 +190,18 @@ func bulkLoadTree(idxStore *pagestore.Store, file *heapfile.File, fieldIdx int, 
 	}
 
 	first := file.FirstPage()
+	owned := part.keys(0, math.MaxUint64)
+	var tuples [][]byte
 	for p := uint64(0); p < file.NumPages(); p++ {
 		pid := first + device.PageID(p)
-		tuples, err := file.ReadPageTuples(pid)
-		if err != nil {
+		var err error
+		if tuples, err = file.AppendMatches(tuples[:0], pid, fieldIdx, owned); err != nil {
 			return nil, err
 		}
 		var keys []uint64
 		newDistinct := uint64(0)
 		for _, tup := range tuples {
 			k := file.Schema().Get(tup, fieldIdx)
-			if !part.Accept(k) {
-				continue
-			}
 			if len(keys) == 0 || keys[len(keys)-1] != k {
 				keys = append(keys, k)
 			}

@@ -275,19 +275,18 @@ func (t *Tree) compactLeafLocked(pid device.PageID) (bool, error) {
 // restores the design fpp.
 func (t *Tree) rebuildLeafContents(leaf *bfLeaf) (*bfLeaf, error) {
 	last := t.lastDataPage()
+	owned := t.part.keys(leaf.minKey, leaf.maxKey)
 	pages := make([]pageKeys, 0, leaf.numPages())
+	var tuples [][]byte
 	for pid := leaf.minPid; pid <= leaf.maxPid; pid++ {
 		pk := pageKeys{pid: pid}
 		if pid <= last {
-			tuples, err := t.file.ReadPageTuples(pid)
-			if err != nil {
+			var err error
+			if tuples, err = t.file.AppendMatches(tuples[:0], pid, t.fieldIdx, owned); err != nil {
 				return nil, err
 			}
 			for _, tup := range tuples {
 				k := t.file.Schema().Get(tup, t.fieldIdx)
-				if k < leaf.minKey || k > leaf.maxKey || !t.part.Accept(k) {
-					continue
-				}
 				if len(pk.keys) == 0 || pk.keys[len(pk.keys)-1] != k {
 					pk.keys = append(pk.keys, k)
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bftree/internal/device"
+	"bftree/internal/heapfile"
 )
 
 // splitEnumLimit caps the key-domain enumeration of the probe-based
@@ -574,17 +575,16 @@ func (t *Tree) splitByRebuild(leaf *bfLeaf) (*bfLeaf, *bfLeaf, error) {
 	var lowKeys, highKeys []keyPages
 	seenLow := make(map[uint64]int)  // key → index in lowKeys
 	seenHigh := make(map[uint64]int) // key → index in highKeys
+	inLeaf := heapfile.Keys{Lo: leaf.minKey, Hi: leaf.maxKey}
+	var tuples [][]byte
 	for pid := leaf.minPid; pid <= hi; pid++ {
-		tuples, err := t.file.ReadPageTuples(pid)
-		if err != nil {
+		var err error
+		if tuples, err = t.file.AppendMatches(tuples[:0], pid, t.fieldIdx, inLeaf); err != nil {
 			return nil, nil, err
 		}
 		bid := leaf.bfIndexOf(pid)
 		for _, tup := range tuples {
 			k := t.file.Schema().Get(tup, t.fieldIdx)
-			if k < leaf.minKey || k > leaf.maxKey {
-				continue
-			}
 			var seen map[uint64]int
 			var list *[]keyPages
 			if k <= midKey {

@@ -376,6 +376,15 @@ func encodeBFLeaf(l *bfLeaf) ([]byte, error) {
 	return buf, nil
 }
 
+// leafMinKey reads the minKey of the BF-leaf image buf from its header
+// alone; ok is false when buf is not a BF-leaf.
+func leafMinKey(buf []byte) (minKey uint64, ok bool) {
+	if len(buf) < leafHeaderSize || buf[0] != nodeBFLeaf {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(buf[19:27]), true
+}
+
 // decodeBFLeaf parses a BF-leaf's header and returns a leaf that aliases
 // buf until its first write (see bfLeaf); buf itself is never written.
 // It checks every invariant the probe and update paths index by, so a

@@ -197,6 +197,11 @@ type maintainer struct {
 // wakeups, instead of never reclaiming under sustained write pressure.
 const missEscalation = 16
 
+// limboHighWater is the limbo page count past which the maintainer
+// escalates from polite lock acquisition (TryLock, which never stalls
+// latched writers) to one blocking acquire.
+const limboHighWater = 512
+
 // compactionBackoffIntervals is the failed-compaction cooldown in
 // reclaim intervals (50 × the 5ms default ≈ 250ms between retries).
 const compactionBackoffIntervals = 50
@@ -357,7 +362,7 @@ func (m *maintainer) overdue() bool {
 	if limbo == 0 || !t.readers.canAdvance() {
 		return false
 	}
-	if limbo > int64(t.opts.Maintenance.LimboHighWater) {
+	if limbo > limboHighWater {
 		return true
 	}
 	fresh, _, _ := t.store.PressureStats()
@@ -504,18 +509,14 @@ func (t *Tree) maintainLocked(allowCompact bool) (more bool, err error) {
 // Rebuild — all under the exclusive lock) hand off the reclamation they
 // used to perform inline. With a live maintainer the request is one
 // non-blocking channel send; in manual mode the writer reclaims
-// opportunistically inline, preserving the pre-maintainer behavior; in
-// disabled mode retired pages simply accumulate until an explicit
-// Maintain call.
+// opportunistically inline, preserving the pre-maintainer behavior.
 func (t *Tree) maintRequest() {
 	if m := t.maint.Load(); m != nil {
 		t.maintStats.structuralRequests.Add(1)
 		m.notify()
 		return
 	}
-	if t.opts.Maintenance.Mode != MaintenanceDisabled {
-		t.reclaim()
-	}
+	t.reclaim()
 }
 
 // driftNudge is called by writers after a successful mutation, outside
@@ -567,18 +568,12 @@ func (t *Tree) driftCeiling() float64 {
 // StartMaintenance launches the background maintainer goroutine if none
 // is running. BulkLoad and Open call it automatically under
 // MaintenanceAuto; callers on MaintenanceManual may start one
-// explicitly. It reports whether a maintainer is now running (false
-// only under MaintenanceDisabled). Pair with Close.
-func (t *Tree) StartMaintenance() bool {
-	if t.opts.Maintenance.Mode == MaintenanceDisabled {
-		return false
-	}
+// explicitly. Pair with Close.
+func (t *Tree) StartMaintenance() {
 	m := newMaintainer(t)
-	if !t.maint.CompareAndSwap(nil, m) {
-		return true // already running
+	if t.maint.CompareAndSwap(nil, m) {
+		go m.run()
 	}
-	go m.run()
-	return true
 }
 
 // StopMaintenance stops the background maintainer, if any, and waits
@@ -604,9 +599,6 @@ func (t *Tree) StopMaintenance() {
 // probes and writers.
 func (t *Tree) Close() error {
 	t.StopMaintenance()
-	if t.opts.Maintenance.Mode == MaintenanceDisabled {
-		return nil
-	}
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
 	// Two flips drain both limbo buckets when readers are quiescent; a

@@ -46,7 +46,7 @@ func TestMaintenancePolicyDefaults(t *testing.T) {
 	if mp.FPPThreshold != 0.04 {
 		t.Errorf("default threshold = %g, want 4x design fpp", mp.FPPThreshold)
 	}
-	if mp.ReclaimInterval <= 0 || mp.LimboHighWater <= 0 {
+	if mp.ReclaimInterval <= 0 {
 		t.Errorf("defaults unfilled: %+v", mp)
 	}
 	// A loose design fpp still gets a threshold strictly inside (fpp, 1).
@@ -63,7 +63,6 @@ func TestMaintenancePolicyDefaults(t *testing.T) {
 		{FPP: 0.01, Maintenance: MaintenancePolicy{FPPThreshold: 1.5}},
 		{FPP: 0.01, Maintenance: MaintenancePolicy{FPPThreshold: math.NaN()}}, // would silently disable compaction
 		{FPP: 0.01, Maintenance: MaintenancePolicy{ReclaimInterval: -time.Second}},
-		{FPP: 0.01, Maintenance: MaintenancePolicy{LimboHighWater: -1}},
 		{FPP: 0.01, Maintenance: MaintenancePolicy{IncrementalBatch: -1}},
 	}
 	for i, o := range bad {
@@ -82,7 +81,6 @@ func TestMaintenancePolicyRoundTrip(t *testing.T) {
 		Mode:             MaintenanceManual,
 		FPPThreshold:     0.25,
 		ReclaimInterval:  42 * time.Millisecond,
-		LimboHighWater:   7,
 		IncrementalBatch: 5,
 	}})
 	meta := tr.MarshalMeta()
@@ -92,6 +90,17 @@ func TestMaintenancePolicyRoundTrip(t *testing.T) {
 	}
 	if got := back.Options().Maintenance; got != tr.Options().Maintenance {
 		t.Errorf("policy did not round-trip: %+v vs %+v", got, tr.Options().Maintenance)
+	}
+	// Bytes 21 and 103-106 are reserved: written as 0, never read.
+	flipped := append([]byte(nil), meta...)
+	for _, i := range []int{21, 103, 104, 105, 106} {
+		if meta[i] != 0 {
+			t.Errorf("reserved byte %d written as %d, want 0", i, meta[i])
+		}
+		flipped[i] = 0xff
+	}
+	if back, err := Open(fx.idxStore, fx.file, flipped); err != nil || back.Options() != tr.Options() {
+		t.Errorf("reserved bytes were read: err %v", err)
 	}
 	// One layout: the lengths earlier layouts and torn writes leave
 	// behind are corruption.
@@ -140,60 +149,6 @@ func TestRebuildResetsDriftCounters(t *testing.T) {
 	}
 	if got, want := tr.EffectiveFPP(), tr.Options().FPP; got != want {
 		t.Errorf("post-rebuild fpp = %g, want design %g", got, want)
-	}
-}
-
-// TestDisabledModeAccumulatesUntilMaintain pins the disabled policy: no
-// inline reclamation at structural changes (limbo grows), and an
-// explicit Maintain drains it.
-func TestDisabledModeAccumulatesUntilMaintain(t *testing.T) {
-	keys := make([]uint64, 2000)
-	for i := range keys {
-		keys[i] = uint64(2 * i)
-	}
-	f, _ := buildKeyedFile(t, keys)
-	idx := pagestore.New(device.New(device.Memory, 128))
-	tr, err := BulkLoad(idx, f, 0, Options{FPP: 0.01,
-		Maintenance: MaintenancePolicy{Mode: MaintenanceDisabled}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.StartMaintenance() {
-		t.Fatal("disabled mode started a maintainer")
-	}
-	for round := 0; round < 8; round++ {
-		ord := uint64(round * 211 % 2000)
-		if err := forceSplit(t, tr, f, keys[ord], keys[ord]+1, ord); err != nil {
-			if errors.Is(err, ErrKeyRange) {
-				continue
-			}
-			t.Fatal(err)
-		}
-	}
-	if tr.limboLen.Load() == 0 {
-		t.Fatal("structural changes reclaimed inline under MaintenanceDisabled")
-	}
-	if free := idx.FreePages(); free != 0 {
-		t.Fatalf("%d pages reached the free list without maintenance", free)
-	}
-	// Two explicit passes drain both limbo buckets at quiescence.
-	if err := tr.Maintain(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Maintain(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.limboLen.Load(); got != 0 {
-		t.Errorf("limbo = %d after quiescent Maintain passes, want 0", got)
-	}
-	st := tr.MaintenanceStats()
-	if st.PagesReclaimed == 0 || st.Passes < 2 {
-		t.Errorf("stats did not account the explicit passes: %+v", st)
-	}
-	live := tr.NumNodes()
-	free := uint64(idx.FreePages())
-	if total := idx.Device().NumPages(); live+free != total {
-		t.Errorf("page economy leaks: live %d + free %d != device %d", live, free, total)
 	}
 }
 
@@ -350,7 +305,6 @@ func TestCloseDrainsMaintainer(t *testing.T) {
 		// idle, so the final drain is Close's own doing.
 		ReclaimInterval: time.Hour,
 		FPPThreshold:    1,
-		LimboHighWater:  1 << 30,
 	}})
 	if err != nil {
 		t.Fatal(err)

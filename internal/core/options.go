@@ -69,18 +69,13 @@ const (
 	// the tree when the Equation 14 fpp estimate crosses the threshold.
 	// The tree must be Closed to drain the maintainer.
 	MaintenanceAuto
-	// MaintenanceDisabled suppresses all automatic maintenance: no
-	// background goroutine and no inline reclamation — retired pages
-	// accumulate in limbo until an explicit Tree.Maintain call. Meant
-	// for tests and experiments that measure limbo growth.
-	MaintenanceDisabled
 )
 
 // MaintenancePolicy configures the self-maintaining mode: when retired
 // copy-on-write pages are reclaimed and when accumulated insert/delete
 // drift (Section 7, Equation 14) triggers a Rebuild-based compaction.
 type MaintenancePolicy struct {
-	// Mode selects manual (default), auto, or disabled maintenance.
+	// Mode selects manual (default) or auto maintenance.
 	Mode MaintenanceMode
 	// FPPThreshold is the effective false-positive probability
 	// (Tree.EffectiveFPP, the Equation 14 estimate plus the Section 7
@@ -97,10 +92,6 @@ type MaintenancePolicy struct {
 	// no probe-completion or structural-change signal arrives. 0
 	// selects 5ms.
 	ReclaimInterval time.Duration
-	// LimboHighWater is the limbo page count past which the maintainer
-	// escalates from polite lock acquisition (TryLock, which never
-	// stalls latched writers) to one blocking acquire. 0 selects 512.
-	LimboHighWater int
 	// IncrementalBatch, when positive, makes drift compaction
 	// incremental: each maintenance pass rewrites only the
 	// IncrementalBatch most-drifted leaves (tracked per leaf) under the
@@ -113,7 +104,7 @@ type MaintenancePolicy struct {
 // withDefaults fills zero values and validates against the design fpp.
 func (p MaintenancePolicy) withDefaults(fpp float64) (MaintenancePolicy, error) {
 	switch p.Mode {
-	case MaintenanceManual, MaintenanceAuto, MaintenanceDisabled:
+	case MaintenanceManual, MaintenanceAuto:
 	default:
 		return p, fmt.Errorf("%w: unknown maintenance mode %d", ErrOptions, p.Mode)
 	}
@@ -135,24 +126,14 @@ func (p MaintenancePolicy) withDefaults(fpp float64) (MaintenancePolicy, error) 
 	} else if p.ReclaimInterval < 0 {
 		return p, fmt.Errorf("%w: reclaim interval %v", ErrOptions, p.ReclaimInterval)
 	}
-	if p.LimboHighWater == 0 {
-		p.LimboHighWater = 512
-	} else if p.LimboHighWater < 0 {
-		return p, fmt.Errorf("%w: limbo high water %d", ErrOptions, p.LimboHighWater)
-	}
-	// The persisted metadata stores the mark as a uint32; clamping here
-	// keeps a marshal/reopen cycle faithful (a clamped mark this high
-	// never triggers escalation in practice anyway). Via uint64 so the
-	// comparison and assignment compile on 32-bit ints, where the
-	// branch is simply unreachable.
-	if maxHW := uint64(math.MaxUint32); uint64(p.LimboHighWater) > maxHW {
-		p.LimboHighWater = int(maxHW)
-	}
 	if p.IncrementalBatch < 0 {
 		return p, fmt.Errorf("%w: incremental batch %d", ErrOptions, p.IncrementalBatch)
 	}
-	// Same uint32 persistence clamp as the high-water mark; a batch this
-	// large is indistinguishable from "the whole tree per pass" anyway.
+	// The persisted metadata stores the batch as a uint32; clamping here
+	// keeps a marshal/reopen cycle faithful, and a batch this large is
+	// indistinguishable from "the whole tree per pass" anyway. Via uint64
+	// so the comparison and assignment compile on 32-bit ints, where the
+	// branch is simply unreachable.
 	if maxB := uint64(math.MaxUint32); uint64(p.IncrementalBatch) > maxB {
 		p.IncrementalBatch = int(maxB)
 	}

@@ -24,9 +24,6 @@ import (
 // swallows the whole file) and is carried by the owning composite
 // across MarshalMeta/OpenPartition.
 type Partition struct {
-	// Shard is this partition's ordinal in [0, Shards); Shards the
-	// total shard count.
-	Shard, Shards int
 	// KeyLo, KeyHi are the inclusive accepted key bounds.
 	KeyLo, KeyHi uint64
 }
@@ -36,22 +33,19 @@ func (p *Partition) validate() error {
 	if p == nil {
 		return nil
 	}
-	if p.Shards < 1 || p.Shard < 0 || p.Shard >= p.Shards {
-		return fmt.Errorf("%w: partition %d of %d", ErrOptions, p.Shard, p.Shards)
-	}
 	if p.KeyLo > p.KeyHi {
 		return fmt.Errorf("%w: partition key range [%d,%d] inverted", ErrOptions, p.KeyLo, p.KeyHi)
 	}
 	return nil
 }
 
-// Accept reports whether the partition owns key. A nil partition owns
-// everything (the single-tree case).
-func (p *Partition) Accept(key uint64) bool {
-	if p == nil {
-		return true
+// keys selects the keys in [lo, hi] that the partition owns. A nil
+// partition owns everything (the single-tree case).
+func (p *Partition) keys(lo, hi uint64) heapfile.Keys {
+	if p != nil {
+		lo, hi = max(lo, p.KeyLo), min(hi, p.KeyHi)
 	}
-	return key >= p.KeyLo && key <= p.KeyHi
+	return heapfile.Keys{Lo: lo, Hi: hi}
 }
 
 // BulkLoadPartition is BulkLoad restricted to one partition of the

@@ -31,7 +31,7 @@ import (
 //	byte  86    maintenance mode
 //	bytes 87-94 fpp compaction threshold (float64 bits)
 //	bytes 95-102 reclaim interval (int64 nanoseconds)
-//	bytes 103-106 limbo high water (uint32)
+//	bytes 103-106 reserved, written as 0
 //	bytes 107-110 incremental compaction batch (uint32, 0 = full rebuild)
 //
 // Open accepts exactly this length; any other is corruption.
@@ -64,7 +64,6 @@ func (t *Tree) MarshalMeta() []byte {
 	buf[86] = byte(mp.Mode)
 	binary.LittleEndian.PutUint64(buf[87:95], math.Float64bits(mp.FPPThreshold))
 	binary.LittleEndian.PutUint64(buf[95:103], uint64(mp.ReclaimInterval.Nanoseconds()))
-	binary.LittleEndian.PutUint32(buf[103:107], uint32(mp.LimboHighWater))
 	binary.LittleEndian.PutUint32(buf[107:111], uint32(mp.IncrementalBatch))
 	return buf
 }
@@ -86,10 +85,9 @@ func open(store *pagestore.Store, file *heapfile.File, meta []byte, part *Partit
 	if [4]byte(meta[0:4]) != metaMagic {
 		return nil, fmt.Errorf("%w: bad metadata magic", ErrCorrupt)
 	}
-	// Clamp the uint32 counts to the platform int so a blob written on
+	// Clamp the uint32 batch to the platform int so a blob written on
 	// a 64-bit host reopens on 32-bit instead of going negative and
 	// failing validation.
-	hw := min(uint64(binary.LittleEndian.Uint32(meta[103:107])), math.MaxInt)
 	ib := min(uint64(binary.LittleEndian.Uint32(meta[107:111])), math.MaxInt)
 	opts := Options{
 		FPP:         math.Float64frombits(binary.LittleEndian.Uint64(meta[4:12])),
@@ -100,7 +98,6 @@ func open(store *pagestore.Store, file *heapfile.File, meta []byte, part *Partit
 			Mode:             MaintenanceMode(meta[86]),
 			FPPThreshold:     math.Float64frombits(binary.LittleEndian.Uint64(meta[87:95])),
 			ReclaimInterval:  time.Duration(binary.LittleEndian.Uint64(meta[95:103])),
-			LimboHighWater:   int(hw),
 			IncrementalBatch: int(ib),
 		},
 	}

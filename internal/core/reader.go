@@ -47,6 +47,21 @@ func (r indexReader) leaf(pid device.PageID) (*bfLeaf, error) {
 	return decodeBFLeaf(buf)
 }
 
+// leafFrom reads the BF-leaf at pid, the next link of a covering-leaf
+// walk for key, and decodes it only when key is not below its key
+// range. Otherwise the walk has ended, which the header's minKey tells
+// without a decode, and leafFrom returns nil.
+func (r indexReader) leafFrom(pid device.PageID, key uint64) (*bfLeaf, error) {
+	buf, err := r.page(pid)
+	if err != nil {
+		return nil, err
+	}
+	if minKey, ok := leafMinKey(buf); ok && key < minKey {
+		return nil, nil
+	}
+	return decodeBFLeaf(buf)
+}
+
 // descend walks from root to the leaf that key routes to, routing each
 // internal node in place, and returns the leaf's pid and its undecoded
 // image. Searches route leftmost (key <= separator goes left, because
@@ -115,14 +130,10 @@ func (r indexReader) coveringLeaves(root device.PageID, key uint64, visit func(p
 		return err
 	}
 	for key > leaf.maxKey && leaf.next != device.InvalidPage {
-		next, err := r.leaf(leaf.next)
-		if err != nil {
+		pid = leaf.next
+		if leaf, err = r.leafFrom(pid, key); leaf == nil || err != nil {
 			return err
 		}
-		if key < next.minKey {
-			return nil
-		}
-		pid, leaf = leaf.next, next
 	}
 	for key >= leaf.minKey && key <= leaf.maxKey {
 		if done, err := visit(pid, leaf); done || err != nil {
@@ -132,7 +143,7 @@ func (r indexReader) coveringLeaves(root device.PageID, key uint64, visit func(p
 			return nil
 		}
 		pid = leaf.next
-		if leaf, err = r.leaf(pid); err != nil {
+		if leaf, err = r.leafFrom(pid, key); leaf == nil || err != nil {
 			return err
 		}
 	}

@@ -261,13 +261,18 @@ func decodeRunPage(buf []byte) ([]entry, error) {
 			key:  binary.LittleEndian.Uint64(buf[off:]),
 			kind: entryKind(buf[off+8]),
 		}
-		if e.kind == kindFence {
+		switch e.kind {
+		case kindFence:
 			e.next = device.PageID(binary.LittleEndian.Uint64(buf[off+9:]))
-		} else {
+		case kindRecord:
 			e.ref = bptree.TupleRef{
 				Page: device.PageID(binary.LittleEndian.Uint64(buf[off+9:])),
 				Slot: binary.LittleEndian.Uint16(buf[off+17:]),
 			}
+		default:
+			// Searches skip an entry that is neither, so accepting one
+			// would silently drop it from every answer.
+			return nil, fmt.Errorf("%w: run page entry %d has kind %d", ErrInvalid, i, e.kind)
 		}
 		out[i] = e
 		off += entrySize
@@ -281,85 +286,6 @@ func (t *Tree) readRunPage(pid device.PageID) ([]entry, error) {
 		return nil, err
 	}
 	return decodeRunPage(buf)
-}
-
-// SearchStats accounts one FD-Tree probe.
-type SearchStats struct {
-	PagesRead int // run pages read (one per on-device level)
-}
-
-// Search returns the tuple references for key. It scans the head tree,
-// then follows one fence per level, reading one run page per level — the
-// logarithmic search pattern the paper models. Duplicates of key that
-// straddle a page boundary within a run cost extra page reads: the
-// fence routing is rightmost-biased, so the remaining records sit at
-// the tails of the immediately preceding pages (see the left walk).
-func (t *Tree) Search(key uint64) ([]bptree.TupleRef, *SearchStats, error) {
-	stats := &SearchStats{}
-	var out []bptree.TupleRef
-	nextPage := device.InvalidPage
-
-	// collect gathers the records matching key.
-	collect := func(entries []entry) {
-		i := sort.Search(len(entries), func(i int) bool { return entries[i].key > key })
-		for j := i - 1; j >= 0 && entries[j].key == key; j-- {
-			if entries[j].kind == kindRecord {
-				out = append(out, entries[j].ref)
-			}
-		}
-	}
-	scan := func(entries []entry) {
-		i := sort.Search(len(entries), func(i int) bool { return entries[i].key > key })
-		// The last fence at or below key routes the next level; records
-		// in between are skipped. Every run page starts with a carried
-		// fence (see writeRun), so the fence is always on this page.
-		for j := i - 1; j >= 0; j-- {
-			if entries[j].kind == kindFence {
-				nextPage = entries[j].next
-				break
-			}
-		}
-		collect(entries)
-	}
-
-	scan(t.head)
-	for lv := 0; lv < len(t.levels); lv++ {
-		if nextPage == device.InvalidPage {
-			// No fence found (empty level); fall back to the level's
-			// first page.
-			if t.levels[lv].pages == 0 {
-				continue
-			}
-			nextPage = t.levels[lv].first
-		}
-		pid := nextPage
-		page, err := t.readRunPage(pid)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.PagesRead++
-		nextPage = device.InvalidPage
-		scan(page)
-		// Duplicates of key may straddle page boundaries within the
-		// run. The entry page is the rightmost page whose first key is
-		// at or below key (fences are one per page, keyed by first key,
-		// and routing picks the last fence at or below key), so any
-		// remaining records of key sit at the tails of the preceding
-		// pages: walk left while the page still *starts* at key. The
-		// left pages never carry routing information the entry page
-		// lacks — a fence at or below key on them precedes every fence
-		// the entry page holds — so only records are collected.
-		for len(page) > 0 && page[0].key == key && pid > t.levels[lv].first {
-			pid--
-			page, err = t.readRunPage(pid)
-			if err != nil {
-				return nil, nil, err
-			}
-			stats.PagesRead++
-			collect(page)
-		}
-	}
-	return out, stats, nil
 }
 
 // Insert adds an entry to the head tree, cascading merges when levels
@@ -496,26 +422,4 @@ func (t *Tree) FlushHead() error {
 		return nil
 	}
 	return t.mergeDown()
-}
-
-// RangeScan returns the tuple references of every record with key in
-// [lo, hi], in key order, and the run pages read. Each sorted run is
-// scanned independently — binary search over its contiguous pages to the
-// first page that may hold lo, then forward until past hi — and the
-// per-level results are merged, the ordered-scan pattern the fractional
-// cascade cannot provide across levels.
-func (t *Tree) RangeScan(lo, hi uint64) ([]bptree.TupleRef, *SearchStats, error) {
-	c, err := t.Scan(lo, hi)
-	if err != nil {
-		return nil, nil, err
-	}
-	var refs []bptree.TupleRef
-	for c.Next() {
-		refs = append(refs, c.Ref())
-	}
-	stats := c.Stats()
-	if err := c.Err(); err != nil {
-		return nil, nil, err
-	}
-	return refs, &stats, nil
 }

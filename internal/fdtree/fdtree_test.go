@@ -14,6 +14,29 @@ func memStore() *pagestore.Store {
 	return pagestore.New(device.New(device.Memory, 4096))
 }
 
+// search is a point lookup: a MultiSearch batch of one key.
+func search(tr *Tree, key uint64) ([]bptree.TupleRef, int, error) {
+	groups, reads, err := tr.MultiSearch([]uint64{key})
+	if err != nil || len(groups) == 0 {
+		return nil, reads, err
+	}
+	return groups[0].Refs, reads, nil
+}
+
+// rangeScan drains a Scan cursor over [lo, hi].
+func rangeScan(tr *Tree, lo, hi uint64) ([]bptree.TupleRef, int, error) {
+	c, err := tr.Scan(lo, hi)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer c.Close()
+	var refs []bptree.TupleRef
+	for c.Next() {
+		refs = append(refs, c.Ref())
+	}
+	return refs, c.Reads(), c.Err()
+}
+
 func seqEntries(n int) []bptree.Entry {
 	out := make([]bptree.Entry, n)
 	for i := range out {
@@ -51,7 +74,7 @@ func TestBulkLoadSearch(t *testing.T) {
 		t.Errorf("levels = %d, want multi-level", tr.Levels())
 	}
 	for _, key := range []uint64{0, 1, 777, 50000, 99999} {
-		refs, stats, err := tr.Search(key)
+		refs, reads, err := search(tr, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,8 +85,8 @@ func TestBulkLoadSearch(t *testing.T) {
 			t.Fatalf("key %d: wrong ref", key)
 		}
 		// One page read per on-device level.
-		if stats.PagesRead > tr.Levels() {
-			t.Errorf("key %d: %d reads > %d levels", key, stats.PagesRead, tr.Levels())
+		if reads > tr.Levels() {
+			t.Errorf("key %d: %d reads > %d levels", key, reads, tr.Levels())
 		}
 	}
 }
@@ -73,7 +96,7 @@ func TestSearchMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, _, err := tr.Search(999999)
+	refs, _, err := search(tr, 999999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +140,7 @@ func TestInsertAndCascade(t *testing.T) {
 	}
 	checked := 0
 	for k, ref := range inserted {
-		refs, _, err := tr.Search(k)
+		refs, _, err := search(tr, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +170,7 @@ func TestDuplicateKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	refs, _, err := tr.Search(42)
+	refs, _, err := search(tr, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +242,7 @@ func TestQuickMatchesReference(t *testing.T) {
 			return false
 		}
 		counts[k]++
-		refs, _, err := tr.Search(k)
+		refs, _, err := search(tr, k)
 		return err == nil && len(refs) == counts[k]
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 600}); err != nil {
@@ -257,7 +280,7 @@ func TestSearchDuplicatesStraddlingPageBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, stats, err := tr.Search(dupKey)
+	refs, reads, err := search(tr, dupKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,12 +294,12 @@ func TestSearchDuplicatesStraddlingPageBoundary(t *testing.T) {
 		}
 		seen[r.Page] = true
 	}
-	if stats.PagesRead == 0 {
+	if reads == 0 {
 		t.Fatal("no pages read")
 	}
 	// Non-straddling keys are unaffected.
 	for _, k := range []uint64{0, 107, 250} {
-		refs, _, err := tr.Search(k)
+		refs, _, err := search(tr, k)
 		if err != nil || len(refs) != 1 {
 			t.Fatalf("key %d: %d refs, err %v", k, len(refs), err)
 		}
@@ -299,7 +322,7 @@ func TestRangeScan(t *testing.T) {
 	}
 	for _, rng := range [][2]uint64{{0, 0}, {100, 250}, {49900, 60000}, {7, 7}} {
 		lo, hi := rng[0], rng[1]
-		refs, stats, err := tr.RangeScan(lo, hi)
+		refs, reads, err := rangeScan(tr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +340,7 @@ func TestRangeScan(t *testing.T) {
 		if len(refs) != want {
 			t.Fatalf("range [%d,%d]: %d refs, want %d", lo, hi, len(refs), want)
 		}
-		if stats.PagesRead == 0 && tr.Levels() > 0 {
+		if reads == 0 && tr.Levels() > 0 {
 			t.Errorf("range [%d,%d] read no run pages", lo, hi)
 		}
 		for i := 1; i < len(refs); i++ {
@@ -327,7 +350,7 @@ func TestRangeScan(t *testing.T) {
 			_ = i
 		}
 	}
-	if _, _, err := tr.RangeScan(5, 4); err == nil {
+	if _, _, err := rangeScan(tr, 5, 4); err == nil {
 		t.Error("inverted range accepted")
 	}
 }
@@ -354,7 +377,7 @@ func TestFlushHead(t *testing.T) {
 		t.Fatalf("head still holds %d records after FlushHead", n)
 	}
 	for i := 0; i < 10; i++ {
-		refs, _, err := tr.Search(uint64(100000 + i))
+		refs, _, err := search(tr, uint64(100000+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,11 +419,11 @@ func TestMergeDeviceBounded(t *testing.T) {
 	}
 }
 
-// TestRangeScanDuplicatesSpanPages pins the boundary rule of RangeScan:
-// when duplicates of the range's low key fill more than one run page,
-// the scan must still return every one of them (the binary search lands
-// on the first duplicate page and backs up one; the forward scan covers
-// the rest), and must agree with Search on the same tree.
+// TestRangeScanDuplicatesSpanPages pins the boundary rule of Scan: when
+// duplicates of the range's low key fill more than one run page, the
+// scan must still return every one of them (the binary search lands on
+// the first duplicate page and backs up one; the forward scan covers the
+// rest), and must agree with a point lookup on the same tree.
 func TestRangeScanDuplicatesSpanPages(t *testing.T) {
 	const dups = 600 // ~3 run pages at 215 entries/page
 	var entries []bptree.Entry
@@ -417,26 +440,26 @@ func TestRangeScanDuplicatesSpanPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	point, _, err := tr.Search(1000)
+	point, _, err := search(tr, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(point) != dups {
-		t.Fatalf("Search(1000) = %d refs, want %d", len(point), dups)
+		t.Fatalf("lookup of 1000 = %d refs, want %d", len(point), dups)
 	}
-	rng, _, err := tr.RangeScan(1000, 1000)
+	rng, _, err := rangeScan(tr, 1000, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rng) != dups {
-		t.Fatalf("RangeScan(1000,1000) = %d refs, want %d (disagrees with Search)", len(rng), dups)
+		t.Fatalf("Scan(1000,1000) = %d refs, want %d (disagrees with the point lookup)", len(rng), dups)
 	}
 	// A range starting inside the duplicate block behaves the same.
-	rng2, _, err := tr.RangeScan(1000, 1005)
+	rng2, _, err := rangeScan(tr, 1000, 1005)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rng2) != dups+5 {
-		t.Fatalf("RangeScan(1000,1005) = %d refs, want %d", len(rng2), dups+5)
+		t.Fatalf("Scan(1000,1005) = %d refs, want %d", len(rng2), dups+5)
 	}
 }

@@ -2,6 +2,7 @@ package fdtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bftree/internal/bptree"
@@ -10,13 +11,12 @@ import (
 
 // Cursor streams the records of a range scan in key order: a k-way
 // merge over the head tree and one lazy cursor per on-device run.
-// Opening the cursor pays each run's binary-search positioning (the
-// same page reads the materialized RangeScan charges); after that, run
-// pages are fetched only as the merge consumes them, so a LIMIT-k
-// consumer reads the front of each run instead of every in-range page
-// of every level. Ties across levels yield shallower levels first —
-// head, then L1, L2, … — matching the left-biased mergeRecords order of
-// the materialized scan, which drains exactly this cursor.
+// Opening the cursor pays each run's binary-search positioning; after
+// that, run pages are fetched only as the merge consumes them, so a
+// LIMIT-k consumer reads the front of each run instead of every
+// in-range page of every level. Ties across levels yield shallower
+// levels first — head, then L1, L2, … — the left-biased order of
+// mergeRecords.
 //
 // The tree must not be mutated while a cursor is open (same contract as
 // every other FD-Tree read). Close only drops buffers and is optional.
@@ -25,7 +25,7 @@ type Cursor struct {
 	srcs   []*levelCursor // index 0 is the head, then L1..Lk
 	cur    bptree.TupleRef
 	valid  bool
-	stats  SearchStats
+	reads  int // run pages read so far
 	err    error
 	done   bool
 }
@@ -98,8 +98,8 @@ func (c *Cursor) Ref() bptree.TupleRef {
 	return c.cur
 }
 
-// Stats returns the run pages read so far.
-func (c *Cursor) Stats() SearchStats { return c.stats }
+// Reads returns the run pages read so far.
+func (c *Cursor) Reads() int { return c.reads }
 
 // Err returns the first error the cursor hit, if any.
 func (c *Cursor) Err() error { return c.err }
@@ -134,8 +134,8 @@ type levelCursor struct {
 	done  bool
 }
 
-// position runs the materialized scan's binary search over the run's
-// pages — charging each predicate read — and backs up one page, since
+// position binary-searches the run's pages for the first that may hold
+// lo — charging each predicate read — and backs up one page, since
 // the page before the boundary may hold in-range records at its tail.
 func (s *levelCursor) position() error {
 	var searchErr error
@@ -145,7 +145,7 @@ func (s *levelCursor) position() error {
 			searchErr = err
 			return true
 		}
-		s.c.stats.PagesRead++
+		s.c.reads++
 		return len(page) > 0 && page[0].key >= s.c.lo
 	})
 	if searchErr != nil {
@@ -161,8 +161,8 @@ func (s *levelCursor) position() error {
 
 // advance moves to the source's next in-range record, loading run pages
 // lazily. The source exhausts at the first key past hi (the page
-// holding it has already been read, matching the materialized scan's
-// read-then-break accounting) or at the end of the run.
+// holding it has already been read and charged) or at the end of the
+// run.
 func (s *levelCursor) advance() error {
 	s.valid = false
 	if s.done {
@@ -196,7 +196,7 @@ func (s *levelCursor) advance() error {
 			if err != nil {
 				return err
 			}
-			s.c.stats.PagesRead++
+			s.c.reads++
 			s.page, s.i = page, 0
 			if len(page) == 0 {
 				continue
@@ -215,20 +215,17 @@ func (s *levelCursor) advance() error {
 	}
 }
 
-// MultiSearch answers a batch of point lookups in one pass: keys are
-// sorted and deduped, then each runs the fractional-cascade search of
-// Search through a per-batch cache of decoded run pages, so adjacent
-// keys routed to the same pages share their reads. Groups come back in
-// ascending key order, keys without matches omitted; PagesRead counts
-// distinct run pages read for the whole batch.
-func (t *Tree) MultiSearch(keys []uint64) ([]bptree.KeyRefs, *SearchStats, error) {
-	stats := &SearchStats{}
-	if len(keys) == 0 {
-		return nil, stats, nil
-	}
-	sorted := append([]uint64(nil), keys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+// MultiSearch answers a batch of point lookups in one pass — a point
+// lookup is a batch of one: keys are sorted and deduped, then each runs
+// the fractional-cascade search through a per-batch cache of decoded
+// run pages, so adjacent keys routed to the same pages share their
+// reads. Groups come back in ascending key order, keys without matches
+// omitted; reads counts distinct run pages read for the whole batch.
+func (t *Tree) MultiSearch(keys []uint64) ([]bptree.KeyRefs, int, error) {
+	batch := slices.Clone(keys)
+	slices.Sort(batch)
 	cache := make(map[device.PageID][]entry)
+	reads := 0
 	read := func(pid device.PageID) ([]entry, error) {
 		if page, ok := cache[pid]; ok {
 			return page, nil
@@ -237,33 +234,39 @@ func (t *Tree) MultiSearch(keys []uint64) ([]bptree.KeyRefs, *SearchStats, error
 		if err != nil {
 			return nil, err
 		}
-		stats.PagesRead++
+		reads++
 		cache[pid] = page
 		return page, nil
 	}
 	var out []bptree.KeyRefs
-	var prev uint64
-	for n, key := range sorted {
-		if n > 0 && key == prev {
-			continue
-		}
-		prev = key
-		refs, err := t.searchCached(key, read)
+	for _, key := range slices.Compact(batch) {
+		refs, err := t.search(key, read)
 		if err != nil {
-			return nil, stats, err
+			return nil, reads, err
 		}
 		if len(refs) > 0 {
 			out = append(out, bptree.KeyRefs{Key: key, Refs: refs})
 		}
 	}
-	return out, stats, nil
+	return out, reads, nil
 }
 
-// searchCached is Search for one key with page reads going through the
-// batch cache instead of straight to the store.
-func (t *Tree) searchCached(key uint64, read func(device.PageID) ([]entry, error)) ([]bptree.TupleRef, error) {
+// search returns the tuple references for key, reading run pages
+// through read. It scans the head tree, then follows one fence per
+// level, reading one run page per level — the logarithmic search
+// pattern the paper models. Duplicates of key may straddle page
+// boundaries within a run. The entry page is the rightmost page whose
+// first key is at or below key (fences are one per page, keyed by first
+// key, and routing picks the last fence at or below key), so any
+// remaining records of key sit at the tails of the preceding pages: the
+// search walks left while the page still *starts* at key, at one more
+// read each. The left pages never carry routing information the entry
+// page lacks — a fence at or below key on them precedes every fence the
+// entry page holds — so only records are collected there.
+func (t *Tree) search(key uint64, read func(device.PageID) ([]entry, error)) ([]bptree.TupleRef, error) {
 	var out []bptree.TupleRef
 	nextPage := device.InvalidPage
+	// collect gathers the records matching key.
 	collect := func(entries []entry) {
 		i := sort.Search(len(entries), func(i int) bool { return entries[i].key > key })
 		for j := i - 1; j >= 0 && entries[j].key == key; j-- {
@@ -274,6 +277,9 @@ func (t *Tree) searchCached(key uint64, read func(device.PageID) ([]entry, error
 	}
 	scan := func(entries []entry) {
 		i := sort.Search(len(entries), func(i int) bool { return entries[i].key > key })
+		// The last fence at or below key routes the next level; records
+		// in between are skipped. Every run page starts with a carried
+		// fence (see writeRun), so the fence is always on this page.
 		for j := i - 1; j >= 0; j-- {
 			if entries[j].kind == kindFence {
 				nextPage = entries[j].next
@@ -285,6 +291,8 @@ func (t *Tree) searchCached(key uint64, read func(device.PageID) ([]entry, error
 	scan(t.head)
 	for lv := 0; lv < len(t.levels); lv++ {
 		if nextPage == device.InvalidPage {
+			// No fence found (empty level); fall back to the level's
+			// first page.
 			if t.levels[lv].pages == 0 {
 				continue
 			}
@@ -299,8 +307,7 @@ func (t *Tree) searchCached(key uint64, read func(device.PageID) ([]entry, error
 		scan(page)
 		for len(page) > 0 && page[0].key == key && pid > t.levels[lv].first {
 			pid--
-			page, err = read(pid)
-			if err != nil {
+			if page, err = read(pid); err != nil {
 				return nil, err
 			}
 			collect(page)

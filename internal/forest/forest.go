@@ -88,7 +88,7 @@ func New(store *pagestore.Store, file *heapfile.File, fieldIdx int, opts Options
 	treeOpts := opts.Tree
 	treeOpts.Maintenance = ShardPolicy(opts.Tree.Maintenance, n)
 	for i := 0; i < n; i++ {
-		tr, err := core.BulkLoadPartition(store, file, fieldIdx, treeOpts, f.partition(i, n))
+		tr, err := core.BulkLoadPartition(store, file, fieldIdx, treeOpts, f.partition(i))
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -99,9 +99,9 @@ func New(store *pagestore.Store, file *heapfile.File, fieldIdx int, opts Options
 }
 
 // partition builds shard i's Partition from the separators.
-func (f *Forest) partition(i, n int) *core.Partition {
+func (f *Forest) partition(i int) *core.Partition {
 	lo, hi := f.bounds(i)
-	return &core.Partition{Shard: i, Shards: n, KeyLo: lo, KeyHi: hi}
+	return &core.Partition{KeyLo: lo, KeyHi: hi}
 }
 
 // bounds returns shard i's inclusive key interval.

@@ -470,7 +470,7 @@ func TestEmptyPartition(t *testing.T) {
 	maxKey := uint64((n-1)/dups) * 5
 
 	// All the relation's keys are ≤ maxKey; this shard owns none.
-	part := &core.Partition{Shard: 1, Shards: 2, KeyLo: maxKey + 1000, KeyHi: ^uint64(0)}
+	part := &core.Partition{KeyLo: maxKey + 1000, KeyHi: ^uint64(0)}
 	tr, err := core.BulkLoadPartition(idxStore, file, 0, core.Options{FPP: 1e-3}, part)
 	if err != nil {
 		t.Fatal(err)

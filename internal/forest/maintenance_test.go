@@ -19,7 +19,6 @@ func TestForestSinglePolicyConfiguresAllShards(t *testing.T) {
 		Mode:             core.MaintenanceManual,
 		FPPThreshold:     0.2,
 		ReclaimInterval:  3 * time.Millisecond,
-		LimboHighWater:   99,
 		IncrementalBatch: 10,
 	}
 	f, err := forest.New(store, file, 0, forest.Options{

@@ -82,7 +82,7 @@ func Open(store *pagestore.Store, file *heapfile.File, meta []byte) (*Forest, er
 		return nil, fmt.Errorf("%w: %d bytes after the last shard blob", core.ErrCorrupt, len(meta)-off)
 	}
 	for i, blob := range blobs {
-		tr, err := core.OpenPartition(store, file, blob, f.partition(i, n))
+		tr, err := core.OpenPartition(store, file, blob, f.partition(i))
 		if err != nil {
 			f.Close()
 			return nil, err

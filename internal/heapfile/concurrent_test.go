@@ -2,6 +2,7 @@ package heapfile
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // TestReadersHoldTuplesAcrossRewrites runs readers that keep every
-// ReadPageTuples and SearchPage result they get while a writer rewrites
+// whole-page AppendMatches and SearchPage result they get while a writer rewrites
 // the same pages, each round stamping a new version into every tuple.
 // The tuples are sub-slices of shared page images, so each result must
 // come from one version (no torn page) and still hold that version once
@@ -101,7 +102,7 @@ func checkHeldTuples(t *testing.T, f *File, n int) {
 				ord := uint64((i*7 + r*13) % n)
 				id := f.PageOf(ord)
 				first := uint64(id-f.FirstPage()) * uint64(per)
-				tuples, err := f.ReadPageTuples(id)
+				tuples, err := f.AppendMatches(nil, id, 0, Keys{Hi: math.MaxUint64})
 				if err != nil {
 					t.Error(err)
 					return

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -287,35 +288,22 @@ func (f *File) tuple(buf []byte, i int) []byte {
 	return buf[off : off+f.schema.TupleSize : off+f.schema.TupleSize]
 }
 
-// ReadPageTuples reads data page id and returns its packed tuples. They
-// are sub-slices of the page's shared, read-only image (see package
-// pagestore): a caller may keep them, and a later write to the page
-// leaves them unchanged, but must copy a tuple before changing it.
-func (f *File) ReadPageTuples(id device.PageID) ([][]byte, error) {
-	buf, n, err := f.readPage(id)
-	if err != nil {
-		return nil, err
-	}
-	tuples := make([][]byte, n)
-	for i := range tuples {
-		tuples[i] = f.tuple(buf, i)
-	}
-	return tuples, nil
-}
-
 // Keys selects tuples by the value of one field: a value matches when
 // it lies in [Lo, Hi] and, if In is set, is one of In's values, which
-// are sorted ascending.
+// are sorted ascending. Keys{Hi: math.MaxUint64} selects every tuple.
 type Keys struct {
 	Lo, Hi uint64
 	In     []uint64
 }
 
 // AppendMatches scans data page id in place and appends to out every
-// tuple whose field fieldIdx keys selects, as read-only sub-slices of
-// the page image like ReadPageTuples's, in slot order; only growing out
-// allocates. It is the one in-place page scan behind SearchPage and the
-// BF-tree's batched probes and range-scan cursors.
+// tuple whose field fieldIdx keys selects, in slot order, as read-only
+// sub-slices of the page's shared image (see package pagestore): a
+// caller may keep them, and a later write to the page leaves them
+// unchanged, but must copy a tuple before changing it. Only growing out
+// allocates. It is the one reader of a page's tuples: SearchPage, the
+// BF-tree's probes, scans and leaf builders and the exact backends'
+// fetch path all select through it.
 func (f *File) AppendMatches(out [][]byte, id device.PageID, fieldIdx int, keys Keys) ([][]byte, error) {
 	buf, n, err := f.readPage(id)
 	if err != nil {
@@ -340,25 +328,26 @@ func (f *File) AppendMatches(out [][]byte, id device.PageID, fieldIdx int, keys 
 
 // SearchPage scans data page id for tuples whose field fieldIdx equals
 // key and returns them, as read-only sub-slices of the page image like
-// ReadPageTuples's. This is the "search the data page for the desired
+// AppendMatches's. This is the "search the data page for the desired
 // value" step of a BF-Tree probe (Algorithm 1 step 7); it scans the
-// image in place (AppendMatches), so only a match allocates.
+// image in place, so only a match allocates.
 func (f *File) SearchPage(id device.PageID, fieldIdx int, key uint64) ([][]byte, error) {
 	return f.AppendMatches(nil, id, fieldIdx, Keys{Lo: key, Hi: key})
 }
 
 // Scan iterates every tuple in file order, invoking fn with the page id,
-// the slot within the page, and the raw tuple. Iteration stops early if
-// fn returns false.
+// the slot within the page, and the raw tuple, a read-only sub-slice of
+// the page image like AppendMatches's. Iteration stops early if fn
+// returns false.
 func (f *File) Scan(fn func(id device.PageID, slot int, tuple []byte) bool) error {
 	for p := uint64(0); p < f.numPages.Load(); p++ {
 		id := f.firstPage + device.PageID(p)
-		tuples, err := f.ReadPageTuples(id)
+		buf, n, err := f.readPage(id)
 		if err != nil {
 			return err
 		}
-		for slot, tup := range tuples {
-			if !fn(id, slot, tup) {
+		for slot := range n {
+			if !fn(id, slot, f.tuple(buf, slot)) {
 				return nil
 			}
 		}
@@ -367,25 +356,20 @@ func (f *File) Scan(fn func(id device.PageID, slot int, tuple []byte) bool) erro
 }
 
 // PageKeyRange reads page id and returns the min and max value of field
-// fieldIdx among its tuples. Used by index bulk loaders.
+// fieldIdx among its tuples, scanning the image in place. Used by index
+// bulk loaders.
 func (f *File) PageKeyRange(id device.PageID, fieldIdx int) (minKey, maxKey uint64, err error) {
-	tuples, err := f.ReadPageTuples(id)
+	buf, n, err := f.readPage(id)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(tuples) == 0 {
+	if n == 0 {
 		return 0, 0, fmt.Errorf("heapfile: empty page %d", id)
 	}
-	minKey = f.schema.Get(tuples[0], fieldIdx)
-	maxKey = minKey
-	for _, tup := range tuples[1:] {
-		k := f.schema.Get(tup, fieldIdx)
-		if k < minKey {
-			minKey = k
-		}
-		if k > maxKey {
-			maxKey = k
-		}
+	minKey, maxKey = math.MaxUint64, 0
+	for slot := range n {
+		k := f.schema.Get(f.tuple(buf, slot), fieldIdx)
+		minKey, maxKey = min(minKey, k), max(maxKey, k)
 	}
 	return minKey, maxKey, nil
 }

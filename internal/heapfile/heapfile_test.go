@@ -2,6 +2,7 @@ package heapfile
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -204,12 +205,8 @@ func TestAppendMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := f.ReadPageTuples(id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var want []uint64
-		for _, tup := range all {
+		for _, tup := range pageTuples(t, f, id) {
 			if pk := f.Schema().Get(tup, 0); c.want(pk) {
 				want = append(want, pk)
 			}
@@ -257,13 +254,23 @@ func TestPageKeyRange(t *testing.T) {
 	}
 }
 
-func TestReadPageTuplesOutOfRange(t *testing.T) {
+// pageTuples returns every tuple of page id, in slot order.
+func pageTuples(t *testing.T, f *File, id device.PageID) [][]byte {
+	t.Helper()
+	tuples, err := f.AppendMatches(nil, id, 0, Keys{Hi: math.MaxUint64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tuples
+}
+
+func TestAppendMatchesOutOfRange(t *testing.T) {
 	f := buildFile(t, 100)
-	if _, err := f.ReadPageTuples(f.FirstPage() + device.PageID(f.NumPages())); err == nil {
+	if _, err := f.AppendMatches(nil, f.FirstPage()+device.PageID(f.NumPages()), 0, Keys{Hi: math.MaxUint64}); err == nil {
 		t.Error("read past end of file should fail")
 	}
 	if f.FirstPage() > 0 {
-		if _, err := f.ReadPageTuples(f.FirstPage() - 1); err == nil {
+		if _, err := f.AppendMatches(nil, f.FirstPage()-1, 0, Keys{Hi: math.MaxUint64}); err == nil {
 			t.Error("read before start of file should fail")
 		}
 	}
@@ -295,10 +302,7 @@ func TestPartialLastPage(t *testing.T) {
 	if f.NumPages() != 2 {
 		t.Fatalf("NumPages = %d, want 2", f.NumPages())
 	}
-	tuples, err := f.ReadPageTuples(f.FirstPage() + 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tuples := pageTuples(t, f, f.FirstPage()+1)
 	if len(tuples) != 1 {
 		t.Fatalf("last page holds %d tuples, want 1", len(tuples))
 	}
@@ -365,10 +369,7 @@ func TestQuickAppendFetchRoundTrip(t *testing.T) {
 	}
 	for i, r := range recs {
 		id := f.PageOf(uint64(i))
-		tuples, err := f.ReadPageTuples(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tuples := pageTuples(t, f, id)
 		slot := i % f.TuplesPerPage()
 		if f.Schema().Get(tuples[slot], 0) != r.pk || f.Schema().Get(tuples[slot], 1) != r.att1 {
 			t.Fatalf("record %d mismatched on read back", i)
