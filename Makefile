@@ -15,7 +15,7 @@ help:
 	@echo "  make build    - go build ./..."
 	@echo "  make test     - go test ./..."
 	@echo "  make race     - race-detector tests on core/pagestore/device/heapfile/forest"
-	@echo "  make fuzz     - fuzz the BF-leaf, internal-node, metadata, forest-blob, B+-tree node and FD-tree run-page decoders, 10s each"
+	@echo "  make fuzz     - fuzz the BF-leaf, internal-node, metadata, forest-blob, B+-tree node and FD-tree run-page decoders and the HTTP routes, 10s each"
 	@echo "  make conformance - cross-backend index API conformance suite"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
@@ -43,7 +43,9 @@ race:
 # Fuzzes the decoders of untrusted index bytes for a fixed time each:
 # BF-leaf pages, internal-node routing, the tree metadata blob, the
 # forest's BFF1 blob, the B+-tree's leaf and internal pages and the
-# FD-tree's run pages. Plain `go test` runs only their seed corpora.
+# FD-tree's run pages; then the server's routes, /scan credit lines
+# included, with any request body. Plain `go test` runs only their seed
+# corpora.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBFLeaf$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime 10s ./internal/core/
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLeaf$$' -fuzztime 10s ./internal/bptree/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInternal$$' -fuzztime 10s ./internal/bptree/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunPage$$' -fuzztime 10s ./internal/fdtree/
+	$(GO) test -run '^$$' -fuzz '^FuzzServe$$' -fuzztime 10s ./internal/server/
 
 conformance:
 	$(GO) test -run 'TestConformance|TestCapabilityMatrix' -v ./index/

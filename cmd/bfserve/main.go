@@ -18,6 +18,7 @@
 //	curl -s localhost:8080/stats | jq .caps
 //	curl -s -XPOST localhost:8080/search -d '{"key":42}'
 //	curl -s -XPOST localhost:8080/scan -d '{"lo":100,"hi":200,"limit":5}'
+//	printf '{"lo":100,"hi":200,"credit":2}\n3\n' | curl -s -XPOST localhost:8080/scan -T -
 //
 // Writes against a backend without concurrent-writer support are
 // serialized server-side (the registry trait decides). A BF-tree's
@@ -43,6 +44,18 @@ import (
 	"bftree/internal/pagestore"
 	"bftree/internal/server"
 	"bftree/internal/workload"
+)
+
+// The connection bounds of the served http.Server. A client has
+// readHeaderTimeout to send its request headers, and a kept-alive
+// connection may idle idleTimeout between requests. idleTimeout also
+// bounds how long a credit /scan stream waits for its client's next
+// grant (see server.ScanRequest), since a waiting stream holds an index
+// iterator. No ReadTimeout or WriteTimeout is set: either would cut a
+// long scan stream.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 30 * time.Second
 )
 
 func main() {
@@ -98,7 +111,7 @@ func main() {
 	fmt.Printf("bfserve: %s over %d tuples (%d index pages) on %s; caps %v\n",
 		b.Name, file.NumTuples(), ix.Stats().Pages, ln.Addr(), srv.Caps())
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

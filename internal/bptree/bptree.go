@@ -14,7 +14,6 @@ type Tree struct {
 	store     *pagestore.Store
 	root      device.PageID
 	height    int // number of levels, leaves included
-	firstLeaf device.PageID
 	numLeaves uint64
 	numNodes  uint64
 	numEntry  uint64
@@ -79,7 +78,6 @@ func BulkLoad(store *pagestore.Store, entries []Entry, fillFactor float64) (*Tre
 		}
 		level = append(level, childRef{minKey: entries[lo].Key, pid: pid})
 	}
-	t.firstLeaf = firstLeaf
 	t.numLeaves = uint64(numLeaves)
 	t.numNodes = uint64(numLeaves)
 	t.numEntry = uint64(len(entries))
@@ -144,9 +142,6 @@ func (t *Tree) NumEntries() uint64 { return t.numEntry }
 
 // SizeBytes returns the index footprint in bytes.
 func (t *Tree) SizeBytes() uint64 { return t.numNodes * uint64(t.store.PageSize()) }
-
-// Root returns the root page id.
-func (t *Tree) Root() device.PageID { return t.root }
 
 // InternalPages returns the ids of all non-leaf pages, for warming the
 // buffer cache in warm-cache experiments.
@@ -317,51 +312,4 @@ func (t *Tree) Insert(e Entry) error {
 	t.height++
 	t.numNodes++
 	return nil
-}
-
-// Keys iterates all keys in order via the leaf chain, calling fn for each
-// entry; iteration stops early if fn returns false.
-func (t *Tree) Keys(fn func(Entry) bool) error {
-	pid := t.firstLeaf
-	for pid != device.InvalidPage {
-		buf, err := t.store.ReadPage(pid)
-		if err != nil {
-			return err
-		}
-		leaf, err := decodeLeaf(buf)
-		if err != nil {
-			return err
-		}
-		for _, e := range leaf.entries {
-			if !fn(e) {
-				return nil
-			}
-		}
-		pid = leaf.next
-	}
-	return nil
-}
-
-// CompressedSizeBytes estimates the footprint of this tree under
-// key-prefix compression (Bayer & Unterauer, cited by the paper for the
-// compressed B+-Tree line of Figure 4b): leaf keys shrink to
-// compressedKeyBytes, internal nodes are rebuilt with the corresponding
-// fanout. The paper's Figure 4(b) uses ≈10 % of the vanilla size; with
-// 32-byte keys compressing to ~2-3 bytes this estimate reproduces that.
-func (t *Tree) CompressedSizeBytes(keySize, ptrSize, compressedKeyBytes int) uint64 {
-	if compressedKeyBytes < 1 {
-		compressedKeyBytes = 1
-	}
-	pageSize := t.store.PageSize()
-	entrySize := compressedKeyBytes + ptrSize
-	perLeaf := pageSize / entrySize
-	leaves := (t.numEntry + uint64(perLeaf) - 1) / uint64(perLeaf)
-	fanout := pageSize / (compressedKeyBytes + ptrSize)
-	nodes := leaves
-	level := leaves
-	for level > 1 {
-		level = (level + uint64(fanout) - 1) / uint64(fanout)
-		nodes += level
-	}
-	return nodes * uint64(pageSize)
 }

@@ -144,15 +144,20 @@ func (c *Client) post(method, path string, body, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var wire server.ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&wire)
-		return &apiError{Status: resp.StatusCode, Msg: wire.Error, Capability: wire.Capability}
+		return refusal(resp)
 	}
 	if out != nil {
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
 	io.Copy(io.Discard, resp.Body) // drain so the connection is reusable
 	return nil
+}
+
+// refusal reads a non-2xx answer's ErrorResponse into an *apiError.
+func refusal(resp *http.Response) error {
+	var wire server.ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&wire)
+	return &apiError{Status: resp.StatusCode, Msg: wire.Error, Capability: wire.Capability}
 }
 
 // Stats fetches the server's GET /stats snapshot.
@@ -200,36 +205,48 @@ func (c *Client) MultiSearch(keys []uint64) (*index.Result, error) {
 	return &index.Result{Tuples: res.Tuples, Stats: res.Stats}, nil
 }
 
-// ScanLimit streams [lo, hi] with a server-side LIMIT: the server's
-// iterator stops after limit tuples, so the pages behind the unsent
-// remainder are never read. limit <= 0 streams the whole range.
-func (c *Client) ScanLimit(lo, hi uint64, limit int) (index.Iterator, error) {
-	buf, err := json.Marshal(server.ScanRequest{Lo: lo, Hi: hi, Limit: limit})
+// firstCredit is the tuple credit a scan opens with: one round trip
+// serves a LIMIT-10 page.
+const firstCredit = 16
+
+// Scan opens a streaming scan over [lo, hi] — the Scanner capability,
+// served remotely. It is a credit stream (see server.ScanRequest): the
+// request asks for firstCredit tuples and its body stays open, and the
+// iterator grants double the last grant whenever it has received every
+// tuple granted so far and is asked for another. So a consumer that
+// stops after k tuples makes the server read only the pages behind the
+// tuples granted: firstCredit of them, or fewer than 2k + firstCredit.
+func (c *Client) Scan(lo, hi uint64) (index.Iterator, error) {
+	first, err := json.Marshal(server.ScanRequest{Lo: lo, Hi: hi, Credit: firstCredit})
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequest(http.MethodPost, c.base+"/scan", bytes.NewReader(buf))
+	first = append(first, '\n')
+	pr, pw := io.Pipe()
+	// The transport closes the body when the request fails, which
+	// unblocks a grant written into the pipe.
+	body := struct {
+		io.Reader
+		io.Closer
+	}{io.MultiReader(bytes.NewReader(first), pr), pr}
+	req, err := http.NewRequest(http.MethodPost, c.base+"/scan", body)
 	if err != nil {
 		return nil, err
 	}
+	req.ContentLength = -1 // chunked: the transport flushes each grant
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		pw.Close()
 		return nil, err
 	}
+	it := &scanIterator{grants: pw, body: resp.Body, dec: json.NewDecoder(resp.Body), grant: firstCredit, owed: firstCredit}
 	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		var wire server.ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&wire)
-		return nil, &apiError{Status: resp.StatusCode, Msg: wire.Error, Capability: wire.Capability}
+		err := refusal(resp)
+		it.Close()
+		return nil, err
 	}
-	return &scanIterator{body: resp.Body, dec: json.NewDecoder(resp.Body)}, nil
-}
-
-// Scan opens a streaming scan over [lo, hi] — the Scanner capability,
-// served remotely.
-func (c *Client) Scan(lo, hi uint64) (index.Iterator, error) {
-	return c.ScanLimit(lo, hi, 0)
+	return it, nil
 }
 
 // Insert adds a key→tuple association, served remotely.
@@ -247,13 +264,15 @@ func (c *Client) Flush() error {
 	return c.post(http.MethodPost, "/flush", nil, nil)
 }
 
-// scanIterator adapts one streamed /scan response to index.Iterator.
-// Not safe for concurrent use (per the Iterator contract); Close
-// mid-stream tears down the HTTP body, which cancels the server's
-// iterator on its next write.
+// scanIterator adapts one credit stream of /scan to index.Iterator. Not
+// safe for concurrent use (per the Iterator contract).
 type scanIterator struct {
-	body   io.ReadCloser
-	dec    *json.Decoder
+	grants *io.PipeWriter // the request body: one grant per line
+	body   io.ReadCloser  // the response
+	dec    *json.Decoder  // over body
+	grant  int            // the last grant
+	owed   int            // tuples granted and not yet received
+
 	chunk  [][]byte
 	pos    int
 	cur    []byte
@@ -268,6 +287,16 @@ func (it *scanIterator) Next() bool {
 		return false
 	}
 	for it.pos >= len(it.chunk) {
+		if it.owed == 0 {
+			// Everything granted has arrived, and the server waits for
+			// more credit before it reads another page.
+			it.grant *= 2
+			if _, err := fmt.Fprintf(it.grants, "%d\n", it.grant); err != nil {
+				it.err = err
+				return false
+			}
+			it.owed = it.grant
+		}
 		var c server.ScanChunk
 		if err := it.dec.Decode(&c); err != nil {
 			if err == io.EOF {
@@ -285,10 +314,11 @@ func (it *scanIterator) Next() bool {
 		}
 		if c.Done {
 			it.done = true
-			it.Close()
+			it.err = it.Close()
 			return false
 		}
 		it.chunk, it.pos = c.Tuples, 0
+		it.owed -= len(c.Tuples)
 	}
 	it.cur = it.chunk[it.pos]
 	it.pos++
@@ -299,10 +329,19 @@ func (it *scanIterator) Tuple() []byte           { return it.cur }
 func (it *scanIterator) Stats() index.ProbeStats { return it.stats }
 func (it *scanIterator) Err() error              { return it.err }
 
+// Close ends the request body, which tells the server the client is
+// done, and reads the response to its end: the server sends at most the
+// tuples still granted and then the Done line, and a response read to
+// its end returns the connection to the pool.
 func (it *scanIterator) Close() error {
 	if it.closed {
 		return nil
 	}
 	it.closed = true
-	return it.body.Close()
+	it.grants.Close()
+	_, err := io.Copy(io.Discard, it.body)
+	if cerr := it.body.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

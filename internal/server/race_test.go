@@ -99,11 +99,8 @@ func TestServerConcurrency(t *testing.T) {
 				case p < 0.90:
 					_, err = cl.MultiSearch([]uint64{k, k / 2, k + 7})
 				default:
-					var it index.Iterator
-					it, err = cl.ScanLimit(k, k+64, 5)
-					if err == nil {
-						_, err = index.Drain(it)
-					}
+					// A LIMIT-5 read: the stream is abandoned mid-chunk.
+					_, err = scanLimit(cl, k, k+64, 5)
 				}
 				if err != nil {
 					errs[w] = err
@@ -142,7 +139,8 @@ func TestServerConcurrency(t *testing.T) {
 }
 
 // TestWriteSerialization mounts every backend with zero Options and
-// runs HTTP writers beside /search, /multi and /scan readers. The
+// runs HTTP writers beside /search, /multi and /scan readers, some of
+// whose scans drain and some stop after 5 tuples and close. The
 // server must work out on its own which backends need their writes
 // serialized: under -race, a backend without ConcurrentWriters that
 // the server left unguarded reports a data race. Writers re-add
@@ -202,16 +200,20 @@ func TestWriteSerialization(t *testing.T) {
 					for i := 0; i < ops; i++ {
 						k := uint64(rng.Intn(n/3)) * 5
 						var err error
-						switch i % 3 {
+						switch i % 4 {
 						case 0:
 							_, err = cl.Search(k)
 						case 1:
 							_, err = cl.MultiSearch([]uint64{k, k + 5, k + 150})
-						default:
+						case 2:
 							var it index.Iterator
 							if it, err = cl.Scan(k, k+100); err == nil {
 								_, err = index.Drain(it)
 							}
+						default:
+							// Abandoned mid-chunk: the server holds the
+							// rest of the first credit when Close lands.
+							_, err = scanLimit(cl, k, k+500, 5)
 						}
 						if err != nil {
 							errs <- err

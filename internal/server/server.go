@@ -22,8 +22,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"sync/atomic"
+	"time"
 
 	"bftree/index"
 )
@@ -66,6 +69,7 @@ type Server struct {
 	requests, errCount, tuplesSent  atomic.Int64
 	indexReads, bfProbes, candPages atomic.Int64
 	dataPages, falseReads           atomic.Int64
+	openScans                       atomic.Int64
 }
 
 // New mounts ix behind a Server. The capability surface and the write
@@ -108,6 +112,7 @@ func (s *Server) Served() ServedStats {
 		Requests:   s.requests.Load(),
 		Errors:     s.errCount.Load(),
 		TuplesSent: s.tuplesSent.Load(),
+		OpenScans:  s.openScans.Load(),
 		Probe: index.ProbeStats{
 			IndexReads:     int(s.indexReads.Load()),
 			BFProbes:       int(s.bfProbes.Load()),
@@ -167,7 +172,13 @@ func (s *Server) unsupported(w http.ResponseWriter, capability string) {
 // On failure it answers 413 for a body over the bound and 400 for any
 // other bad body, and reports false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	return s.decoded(w, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v))
+}
+
+// decoded answers the outcome of decoding a request body: for a non-nil
+// err, 413 when the body passed maxBodyBytes and 400 otherwise. It
+// reports whether err is nil.
+func (s *Server) decoded(w http.ResponseWriter, err error) bool {
 	if err == nil {
 		return true
 	}
@@ -242,15 +253,37 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 // handleScan streams a range scan as NDJSON ScanChunk lines: cumulative
 // stats per chunk, a Done line to close, an Error line on mid-stream
 // failure (the HTTP status is already committed by then — streaming
-// protocols carry their errors in-band). A Limit > 0 stops the
-// iterator after exactly that many tuples, so a LIMIT-k client pays
-// only the pages behind those k tuples — the Scanner early-termination
-// contract, preserved over the wire.
+// protocols carry their errors in-band).
+//
+// One loop serves both kinds of ScanRequest. A one-shot request has
+// unlimited credit. A credit request is full duplex: the loop pulls a
+// tuple from the iterator only against credit, and when the credit runs
+// out it flushes the partial chunk and reads the client's next grant
+// from the request body, ending with the Done line at the body's EOF.
+// So a LIMIT-k client pays only for the pages behind the tuples it was
+// granted — the Scanner early-termination contract, preserved over the
+// wire. Limit > 0 caps the total either way.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
+	s.openScans.Add(1)
+	defer s.openScans.Add(-1)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	var req ScanRequest
-	if !s.decode(w, r, &req) {
+	err := dec.Decode(&req)
+	if err == nil && req.Credit < 0 {
+		err = fmt.Errorf("negative credit %d", req.Credit)
+	}
+	if !s.decoded(w, err) {
 		return
 	}
+	credit := math.MaxInt
+	var grants *credits
+	if req.Credit > 0 {
+		credit = req.Credit
+		grants = newCredits(w, r, body, dec)
+		defer grants.finish()
+	}
+
 	s.readLock()
 	defer s.readUnlock()
 	it, err := s.ix.Scan(req.Lo, req.Hi)
@@ -260,8 +293,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	defer it.Close()
 	// However the stream ends — Done, an iterator error, or a client that
-	// went away, as every LIMIT-k reader that closes early does — the
-	// pages the iterator read were read: account them.
+	// went away — the pages the iterator read were read: account them.
 	defer func() { s.recordProbe(it.Stats(), 0) }()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -280,15 +312,37 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var chunk [][]byte
-	sent := 0
-	for (req.Limit <= 0 || sent < req.Limit) && it.Next() {
+	for sent := 0; req.Limit <= 0 || sent < req.Limit; {
+		if credit == 0 {
+			if len(chunk) > 0 {
+				if !emit(ScanChunk{Tuples: chunk, Stats: it.Stats()}) {
+					return
+				}
+				chunk = chunk[:0]
+			}
+			n, err := grants.next()
+			if err == io.EOF {
+				break // the client is done
+			}
+			if err != nil {
+				s.errCount.Add(1)
+				emit(ScanChunk{Stats: it.Stats(), Error: "credit: " + err.Error()})
+				return
+			}
+			credit = n
+			continue
+		}
+		if !it.Next() {
+			break
+		}
 		chunk = append(chunk, it.Tuple())
 		sent++
+		credit--
 		if len(chunk) >= scanChunk {
 			if !emit(ScanChunk{Tuples: chunk, Stats: it.Stats()}) {
 				return
 			}
-			chunk = nil
+			chunk = chunk[:0]
 		}
 	}
 	if err := it.Err(); err != nil {
@@ -300,6 +354,83 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	emit(ScanChunk{Stats: it.Stats(), Done: true})
+}
+
+// credits reads a credit request's further grants from its body, which
+// stays open while the response streams.
+type credits struct {
+	rc   *http.ResponseController
+	body io.Reader     // the bounded request body, for the final drain
+	dec  *json.Decoder // over body; holds what it read past the request
+	idle time.Duration // bound on each wait for the client; 0: none
+	eof  bool
+}
+
+// newCredits switches the response to full duplex, so the handler can
+// read the body while it writes. HTTP/2 is full duplex already and a
+// test recorder holds the whole body, so http.ErrNotSupported is no
+// reason to refuse the request.
+//
+// A credit stream waiting for its client holds an index iterator (a
+// BF-tree reader registration, which delays limbo reclamation) and, on a
+// backend without ConcurrentWriters, the read half of the lock that
+// writers queue on. So each wait is bounded by the mounting http.Server's
+// IdleTimeout, or its ReadTimeout when that is zero, the bound net/http
+// itself puts on an idle connection; with both zero a wait is unbounded.
+func newCredits(w http.ResponseWriter, r *http.Request, body io.Reader, dec *json.Decoder) *credits {
+	c := &credits{rc: http.NewResponseController(w), body: body, dec: dec}
+	_ = c.rc.EnableFullDuplex()
+	if hs, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
+		c.idle = hs.IdleTimeout
+		if c.idle == 0 {
+			c.idle = hs.ReadTimeout
+		}
+	}
+	return c
+}
+
+// bound starts the idle bound on the next read of the body. A writer
+// with no deadlines (a test recorder) leaves the read unbounded.
+func (c *credits) bound() {
+	if c.idle > 0 {
+		_ = c.rc.SetReadDeadline(time.Now().Add(c.idle))
+	}
+}
+
+// next waits for the client's next grant. io.EOF means the body ended
+// cleanly: the client is done.
+func (c *credits) next() (int, error) {
+	c.bound()
+	var n int
+	err := c.dec.Decode(&n)
+	switch {
+	case err == io.EOF:
+		c.eof = true
+	case err == nil && n < 0:
+		err = fmt.Errorf("negative credit %d", n)
+	}
+	return n, err
+}
+
+// finish reads the request body to EOF before the handler returns, as
+// net/http's HTTP/1 server needs of a full-duplex handler: a body left
+// unread makes the server read it after the handler, which starts a
+// background read that the connection's next request then collides
+// with ("invalid concurrent Body.Read call"). The response is flushed
+// first, so a client waiting for it sees the answer and closes the body.
+// If the body does not reach EOF (the idle bound passed, or the client
+// sent more than maxBodyBytes), its unread bytes must never be parsed
+// as a request: the response's final write is made to fail, which
+// closes the connection.
+func (c *credits) finish() {
+	if c.eof {
+		return
+	}
+	_ = c.rc.Flush()
+	c.bound()
+	if _, err := io.Copy(io.Discard, c.body); err != nil {
+		_ = c.rc.SetWriteDeadline(time.Unix(1, 0))
+	}
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {

@@ -1,16 +1,25 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"log"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bftree/index"
 	"bftree/internal/device"
@@ -71,6 +80,29 @@ func mount(t testing.TB, name string, file *heapfile.File) (index.Index, *loadge
 	}
 	t.Cleanup(func() { cl.Close() })
 	return ix, cl
+}
+
+// firstCredit is the credit loadgen's Scan opens with: the tuples the
+// server sends before the client grants more.
+const firstCredit = 16
+
+// scanLimit reads at most k tuples of a served scan of [lo, hi] and
+// closes it, as a LIMIT-k consumer does: Scan, k × Next, Close.
+func scanLimit(cl *loadgen.Client, lo, hi uint64, k int) (*index.Result, error) {
+	it, err := cl.Scan(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	res := &index.Result{}
+	for len(res.Tuples) < k && it.Next() {
+		res.Tuples = append(res.Tuples, it.Tuple())
+	}
+	res.Stats = it.Stats()
+	err = it.Err()
+	if cerr := it.Close(); err == nil {
+		err = cerr
+	}
+	return res, err
 }
 
 // sameResult requires tuple-for-tuple, stat-for-stat equality — the
@@ -152,31 +184,24 @@ func TestGoldenEquivalence(t *testing.T) {
 			sameResult(t, "multi", got, want)
 
 			{
-				// LIMIT-k: the served scan must return the same k tuples
-				// at the same iterator cost as pulling k directly —
-				// early-termination pricing preserved over the wire.
+				// LIMIT-k: the served scan returns the first k tuples of
+				// the direct scan, and the server pulled exactly the
+				// first credit's tuples to send them — early-termination
+				// pricing preserved over the wire.
 				const k = 7
-				it, err := cl.ScanLimit(0, maxKey, k)
+				got, err := scanLimit(cl, 0, maxKey, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := &index.Result{}
-				for it.Next() {
-					got.Tuples = append(got.Tuples, it.Tuple())
-				}
-				got.Stats = it.Stats()
-				if err := it.Err(); err != nil {
-					t.Fatal(err)
-				}
-				it.Close()
-
 				dit, err := ix.Scan(0, maxKey)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := &index.Result{}
-				for len(want.Tuples) < k && dit.Next() {
-					want.Tuples = append(want.Tuples, dit.Tuple())
+				for pulled := 0; pulled < firstCredit && dit.Next(); pulled++ {
+					if pulled < k {
+						want.Tuples = append(want.Tuples, dit.Tuple())
+					}
 				}
 				want.Stats = dit.Stats()
 				if err := dit.Err(); err != nil {
@@ -189,25 +214,32 @@ func TestGoldenEquivalence(t *testing.T) {
 				}
 				sameResult(t, "scan-limit", got, want)
 
-				// Unlimited streamed scan == materialized range scan.
-				it, err = cl.Scan(100, 300)
-				if err != nil {
-					t.Fatal(err)
+				// A drained credit stream == the materialized range
+				// scan, over a range that takes a few grants and over
+				// the whole relation, which takes eight.
+				for _, r := range [][2]uint64{{100, 300}, {0, maxKey}} {
+					it, err := cl.Scan(r[0], r[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					full, err := index.Drain(it)
+					if err != nil {
+						t.Fatal(err)
+					}
+					direct, err := ix.RangeScan(r[0], r[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, "scan-full", full, direct)
 				}
-				full, err := index.Drain(it)
-				if err != nil {
-					t.Fatal(err)
-				}
-				direct, err := ix.RangeScan(100, 300)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, "scan-full", full, direct)
 			}
 
 			// Inverted ranges are the caller's fault on both paths.
 			if _, err := cl.RangeScan(10, 5); !errors.Is(err, index.ErrInvalidRange) {
 				t.Errorf("served inverted range: err %v, want ErrInvalidRange", err)
+			}
+			if _, err := cl.Scan(10, 5); !errors.Is(err, index.ErrInvalidRange) {
+				t.Errorf("served inverted scan: err %v, want ErrInvalidRange", err)
 			}
 		})
 	}
@@ -241,10 +273,7 @@ func TestCapabilityMatrix(t *testing.T) {
 			_, merr := cl.MultiSearch([]uint64{0, 5})
 			check("multi", true, merr)
 
-			it, serr := cl.ScanLimit(0, 50, 2)
-			if serr == nil {
-				index.Drain(it)
-			}
+			_, serr := scanLimit(cl, 0, 50, 2)
 			check("scan", true, serr)
 
 			check("insert", true, cl.Insert(3, ref))
@@ -361,6 +390,164 @@ func TestAbandonedScanAccounted(t *testing.T) {
 	}
 	if got.TuplesSent != int64(len(first.Tuples)) {
 		t.Errorf("tuples sent = %d, want the %d of the chunk the client took", got.TuplesSent, len(first.Tuples))
+	}
+}
+
+// TestAbandonedLimitScans runs 50 LIMIT-10 reads (Scan, 10 × Next,
+// Close) over ranges of up to 3,000 tuples on one client connection.
+// The server must send each scan only its first credit, not the range,
+// and every stream must end cleanly enough that the one connection
+// serves them all: ConnState sees a single new connection.
+func TestAbandonedLimitScans(t *testing.T) {
+	const (
+		n     = 3000 // keys 0,5,...,4995; 3 tuples each
+		scans = 50
+		k     = 10
+	)
+	file, _ := servedRelation(t, n)
+	maxKey := uint64(n/3-1) * 5
+	ix, err := index.New("bftree", pagestore.New(device.New(device.Memory, 4096)), file, 0, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	srv := server.New(ix, server.Options{})
+	ts := httptest.NewUnstartedServer(srv)
+	var conns atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	cl, err := loadgen.Dial(ts.URL, loadgen.Options{Connections: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	for i := uint64(0); i < scans; i++ {
+		res, err := scanLimit(cl, i*5, maxKey, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) != k {
+			t.Fatalf("scan %d: %d tuples, want %d", i, len(res.Tuples), k)
+		}
+	}
+	served := srv.Served()
+	if served.TuplesSent < scans*k || served.TuplesSent > scans*firstCredit {
+		t.Errorf("tuples sent = %d, want %d..%d: each scan sends at most its first credit",
+			served.TuplesSent, scans*k, scans*firstCredit)
+	}
+	if served.OpenScans != 0 {
+		t.Errorf("open scans = %d after every stream ended, want 0", served.OpenScans)
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("%d connections served the scans, want 1", got)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the server's error log to write
+// while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestIdleCreditStreamBounded opens a credit stream on bptree, takes its
+// one tuple of credit and goes idle. bptree serializes writes, so the
+// stream holds the read lock an /insert queues on. The mounting
+// server's IdleTimeout (50ms) bounds the wait: the stream ends with an
+// Error line, the insert completes after the bound, OpenScans returns
+// to 0, and the next request is served with no handler panic logged.
+// The stream's request body never ended, so nothing the client sends
+// after the Error line may be read as a request: a request written
+// there goes unanswered.
+func TestIdleCreditStreamBounded(t *testing.T) {
+	const idle = 50 * time.Millisecond
+	file, _ := servedRelation(t, 600)
+	ix, err := index.New("bptree", pagestore.New(device.New(device.Memory, 4096)), file, 0, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	srv := server.New(ix, server.Options{})
+	var logged syncBuffer
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.IdleTimeout = idle
+	ts.Config.ErrorLog = log.New(&logged, "", 0)
+	ts.Start()
+	defer ts.Close()
+	cl, err := loadgen.Dial(ts.URL, loadgen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// The credit stream, framed by hand so the test controls every byte
+	// its connection carries.
+	start := time.Now()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	first, _ := json.Marshal(server.ScanRequest{Lo: 0, Hi: 5 * 200, Credit: 1})
+	first = append(first, '\n')
+	fmt.Fprintf(conn, "POST /scan HTTP/1.1\r\nHost: bftree\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n", len(first), first)
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("credit scan: %v (err %v)", resp, err)
+	}
+	dec := json.NewDecoder(resp.Body)
+	var chunk server.ScanChunk
+	if err := dec.Decode(&chunk); err != nil || len(chunk.Tuples) != 1 {
+		t.Fatalf("first chunk: %d tuples (err %v), want the 1 credited", len(chunk.Tuples), err)
+	}
+
+	inserted := make(chan time.Duration, 1)
+	go func() {
+		if err := cl.Insert(0, index.Ref{Page: file.PageOf(0)}); err != nil {
+			t.Error(err)
+		}
+		inserted <- time.Since(start)
+	}()
+
+	chunk = server.ScanChunk{}
+	if err := dec.Decode(&chunk); err != nil || chunk.Error == "" || chunk.Done {
+		t.Fatalf("line after the idle bound: %+v (err %v), want an Error line", chunk, err)
+	}
+	fmt.Fprintf(conn, "GET /stats HTTP/1.1\r\nHost: bftree\r\n\r\n")
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if rest, _ := io.ReadAll(br); bytes.Contains(rest, []byte("HTTP/1.1")) {
+		t.Errorf("a request sent inside the stream's unfinished body was answered:\n%s", rest)
+	}
+	if got := srv.Served().OpenScans; got != 0 {
+		t.Errorf("open scans = %d after the stream ended, want 0", got)
+	}
+	if took := <-inserted; took < idle {
+		t.Errorf("the queued insert completed %v after the scan opened, before the %v bound", took, idle)
+	}
+	if _, err := cl.Search(0); err != nil {
+		t.Errorf("search after the idle stream: %v", err)
+	}
+	if strings.Contains(logged.String(), "panic") {
+		t.Errorf("server logged a panic:\n%s", logged.String())
 	}
 }
 

@@ -10,6 +10,15 @@ import (
 // between them. Tuples travel as JSON base64 strings (encoding/json's
 // []byte convention); ProbeStats and friends marshal under their Go
 // field names — the same shapes the bench JSON artifacts already use.
+//
+// Every request body is one JSON value, except a /scan credit stream's:
+// a ScanRequest with Credit > 0, then one grant per line for as long as
+// the client reads, then EOF. Its response, like every /scan response,
+// is ScanChunk lines ending in one Done or Error line. For example:
+//
+//	client: {"lo":0,"hi":99,"credit":16}   server: 16 tuples
+//	client: 32                             server: 32 tuples
+//	client: EOF                            server: {"stats":{...},"done":true}
 
 // PointRequest is the body of POST /search: one key, optionally probed
 // through the primary-key early exit (SearchFirst).
@@ -30,12 +39,23 @@ type MultiRequest struct {
 	Keys []uint64 `json:"keys"`
 }
 
-// ScanRequest is the body of POST /scan: a streamed scan of [lo, hi],
+// ScanRequest opens the body of POST /scan: a streamed scan of [lo, hi],
 // stopping after Limit tuples when Limit > 0.
+//
+// Without Credit the request is one-shot: the server streams the whole
+// range (or Limit tuples) and the body ends with this value. With
+// Credit > 0 the scan is demand-driven. The server sends at most Credit
+// tuples, then waits for the client to grant more on the same request
+// body, one JSON number per line ("32\n"). The end of the body (EOF)
+// says the client is done; the server then ends the stream with the
+// Done line. A grant that is not a non-negative integer ends the stream
+// with an Error line. So a client that stops after k tuples makes the
+// server read only the pages behind the tuples it was granted.
 type ScanRequest struct {
-	Lo    uint64 `json:"lo"`
-	Hi    uint64 `json:"hi"`
-	Limit int    `json:"limit,omitempty"`
+	Lo     uint64 `json:"lo"`
+	Hi     uint64 `json:"hi"`
+	Limit  int    `json:"limit,omitempty"`
+	Credit int    `json:"credit,omitempty"`
 }
 
 // WriteRequest is the body of POST /insert and POST /delete: the
@@ -79,11 +99,15 @@ type ErrorResponse struct {
 }
 
 // ServedStats is the server-side accounting exposed at /stats:
-// request totals and the summed probe cost of everything served.
+// request totals, the summed probe cost of everything served, and
+// OpenScans, the /scan streams in flight. An open stream holds an index
+// iterator (on a BF-tree, a reader registration that delays limbo
+// reclamation) until it ends.
 type ServedStats struct {
 	Requests   int64            `json:"requests"`
 	Errors     int64            `json:"errors"`
 	TuplesSent int64            `json:"tuples_sent"`
+	OpenScans  int64            `json:"open_scans"`
 	Probe      index.ProbeStats `json:"probe"`
 }
 
