@@ -19,6 +19,7 @@
 package loadgen
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -120,9 +121,9 @@ func (e *apiError) Unwrap() error {
 	return nil
 }
 
-// post sends body to path and decodes the JSON answer into out (nil out
-// discards it). Non-2xx answers come back as *apiError.
-func (c *Client) post(method, path string, body, out any) error {
+// post sends body to path and reads a 2xx answer whole into out (nil
+// out discards it). Non-2xx answers come back as *apiError.
+func (c *Client) post(method, path string, body any, out *bytes.Buffer) error {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
@@ -146,11 +147,12 @@ func (c *Client) post(method, path string, body, out any) error {
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return refusal(resp)
 	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
+	if out == nil {
+		io.Copy(io.Discard, resp.Body) // drain so the connection is reusable
+		return nil
 	}
-	io.Copy(io.Discard, resp.Body) // drain so the connection is reusable
-	return nil
+	_, err = out.ReadFrom(resp.Body)
+	return err
 }
 
 // refusal reads a non-2xx answer's ErrorResponse into an *apiError.
@@ -162,47 +164,48 @@ func refusal(resp *http.Response) error {
 
 // Stats fetches the server's GET /stats snapshot.
 func (c *Client) Stats() (*server.StatsResponse, error) {
+	var body bytes.Buffer
+	if err := c.post(http.MethodGet, "/stats", nil, &body); err != nil {
+		return nil, err
+	}
 	var st server.StatsResponse
-	if err := c.post(http.MethodGet, "/stats", nil, &st); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
-// point runs one /search probe.
-func (c *Client) point(key uint64, first bool) (*index.Result, error) {
-	var res server.Result
-	err := c.post(http.MethodPost, "/search", server.PointRequest{Key: key, First: first}, &res)
-	if err != nil {
+// probe sends a read request to path and decodes its tuple answer.
+func (c *Client) probe(path string, req any) (*index.Result, error) {
+	var body bytes.Buffer
+	if err := c.post(http.MethodPost, path, req, &body); err != nil {
 		return nil, err
+	}
+	var res server.Result
+	if err := server.DecodeResult(body.Bytes(), &res); err != nil {
+		return nil, fmt.Errorf("loadgen: %s: %w", path, err)
 	}
 	return &index.Result{Tuples: res.Tuples, Stats: res.Stats}, nil
 }
 
 // Search returns every tuple matching key, served remotely.
-func (c *Client) Search(key uint64) (*index.Result, error) { return c.point(key, false) }
+func (c *Client) Search(key uint64) (*index.Result, error) {
+	return c.probe("/search", server.PointRequest{Key: key})
+}
 
 // SearchFirst is the primary-key early-exit probe, served remotely.
-func (c *Client) SearchFirst(key uint64) (*index.Result, error) { return c.point(key, true) }
+func (c *Client) SearchFirst(key uint64) (*index.Result, error) {
+	return c.probe("/search", server.PointRequest{Key: key, First: true})
+}
 
 // RangeScan materializes [lo, hi], served remotely.
 func (c *Client) RangeScan(lo, hi uint64) (*index.Result, error) {
-	var res server.Result
-	err := c.post(http.MethodPost, "/range", server.RangeRequest{Lo: lo, Hi: hi}, &res)
-	if err != nil {
-		return nil, err
-	}
-	return &index.Result{Tuples: res.Tuples, Stats: res.Stats}, nil
+	return c.probe("/range", server.RangeRequest{Lo: lo, Hi: hi})
 }
 
 // MultiSearch runs a batched point probe, served remotely.
 func (c *Client) MultiSearch(keys []uint64) (*index.Result, error) {
-	var res server.Result
-	err := c.post(http.MethodPost, "/multi", server.MultiRequest{Keys: keys}, &res)
-	if err != nil {
-		return nil, err
-	}
-	return &index.Result{Tuples: res.Tuples, Stats: res.Stats}, nil
+	return c.probe("/multi", server.MultiRequest{Keys: keys})
 }
 
 // firstCredit is the tuple credit a scan opens with: one round trip
@@ -240,7 +243,7 @@ func (c *Client) Scan(lo, hi uint64) (index.Iterator, error) {
 		pw.Close()
 		return nil, err
 	}
-	it := &scanIterator{grants: pw, body: resp.Body, dec: json.NewDecoder(resp.Body), grant: firstCredit, owed: firstCredit}
+	it := newScanIterator(pw, resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		err := refusal(resp)
 		it.Close()
@@ -267,9 +270,10 @@ func (c *Client) Flush() error {
 // scanIterator adapts one credit stream of /scan to index.Iterator. Not
 // safe for concurrent use (per the Iterator contract).
 type scanIterator struct {
-	grants *io.PipeWriter // the request body: one grant per line
+	grants io.WriteCloser // the request body: one grant per line
 	body   io.ReadCloser  // the response
-	dec    *json.Decoder  // over body
+	rd     *bufio.Reader  // over body
+	line   []byte         // the chunk line last read
 	grant  int            // the last grant
 	owed   int            // tuples granted and not yet received
 
@@ -280,6 +284,12 @@ type scanIterator struct {
 	err    error
 	done   bool
 	closed bool
+}
+
+// newScanIterator reads the response body of a credit stream whose
+// request body is grants, opened with firstCredit.
+func newScanIterator(grants io.WriteCloser, body io.ReadCloser) *scanIterator {
+	return &scanIterator{grants: grants, body: body, rd: bufio.NewReader(body), grant: firstCredit, owed: firstCredit}
 }
 
 func (it *scanIterator) Next() bool {
@@ -298,13 +308,12 @@ func (it *scanIterator) Next() bool {
 			it.owed = it.grant
 		}
 		var c server.ScanChunk
-		if err := it.dec.Decode(&c); err != nil {
-			if err == io.EOF {
-				// Stream ended without a Done line: the server died
-				// mid-scan.
-				err = io.ErrUnexpectedEOF
-			}
+		if err := it.readLine(); err != nil {
 			it.err = err
+			return false
+		}
+		if err := server.DecodeChunk(it.line, &c); err != nil {
+			it.err = fmt.Errorf("loadgen: /scan: %w", err)
 			return false
 		}
 		it.stats = c.Stats
@@ -323,6 +332,26 @@ func (it *scanIterator) Next() bool {
 	it.cur = it.chunk[it.pos]
 	it.pos++
 	return true
+}
+
+// readLine reads the next NDJSON line of the response into it.line.
+func (it *scanIterator) readLine() error {
+	it.line = it.line[:0]
+	for {
+		frag, err := it.rd.ReadSlice('\n')
+		it.line = append(it.line, frag...)
+		switch err {
+		case nil:
+			return nil
+		case bufio.ErrBufferFull:
+			continue // a line longer than the reader's buffer
+		case io.EOF:
+			// The stream ended before its Done line, maybe mid-line:
+			// the server died mid-scan.
+			return io.ErrUnexpectedEOF
+		}
+		return err
+	}
 }
 
 func (it *scanIterator) Tuple() []byte           { return it.cur }

@@ -52,6 +52,12 @@ const scanChunk = 64
 // 413 before it is read past the bound.
 const maxBodyBytes = 1 << 20
 
+// maxMultiKeys bounds a /multi batch: twice the largest batch any
+// caller in this repository sends (512, the batched-probe sweep, which
+// runs in process) and 64 times the OLTP batch. A larger batch is
+// answered 413 before the index sees it.
+const maxMultiKeys = 1024
+
 // Server mounts one index.Index behind the HTTP protocol of wire.go.
 // It is an http.Handler; run it under any http.Server.
 type Server struct {
@@ -169,10 +175,20 @@ func (s *Server) unsupported(w http.ResponseWriter, capability string) {
 }
 
 // decode parses the JSON request body, read up to maxBodyBytes, into v.
+// The body holds that one value and nothing after it but whitespace.
 // On failure it answers 413 for a body over the bound and 400 for any
 // other bad body, and reports false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	return s.decoded(w, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("a second value after the request")
+		} else if err == io.EOF {
+			err = nil
+		}
+	}
+	return s.decoded(w, err)
 }
 
 // decoded answers the outcome of decoding a request body: for a non-nil
@@ -238,6 +254,13 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 	var req MultiRequest
 	if !s.decode(w, r, &req) {
+		return
+	}
+	if len(req.Keys) > maxMultiKeys {
+		s.errCount.Add(1)
+		s.writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+			Error: fmt.Sprintf("a batch of %d keys is over the bound of %d", len(req.Keys), maxMultiKeys),
+		})
 		return
 	}
 	s.readLock()

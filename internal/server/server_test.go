@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -672,18 +673,32 @@ func TestInvalidWriteRefs(t *testing.T) {
 	}
 }
 
-// TestBodyBound: a request body over the server's 1 MiB bound is
-// answered 413 with an ErrorResponse and counted as an error; a
-// 4,096-key /multi, far above any real batch but under the bound, is
-// answered 200; and the server keeps serving after the refusal.
+// countingIndex counts the MultiSearch calls that reach the index.
+type countingIndex struct {
+	index.Index
+	multis atomic.Int64
+}
+
+func (c *countingIndex) MultiSearch(keys []uint64) (*index.Result, error) {
+	c.multis.Add(1)
+	return c.Index.MultiSearch(keys)
+}
+
+// TestBodyBound: a request body over the server's 1 MiB bound, and a
+// /multi batch of more than 1,024 keys in a body far under it, are each
+// answered 413 with an ErrorResponse and counted as an error, the batch
+// before the index is called; a 1,024-key /multi, the largest batch the
+// server takes and far above any real one, is answered 200; and the
+// server keeps serving after the refusals.
 func TestBodyBound(t *testing.T) {
 	const n = 3000
 	file, _ := servedRelation(t, n)
-	ix, err := index.New("bftree", pagestore.New(device.New(device.Memory, 4096)), file, 0, index.Options{})
+	inner, err := index.New("bftree", pagestore.New(device.New(device.Memory, 4096)), file, 0, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	defer inner.Close()
+	ix := &countingIndex{Index: inner}
 	srv := server.New(ix, server.Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -700,41 +715,93 @@ func TestBodyBound(t *testing.T) {
 		}
 		return resp.StatusCode, out.Bytes()
 	}
+	refused := func(what string, status int, body []byte, errors int64) {
+		t.Helper()
+		var refusal server.ErrorResponse
+		if status != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &refusal) != nil || refusal.Error == "" {
+			t.Errorf("%s: status %d, body %.80q; want 413 with an ErrorResponse", what, status, body)
+		}
+		if got := srv.Served().Errors; got != errors {
+			t.Errorf("served errors = %d after the %s, want %d", got, what, errors)
+		}
+	}
 
 	huge := append([]byte(`{"keys":[`), bytes.Repeat([]byte("5,"), 1<<20)...)
 	huge = append(huge, "5]}"...)
 	status, body := post("/multi", huge)
-	var refusal server.ErrorResponse
-	if status != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &refusal) != nil || refusal.Error == "" {
-		t.Errorf("2 MiB /multi: status %d, body %.80q; want 413 with an ErrorResponse", status, body)
-	}
-	if got := srv.Served().Errors; got != 1 {
-		t.Errorf("served errors = %d after the refusal, want 1", got)
-	}
+	refused("2 MiB /multi", status, body, 1)
 
-	keys := make([]uint64, 4096)
+	keys := make([]uint64, 1025)
 	for i := range keys {
 		keys[i] = uint64(i) * 5
 	}
+	over, _ := json.Marshal(server.MultiRequest{Keys: keys})
+	status, body = post("/multi", over)
+	refused("1025-key /multi", status, body, 2)
+	if got := ix.multis.Load(); got != 0 {
+		t.Errorf("the refused batches reached the index: %d MultiSearch calls", got)
+	}
+
+	keys = keys[:1024]
 	big, _ := json.Marshal(server.MultiRequest{Keys: keys})
 	status, body = post("/multi", big)
 	var res server.Result
 	if status != http.StatusOK || json.Unmarshal(body, &res) != nil {
-		t.Fatalf("4096-key /multi: status %d, body %.80q; want 200", status, body)
+		t.Fatalf("1024-key /multi: status %d, body %.80q; want 200", status, body)
 	}
-	want, err := ix.MultiSearch(keys)
+	want, err := inner.MultiSearch(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Tuples) != len(want.Tuples) || len(res.Tuples) != n {
-		t.Errorf("4096-key /multi: %d tuples, direct %d, relation %d", len(res.Tuples), len(want.Tuples), n)
+		t.Errorf("1024-key /multi: %d tuples, direct %d, relation %d", len(res.Tuples), len(want.Tuples), n)
 	}
 
 	point, _ := json.Marshal(server.PointRequest{Key: 10})
 	if status, body := post("/search", point); status != http.StatusOK {
-		t.Errorf("/search after the refusal: status %d, body %.80q", status, body)
+		t.Errorf("/search after the refusals: status %d, body %.80q", status, body)
 	}
-	if got := srv.Served().Errors; got != 1 {
-		t.Errorf("served errors = %d at the end, want 1", got)
+	if got := srv.Served().Errors; got != 2 {
+		t.Errorf("served errors = %d at the end, want 2", got)
+	}
+}
+
+// TestTrailingBytes: a request body holds one JSON value. Anything after
+// it but whitespace, garbage or a second value, is answered 400 and
+// counted as an error; trailing whitespace is served.
+func TestTrailingBytes(t *testing.T) {
+	file, _ := servedRelation(t, 300)
+	ix, err := index.New("bftree", pagestore.New(device.New(device.Memory, 4096)), file, 0, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	srv := server.New(ix, server.Options{})
+	page := strconv.FormatUint(uint64(file.PageOf(250)), 10)
+	refused := 0
+	for _, c := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/search", `{"key":250,"first":true} garbage`, http.StatusBadRequest},
+		{"/search", `{"key":250}{"key":5}`, http.StatusBadRequest},
+		{"/search", `{"key":250,"first":true}` + " \r\n\t", http.StatusOK},
+		{"/range", `{"lo":0,"hi":10}7`, http.StatusBadRequest},
+		{"/multi", `{"keys":[0,5]}[1,2,3]`, http.StatusBadRequest},
+		{"/multi", `{"keys":[0,5]}` + "\n", http.StatusOK},
+		{"/insert", `{"key":250,"page":` + page + `}]`, http.StatusBadRequest},
+		{"/delete", `{"key":250,"page":` + page + `} "x"`, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != c.status {
+			t.Errorf("%s %q: status %d, want %d", c.path, c.body, rec.Code, c.status)
+		}
+		if c.status != http.StatusOK {
+			refused++
+		}
+	}
+	if got := srv.Served().Errors; got != int64(refused) {
+		t.Errorf("served errors = %d, want %d", got, refused)
 	}
 }
