@@ -15,7 +15,7 @@ help:
 	@echo "  make build    - go build ./..."
 	@echo "  make test     - go test ./..."
 	@echo "  make race     - race-detector tests on core/pagestore/device/heapfile/forest"
-	@echo "  make fuzz     - fuzz the BF-leaf, internal-node, metadata, forest-blob, B+-tree node and FD-tree run-page decoders, the HTTP routes and the client's tuple-answer decoder, 10s each"
+	@echo "  make fuzz     - fuzz the BF-leaf, internal-node, metadata, forest-blob, B+-tree node and FD-tree run-page decoders, the HTTP routes and the tuple-frame codec, 10s each"
 	@echo "  make conformance - cross-backend index API conformance suite"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
@@ -44,8 +44,8 @@ race:
 # BF-leaf pages, internal-node routing, the tree metadata blob, the
 # forest's BFF1 blob, the B+-tree's leaf and internal pages and the
 # FD-tree's run pages; then the server's routes, /scan credit lines
-# included, with any request body; then the client's decoder of tuple
-# answers against encoding/json. Plain `go test` runs only their seed
+# included, with any request body; then the codec of the binary frames
+# tuple answers travel in. Plain `go test` runs only their seed
 # corpora.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBFLeaf$$' -fuzztime 10s ./internal/core/
@@ -88,7 +88,7 @@ compact:
 
 # The serving-layer gate: golden equivalence + capability matrix +
 # bad-write rejection + the request-body and /multi batch bounds +
-# trailing-byte rejection + the client's answer decoder + write serialization
+# trailing-byte rejection + the tuple-frame codec + write serialization
 # on every backend + the 8-client concurrency test under -race, then
 # the serve-load queue-depth scaling assertion over real connections
 # and the registered experiment end to end.

@@ -13,12 +13,16 @@
 //	bfserve -addr 127.0.0.1:9000 -fpp 0.01   # custom bind and design point
 //	bfserve -latency 200us                   # real device waits
 //
-// Probe it with curl (see the README quickstart):
+// Probe it with curl (see the README quickstart). /stats and every
+// error body are JSON, so curl shows what is mounted and why a request
+// failed; tuple answers are binary frames (internal/server/wire.go), so
+// pipe them through xxd:
 //
 //	curl -s localhost:8080/stats | jq .caps
-//	curl -s -XPOST localhost:8080/search -d '{"key":42}'
-//	curl -s -XPOST localhost:8080/scan -d '{"lo":100,"hi":200,"limit":5}'
-//	printf '{"lo":100,"hi":200,"credit":2}\n3\n' | curl -s -XPOST localhost:8080/scan -T -
+//	curl -s -XPOST localhost:8080/range -d '{"lo":9,"hi":1}'
+//	curl -s -XPOST localhost:8080/search -d '{"key":42}' | xxd | head
+//	curl -s -XPOST localhost:8080/scan -d '{"lo":100,"hi":200,"limit":5}' | xxd
+//	printf '{"lo":100,"hi":200,"credit":2}\n3\n' | curl -s -XPOST localhost:8080/scan -T - | xxd
 //
 // Writes against a backend without concurrent-writer support are
 // serialized server-side (the registry trait decides). A BF-tree's

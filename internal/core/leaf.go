@@ -301,19 +301,22 @@ func (l *bfLeaf) probeOne(bid int, key uint64) bool {
 
 // probe tests every filter for key and returns the matching filter
 // indices in ascending order — the candidate page groups of Algorithm 1.
-// It ANDs the key's k rows one word of 64 filters at a time: the
-// parallel probe of a leaf's many filters that Section 8 proposes, done
-// with word operations instead of goroutines.
-func (l *bfLeaf) probe(key uint64) []int {
+func (l *bfLeaf) probe(key uint64) []int { return l.appendProbe(nil, key) }
+
+// appendProbe appends the indices of the filters matching key to dst, in
+// ascending order, and returns the extended slice. It ANDs the key's k
+// rows one word of 64 filters at a time: the parallel probe of a leaf's
+// many filters that Section 8 proposes, done with word operations
+// instead of goroutines.
+func (l *bfLeaf) appendProbe(dst []int, key uint64) []int {
 	var buf [posBufLen]uint32
 	pos := l.positions(key, buf[:0])
-	var out []int
 	for w := 0; w*64 < l.s; w++ {
 		for m := l.match(pos, w); m != 0; m &= m - 1 {
-			out = append(out, w*64+bits.TrailingZeros64(m))
+			dst = append(dst, w*64+bits.TrailingZeros64(m))
 		}
 	}
-	return out
+	return dst
 }
 
 // filterBytes returns the filter region's bytes per filter: the size

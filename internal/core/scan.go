@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"bftree/internal/device"
 	"bftree/internal/heapfile"
@@ -56,6 +55,8 @@ type boundaryEnum struct {
 	exhausted bool
 	endPid    device.PageID // page clamp (lastDataPage)
 	seen      map[device.PageID]bool
+	bids      []int           // the last key's matching filters
+	pages     []device.PageID // backs c.pages, which is empty when a step refills it
 }
 
 // Scan opens a streaming cursor over every tuple whose indexed field
@@ -283,22 +284,25 @@ func (c *Cursor) stepEnum() {
 		} else {
 			e.next++
 		}
-		matches := e.leaf.probe(k)
+		e.bids = e.leaf.appendProbe(e.bids[:0], k)
 		c.stats.BFProbes += e.leaf.numBFs()
-		var pages []device.PageID
-		for _, bid := range matches {
+		// The pages come out ascending, with no sort: appendProbe yields
+		// the filters in ascending order, each filter covers a run of
+		// pages disjoint from and above the previous filter's
+		// (pageRangeOf), and skipping pages keeps the order.
+		e.pages = e.pages[:0]
+		for _, bid := range e.bids {
 			plo, phi := e.leaf.pageRangeOf(bid)
 			for p := plo; p <= phi; p++ {
 				if p < e.leaf.minPid || p > e.endPid || e.seen[p] {
 					continue
 				}
 				e.seen[p] = true
-				pages = append(pages, p)
+				e.pages = append(e.pages, p)
 			}
 		}
-		if len(pages) > 0 {
-			sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-			c.pages = pages
+		if len(e.pages) > 0 {
+			c.pages = e.pages
 			return
 		}
 	}

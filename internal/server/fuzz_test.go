@@ -1,8 +1,10 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -29,8 +31,9 @@ var fuzzRoutes = []struct{ method, path string }{
 
 // FuzzServe feeds any body to every route through ServeHTTP on a small
 // bftree. No input may panic the server; every answer is 200, 204, 400,
-// 405 or 413; and a 200 /scan stream is NDJSON chunks that end in
-// exactly one terminal line, Done or Error, as its last. A /scan body
+// 405 or 413; a 200 /search, /range or /multi body is exactly one
+// tuples frame; and a 200 /scan body is frames that end in exactly one
+// done or error frame, as its last. A /scan body
 // may carry credit lines after the request, so the fuzzer also drives
 // the credit exchange: 0, negative, huge, fractional and non-numeric
 // grants, and bodies cut anywhere.
@@ -101,17 +104,30 @@ func FuzzServe(f *testing.F) {
 		default:
 			t.Fatalf("%s %s %q: status %d", r.method, r.path, body, rec.Code)
 		}
-		if r.path != "/scan" || rec.Code != http.StatusOK {
+		if rec.Code != http.StatusOK {
 			return
 		}
-		lines := bytes.Split(bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")), []byte("\n"))
-		for i, line := range lines {
-			var c server.ScanChunk
-			if err := json.Unmarshal(line, &c); err != nil {
-				t.Fatalf("/scan %q: line %d %q: %v", body, i, line, err)
+		answer := rec.Body.Bytes()
+		switch r.path {
+		case "/search", "/range", "/multi":
+			if _, err := server.ReadResult(bytes.NewReader(answer)); err != nil {
+				t.Fatalf("%s %q: answer %q: %v", r.path, body, answer, err)
 			}
-			if terminal := c.Done || c.Error != ""; terminal != (i == len(lines)-1) {
-				t.Fatalf("/scan %q: line %d of %d is %+v: want one Done or Error line, last", body, i, len(lines), c)
+		case "/scan":
+			frames := bufio.NewReader(bytes.NewReader(answer))
+			for i, ended := 0, false; ; i++ {
+				var c server.ScanChunk
+				err := server.ReadFrame(frames, &c)
+				if err == io.EOF && ended {
+					break
+				}
+				if err != nil {
+					t.Fatalf("/scan %q: frame %d: %v", body, i, err)
+				}
+				if ended {
+					t.Fatalf("/scan %q: frame %d %+v follows the done or error frame", body, i, c)
+				}
+				ended = c.Done || c.Error != ""
 			}
 		}
 	})
@@ -122,81 +138,94 @@ func jsonUint(v uint64) string {
 	return string(b)
 }
 
-// FuzzDecodeChunk holds the client's decoder of tuple answers to
-// encoding/json, which the server writes them with. No input panics it.
-// Whatever DecodeChunk or DecodeResult accepts, json.Unmarshal accepts
-// too and reads as an equal value: the same tuple bytes, nil and empty
-// kept apart, the same stats, done and error. And a chunk or result
-// built from the fuzzed tuples, stats, done and error, written by
-// json.NewEncoder, decodes back to itself. That last property fills
-// every field of the wire structs by its kind (fillWire), so a field
-// added to them that the decoder was never taught fails it.
+// FuzzDecodeChunk holds the frame codec that every /scan chunk and
+// tuple answer travels in to three properties. No input panics
+// DecodeFrame or ReadFrame. Whatever DecodeFrame accepts, AppendFrame
+// re-encodes to bytes that decode to an equal value, and ReadFrame reads
+// the same frame off a stream to the same value. And the tuples, done
+// and error chunks built from the fuzzed tuples, stats and message
+// round-trip. fillWire fills every field of ScanChunk by its kind, so a
+// field added to ScanChunk or ProbeStats that the codec was never taught
+// fails the seeds.
 func FuzzDecodeChunk(f *testing.F) {
-	seed := func(tuples [][]byte, stat int64, done bool, msg string) {
-		var c server.ScanChunk
-		var r server.Result
-		fillWire(f, reflect.ValueOf(&c).Elem(), tuples, stat, done, msg)
-		fillWire(f, reflect.ValueOf(&r).Elem(), tuples, stat, done, msg)
-		lines := [][]byte{encodeLine(f, c), encodeLine(f, r)}
-		data := bytes.Join(tuples, nil)
-		for _, line := range lines {
-			for cut := 0; cut < len(line); cut += 1 + len(line)/40 {
-				f.Add(line[:cut], data, uint8(len(tuples)), stat, done, msg)
+	// Each frame is seeded whole and cut short: at every byte of its
+	// first 128, where the kind, the length, the stats, the count and
+	// the first tuples' lengths lie, then in steps of a fortieth of it.
+	seed := func(c server.ScanChunk, stat uint32) {
+		data := bytes.Join(c.Tuples, nil)
+		frame := server.AppendFrame(nil, c)
+		for cut := 0; cut < len(frame); {
+			f.Add(frame[:cut], data, uint8(len(c.Tuples)), stat, c.Error)
+			if cut < 128 {
+				cut++
+			} else {
+				cut += 1 + len(frame)/40
 			}
-			f.Add(line, data, uint8(len(tuples)), stat, done, msg)
 		}
+		f.Add(frame, data, uint8(len(c.Tuples)), stat, c.Error)
 	}
 	for _, n := range []int{0, 1, 16, 64} {
-		seed(wireTuples(n, 64), int64(n)+3, false, "")
+		var c server.ScanChunk
+		fillWire(f, reflect.ValueOf(&c).Elem(), wireTuples(n, 64), int64(n)+3, false, "")
+		seed(c, uint32(n)+3)
 	}
-	seed(nil, 0, false, "") // a miss: "tuples":null
-	seed(nil, 977, true, "")
-	seed(nil, -1, false, `credit: invalid character 'm' in "grant" <é>`)
-	// What base64 and JSON read differently: CR and LF in a tuple, which
-	// base64 skips and JSON refuses, and a repeated key, whose tuples
-	// JSON replaces.
-	f.Add([]byte("{\"tuples\":[\"\r\n\r\nQUJD\"]}"), []byte(nil), uint8(0), int64(0), false, "")
-	f.Add([]byte(`{"tuples":["QUJD"],"tuples":["REVG"]}`), []byte(nil), uint8(0), int64(0), false, "")
+	// An empty tuple, and one whose length takes a two-byte uvarint.
+	var sizes server.ScanChunk
+	fillWire(f, reflect.ValueOf(&sizes).Elem(), [][]byte{{}, bytes.Repeat([]byte{0x5A}, 300)}, 977, false, "")
+	seed(sizes, 977)
+	var done, failed server.ScanChunk
+	fillWire(f, reflect.ValueOf(&done).Elem(), nil, 977, true, "")
+	seed(done, 977)
+	fillWire(f, reflect.ValueOf(&failed).Elem(), nil, 1, false, `credit: invalid character 'm' in "grant" <é>`)
+	seed(failed, 1)
 
-	f.Fuzz(func(t *testing.T, line, data []byte, n uint8, stat int64, done bool, msg string) {
-		var c, jc server.ScanChunk
-		if server.DecodeChunk(line, &c) == nil {
-			if err := json.Unmarshal(line, &jc); err != nil {
-				t.Fatalf("DecodeChunk accepted %q, json.Unmarshal: %v", line, err)
-			}
-			if !reflect.DeepEqual(c, jc) {
-				t.Fatalf("DecodeChunk(%q) = %#v, json.Unmarshal reads %#v", line, c, jc)
+	f.Fuzz(func(t *testing.T, frame, data []byte, n uint8, stat uint32, msg string) {
+		var c server.ScanChunk
+		decoded := server.DecodeFrame(frame, &c) == nil
+		if decoded {
+			again := server.AppendFrame(nil, c)
+			var back server.ScanChunk
+			if err := server.DecodeFrame(again, &back); err != nil || !reflect.DeepEqual(back, c) {
+				t.Fatalf("DecodeFrame(%q) = %#v, re-encoded %q, decoded %#v, %v", frame, c, again, back, err)
 			}
 		}
-		var r, jr server.Result
-		if server.DecodeResult(line, &r) == nil {
-			if err := json.Unmarshal(line, &jr); err != nil {
-				t.Fatalf("DecodeResult accepted %q, json.Unmarshal: %v", line, err)
+		// ReadFrame reads the first frame of the stream as DecodeFrame
+		// reads it alone.
+		rd := bytes.NewReader(frame)
+		r := bufio.NewReader(rd)
+		var rc server.ScanChunk
+		if err := server.ReadFrame(r, &rc); err == nil {
+			read := len(frame) - rd.Len() - r.Buffered()
+			var dc server.ScanChunk
+			if err := server.DecodeFrame(frame[:read], &dc); err != nil || !reflect.DeepEqual(rc, dc) {
+				t.Fatalf("ReadFrame(%q) read %d bytes as %#v; DecodeFrame reads them as %#v, %v", frame, read, rc, dc, err)
 			}
-			if !reflect.DeepEqual(r, jr) {
-				t.Fatalf("DecodeResult(%q) = %#v, json.Unmarshal reads %#v", line, r, jr)
+			if decoded && read != len(frame) {
+				t.Fatalf("ReadFrame(%q) read %d bytes of a %d-byte frame", frame, read, len(frame))
 			}
+		} else if decoded {
+			t.Fatalf("DecodeFrame accepted %q, ReadFrame: %v", frame, err)
 		}
 
 		// n tuples cut evenly from data; none is nil, and none at all is
-		// a nil slice, since an empty ScanChunk.Tuples is not written.
+		// a nil slice, as DecodeFrame returns a frame of no tuples.
 		var tuples [][]byte
 		for i := 0; i < int(n); i++ {
 			tuples = append(tuples, append([]byte{}, data[i*len(data)/int(n):(i+1)*len(data)/int(n)]...))
 		}
-		// The encoder writes invalid UTF-8 as U+FFFD, so only valid
-		// strings can come back as they went.
-		msg = strings.ToValidUTF8(msg, "\uFFFD")
-		var wc server.ScanChunk
-		fillWire(t, reflect.ValueOf(&wc).Elem(), tuples, stat, done, msg)
-		var back server.ScanChunk
-		if err := server.DecodeChunk(encodeLine(t, wc), &back); err != nil || !reflect.DeepEqual(back, wc) {
-			t.Fatalf("chunk %#v: written %q, decoded %#v, %v", wc, encodeLine(t, wc), back, err)
+		var built [3]server.ScanChunk
+		fillWire(t, reflect.ValueOf(&built[0]).Elem(), tuples, int64(stat), false, "")
+		fillWire(t, reflect.ValueOf(&built[1]).Elem(), nil, int64(stat), true, "")
+		fillWire(t, reflect.ValueOf(&built[2]).Elem(), nil, int64(stat), false, msg)
+		if msg == "" {
+			built[2] = built[0] // an error frame always has a message
 		}
-		var wr, rback server.Result
-		fillWire(t, reflect.ValueOf(&wr).Elem(), tuples, stat, done, msg)
-		if err := server.DecodeResult(encodeLine(t, wr), &rback); err != nil || !reflect.DeepEqual(rback, wr) {
-			t.Fatalf("result %#v: written %q, decoded %#v, %v", wr, encodeLine(t, wr), rback, err)
+		for _, c := range built {
+			frame := server.AppendFrame(nil, c)
+			var back server.ScanChunk
+			if err := server.DecodeFrame(frame, &back); err != nil || !reflect.DeepEqual(back, c) {
+				t.Fatalf("chunk %#v: written %q, decoded %#v, %v", c, frame, back, err)
+			}
 		}
 	})
 }
@@ -204,7 +233,7 @@ func FuzzDecodeChunk(f *testing.F) {
 // fillWire sets every field of the wire struct v by its kind: the
 // tuples, the int fields from stat (each a different multiple, so a
 // swap shows), done and msg. A field of any other kind fails the test
-// until the decoder and this function learn it.
+// until the codec and this function learn it.
 func fillWire(t testing.TB, v reflect.Value, tuples [][]byte, stat int64, done bool, msg string) {
 	for i := 0; i < v.NumField(); i++ {
 		switch f := v.Field(i); {
@@ -219,7 +248,7 @@ func fillWire(t testing.TB, v reflect.Value, tuples [][]byte, stat int64, done b
 		case f.Kind() == reflect.String:
 			f.SetString(msg)
 		default:
-			t.Fatalf("%s.%s: a %s field the decoder does not know", v.Type(), v.Type().Field(i).Name, f.Kind())
+			t.Fatalf("%s.%s: a %s field the codec does not know", v.Type(), v.Type().Field(i).Name, f.Kind())
 		}
 	}
 }

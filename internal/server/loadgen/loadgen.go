@@ -121,38 +121,45 @@ func (e *apiError) Unwrap() error {
 	return nil
 }
 
-// post sends body to path and reads a 2xx answer whole into out (nil
-// out discards it). Non-2xx answers come back as *apiError.
-func (c *Client) post(method, path string, body any, out *bytes.Buffer) error {
+// do sends body (nil: none) to path and returns the response to a 2xx
+// answer, whose body the caller reads to its end, so the connection is
+// reusable, and closes. A non-2xx answer comes back as *apiError.
+func (c *Client) do(method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequest(method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		defer resp.Body.Close()
+		return nil, refusal(resp)
+	}
+	return resp, nil
+}
+
+// post sends body to path and discards the 2xx answer.
+func (c *Client) post(path string, body any) error {
+	resp, err := c.do(http.MethodPost, path, body)
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return refusal(resp)
-	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body) // drain so the connection is reusable
-		return nil
-	}
-	_, err = out.ReadFrom(resp.Body)
-	return err
+	io.Copy(io.Discard, resp.Body) // drain so the connection is reusable
+	return nil
 }
 
 // refusal reads a non-2xx answer's ErrorResponse into an *apiError.
@@ -164,28 +171,35 @@ func refusal(resp *http.Response) error {
 
 // Stats fetches the server's GET /stats snapshot.
 func (c *Client) Stats() (*server.StatsResponse, error) {
-	var body bytes.Buffer
-	if err := c.post(http.MethodGet, "/stats", nil, &body); err != nil {
+	resp, err := c.do(http.MethodGet, "/stats", nil)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return nil, err
 	}
 	var st server.StatsResponse
-	if err := json.Unmarshal(body.Bytes(), &st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
-// probe sends a read request to path and decodes its tuple answer.
+// probe sends a read request to path and reads its tuple answer: one
+// frame, into one buffer of the frame's size.
 func (c *Client) probe(path string, req any) (*index.Result, error) {
-	var body bytes.Buffer
-	if err := c.post(http.MethodPost, path, req, &body); err != nil {
+	resp, err := c.do(http.MethodPost, path, req)
+	if err != nil {
 		return nil, err
 	}
-	var res server.Result
-	if err := server.DecodeResult(body.Bytes(), &res); err != nil {
+	defer resp.Body.Close()
+	res, err := server.ReadResult(resp.Body)
+	if err != nil {
 		return nil, fmt.Errorf("loadgen: %s: %w", path, err)
 	}
-	return &index.Result{Tuples: res.Tuples, Stats: res.Stats}, nil
+	return res, nil
 }
 
 // Search returns every tuple matching key, served remotely.
@@ -254,17 +268,17 @@ func (c *Client) Scan(lo, hi uint64) (index.Iterator, error) {
 
 // Insert adds a key→tuple association, served remotely.
 func (c *Client) Insert(key uint64, ref index.Ref) error {
-	return c.post(http.MethodPost, "/insert", server.WriteRequest{Key: key, Page: uint64(ref.Page), Slot: ref.Slot}, nil)
+	return c.post("/insert", server.WriteRequest{Key: key, Page: uint64(ref.Page), Slot: ref.Slot})
 }
 
 // Delete removes a key→tuple association, served remotely.
 func (c *Client) Delete(key uint64, ref index.Ref) error {
-	return c.post(http.MethodPost, "/delete", server.WriteRequest{Key: key, Page: uint64(ref.Page), Slot: ref.Slot}, nil)
+	return c.post("/delete", server.WriteRequest{Key: key, Page: uint64(ref.Page), Slot: ref.Slot})
 }
 
 // Flush forces the server's buffered writes to the device.
 func (c *Client) Flush() error {
-	return c.post(http.MethodPost, "/flush", nil, nil)
+	return c.post("/flush", nil)
 }
 
 // scanIterator adapts one credit stream of /scan to index.Iterator. Not
@@ -273,7 +287,6 @@ type scanIterator struct {
 	grants io.WriteCloser // the request body: one grant per line
 	body   io.ReadCloser  // the response
 	rd     *bufio.Reader  // over body
-	line   []byte         // the chunk line last read
 	grant  int            // the last grant
 	owed   int            // tuples granted and not yet received
 
@@ -308,11 +321,12 @@ func (it *scanIterator) Next() bool {
 			it.owed = it.grant
 		}
 		var c server.ScanChunk
-		if err := it.readLine(); err != nil {
-			it.err = err
-			return false
-		}
-		if err := server.DecodeChunk(it.line, &c); err != nil {
+		if err := server.ReadFrame(it.rd, &c); err != nil {
+			if err == io.EOF {
+				// The stream ended before its done frame: the server
+				// died mid-scan.
+				err = io.ErrUnexpectedEOF
+			}
 			it.err = fmt.Errorf("loadgen: /scan: %w", err)
 			return false
 		}
@@ -334,33 +348,13 @@ func (it *scanIterator) Next() bool {
 	return true
 }
 
-// readLine reads the next NDJSON line of the response into it.line.
-func (it *scanIterator) readLine() error {
-	it.line = it.line[:0]
-	for {
-		frag, err := it.rd.ReadSlice('\n')
-		it.line = append(it.line, frag...)
-		switch err {
-		case nil:
-			return nil
-		case bufio.ErrBufferFull:
-			continue // a line longer than the reader's buffer
-		case io.EOF:
-			// The stream ended before its Done line, maybe mid-line:
-			// the server died mid-scan.
-			return io.ErrUnexpectedEOF
-		}
-		return err
-	}
-}
-
 func (it *scanIterator) Tuple() []byte           { return it.cur }
 func (it *scanIterator) Stats() index.ProbeStats { return it.stats }
 func (it *scanIterator) Err() error              { return it.err }
 
 // Close ends the request body, which tells the server the client is
 // done, and reads the response to its end: the server sends at most the
-// tuples still granted and then the Done line, and a response read to
+// tuples still granted and then the done frame, and a response read to
 // its end returns the connection to the pool.
 func (it *scanIterator) Close() error {
 	if it.closed {

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"strings"
@@ -18,17 +17,13 @@ type grantSink struct{ bytes.Buffer }
 
 func (*grantSink) Close() error { return nil }
 
-// lines writes chunks as the server does, one NDJSON line each.
-func lines(t *testing.T, chunks ...server.ScanChunk) string {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+// frames writes chunks as the server does, one frame each.
+func frames(chunks ...server.ScanChunk) string {
+	var buf []byte
 	for _, c := range chunks {
-		if err := enc.Encode(c); err != nil {
-			t.Fatal(err)
-		}
+		buf = server.AppendFrame(buf, c)
 	}
-	return buf.String()
+	return string(buf)
 }
 
 // drain runs an iterator over the response body r to its end.
@@ -43,15 +38,16 @@ func drain(r io.Reader) ([][]byte, index.ProbeStats, error) {
 	return tuples, it.Stats(), err
 }
 
-// TestScanIteratorLines reads a credit stream's response line by line:
-// a tuple longer than the reader's buffer, delivered one byte per read,
-// comes back whole; the Done line ends the stream cleanly with its
-// stats; an Error line ends it with the server's message.
+// TestScanIteratorLines reads a credit stream's response frame by frame:
+// a frame longer than the reader's buffer, delivered one byte per read,
+// comes back whole; a tuple read stays valid after later frames; the
+// done frame ends the stream cleanly with its stats; an error frame ends
+// it with the server's message.
 func TestScanIteratorLines(t *testing.T) {
-	big := bytes.Repeat([]byte("0123456789"), 400) // 4,000 bytes, 5,336 in base64
+	big := bytes.Repeat([]byte("0123456789"), 500) // 5,000 bytes
 	small := []byte("tuple")
 	stats := index.ProbeStats{IndexReads: 2, DataPagesRead: 3}
-	body := lines(t,
+	body := frames(
 		server.ScanChunk{Tuples: [][]byte{small, big}, Stats: index.ProbeStats{IndexReads: 2}},
 		server.ScanChunk{Tuples: [][]byte{big}, Stats: stats},
 		server.ScanChunk{Stats: stats, Done: true},
@@ -67,29 +63,27 @@ func TestScanIteratorLines(t *testing.T) {
 		t.Errorf("stats %+v, want %+v", st, stats)
 	}
 
-	body = lines(t,
+	body = frames(
 		server.ScanChunk{Tuples: [][]byte{small}, Stats: stats},
 		server.ScanChunk{Stats: stats, Error: `page 7: "corrupt"`},
 	)
 	tuples, _, err = drain(strings.NewReader(body))
 	if len(tuples) != 1 || err == nil || err.Error() != `server: page 7: "corrupt"` {
-		t.Errorf("Error line: %d tuples, err %v; want 1 tuple and the server's message", len(tuples), err)
+		t.Errorf("error frame: %d tuples, err %v; want 1 tuple and the server's message", len(tuples), err)
 	}
 }
 
-// TestScanIteratorCut: a stream that ends before its Done line, between
-// lines or mid-line, is io.ErrUnexpectedEOF, after the tuples of every
-// whole line.
+// TestScanIteratorCut: a stream that ends before its done frame,
+// between frames or mid-frame, is io.ErrUnexpectedEOF, after the tuples
+// of every whole frame.
 func TestScanIteratorCut(t *testing.T) {
-	whole := lines(t,
-		server.ScanChunk{Tuples: [][]byte{[]byte("a"), []byte("b")}},
-		server.ScanChunk{Tuples: [][]byte{[]byte("c")}},
-		server.ScanChunk{Done: true},
-	)
-	first := strings.Index(whole, "\n") + 1
-	second := first + strings.Index(whole[first:], "\n") + 1
+	ab := server.ScanChunk{Tuples: [][]byte{[]byte("a"), []byte("b")}}
+	cc := server.ScanChunk{Tuples: [][]byte{[]byte("c")}}
+	whole := frames(ab, cc, server.ScanChunk{Done: true})
+	first := len(frames(ab))
+	second := len(frames(ab, cc))
 	for _, c := range []struct{ cut, want int }{
-		{0, 0}, {5, 0}, {first - 1, 0}, {first, 2}, {first + 3, 2}, {second, 3}, {len(whole) - 1, 3},
+		{0, 0}, {1, 0}, {5, 0}, {first - 1, 0}, {first, 2}, {first + 1, 2}, {first + 3, 2}, {second, 3}, {len(whole) - 1, 3},
 	} {
 		cut, want := c.cut, c.want
 		tuples, _, err := drain(strings.NewReader(whole[:cut]))

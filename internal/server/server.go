@@ -1,7 +1,8 @@
 // Package server is the serving layer of DESIGN.md §9: an HTTP index
 // server that mounts any backend registered with the index package and
-// exposes its full capability surface over a JSON body protocol —
-// stdlib only, matching the repo's zero-dependency go.mod.
+// exposes its full capability surface over HTTP — JSON requests, tuple
+// answers in the binary frames of wire.go — stdlib only, matching the
+// repo's zero-dependency go.mod.
 //
 // Routes follow the capability matrix: the mandatory Index surface
 // (point lookup, materialized range scan, streamed scan, batched probe,
@@ -25,6 +26,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -44,7 +46,7 @@ type Options struct {
 	SerializeWrites bool
 }
 
-// scanChunk is the tuple count per streamed /scan NDJSON line.
+// scanChunk is the tuple count per streamed /scan tuples frame.
 const scanChunk = 64
 
 // maxBodyBytes bounds a request body. The largest body a caller sends
@@ -208,11 +210,17 @@ func (s *Server) decoded(w http.ResponseWriter, err error) bool {
 	return false
 }
 
-// result sends a probe outcome and folds its cost into the served
-// accounting.
+// result sends a probe outcome as one tuples frame, built at its size
+// and written once with its Content-Length, and folds its cost into the
+// served accounting.
 func (s *Server) result(w http.ResponseWriter, res *index.Result) {
 	s.recordProbe(res.Stats, len(res.Tuples))
-	s.writeJSON(w, http.StatusOK, Result{Tuples: res.Tuples, Stats: res.Stats})
+	frame := AppendFrame(nil, ScanChunk{Tuples: res.Tuples, Stats: res.Stats})
+	h := w.Header()
+	h.Set("Content-Type", frameType)
+	h.Set("Content-Length", strconv.Itoa(len(frame)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(frame) // a client that went away has nothing to be told
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -273,8 +281,8 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 	s.result(w, res)
 }
 
-// handleScan streams a range scan as NDJSON ScanChunk lines: cumulative
-// stats per chunk, a Done line to close, an Error line on mid-stream
+// handleScan streams a range scan as frames: tuples frames with
+// cumulative stats, a done frame to close, an error frame on mid-stream
 // failure (the HTTP status is already committed by then — streaming
 // protocols carry their errors in-band).
 //
@@ -282,7 +290,7 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 // unlimited credit. A credit request is full duplex: the loop pulls a
 // tuple from the iterator only against credit, and when the credit runs
 // out it flushes the partial chunk and reads the client's next grant
-// from the request body, ending with the Done line at the body's EOF.
+// from the request body, ending with the done frame at the body's EOF.
 // So a LIMIT-k client pays only for the pages behind the tuples it was
 // granted — the Scanner early-termination contract, preserved over the
 // wire. Limit > 0 caps the total either way.
@@ -319,12 +327,14 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	// went away — the pages the iterator read were read: account them.
 	defer func() { s.recordProbe(it.Stats(), 0) }()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", frameType)
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	// Each frame is built in buf and sent with one Write and a flush.
+	var buf []byte
 	emit := func(c ScanChunk) bool {
-		if err := enc.Encode(c); err != nil {
+		buf = AppendFrame(buf[:0], c)
+		if _, err := w.Write(buf); err != nil {
 			return false // client went away; stop pulling pages
 		}
 		s.tuplesSent.Add(int64(len(c.Tuples)))

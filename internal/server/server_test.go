@@ -367,7 +367,7 @@ func TestAbandonedScanAccounted(t *testing.T) {
 	// The server pulled the chunk the client took and one more it could
 	// not send.
 	var first server.ScanChunk
-	if err := json.Unmarshal(w.got.Bytes(), &first); err != nil || first.Done || len(first.Tuples) == 0 {
+	if err := server.DecodeFrame(w.got.Bytes(), &first); err != nil || first.Done || len(first.Tuples) == 0 {
 		t.Fatalf("first chunk %+v (err %v): want a chunk of tuples", first, err)
 	}
 	pulled := 2 * len(first.Tuples)
@@ -473,10 +473,10 @@ func (b *syncBuffer) String() string {
 // one tuple of credit and goes idle. bptree serializes writes, so the
 // stream holds the read lock an /insert queues on. The mounting
 // server's IdleTimeout (50ms) bounds the wait: the stream ends with an
-// Error line, the insert completes after the bound, OpenScans returns
+// error frame, the insert completes after the bound, OpenScans returns
 // to 0, and the next request is served with no handler panic logged.
 // The stream's request body never ended, so nothing the client sends
-// after the Error line may be read as a request: a request written
+// after the error frame may be read as a request: a request written
 // there goes unanswered.
 func TestIdleCreditStreamBounded(t *testing.T) {
 	const idle = 50 * time.Millisecond
@@ -515,9 +515,9 @@ func TestIdleCreditStreamBounded(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("credit scan: %v (err %v)", resp, err)
 	}
-	dec := json.NewDecoder(resp.Body)
+	frames := bufio.NewReader(resp.Body)
 	var chunk server.ScanChunk
-	if err := dec.Decode(&chunk); err != nil || len(chunk.Tuples) != 1 {
+	if err := server.ReadFrame(frames, &chunk); err != nil || len(chunk.Tuples) != 1 {
 		t.Fatalf("first chunk: %d tuples (err %v), want the 1 credited", len(chunk.Tuples), err)
 	}
 
@@ -529,9 +529,8 @@ func TestIdleCreditStreamBounded(t *testing.T) {
 		inserted <- time.Since(start)
 	}()
 
-	chunk = server.ScanChunk{}
-	if err := dec.Decode(&chunk); err != nil || chunk.Error == "" || chunk.Done {
-		t.Fatalf("line after the idle bound: %+v (err %v), want an Error line", chunk, err)
+	if err := server.ReadFrame(frames, &chunk); err != nil || chunk.Error == "" || chunk.Done {
+		t.Fatalf("frame after the idle bound: %+v (err %v), want an error frame", chunk, err)
 	}
 	fmt.Fprintf(conn, "GET /stats HTTP/1.1\r\nHost: bftree\r\n\r\n")
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -745,9 +744,9 @@ func TestBodyBound(t *testing.T) {
 	keys = keys[:1024]
 	big, _ := json.Marshal(server.MultiRequest{Keys: keys})
 	status, body = post("/multi", big)
-	var res server.Result
-	if status != http.StatusOK || json.Unmarshal(body, &res) != nil {
-		t.Fatalf("1024-key /multi: status %d, body %.80q; want 200", status, body)
+	res, err := server.ReadResult(bytes.NewReader(body))
+	if status != http.StatusOK || err != nil {
+		t.Fatalf("1024-key /multi: status %d, body %.80q (%v); want 200 and one tuples frame", status, body, err)
 	}
 	want, err := inner.MultiSearch(keys)
 	if err != nil {

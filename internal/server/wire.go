@@ -1,36 +1,50 @@
 package server
 
 import (
-	"bytes"
-	"encoding/base64"
-	"encoding/json"
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"math/bits"
+	"slices"
 
 	"bftree/index"
 )
 
-// This file is the wire protocol: the JSON bodies both sides of the
-// serving layer speak. The server (this package) and the load-generator
-// client (loadgen) share these structs, so the protocol cannot drift
-// between them. Tuples travel as JSON base64 strings (encoding/json's
-// []byte convention); ProbeStats and friends marshal under their Go
-// field names — the same shapes the bench JSON artifacts already use.
+// This file is the wire protocol both sides of the serving layer speak.
+// The server (this package) and the load-generator client (loadgen)
+// share these types and this codec, so the protocol cannot drift
+// between them, and no other package knows the frame layout.
 //
-// The server writes every body with encoding/json. The client reads a
-// tuple answer — a Result, or a ScanChunk line — with DecodeChunk and
-// DecodeResult below, which know these structs field by field. So a
-// field added to ScanChunk, Result or ProbeStats must be taught to
-// them too: until it is, FuzzDecodeChunk's round-trip seeds fail.
+// Requests, /scan credit grants, GET /stats and every non-2xx
+// ErrorResponse are JSON, so curl shows what is mounted and why a
+// request failed; ProbeStats and friends marshal under their Go field
+// names, the same shapes the bench JSON artifacts use. Tuple answers are
+// binary frames, so a tuple travels as its own bytes. A 200 /search,
+// /range or /multi body is exactly one tuples frame, sent with
+// Content-Length. A 200 /scan body is tuples frames of at most scanChunk
+// tuples, then exactly one done or error frame. A frame is
+//
+//	kind   1 byte: 't' tuples, 'd' done, 'e' error
+//	n      a uvarint: the length of the body that follows
+//	body   the five ProbeStats fields as uvarints, in declaration order;
+//	       count, a uvarint; count tuples, each a uvarint length and
+//	       the tuple's bytes; then, to the end of the body, the message:
+//	       an error frame's text, empty in the other kinds
+//
+// There is no version byte: nothing deployed or stored speaks another
+// layout. AppendFrame writes a frame and DecodeFrame reads one, so a
+// field added to ScanChunk or ProbeStats must be taught to both: until
+// it is, FuzzDecodeChunk's round-trip seeds fail.
 //
 // Every request body is one JSON value, except a /scan credit stream's:
 // a ScanRequest with Credit > 0, then one grant per line for as long as
-// the client reads, then EOF. Its response, like every /scan response,
-// is ScanChunk lines ending in one Done or Error line. For example:
+// the client reads, then EOF. For example:
 //
-//	client: {"lo":0,"hi":99,"credit":16}   server: 16 tuples
-//	client: 32                             server: 32 tuples
-//	client: EOF                            server: {"stats":{...},"done":true}
+//	client: {"lo":0,"hi":99,"credit":16}   server: a frame of 16 tuples
+//	client: 32                             server: frames of 32 tuples
+//	client: EOF                            server: the done frame
 
 // PointRequest is the body of POST /search: one key, optionally probed
 // through the primary-key early exit (SearchFirst).
@@ -60,8 +74,8 @@ type MultiRequest struct {
 // tuples, then waits for the client to grant more on the same request
 // body, one JSON number per line ("32\n"). The end of the body (EOF)
 // says the client is done; the server then ends the stream with the
-// Done line. A grant that is not a non-negative integer ends the stream
-// with an Error line. So a client that stops after k tuples makes the
+// done frame. A grant that is not a non-negative integer ends the stream
+// with an error frame. So a client that stops after k tuples makes the
 // server read only the pages behind the tuples it was granted.
 type ScanRequest struct {
 	Lo     uint64 `json:"lo"`
@@ -83,24 +97,230 @@ func (w WriteRequest) Ref() index.Ref {
 	return index.Ref{Page: index.PageID(w.Page), Slot: w.Slot}
 }
 
-// Result is the probe answer every read endpoint returns: matching
-// tuples plus the probe's cost accounting — index.Result with JSON
-// names pinned.
-type Result struct {
-	Tuples [][]byte         `json:"tuples"`
-	Stats  index.ProbeStats `json:"stats"`
+// ScanChunk is one frame of a tuple answer. A tuples frame carries
+// Tuples and Stats: a probe's cost on /search, /range and /multi, the
+// iterator's *cumulative* cost at the end of the chunk on /scan. A done
+// frame (Done) closes a /scan stream with the scan's total stats; a
+// failure mid-stream closes it with an error frame (Error, never empty)
+// instead. Neither carries tuples.
+type ScanChunk struct {
+	Tuples [][]byte
+	Stats  index.ProbeStats
+	Done   bool
+	Error  string
 }
 
-// ScanChunk is one NDJSON line of a streamed /scan response. Tuples
-// carries the next slice of the scan; Stats is the iterator's
-// *cumulative* cost at the end of the chunk. The final line has
-// Done=true, empty Tuples, and the scan's total stats; a mid-stream
-// failure ends the stream with an Error line instead.
-type ScanChunk struct {
-	Tuples [][]byte         `json:"tuples,omitempty"`
-	Stats  index.ProbeStats `json:"stats"`
-	Done   bool             `json:"done,omitempty"`
-	Error  string           `json:"error,omitempty"`
+// The frame kinds.
+const (
+	frameTuples = 't'
+	frameDone   = 'd'
+	frameError  = 'e'
+)
+
+// frameType is the Content-Type of a body of frames.
+const frameType = "application/octet-stream"
+
+// frameStep bounds the first buffer ReadFrame allocates for a frame
+// body, and so what a header that declares more than the stream holds
+// can make it allocate before the bytes arrive.
+const frameStep = 1 << 20
+
+// statFields lists st's fields in declaration order, the order a frame
+// carries them.
+func statFields(st *index.ProbeStats) [5]*int {
+	return [5]*int{&st.IndexReads, &st.BFProbes, &st.CandidatePages, &st.DataPagesRead, &st.FalseReads}
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// AppendFrame appends c's frame to dst and returns the extended slice,
+// grown once to fit: an error frame when c.Error is set, else a done
+// frame when c.Done is, else a tuples frame. It writes c as it is, so a
+// done or error chunk with tuples, or a negative stat, makes a frame
+// DecodeFrame rejects.
+func AppendFrame(dst []byte, c ScanChunk) []byte {
+	kind := byte(frameTuples)
+	switch {
+	case c.Error != "":
+		kind = frameError
+	case c.Done:
+		kind = frameDone
+	}
+	stats := statFields(&c.Stats)
+	n := uvarintLen(uint64(len(c.Tuples))) + len(c.Error)
+	for _, f := range stats {
+		n += uvarintLen(uint64(*f))
+	}
+	for _, t := range c.Tuples {
+		n += uvarintLen(uint64(len(t))) + len(t)
+	}
+
+	dst = slices.Grow(dst, 1+uvarintLen(uint64(n))+n)
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for _, f := range stats {
+		dst = binary.AppendUvarint(dst, uint64(*f))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(c.Tuples)))
+	for _, t := range c.Tuples {
+		dst = binary.AppendUvarint(dst, uint64(len(t)))
+		dst = append(dst, t...)
+	}
+	return append(dst, c.Error...)
+}
+
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("server: malformed frame: "+format, args...)
+}
+
+// uvarint consumes one uvarint from the front of *b.
+func uvarint(b *[]byte, what string) (uint64, error) {
+	v, w := binary.Uvarint(*b)
+	if w <= 0 {
+		return 0, malformed("the %s runs past the body or overflows 64 bits", what)
+	}
+	*b = (*b)[w:]
+	return v, nil
+}
+
+// DecodeFrame decodes frame, which holds exactly one frame, into c,
+// replacing what c held. Each tuple is a sub-slice of frame, capped at
+// its own length so that an append to one cannot write into the next;
+// a tuple kept alive keeps the whole frame alive. A tuples frame of no
+// tuples, a miss, decodes to nil Tuples.
+//
+// These are errors, and there is no fallback: an unknown kind; a body
+// that is not exactly n bytes; a length that runs past the body; a done
+// or error frame with tuples; a message in a tuples or done frame, or an
+// error frame without one; a stat that does not fit an int.
+func DecodeFrame(frame []byte, c *ScanChunk) error {
+	*c = ScanChunk{}
+	if len(frame) == 0 {
+		return malformed("no kind")
+	}
+	kind, b := frame[0], frame[1:]
+	if kind != frameTuples && kind != frameDone && kind != frameError {
+		return malformed("unknown kind %q", kind)
+	}
+	n, err := uvarint(&b, "length")
+	if err != nil {
+		return err
+	}
+	if n != uint64(len(b)) {
+		return malformed("a %c frame declares %d bytes of body and holds %d", kind, n, len(b))
+	}
+	for _, f := range statFields(&c.Stats) {
+		v, err := uvarint(&b, "stats")
+		if err != nil {
+			return err
+		}
+		if v > math.MaxInt {
+			return malformed("stat %d does not fit an int", v)
+		}
+		*f = int(v)
+	}
+	count, err := uvarint(&b, "tuple count")
+	if err != nil {
+		return err
+	}
+	// Each tuple takes at least its length byte, which bounds the
+	// headers allocated below by the body.
+	if count > uint64(len(b)) {
+		return malformed("%d tuples in %d bytes", count, len(b))
+	}
+	if count > 0 && kind != frameTuples {
+		return malformed("a %c frame with tuples", kind)
+	}
+	if count > 0 {
+		c.Tuples = make([][]byte, count)
+	}
+	for i := range c.Tuples {
+		l, err := uvarint(&b, "tuple length")
+		if err != nil {
+			return err
+		}
+		if l > uint64(len(b)) {
+			return malformed("tuple %d of %d bytes runs past the body", i, l)
+		}
+		c.Tuples[i] = b[:l:l]
+		b = b[l:]
+	}
+	if (kind == frameError) != (len(b) > 0) {
+		return malformed("a %c frame with a message of %d bytes", kind, len(b))
+	}
+	c.Done = kind == frameDone
+	c.Error = string(b)
+	return nil
+}
+
+// ReadFrame reads the next frame from r into a buffer of the frame's
+// size and decodes it into c with DecodeFrame. Every call reads into a
+// fresh buffer, so c's tuples stay valid after later calls. At the end
+// of r, before any byte of a frame, it returns io.EOF; a frame cut short
+// is io.ErrUnexpectedEOF. A body over frameStep is read into a buffer
+// that at most doubles what has arrived, so a header that declares more
+// than r holds costs memory in proportion to what r holds.
+func ReadFrame(r *bufio.Reader, c *ScanChunk) error {
+	kind, err := r.ReadByte()
+	if err != nil {
+		return err
+	}
+	n, err := binary.ReadUvarint(r)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return err
+	}
+	head := 1 + uvarintLen(n)
+	if n > math.MaxInt-uint64(head) {
+		return malformed("a body of %d bytes", n)
+	}
+	size := head + int(n)
+	frame := make([]byte, head, min(size, head+frameStep))
+	frame[0] = kind
+	binary.PutUvarint(frame[1:], n)
+	for len(frame) < size {
+		if len(frame) == cap(frame) {
+			frame = slices.Grow(frame, min(size, 2*len(frame))-len(frame))
+		}
+		m, err := io.ReadFull(r, frame[len(frame):min(cap(frame), size)])
+		frame = frame[:len(frame)+m]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return DecodeFrame(frame, c)
+}
+
+// ReadResult reads the body of a 200 /search, /range or /multi answer:
+// exactly one tuples frame, then the end of the body. The tuples alias
+// the frame's buffer.
+func ReadResult(body io.Reader) (*index.Result, error) {
+	// The header is a few bytes; the body is read past this buffer,
+	// straight into the frame's.
+	r := bufio.NewReaderSize(body, 16)
+	var c ScanChunk
+	err := ReadFrame(r, &c)
+	switch {
+	case err == io.EOF:
+		return nil, io.ErrUnexpectedEOF
+	case err != nil:
+		return nil, err
+	case c.Done || c.Error != "":
+		return nil, malformed("an answer in a done or error frame")
+	}
+	if _, err := r.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = malformed("bytes after the answer's frame")
+		}
+		return nil, err
+	}
+	return &index.Result{Tuples: c.Tuples, Stats: c.Stats}, nil
 }
 
 // ErrorResponse is the body of every non-2xx answer. Capability names
@@ -133,291 +353,4 @@ type StatsResponse struct {
 	Index       index.Stats             `json:"index"`
 	Served      ServedStats             `json:"served"`
 	Maintenance *index.MaintenanceStats `json:"maintenance,omitempty"`
-}
-
-// DecodeChunk decodes one line of a /scan response into c, replacing
-// what c held. It reads the shape json.NewEncoder writes for a
-// ScanChunk and nothing else: one object with no whitespace but around
-// it, keys spelled as their tags, every tuple a padded base64 string
-// and every stat an integer. Any other input is an error. Whatever it
-// accepts, json.Unmarshal reads as the same value (FuzzDecodeChunk
-// checks both).
-//
-// It finds each tuple's closing quote with one bytes.IndexByte, counts
-// the tuples before it decodes any, and base64-decodes them all into
-// one arena: each tuple is a sub-slice of it, capped at its own length
-// so that an append to one cannot write into the next. So a tuple kept
-// alive keeps its whole answer's arena alive.
-func DecodeChunk(line []byte, c *ScanChunk) error {
-	return decodeAnswer(line, c, true)
-}
-
-// DecodeResult decodes a /search, /range or /multi answer into r,
-// replacing what r held: DecodeChunk's format without the done and
-// error keys. A miss ("tuples":null) decodes to nil Tuples, "[]" to an
-// empty slice.
-func DecodeResult(body []byte, r *Result) error {
-	var c ScanChunk
-	if err := decodeAnswer(body, &c, false); err != nil {
-		return err
-	}
-	*r = Result{Tuples: c.Tuples, Stats: c.Stats}
-	return nil
-}
-
-// decodeAnswer decodes a ScanChunk, or with chunk false a Result, from
-// b into c. A repeated key replaces what the first one set, as
-// json.Unmarshal does; a repeated "stats" object overwrites only the
-// stats it names.
-func decodeAnswer(b []byte, c *ScanChunk, chunk bool) error {
-	*c = ScanChunk{}
-	a := answer{b: bytes.Trim(b, " \t\r\n")}
-	if !a.eat('{') {
-		return a.malformed("want {")
-	}
-	if a.eat('}') {
-		return a.end()
-	}
-	for {
-		key, err := a.key()
-		if err != nil {
-			return err
-		}
-		switch {
-		case string(key) == "tuples":
-			c.Tuples, err = a.tuples()
-		case string(key) == "stats":
-			err = a.stats(&c.Stats)
-		case chunk && string(key) == "done":
-			c.Done, err = a.boolean()
-		case chunk && string(key) == "error":
-			c.Error, err = a.str()
-		default:
-			err = a.malformed(fmt.Sprintf("unknown key %q", key))
-		}
-		if err != nil {
-			return err
-		}
-		if a.eat('}') {
-			return a.end()
-		}
-		if !a.eat(',') {
-			return a.malformed("want , or }")
-		}
-	}
-}
-
-// answer is the cursor of one decode: the input, without the
-// whitespace around it, and the offset of the next byte to read.
-type answer struct {
-	b []byte
-	i int
-}
-
-func (a *answer) malformed(what string) error {
-	return fmt.Errorf("server: malformed answer at byte %d of %d: %s", a.i, len(a.b), what)
-}
-
-// end checks that the object just closed is the whole input.
-func (a *answer) end() error {
-	if a.i != len(a.b) {
-		return a.malformed("trailing bytes")
-	}
-	return nil
-}
-
-// eat consumes c if it is the next byte.
-func (a *answer) eat(c byte) bool {
-	if a.i < len(a.b) && a.b[a.i] == c {
-		a.i++
-		return true
-	}
-	return false
-}
-
-// literal consumes s if the input continues with it.
-func (a *answer) literal(s string) bool {
-	if len(a.b)-a.i >= len(s) && string(a.b[a.i:a.i+len(s)]) == s {
-		a.i += len(s)
-		return true
-	}
-	return false
-}
-
-// key reads an object key and its colon. A key holding an escape never
-// equals a known one, so it is rejected as unknown.
-func (a *answer) key() ([]byte, error) {
-	if !a.eat('"') {
-		return nil, a.malformed("want a key")
-	}
-	n := bytes.IndexByte(a.b[a.i:], '"')
-	if n < 0 {
-		return nil, a.malformed("unterminated key")
-	}
-	key := a.b[a.i : a.i+n]
-	a.i += n + 1
-	if !a.eat(':') {
-		return nil, a.malformed("want :")
-	}
-	return key, nil
-}
-
-// tuples reads null or an array of base64 strings. The first pass finds
-// each closing quote and sizes the headers and the arena; the second
-// decodes into them. A string that base64 does not decode to exactly
-// len/4*3 bytes less its padding is rejected: that is how a raw CR or
-// LF, which base64 skips and JSON refuses, is caught.
-func (a *answer) tuples() ([][]byte, error) {
-	if a.literal("null") {
-		return nil, nil
-	}
-	if !a.eat('[') {
-		return nil, a.malformed("want tuples")
-	}
-	first := a.i
-	n, size := 0, 0
-	for !a.eat(']') {
-		if n > 0 && !a.eat(',') {
-			return nil, a.malformed("want , or ]")
-		}
-		if !a.eat('"') {
-			return nil, a.malformed("want a tuple")
-		}
-		l := bytes.IndexByte(a.b[a.i:], '"')
-		if l < 0 || l%4 != 0 {
-			return nil, a.malformed("want padded base64")
-		}
-		a.i += l + 1
-		n++
-		size += l / 4 * 3
-	}
-	end := a.i
-
-	tuples := make([][]byte, n)
-	arena := make([]byte, size)
-	off, j := 0, first
-	for k := range tuples {
-		if k > 0 {
-			j++ // the comma
-		}
-		j++ // the opening quote
-		l := bytes.IndexByte(a.b[j:], '"')
-		s := a.b[j : j+l]
-		pad := 0
-		for pad < 2 && pad < l && s[l-1-pad] == '=' {
-			pad++
-		}
-		m, err := base64.StdEncoding.Decode(arena[off:], s)
-		if err != nil || m != l/4*3-pad {
-			a.i = j
-			return nil, a.malformed("want padded base64")
-		}
-		tuples[k] = arena[off : off+m : off+m]
-		off += m
-		j += l + 1
-	}
-	a.i = end
-	return tuples, nil
-}
-
-// stats reads a ProbeStats object into st, overwriting the stats it
-// names.
-func (a *answer) stats(st *index.ProbeStats) error {
-	if !a.eat('{') {
-		return a.malformed("want stats")
-	}
-	if a.eat('}') {
-		return nil
-	}
-	for {
-		key, err := a.key()
-		if err != nil {
-			return err
-		}
-		var f *int
-		switch string(key) {
-		case "IndexReads":
-			f = &st.IndexReads
-		case "BFProbes":
-			f = &st.BFProbes
-		case "CandidatePages":
-			f = &st.CandidatePages
-		case "DataPagesRead":
-			f = &st.DataPagesRead
-		case "FalseReads":
-			f = &st.FalseReads
-		default:
-			return a.malformed(fmt.Sprintf("unknown stat %q", key))
-		}
-		if *f, err = a.integer(); err != nil {
-			return err
-		}
-		if a.eat('}') {
-			return nil
-		}
-		if !a.eat(',') {
-			return a.malformed("want , or }")
-		}
-	}
-}
-
-// integer reads a JSON integer that fits an int.
-func (a *answer) integer() (int, error) {
-	neg := a.eat('-')
-	limit := uint64(math.MaxInt)
-	if neg {
-		limit++
-	}
-	digits := a.i
-	var n uint64
-	for a.i < len(a.b) && '0' <= a.b[a.i] && a.b[a.i] <= '9' {
-		d := uint64(a.b[a.i] - '0')
-		if n > (limit-d)/10 {
-			return 0, a.malformed("integer overflows int")
-		}
-		n = n*10 + d
-		a.i++
-	}
-	if a.i == digits || (a.b[digits] == '0' && a.i-digits > 1) {
-		return 0, a.malformed("want an integer")
-	}
-	if neg {
-		return int(-n), nil
-	}
-	return int(n), nil
-}
-
-func (a *answer) boolean() (bool, error) {
-	switch {
-	case a.literal("true"):
-		return true, nil
-	case a.literal("false"):
-		return false, nil
-	}
-	return false, a.malformed("want true or false")
-}
-
-// str reads the JSON string of an Error line's message with
-// json.Unmarshal, which owns JSON's escapes and its handling of invalid
-// UTF-8. Only a failed scan's last line holds one, so tuples never pay
-// for it.
-func (a *answer) str() (string, error) {
-	from := a.i
-	if !a.eat('"') {
-		return "", a.malformed("want a string")
-	}
-	for a.i < len(a.b) && a.b[a.i] != '"' {
-		if a.b[a.i] == '\\' {
-			a.i++ // the escaped byte, which may be a quote
-		}
-		a.i++
-	}
-	if !a.eat('"') {
-		return "", a.malformed("unterminated string")
-	}
-	var s string
-	if err := json.Unmarshal(a.b[from:a.i], &s); err != nil {
-		return "", a.malformed(err.Error())
-	}
-	return s, nil
 }

@@ -1,10 +1,14 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,8 +17,8 @@ import (
 )
 
 // wireStats has a different value in every field, so a stat decoded
-// into the wrong field shows.
-var wireStats = index.ProbeStats{IndexReads: 2, BFProbes: 127, CandidatePages: 9, DataPagesRead: 8, FalseReads: 1}
+// into the wrong field shows. BFProbes takes two bytes as a uvarint.
+var wireStats = index.ProbeStats{IndexReads: 2, BFProbes: 300, CandidatePages: 9, DataPagesRead: 8, FalseReads: 1}
 
 // wireTuples returns n tuples of size bytes, each distinct.
 func wireTuples(n, size int) [][]byte {
@@ -25,168 +29,212 @@ func wireTuples(n, size int) [][]byte {
 	return tuples
 }
 
-// encodeLine writes v as the server does: json.NewEncoder, one line.
-func encodeLine(t testing.TB, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
+// TestFrameGolden pins the layout: one small frame of each kind, and a
+// miss, as literal bytes. AppendFrame writes exactly these bytes and
+// DecodeFrame reads them back to the chunk, so a change to the layout
+// has to change this test too.
+func TestFrameGolden(t *testing.T) {
+	for _, c := range []struct {
+		chunk server.ScanChunk
+		frame string
+	}{
+		{server.ScanChunk{Tuples: [][]byte{[]byte("ab"), []byte("c")}, Stats: wireStats},
+			"t\x0c\x02\xac\x02\x09\x08\x01\x02\x02ab\x01c"},
+		{server.ScanChunk{}, "t\x06\x00\x00\x00\x00\x00\x00"},
+		{server.ScanChunk{Stats: wireStats, Done: true}, "d\x07\x02\xac\x02\x09\x08\x01\x00"},
+		{server.ScanChunk{Stats: wireStats, Error: "boom"}, "e\x0b\x02\xac\x02\x09\x08\x01\x00boom"},
+	} {
+		if got := server.AppendFrame(nil, c.chunk); string(got) != c.frame {
+			t.Errorf("AppendFrame(%+v) = %q, want %q", c.chunk, got, c.frame)
+		}
+		var got server.ScanChunk
+		if err := server.DecodeFrame([]byte(c.frame), &got); err != nil || !reflect.DeepEqual(got, c.chunk) {
+			t.Errorf("DecodeFrame(%q) = %#v, %v; want %#v", c.frame, got, err, c.chunk)
+		}
 	}
-	return buf.Bytes()
-}
-
-// decodeBoth decodes line with DecodeChunk and with json.Unmarshal,
-// requires both to accept it, and returns the chunk after checking the
-// two agree, nil against empty included.
-func decodeBoth(t *testing.T, line []byte) server.ScanChunk {
-	t.Helper()
-	var got, want server.ScanChunk
-	if err := server.DecodeChunk(line, &got); err != nil {
-		t.Fatalf("DecodeChunk(%q): %v", line, err)
-	}
-	if err := json.Unmarshal(line, &want); err != nil {
-		t.Fatalf("json.Unmarshal(%q): %v", line, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DecodeChunk(%q) = %+v, json.Unmarshal reads %+v", line, got, want)
-	}
-	return got
 }
 
 // TestDecodeResultMissAndEmpty: a search miss, which the server writes
-// as "tuples":null, decodes to nil Tuples, and "[]" to an empty slice,
-// as json.Unmarshal reads them.
+// from nil tuples, and an answer of an empty tuple slice both frame as
+// zero tuples, and ReadResult reads each back as nil Tuples and the
+// stats: a frame has one encoding of no tuples.
 func TestDecodeResultMissAndEmpty(t *testing.T) {
-	miss := encodeLine(t, server.Result{Stats: wireStats})
-	if !bytes.Contains(miss, []byte(`"tuples":null`)) {
-		t.Fatalf("a miss is written %q, want \"tuples\":null", miss)
+	miss := server.AppendFrame(nil, server.ScanChunk{Stats: wireStats})
+	empty := server.AppendFrame(nil, server.ScanChunk{Tuples: [][]byte{}, Stats: wireStats})
+	if !bytes.Equal(miss, empty) {
+		t.Fatalf("a miss is written %q, an empty answer %q: want one encoding", miss, empty)
 	}
-	empty := bytes.Replace(miss, []byte("null"), []byte("[]"), 1)
-	for _, c := range []struct {
-		body []byte
-		nil  bool
-	}{{miss, true}, {empty, false}} {
-		var got server.Result
-		if err := server.DecodeResult(c.body, &got); err != nil {
-			t.Fatalf("DecodeResult(%q): %v", c.body, err)
-		}
-		if (got.Tuples == nil) != c.nil || len(got.Tuples) != 0 || got.Stats != wireStats {
-			t.Errorf("DecodeResult(%q) = %#v, want nil tuples %v and the stats", c.body, got, c.nil)
-		}
-		decodeBoth(t, c.body)
+	got, err := server.ReadResult(bytes.NewReader(miss))
+	if err != nil {
+		t.Fatalf("ReadResult(%q): %v", miss, err)
+	}
+	if got.Tuples != nil || got.Stats != wireStats {
+		t.Errorf("ReadResult(%q) = %#v, want nil tuples and the stats", miss, got)
 	}
 }
 
-// TestDecodeChunkLines decodes each kind of /scan line as the server
-// writes it: tuples, the Done line, and an Error line whose message
-// holds a quote and a non-ASCII rune, which json.NewEncoder writes
-// escaped and raw, and a '<', which it writes as \u003c; then the
-// escapes it never writes but JSON allows, a surrogate pair among them,
-// and what json.Unmarshal reads as U+FFFD: a lone surrogate and a byte
-// that is not UTF-8.
+// TestDecodeChunkLines decodes each kind of /scan frame as the server
+// writes it: tuples, the done frame, and an error frame. Decoded tuples
+// are sub-slices of the frame, each capped at its own length so an
+// append cannot write into the next. An error message travels as its
+// own bytes, so a quote, a '<', a non-ASCII rune, a control character
+// and a byte that is not UTF-8 all come back as they went.
 func TestDecodeChunkLines(t *testing.T) {
 	tuples := wireTuples(3, 256)
-	got := decodeBoth(t, encodeLine(t, server.ScanChunk{Tuples: tuples, Stats: wireStats}))
-	if !reflect.DeepEqual(got.Tuples, tuples) || got.Done || got.Error != "" {
-		t.Errorf("tuple line decoded to %+v", got)
+	frame := server.AppendFrame(nil, server.ScanChunk{Tuples: tuples, Stats: wireStats})
+	var got server.ScanChunk
+	if err := server.DecodeFrame(frame, &got); err != nil {
+		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(got.Tuples, tuples) || got.Stats != wireStats || got.Done || got.Error != "" {
+		t.Fatalf("tuples frame decoded to %+v", got)
+	}
+	clear(frame)
 	for i, tu := range got.Tuples {
 		if cap(tu) != len(tu) {
 			t.Errorf("tuple %d: cap %d, len %d: an append would write into the next tuple", i, cap(tu), len(tu))
 		}
-	}
-
-	got = decodeBoth(t, encodeLine(t, server.ScanChunk{Stats: wireStats, Done: true}))
-	if !got.Done || got.Tuples != nil || got.Stats != wireStats {
-		t.Errorf("Done line decoded to %+v", got)
-	}
-
-	msg := `credit: bad grant "more" <é>`
-	line := encodeLine(t, server.ScanChunk{Stats: wireStats, Error: msg})
-	if !bytes.Contains(line, []byte(`\"more\"`)) || !bytes.Contains(line, []byte(`\u003c`)) || !bytes.Contains(line, []byte("é")) {
-		t.Fatalf("Error line %q: want its quotes and '<' escaped, 'é' raw", line)
-	}
-	if got := decodeBoth(t, line); got.Error != msg {
-		t.Errorf("Error line decoded to %q, want %q", got.Error, msg)
-	}
-	escaped := []byte(`{"stats":{},"error":"caf\u00e9 \ud83d\ude00 \/\\\b\f\n\r\t"}`)
-	if got := decodeBoth(t, escaped); got.Error != "café \U0001F600 /\\\b\f\n\r\t" {
-		t.Errorf("escaped Error line decoded to %q", got.Error)
-	}
-	for _, line := range []string{`{"error":"a\ud83db"}`, "{\"error\":\"a\xffb\"}"} {
-		if got := decodeBoth(t, []byte(line)); got.Error != "a\uFFFDb" {
-			t.Errorf("Error line %q decoded to %q, want U+FFFD", line, got.Error)
+		if !bytes.Equal(tu, make([]byte, len(tu))) {
+			t.Errorf("tuple %d kept its bytes when the frame was cleared: a copy, not a sub-slice", i)
 		}
+	}
+
+	done := server.AppendFrame(nil, server.ScanChunk{Stats: wireStats, Done: true})
+	if err := server.DecodeFrame(done, &got); err != nil || !got.Done || got.Tuples != nil || got.Stats != wireStats || got.Error != "" {
+		t.Errorf("done frame %q decoded to %+v, %v", done, got, err)
+	}
+
+	msg := "credit: bad grant \"more\" <\u00e9>\t\xff"
+	failed := server.AppendFrame(nil, server.ScanChunk{Stats: wireStats, Error: msg})
+	if !bytes.HasSuffix(failed, []byte(msg)) {
+		t.Fatalf("error frame %q: want the message's own bytes at its end", failed)
+	}
+	if err := server.DecodeFrame(failed, &got); err != nil || got.Error != msg || got.Done || got.Tuples != nil || got.Stats != wireStats {
+		t.Errorf("error frame %q decoded to %+v, %v; want message %q", failed, got, err, msg)
 	}
 }
 
-// TestDecodeChunkRejects: every input outside the shape the server
-// writes is an error, whether or not JSON would take it.
+// TestDecodeChunkRejects: every input AppendFrame does not write from a
+// valid chunk is an error, and so is every answer body that is not
+// exactly one tuples frame.
 func TestDecodeChunkRejects(t *testing.T) {
-	valid := string(encodeLine(t, server.ScanChunk{Tuples: wireTuples(2, 5), Stats: wireStats}))
-	for _, line := range []string{
-		valid + "x",
-		valid + "{}",
-		valid[:len(valid)-1] + "}",
-		strings.Replace(valid, `","`, "\",\n\"", 1),
-		strings.Replace(valid, `["`, "[\"\n", 1),
-		strings.Replace(valid, `["`, "[\"\n\n\n\n", 1),
-		strings.Replace(valid, `":`, `" :`, 1),
-		`{"tuples":[null],"stats":{}}`,
-		`{"tuples":["QQ="],"stats":{}}`,
-		`{"tuples":["QQ=="`,
-		`{"tuples":["QQ=="],"stats":{},"extra":1}`,
-		`{"Tuples":["QQ=="]}`,
-		`{"stats":{"IndexReads":01}}`,
-		`{"stats":{"IndexReads":1.5}}`,
-		`{"stats":{"IndexReads":-}}`,
-		`{"stats":{"IndexReads":9223372036854775808}}`,
-		`{"stats":{"Other":1}}`,
-		`{"stats":null}`,
-		`{"done":1}`,
-		`{"error":"\x"}`,
-		"{\"error\":\"a\tb\"}",
-		`{"error":"unterminated}`,
-		`null`,
-		``,
+	valid := string(server.AppendFrame(nil, server.ScanChunk{Tuples: wireTuples(2, 5), Stats: wireStats}))
+	bigStat := string(binary.AppendUvarint(nil, 1<<63))
+	for _, c := range []struct{ why, frame string }{
+		{"empty", ""},
+		{"unknown kind", "x\x06\x00\x00\x00\x00\x00\x00"},
+		{"unknown kind", "T\x06\x00\x00\x00\x00\x00\x00"},
+		{"no length", "t"},
+		{"length cut short", "t\x80"},
+		{"length over 64 bits", "t\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f"},
+		{"body shorter than n", valid[:len(valid)-1]},
+		{"body longer than n", valid + "x"},
+		{"n larger than the body", "t\x07\x00\x00\x00\x00\x00\x00"},
+		{"n smaller than the body", "t\x05\x00\x00\x00\x00\x00\x00"},
+		{"stats cut short", "t\x03\x00\x00\x00"},
+		{"no tuple count", "t\x05\x00\x00\x00\x00\x00"},
+		{"stat over an int", "t\x0f" + bigStat + "\x00\x00\x00\x00\x00"},
+		{"count past the body", "t\x08\x00\x00\x00\x00\x00\x05\x01a"},
+		{"tuple length cut short", "t\x07\x00\x00\x00\x00\x00\x01\x80"},
+		{"tuple past the body", "t\x08\x00\x00\x00\x00\x00\x01\x05a"},
+		{"done frame with tuples", "d\x08\x00\x00\x00\x00\x00\x01\x01a"},
+		{"error frame with tuples", "e\x09\x00\x00\x00\x00\x00\x01\x01ax"},
+		{"message in a tuples frame", "t\x07\x00\x00\x00\x00\x00\x00x"},
+		{"message in a done frame", "d\x07\x00\x00\x00\x00\x00\x00x"},
+		{"error frame without a message", "e\x06\x00\x00\x00\x00\x00\x00"},
 	} {
-		var c server.ScanChunk
-		if err := server.DecodeChunk([]byte(line), &c); err == nil {
-			t.Errorf("DecodeChunk(%q) accepted %+v", line, c)
+		var got server.ScanChunk
+		if err := server.DecodeFrame([]byte(c.frame), &got); err == nil {
+			t.Errorf("%s: DecodeFrame(%q) accepted %+v", c.why, c.frame, got)
 		}
 	}
-	for _, body := range []string{`{"tuples":null,"stats":{},"done":true}`, `{"tuples":null,"stats":{},"error":"x"}`} {
-		var r server.Result
-		if err := server.DecodeResult([]byte(body), &r); err == nil {
-			t.Errorf("DecodeResult(%q) accepted a scan chunk's key", body)
+	for _, c := range []struct{ why, body string }{
+		{"empty", ""},
+		{"a done frame", "d\x06\x00\x00\x00\x00\x00\x00"},
+		{"an error frame", "e\x07\x00\x00\x00\x00\x00\x00x"},
+		{"bytes after the frame", valid + "t"},
+		{"two frames", valid + valid},
+	} {
+		if res, err := server.ReadResult(strings.NewReader(c.body)); err == nil {
+			t.Errorf("%s: ReadResult(%q) accepted %+v", c.why, c.body, res)
 		}
 	}
 }
 
-// TestDecodeChunkRepeatedKeys: a repeated key replaces what the first
-// set, and a second stats object overwrites only the stats it names, as
-// json.Unmarshal reads them.
-func TestDecodeChunkRepeatedKeys(t *testing.T) {
-	for _, line := range []string{
-		`{"tuples":["QUJD","REVG"],"stats":{},"tuples":["R0hJ"]}`,
-		`{"tuples":["QUJD"],"tuples":null}`,
-		`{"tuples":["QUJD"],"tuples":[]}`,
-		`{"stats":{"IndexReads":1,"BFProbes":2},"stats":{"BFProbes":-3}}`,
-		`{"done":true,"done":false,"error":"a","error":"b"}`,
-	} {
-		decodeBoth(t, []byte(line))
+// TestReadFrameShort: a frame that declares more bytes than arrive,
+// 1<<40 of them, ends in io.ErrUnexpectedEOF, and what the reader
+// allocates stays bounded by the bytes that arrived, not the
+// declaration. ReadResult, which reads a probe's answer, does the same.
+func TestReadFrameShort(t *testing.T) {
+	for _, arrived := range []int{0, 3 << 20} {
+		frame := binary.AppendUvarint([]byte{'t'}, 1<<40)
+		frame = append(frame, make([]byte, arrived)...)
+		read := map[string]func() error{
+			"ReadFrame": func() error {
+				var c server.ScanChunk
+				return server.ReadFrame(bufio.NewReader(bytes.NewReader(frame)), &c)
+			},
+			"ReadResult": func() error {
+				_, err := server.ReadResult(bytes.NewReader(frame))
+				return err
+			},
+		}
+		for name, read := range read {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s of a 1<<40-byte frame cut after %d bytes: %v, want io.ErrUnexpectedEOF", name, arrived, err)
+			}
+			if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*arrived+2<<20); got > bound {
+				t.Errorf("%s of a 1<<40-byte frame cut after %d bytes allocated %d bytes, want at most %d", name, arrived, got, bound)
+			}
+		}
 	}
 }
 
-// TestDecodeAllocs pins the arena: a 977-tuple answer, scan-http's
-// /range, allocates no more objects than a 16-tuple one.
+// TestReadFrameAllocs: ReadFrame reads a 977-tuple frame, scan-http's
+// /range answer, into one buffer of the frame's size: two allocations,
+// that buffer and the tuple headers, and no more bytes than the two.
+func TestReadFrameAllocs(t *testing.T) {
+	frame := server.AppendFrame(nil, server.ScanChunk{Tuples: wireTuples(977, 256), Stats: wireStats})
+	rd := bytes.NewReader(frame)
+	br := bufio.NewReader(rd)
+	var c server.ScanChunk
+	read := func() {
+		rd.Reset(frame)
+		br.Reset(rd)
+		if err := server.ReadFrame(br, &c); err != nil || len(c.Tuples) != 977 {
+			t.Fatalf("read %d tuples: %v", len(c.Tuples), err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, read); allocs != 2 {
+		t.Errorf("ReadFrame of 977 tuples: %.0f allocs, want 2", allocs)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	// The allocator rounds a large object up to whole 8 KiB pages.
+	want := uint64(len(frame)+977*24) + 16<<10
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > want {
+		t.Errorf("ReadFrame of a %d-byte frame allocated %d bytes, want at most %d", len(frame), got, want)
+	}
+}
+
+// TestDecodeAllocs pins the decoder's allocations: a 977-tuple answer,
+// scan-http's /range, allocates no more objects than a 16-tuple one.
 func TestDecodeAllocs(t *testing.T) {
 	allocs := map[int]float64{}
 	for _, n := range []int{16, 977} {
-		line := encodeLine(t, server.Result{Tuples: wireTuples(n, 256), Stats: wireStats})
-		var r server.Result
+		frame := server.AppendFrame(nil, server.ScanChunk{Tuples: wireTuples(n, 256), Stats: wireStats})
+		var c server.ScanChunk
 		allocs[n] = testing.AllocsPerRun(20, func() {
-			if err := server.DecodeResult(line, &r); err != nil {
+			if err := server.DecodeFrame(frame, &c); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -196,28 +244,18 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDecode times DecodeResult beside json.Unmarshal on answers of
-// 256-byte tuples, scan-http's: 1 tuple (a point read), 16 (a /multi
-// batch) and 977 (a /range).
+// BenchmarkDecode times DecodeFrame on answers of 256-byte tuples,
+// scan-http's: 1 tuple (a point read), 16 (a /multi batch) and 977 (a
+// /range).
 func BenchmarkDecode(b *testing.B) {
 	for _, n := range []int{1, 16, 977} {
-		body := encodeLine(b, server.Result{Tuples: wireTuples(n, 256), Stats: wireStats})
-		b.Run(fmt.Sprintf("tuples=%d/decoder", n), func(b *testing.B) {
+		frame := server.AppendFrame(nil, server.ScanChunk{Tuples: wireTuples(n, 256), Stats: wireStats})
+		b.Run(fmt.Sprintf("tuples=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(len(body)))
-			var r server.Result
+			b.SetBytes(int64(len(frame)))
+			var c server.ScanChunk
 			for b.Loop() {
-				if err := server.DecodeResult(body, &r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("tuples=%d/encoding-json", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(body)))
-			for b.Loop() {
-				var r server.Result
-				if err := json.Unmarshal(body, &r); err != nil {
+				if err := server.DecodeFrame(frame, &c); err != nil {
 					b.Fatal(err)
 				}
 			}
