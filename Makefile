@@ -15,7 +15,7 @@ help:
 	@echo "  make build    - go build ./..."
 	@echo "  make test     - go test ./..."
 	@echo "  make race     - race-detector tests on core/pagestore/device/heapfile/forest"
-	@echo "  make fuzz     - fuzz the BF-leaf, internal-node, metadata, forest-blob, B+-tree node and FD-tree run-page decoders, the HTTP routes and the tuple-frame codec, 10s each"
+	@echo "  make fuzz     - fuzz the BF-leaf, internal-node (routed by the BF-tree, decoded by the B+-tree), metadata, forest-blob, B+-tree leaf and FD-tree run-page decoders, the HTTP routes and the tuple-frame codec, 10s each"
 	@echo "  make conformance - cross-backend index API conformance suite"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
@@ -41,8 +41,9 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Fuzzes the decoders of untrusted index bytes for a fixed time each:
-# BF-leaf pages, internal-node routing, the tree metadata blob, the
-# forest's BFF1 blob, the B+-tree's leaf and internal pages and the
+# BF-leaf pages, the internal pages both trees share (routed under the
+# BF-tree's ErrCorrupt, decoded under the B+-tree's), the tree metadata
+# blob, the forest's BFF1 blob, the B+-tree's leaf pages and the
 # FD-tree's run pages; then the server's routes, /scan credit lines
 # included, with any request body; then the codec of the binary frames
 # tuple answers travel in. Plain `go test` runs only their seed

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/pagestore"
 )
@@ -18,7 +19,6 @@ type Tree struct {
 	numNodes  uint64
 	numEntry  uint64
 	leafCap   int
-	branchCap int
 }
 
 // BulkLoad builds a tree from entries sorted by key (ties in any order).
@@ -38,11 +38,7 @@ func BulkLoad(store *pagestore.Store, entries []Entry, fillFactor float64) (*Tre
 			return nil, fmt.Errorf("bptree: entries not sorted at %d", i)
 		}
 	}
-	t := &Tree{
-		store:     store,
-		leafCap:   LeafCapacity(store.PageSize()),
-		branchCap: InternalCapacity(store.PageSize()),
-	}
+	t := &Tree{store: store, leafCap: LeafCapacity(store.PageSize())}
 	perLeaf := int(float64(t.leafCap) * fillFactor)
 	if perLeaf < 1 {
 		perLeaf = 1
@@ -53,11 +49,7 @@ func BulkLoad(store *pagestore.Store, entries []Entry, fillFactor float64) (*Tre
 	numLeaves := (len(entries) + perLeaf - 1) / perLeaf
 	firstLeaf := store.Allocate(numLeaves)
 	buf := make([]byte, store.PageSize())
-	type childRef struct {
-		minKey uint64
-		pid    device.PageID
-	}
-	level := make([]childRef, 0, numLeaves)
+	level := make([]branch.Child, 0, numLeaves)
 	for i := 0; i < numLeaves; i++ {
 		lo := i * perLeaf
 		hi := lo + perLeaf
@@ -76,50 +68,17 @@ func BulkLoad(store *pagestore.Store, entries []Entry, fillFactor float64) (*Tre
 		if err := store.WritePage(pid, buf); err != nil {
 			return nil, err
 		}
-		level = append(level, childRef{minKey: entries[lo].Key, pid: pid})
+		level = append(level, branch.Child{MinKey: entries[lo].Key, Pid: pid})
 	}
+	root, nodes, levels, err := branch.Build(store, level)
+	if err != nil {
+		return nil, err
+	}
+	t.root = root
 	t.numLeaves = uint64(numLeaves)
-	t.numNodes = uint64(numLeaves)
+	t.numNodes = uint64(numLeaves + nodes)
 	t.numEntry = uint64(len(entries))
-	t.height = 1
-
-	// Build internal levels until a single root remains.
-	for len(level) > 1 {
-		perNode := t.branchCap
-		numNodes := (len(level) + perNode - 1) / perNode
-		first := store.Allocate(numNodes)
-		nextLevel := make([]childRef, 0, numNodes)
-		for i := 0; i < numNodes; i++ {
-			lo := i * perNode
-			hi := lo + perNode
-			if hi > len(level) {
-				hi = len(level)
-			}
-			group := level[lo:hi]
-			n := &internalNode{
-				keys:     make([]uint64, len(group)-1),
-				children: make([]device.PageID, len(group)),
-			}
-			for j, c := range group {
-				n.children[j] = c.pid
-				if j > 0 {
-					n.keys[j-1] = c.minKey
-				}
-			}
-			if err := encodeInternal(buf, n); err != nil {
-				return nil, err
-			}
-			pid := first + device.PageID(i)
-			if err := store.WritePage(pid, buf); err != nil {
-				return nil, err
-			}
-			nextLevel = append(nextLevel, childRef{minKey: group[0].minKey, pid: pid})
-		}
-		level = nextLevel
-		t.numNodes += uint64(numNodes)
-		t.height++
-	}
-	t.root = level[0].pid
+	t.height = 1 + levels
 	return t, nil
 }
 
@@ -146,48 +105,17 @@ func (t *Tree) SizeBytes() uint64 { return t.numNodes * uint64(t.store.PageSize(
 // InternalPages returns the ids of all non-leaf pages, for warming the
 // buffer cache in warm-cache experiments.
 func (t *Tree) InternalPages() ([]device.PageID, error) {
-	var out []device.PageID
-	var walk func(pid device.PageID, depth int) error
-	walk = func(pid device.PageID, depth int) error {
-		if depth == t.height-1 {
-			return nil // leaf level
-		}
-		out = append(out, pid)
-		buf, err := t.store.ReadPage(pid)
-		if err != nil {
-			return err
-		}
-		n, err := decodeInternal(buf)
-		if err != nil {
-			return err
-		}
-		for _, c := range n.children {
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if t.height == 1 {
-		return nil, nil
-	}
-	if err := walk(t.root, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return branch.Pages(t.store, t.root, t.height, ErrCorrupt)
 }
 
 // Insert adds an entry, splitting nodes as needed. The implementation
-// reads the root-to-leaf path, inserts into the leaf and splits upwards;
-// the root splits by allocating a new root, growing the height.
+// reads the root-to-leaf path, inserts into the leaf and splits upwards,
+// writing each node in place; the root splits by allocating a new root,
+// growing the height.
 func (t *Tree) Insert(e Entry) error {
-	type frame struct {
-		pid  device.PageID
-		node *internalNode
-		slot int
-	}
-	// Collect the descent path.
-	var path []frame
+	// Collect the descent path, routing rightmost: a new entry equal to a
+	// separator belongs right of it.
+	var path []branch.Frame
 	pid := t.root
 	var leaf *leafNode
 	for {
@@ -206,13 +134,16 @@ func (t *Tree) Insert(e Entry) error {
 			}
 			break
 		}
-		n, err := decodeInternal(buf)
+		slot, child, err := branch.Route(buf, e.Key, true, ErrCorrupt)
 		if err != nil {
 			return err
 		}
-		i := sort.Search(len(n.keys), func(i int) bool { return e.Key < n.keys[i] })
-		path = append(path, frame{pid: pid, node: n, slot: i})
-		pid = n.children[i]
+		n, err := branch.Decode(buf, ErrCorrupt)
+		if err != nil {
+			return err
+		}
+		path = append(path, branch.Frame{Pid: pid, Node: n, Slot: slot})
+		pid = child
 	}
 
 	// Insert into the leaf in key order.
@@ -250,66 +181,25 @@ func (t *Tree) Insert(e Entry) error {
 	t.numLeaves++
 	t.numNodes++
 
-	// Propagate the separator upward.
-	sepKey := right.entries[0].Key
-	newChild := rightPid
-	for level := len(path) - 1; level >= 0; level-- {
-		f := path[level]
-		n := f.node
-		// Insert sepKey/newChild after slot f.slot.
-		n.keys = append(n.keys, 0)
-		copy(n.keys[f.slot+1:], n.keys[f.slot:])
-		n.keys[f.slot] = sepKey
-		n.children = append(n.children, 0)
-		copy(n.children[f.slot+2:], n.children[f.slot+1:])
-		n.children[f.slot+1] = newChild
-		if len(n.children) <= t.branchCap {
-			if err := encodeInternal(buf, n); err != nil {
-				return err
-			}
-			return t.store.WritePage(f.pid, buf)
+	// Propagate the separator upward, each node written in place, so
+	// propagation stops at the first node that needs no split.
+	write := func(old device.PageID, n *branch.Node) (device.PageID, error) {
+		at := old
+		if at == device.InvalidPage {
+			at = t.store.Allocate(1)
 		}
-		// Split the internal node; the middle key moves up.
-		midk := len(n.keys) / 2
-		upKey := n.keys[midk]
-		rightNode := &internalNode{
-			keys:     append([]uint64(nil), n.keys[midk+1:]...),
-			children: append([]device.PageID(nil), n.children[midk+1:]...),
+		if err := branch.Encode(buf, n); err != nil {
+			return 0, err
 		}
-		n.keys = n.keys[:midk]
-		n.children = n.children[:midk+1]
-		rightPid := t.store.Allocate(1)
-		if err := encodeInternal(buf, n); err != nil {
-			return err
-		}
-		if err := t.store.WritePage(f.pid, buf); err != nil {
-			return err
-		}
-		if err := encodeInternal(buf, rightNode); err != nil {
-			return err
-		}
-		if err := t.store.WritePage(rightPid, buf); err != nil {
-			return err
-		}
-		t.numNodes++
-		sepKey = upKey
-		newChild = rightPid
+		return at, t.store.WritePage(at, buf)
 	}
-
-	// The root itself split: grow the tree.
-	newRoot := &internalNode{
-		keys:     []uint64{sepKey},
-		children: []device.PageID{t.root, newChild},
-	}
-	rootPid := t.store.Allocate(1)
-	if err := encodeInternal(buf, newRoot); err != nil {
+	root, added, grew, err := branch.Insert(path, pid, branch.Child{MinKey: right.entries[0].Key, Pid: rightPid},
+		branch.Capacity(t.store.PageSize()), write)
+	if err != nil {
 		return err
 	}
-	if err := t.store.WritePage(rootPid, buf); err != nil {
-		return err
-	}
-	t.root = rootPid
-	t.height++
-	t.numNodes++
+	t.root = root
+	t.numNodes += uint64(added)
+	t.height += grew
 	return nil
 }

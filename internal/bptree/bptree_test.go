@@ -1,12 +1,15 @@
 package bptree
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/pagestore"
 )
@@ -47,12 +50,9 @@ func seqEntries(n int) []Entry {
 }
 
 func TestCapacities(t *testing.T) {
-	// 4096: leaf (4096-11)/18 = 226, internal (4096-11)/16+1 = 256.
+	// 4096: leaf (4096-11)/18 = 226.
 	if c := LeafCapacity(4096); c != 226 {
 		t.Errorf("LeafCapacity(4096) = %d, want 226", c)
-	}
-	if c := InternalCapacity(4096); c != 256 {
-		t.Errorf("InternalCapacity(4096) = %d, want 256 (Equation 2)", c)
 	}
 }
 
@@ -269,6 +269,59 @@ func TestInsertGrowsFromSingleLeaf(t *testing.T) {
 	}
 }
 
+// TestMultiSearchAllocs pins in-place routing: a one-key MultiSearch on
+// a height-3 tree decodes no internal node, so it allocates only the
+// sorted batch, the leaf it decodes and the answer. Decoding the two
+// internal nodes on the path cost 6 allocations more.
+func TestMultiSearchAllocs(t *testing.T) {
+	tr, err := BulkLoad(memStore(512), seqEntries(20000), 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() != 3 {
+		t.Fatalf("height %d, want 3", tr.Height())
+	}
+	keys := []uint64{12345}
+	allocs := testing.AllocsPerRun(100, func() {
+		groups, _, err := tr.MultiSearch(keys)
+		if err != nil || len(groups) != 1 || len(groups[0].Refs) != 1 {
+			t.Fatalf("MultiSearch(%v) = %+v, %v", keys, groups, err)
+		}
+	})
+	if allocs > 5 {
+		t.Errorf("one-key MultiSearch: %.0f allocs, want at most 5", allocs)
+	}
+}
+
+// TestCorruptInternalPage: a corrupt internal page answers ErrCorrupt,
+// this package's sentinel, on every path that reads one.
+func TestCorruptInternalPage(t *testing.T) {
+	store := memStore(512)
+	tr, err := BulkLoad(store, seqEntries(20000), 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, store.PageSize())
+	page[0] = branch.Kind
+	binary.LittleEndian.PutUint16(page[1:3], 0xffff) // keys and children overflow the page
+	if err := store.WritePage(tr.root, page); err != nil {
+		t.Fatal(err)
+	}
+	_, _, serr := tr.MultiSearch([]uint64{5})
+	_, cerr := tr.Scan(0, 10)
+	_, werr := tr.InternalPages()
+	for name, err := range map[string]error{
+		"MultiSearch":   serr,
+		"Scan":          cerr,
+		"InternalPages": werr,
+		"Insert":        tr.Insert(Entry{Key: 5}),
+	} {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 func TestInternalPagesForWarming(t *testing.T) {
 	tr, err := BulkLoad(memStore(4096), seqEntries(100000), 1.0)
 	if err != nil {
@@ -310,17 +363,6 @@ func TestNodeRoundTrip(t *testing.T) {
 	if back.next != 77 || len(back.entries) != 2 || back.entries[1].Ref.Page != 8 {
 		t.Errorf("leaf round trip: %+v", back)
 	}
-	in := &internalNode{keys: []uint64{10, 20}, children: []device.PageID{1, 2, 3}}
-	if err := encodeInternal(buf, in); err != nil {
-		t.Fatal(err)
-	}
-	backIn, err := decodeInternal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(backIn.keys) != 2 || backIn.children[2] != 3 {
-		t.Errorf("internal round trip: %+v", backIn)
-	}
 }
 
 func TestNodeCorruption(t *testing.T) {
@@ -328,19 +370,11 @@ func TestNodeCorruption(t *testing.T) {
 	if _, err := decodeLeaf(buf); err == nil {
 		t.Error("zero page should not decode as leaf")
 	}
-	if _, err := decodeInternal(buf); err == nil {
-		t.Error("zero page should not decode as internal")
-	}
 	if _, err := nodeKind(buf); err == nil {
 		t.Error("unknown kind should fail")
 	}
 	if _, err := nodeKind(buf[:1]); err == nil {
 		t.Error("short page should fail")
-	}
-	// Mismatched children count.
-	bad := &internalNode{keys: []uint64{1}, children: []device.PageID{1}}
-	if err := encodeInternal(buf, bad); err == nil {
-		t.Error("internal node with wrong child count should fail to encode")
 	}
 	// Overflow.
 	huge := &leafNode{entries: make([]Entry, 1000)}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 )
 
@@ -69,28 +70,31 @@ func FuzzDecodeLeaf(f *testing.F) {
 	})
 }
 
-// FuzzDecodeInternal fuzzes the internal-node decoder with the
-// properties of FuzzDecodeLeaf: no panic, ErrCorrupt for every
-// rejection, and an accepted page re-encodes to the same keys and
-// children. The seed corpus — nodes of 0, 1, 4 keys and a full fanout,
-// their truncations, and single-byte flips of the kind, the count and
-// the first key — runs under plain go test.
+// FuzzDecodeInternal fuzzes the internal pages the B+-Tree shares with
+// the BF-Tree, decoded as this package reads them (branch.Decode with
+// this package's ErrCorrupt), with the properties of FuzzDecodeLeaf: no
+// panic, ErrCorrupt for every rejection, and an accepted page
+// re-encodes, into a page of its length, to the same keys and children.
+// The seed corpus — nodes of 0, 1, 4 keys and a full fanout, their
+// truncations, and single-byte flips of the kind, the count and the
+// first key — runs under plain go test. core's FuzzRoute fuzzes the
+// same pages' in-place routing under the BF-Tree's sentinel.
 func FuzzDecodeInternal(f *testing.F) {
 	var pages [][]byte
 	for _, size := range []int{64, 256} {
-		for _, count := range []int{0, 1, 4, InternalCapacity(size) - 1} {
-			if count >= InternalCapacity(size) {
+		for _, count := range []int{0, 1, 4, branch.Capacity(size) - 1} {
+			if count >= branch.Capacity(size) {
 				continue
 			}
-			n := &internalNode{keys: make([]uint64, count), children: make([]device.PageID, count+1)}
-			for i := range n.children {
-				n.children[i] = device.PageID(200 + i)
+			n := &branch.Node{Keys: make([]uint64, count), Children: make([]device.PageID, count+1)}
+			for i := range n.Children {
+				n.Children[i] = device.PageID(200 + i)
 				if i < count {
-					n.keys[i] = uint64(10 * (i + 1))
+					n.Keys[i] = uint64(10 * (i + 1))
 				}
 			}
 			buf := make([]byte, size)
-			if err := encodeInternal(buf, n); err != nil {
+			if err := branch.Encode(buf, n); err != nil {
 				f.Fatal(err)
 			}
 			pages = append(pages, buf)
@@ -98,7 +102,7 @@ func FuzzDecodeInternal(f *testing.F) {
 	}
 	seedPages(f, pages, nodeHeaderSize, []int{0, 1, 2, nodeHeaderSize})
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		n, err := decodeInternal(buf)
+		n, err := branch.Decode(buf, ErrCorrupt)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("rejection %v does not wrap ErrCorrupt", err)
@@ -106,10 +110,10 @@ func FuzzDecodeInternal(f *testing.F) {
 			return
 		}
 		out := make([]byte, len(buf))
-		if err := encodeInternal(out, n); err != nil {
+		if err := branch.Encode(out, n); err != nil {
 			t.Fatalf("accepted node does not re-encode: %v", err)
 		}
-		back, err := decodeInternal(out)
+		back, err := branch.Decode(out, ErrCorrupt)
 		if err != nil || !reflect.DeepEqual(back, n) {
 			t.Fatalf("re-encoded node decodes to %+v (err %v), want %+v", back, err, n)
 		}

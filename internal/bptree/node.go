@@ -1,6 +1,7 @@
 // Package bptree implements the disk-resident B+-Tree baseline of the
 // paper's evaluation: a classic tree with <key, pointer> internal nodes
-// (Equation 2 fanout) and leaf nodes holding one entry per indexed tuple.
+// (package branch, Equation 2 fanout) and leaf nodes holding one entry
+// per indexed tuple.
 // It supports bulk loading, point search, range scans and inserts with
 // node splits, and reports the size and height figures the paper compares
 // BF-Trees against (Equations 3, 4 and 9).
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 )
 
@@ -29,24 +31,20 @@ type Entry struct {
 	Ref TupleRef
 }
 
-// Node kinds on disk.
-const (
-	nodeLeaf     = byte(1)
-	nodeInternal = byte(2)
-)
+// nodeLeaf is the kind byte of a leaf page. Internal pages are the
+// nodes of package branch, of kind branch.Kind.
+const nodeLeaf = byte(1)
 
-// Serialized layout (little-endian):
+// Leaf layout (little-endian):
 //
 //	byte 0      kind
 //	bytes 1-2   count (uint16)
-//	leaf:       bytes 3-10 next-leaf pid; entries of 18 bytes
-//	            (key 8, page 8, slot 2) follow
-//	internal:   keys (8 bytes each) then count+1 children (8 bytes each)
+//	bytes 3-10  next-leaf pid
+//	entries of 18 bytes (key 8, page 8, slot 2) follow
 const (
-	nodeHeaderSize = 3
+	nodeHeaderSize = 3 // kind and count, as on an internal page
 	leafHeaderSize = nodeHeaderSize + 8
 	leafEntrySize  = 18
-	branchPairSize = 16 // one key + one child pointer
 )
 
 // LeafCapacity returns the number of entries a leaf page holds.
@@ -54,26 +52,10 @@ func LeafCapacity(pageSize int) int {
 	return (pageSize - leafHeaderSize) / leafEntrySize
 }
 
-// InternalCapacity returns the fanout of an internal page: the maximum
-// number of children. This matches Equation 2 of the paper,
-// fanout = pagesize/(ptrsize+keysize), up to header rounding.
-func InternalCapacity(pageSize int) int {
-	// count keys + (count+1) children: solve 3 + 8k + 8(k+1) <= pageSize.
-	return (pageSize-nodeHeaderSize-8)/branchPairSize + 1
-}
-
 // leafNode is the in-memory form of a leaf page.
 type leafNode struct {
 	next    device.PageID
 	entries []Entry
-}
-
-// internalNode is the in-memory form of an internal page. It has
-// len(keys)+1 children; child[i] covers keys < keys[i], the last child
-// covers the rest.
-type internalNode struct {
-	keys     []uint64
-	children []device.PageID
 }
 
 func encodeLeaf(buf []byte, n *leafNode) error {
@@ -124,63 +106,14 @@ func decodeLeaf(buf []byte) (*leafNode, error) {
 	return n, nil
 }
 
-func encodeInternal(buf []byte, n *internalNode) error {
-	if len(n.children) != len(n.keys)+1 {
-		return fmt.Errorf("%w: internal node with %d keys, %d children",
-			ErrCorrupt, len(n.keys), len(n.children))
-	}
-	need := nodeHeaderSize + len(n.keys)*8 + len(n.children)*8
-	if need > len(buf) {
-		return fmt.Errorf("%w: internal node needs %d bytes > page %d", ErrCorrupt, need, len(buf))
-	}
-	buf[0] = nodeInternal
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.keys)))
-	off := nodeHeaderSize
-	for _, k := range n.keys {
-		binary.LittleEndian.PutUint64(buf[off:], k)
-		off += 8
-	}
-	for _, c := range n.children {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(c))
-		off += 8
-	}
-	for i := off; i < len(buf); i++ {
-		buf[i] = 0
-	}
-	return nil
-}
-
-func decodeInternal(buf []byte) (*internalNode, error) {
-	if len(buf) < nodeHeaderSize || buf[0] != nodeInternal {
-		return nil, fmt.Errorf("%w: not an internal node", ErrCorrupt)
-	}
-	count := int(binary.LittleEndian.Uint16(buf[1:3]))
-	if nodeHeaderSize+count*8+(count+1)*8 > len(buf) {
-		return nil, fmt.Errorf("%w: internal count %d overflows page", ErrCorrupt, count)
-	}
-	n := &internalNode{
-		keys:     make([]uint64, count),
-		children: make([]device.PageID, count+1),
-	}
-	off := nodeHeaderSize
-	for i := 0; i < count; i++ {
-		n.keys[i] = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-	}
-	for i := 0; i <= count; i++ {
-		n.children[i] = device.PageID(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	return n, nil
-}
-
-// nodeKind returns the kind byte of a serialized node.
+// nodeKind returns the kind byte of a serialized node: nodeLeaf or
+// branch.Kind.
 func nodeKind(buf []byte) (byte, error) {
 	if len(buf) < nodeHeaderSize {
 		return 0, fmt.Errorf("%w: short page", ErrCorrupt)
 	}
 	k := buf[0]
-	if k != nodeLeaf && k != nodeInternal {
+	if k != nodeLeaf && k != branch.Kind {
 		return 0, fmt.Errorf("%w: unknown node kind %d", ErrCorrupt, k)
 	}
 	return k, nil

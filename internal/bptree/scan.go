@@ -5,52 +5,47 @@ import (
 	"slices"
 	"sort"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 )
 
 // reader reads the pages of one tree operation and counts them. A batch
-// reader (MultiSearch) memoizes every page it decodes, so a page that
-// several keys of the batch share is read and counted once — what a
-// buffer pool would actually fetch. A scan's reader memoizes nothing and
-// reads straight through.
+// reader (MultiSearch) memoizes the image of every page it reads and
+// every leaf it decodes, so a page that several keys of the batch share
+// is read and counted once — what a buffer pool would actually fetch.
+// A scan's reader memoizes nothing and reads straight through.
 type reader struct {
 	t      *Tree
-	nodes  map[device.PageID]*internalNode // nil: no memo
+	images map[device.PageID][]byte // nil: no memo
 	leaves map[device.PageID]*leafNode
 	reads  int
 }
 
-// descend walks from the root to the leaf that may hold key. It routes
-// leftmost: when key equals a separator the left subtree may still hold
-// equal keys (non-unique indexes), so it goes left and lets the leaf
-// chain carry the search forward.
+// descend walks from the root to the leaf that may hold key, routing
+// each internal page in place. It routes leftmost: when key equals a
+// separator the left subtree may still hold equal keys (non-unique
+// indexes), so it goes left and lets the leaf chain carry the search
+// forward.
 func (r *reader) descend(key uint64) (*leafNode, error) {
 	pid := r.t.root
 	for {
-		n, ok := r.nodes[pid]
-		if !ok {
-			if l, ok := r.leaves[pid]; ok {
-				return l, nil
-			}
-			buf, err := r.read(pid)
-			if err != nil {
-				return nil, err
-			}
-			kind, err := nodeKind(buf)
-			if err != nil {
-				return nil, err
-			}
-			if kind == nodeLeaf {
-				return r.decodeLeaf(pid, buf)
-			}
-			if n, err = decodeInternal(buf); err != nil {
-				return nil, err
-			}
-			if r.nodes != nil {
-				r.nodes[pid] = n
-			}
+		if l, ok := r.leaves[pid]; ok {
+			return l, nil
 		}
-		pid = n.children[sort.Search(len(n.keys), func(i int) bool { return key <= n.keys[i] })]
+		buf, err := r.read(pid)
+		if err != nil {
+			return nil, err
+		}
+		kind, err := nodeKind(buf)
+		if err != nil {
+			return nil, err
+		}
+		if kind == nodeLeaf {
+			return r.decodeLeaf(pid, buf)
+		}
+		if _, pid, err = branch.Route(buf, key, false, ErrCorrupt); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -67,11 +62,17 @@ func (r *reader) leaf(pid device.PageID) (*leafNode, error) {
 }
 
 func (r *reader) read(pid device.PageID) ([]byte, error) {
+	if buf, ok := r.images[pid]; ok {
+		return buf, nil
+	}
 	buf, err := r.t.store.ReadPage(pid)
 	if err != nil {
 		return nil, err
 	}
 	r.reads++
+	if r.images != nil {
+		r.images[pid] = buf
+	}
 	return buf, nil
 }
 
@@ -215,7 +216,7 @@ type KeyRefs struct {
 func (t *Tree) MultiSearch(keys []uint64) ([]KeyRefs, int, error) {
 	batch := slices.Clone(keys)
 	slices.Sort(batch)
-	r := &reader{t: t, nodes: make(map[device.PageID]*internalNode), leaves: make(map[device.PageID]*leafNode)}
+	r := &reader{t: t, images: make(map[device.PageID][]byte), leaves: make(map[device.PageID]*leafNode)}
 	var out []KeyRefs
 	for _, key := range slices.Compact(batch) {
 		refs, err := r.search(key)

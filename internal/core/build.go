@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"bftree/internal/bloom"
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/heapfile"
 	"bftree/internal/pagestore"
@@ -270,55 +271,19 @@ func bulkLoadTree(idxStore *pagestore.Store, file *heapfile.File, fieldIdx int, 
 	}
 	m.firstLeaf = firstLeaf
 	m.numLeaves = uint64(len(leaves))
-	m.numNodes = m.numLeaves
-	m.height = 1
 
 	// Pass 2: build the internal levels bottom-up over the leaves.
-	type childRef struct {
-		minKey uint64
-		pid    device.PageID
-	}
-	level := make([]childRef, len(leaves))
+	level := make([]branch.Child, len(leaves))
 	for i, l := range leaves {
-		level[i] = childRef{minKey: l.minKey, pid: firstLeaf + device.PageID(i)}
+		level[i] = branch.Child{MinKey: l.minKey, Pid: firstLeaf + device.PageID(i)}
 	}
-	fanout := internalCapacity(idxStore.PageSize())
-	buf := make([]byte, idxStore.PageSize())
-	for len(level) > 1 {
-		numNodes := (len(level) + fanout - 1) / fanout
-		firstNode := idxStore.Allocate(numNodes)
-		next := make([]childRef, 0, numNodes)
-		for i := 0; i < numNodes; i++ {
-			lo := i * fanout
-			hi := lo + fanout
-			if hi > len(level) {
-				hi = len(level)
-			}
-			group := level[lo:hi]
-			n := &internalNode{
-				keys:     make([]uint64, len(group)-1),
-				children: make([]device.PageID, len(group)),
-			}
-			for j, c := range group {
-				n.children[j] = c.pid
-				if j > 0 {
-					n.keys[j-1] = c.minKey
-				}
-			}
-			if err := encodeInternal(buf, n); err != nil {
-				return nil, err
-			}
-			pid := firstNode + device.PageID(i)
-			if err := idxStore.WritePage(pid, buf); err != nil {
-				return nil, err
-			}
-			next = append(next, childRef{minKey: group[0].minKey, pid: pid})
-		}
-		level = next
-		m.numNodes += uint64(numNodes)
-		m.height++
+	root, nodes, levels, err := branch.Build(idxStore, level)
+	if err != nil {
+		return nil, err
 	}
-	m.root = level[0].pid
+	m.root = root
+	m.numNodes = m.numLeaves + uint64(nodes)
+	m.height = 1 + levels
 	t.meta.Store(&m)
 	return t, nil
 }

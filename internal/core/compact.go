@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 )
 
@@ -170,7 +171,7 @@ func (t *Tree) compactLeafLocked(pid device.PageID) (bool, error) {
 		return false, nil // empty sentinel leaf: nothing to rebuild
 	}
 	m := t.loadMeta()
-	var path []frame
+	var path []branch.Frame
 	if m.height == 1 {
 		if m.root != pid {
 			return false, nil
@@ -228,11 +229,11 @@ func (t *Tree) compactLeafLocked(pid device.PageID) (bool, error) {
 	// Parent relink (or root swap): the single structural pointer moves.
 	if len(path) > 0 {
 		f := path[len(path)-1]
-		f.node.children[f.slot] = newPid
+		f.Node.Children[f.Slot] = newPid
 		buf := make([]byte, t.store.PageSize())
-		perr := encodeInternal(buf, f.node)
+		perr := branch.Encode(buf, f.Node)
 		if perr == nil {
-			perr = t.store.WritePage(f.pid, buf)
+			perr = t.store.WritePage(f.Pid, buf)
 		}
 		if perr != nil {
 			// Undo the chain relink so the new page really is

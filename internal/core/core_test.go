@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/heapfile"
 	"bftree/internal/pagestore"
@@ -376,6 +378,9 @@ func TestLeafDecodeCorruption(t *testing.T) {
 	if _, err := decodeBFLeaf(buf[:10]); err == nil {
 		t.Error("short page accepted")
 	}
+	if _, err := nodeKind([]byte{}); err == nil {
+		t.Error("empty page got a kind")
+	}
 }
 
 func TestCountingLeafRoundTrip(t *testing.T) {
@@ -428,28 +433,6 @@ func TestCountingLeafRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInternalNodeRoundTrip(t *testing.T) {
-	buf := make([]byte, 4096)
-	n := &internalNode{keys: []uint64{5, 10}, children: []device.PageID{1, 2, 3}}
-	if err := encodeInternal(buf, n); err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeInternal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.keys) != 2 || back.children[2] != 3 {
-		t.Fatalf("round trip: %+v", back)
-	}
-	bad := &internalNode{keys: []uint64{1}, children: []device.PageID{1}}
-	if err := encodeInternal(buf, bad); err == nil {
-		t.Error("mismatched children accepted")
-	}
-	if _, err := nodeKind([]byte{}); err == nil {
-		t.Error("empty page got a kind")
-	}
-}
-
 func TestEffectiveFPPDrift(t *testing.T) {
 	fx := newFixture(t, 10000, 11)
 	tr := fx.build(t, 0, Options{FPP: 0.001})
@@ -489,6 +472,34 @@ func TestInternalPagesWarm(t *testing.T) {
 	}
 	if tr2.Height() == 1 && len(pages2) != 0 {
 		t.Error("single-leaf tree should have no internal pages")
+	}
+}
+
+// TestCorruptInternalPage: a corrupt internal page answers ErrCorrupt,
+// this package's sentinel, on every path that reads one: a probe's
+// descent, an insert's, and the walk of the internal pages.
+func TestCorruptInternalPage(t *testing.T) {
+	fx := newFixture(t, 50000, 11)
+	tr := fx.build(t, 0, Options{FPP: 0.01})
+	if tr.Height() < 2 {
+		t.Fatal("fixture needs internal levels")
+	}
+	page := make([]byte, fx.idxStore.PageSize())
+	page[0] = branch.Kind
+	binary.LittleEndian.PutUint16(page[1:3], 0xffff) // keys and children overflow the page
+	if err := fx.idxStore.WritePage(tr.Root(), page); err != nil {
+		t.Fatal(err)
+	}
+	_, serr := tr.Search(5)
+	_, werr := tr.InternalPages()
+	for name, err := range map[string]error{
+		"Search":        serr,
+		"InternalPages": werr,
+		"Insert":        tr.Insert(5, fx.file.FirstPage()),
+	} {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

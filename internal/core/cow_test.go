@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/heapfile"
 	"bftree/internal/pagestore"
@@ -36,8 +37,8 @@ func buildKeyedFile(t *testing.T, keys []uint64) (*heapfile.File, *pagestore.Sto
 // descendPath descends to the leaf for key with search or insert
 // routing and returns the decoded leaf, its pid and the recorded
 // internal path.
-func (t *Tree) descendPath(key uint64, forInsert bool) (*bfLeaf, device.PageID, []frame, error) {
-	var path []frame
+func (t *Tree) descendPath(key uint64, forInsert bool) (*bfLeaf, device.PageID, []branch.Frame, error) {
+	var path []branch.Frame
 	pid, buf, _, err := indexReader{t: t}.descend(t.loadMeta().root, key, forInsert, &path)
 	if err != nil {
 		return nil, 0, nil, err
@@ -120,11 +121,11 @@ func TestFlushStraddlingSeparator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := decodeInternal(rootBuf)
+	root, err := branch.Decode(rootBuf, ErrCorrupt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sep := root.keys[0]
+	sep := root.Keys[0]
 
 	buf := buffered.NewBufferedInserter(1 << 20)
 	for _, k := range []uint64{sep - 2, sep - 1, sep, sep + 1, sep + 2} {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/pagestore"
 )
@@ -36,13 +37,13 @@ func separatorFixture(t *testing.T, opts Options) (*Tree, uint64, device.PageID,
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := decodeInternal(rootBuf)
+	root, err := branch.Decode(rootBuf, ErrCorrupt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Find a separator whose duplicates trail into the left leaf: the
 	// leaf reached by search routing (leftmost) still covers the key.
-	for _, sep := range root.keys {
+	for _, sep := range root.Keys {
 		leaf, leftPid, _, err := tr.descendPath(sep, false)
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/pagestore"
 	"bftree/internal/workload"
@@ -212,36 +213,40 @@ func TestWritePathAllocations(t *testing.T) {
 	}
 }
 
-// encodedInternal is a valid internal node of count sorted keys drawn
+// encodedInternal is a valid internal page of count sorted keys drawn
 // from rng, with distinct children.
 func encodedInternal(rng *rand.Rand, pageSize, count int) []byte {
-	n := &internalNode{keys: make([]uint64, count), children: make([]device.PageID, count+1)}
-	for i := range n.keys {
-		n.keys[i] = uint64(rng.Intn(64)) // small domain: duplicate separators
+	n := &branch.Node{Keys: make([]uint64, count), Children: make([]device.PageID, count+1)}
+	for i := range n.Keys {
+		n.Keys[i] = uint64(rng.Intn(64)) // small domain: duplicate separators
 	}
-	slices.Sort(n.keys)
-	for i := range n.children {
-		n.children[i] = device.PageID(1000 + i)
+	slices.Sort(n.Keys)
+	for i := range n.Children {
+		n.Children[i] = device.PageID(1000 + i)
 	}
 	buf := make([]byte, pageSize)
-	if err := encodeInternal(buf, n); err != nil {
+	if err := branch.Encode(buf, n); err != nil {
 		panic(err)
 	}
 	return buf
 }
 
-// FuzzRoute fuzzes the in-place routing of internal nodes. No image may
-// panic it; a key count whose keys and children overflow the page must
-// be ErrCorrupt; on every image decodeInternal accepts, route must pick
-// the child a binary search of the decoded node picks, for both the
-// search and the insert rule. The seed corpus — valid nodes up to full
+// FuzzRoute fuzzes the in-place routing of internal pages as the
+// BF-Tree's descent reads them: branch.Route, branch.Count and
+// branch.Decode, each given this package's ErrCorrupt. No page may
+// panic them. They must reject the same pages, each with ErrCorrupt, a
+// key count whose keys and children overflow the page included. On
+// every page Decode accepts, Route must pick the child a binary search
+// of the decoded node picks, for both the search (leftmost) and the
+// insert (rightmost) rule. The seed corpus — valid nodes up to full
 // fanout, their truncations, and counts just past what fits — runs
-// under plain go test.
+// under plain go test. bptree's FuzzDecodeInternal fuzzes the same
+// pages' decode and re-encode under the B+-Tree's sentinel.
 func FuzzRoute(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, size := range []int{64, 256} {
-		for _, count := range []int{0, 1, 2, 7, internalCapacity(size) - 1} {
-			if count >= internalCapacity(size) {
+		for _, count := range []int{0, 1, 2, 7, branch.Capacity(size) - 1} {
+			if count >= branch.Capacity(size) {
 				continue
 			}
 			buf := encodedInternal(rng, size, count)
@@ -250,7 +255,7 @@ func FuzzRoute(f *testing.F) {
 			}
 			f.Add(buf[:len(buf)/2], uint64(31))
 			over := slices.Clone(buf)
-			binary.LittleEndian.PutUint16(over[1:3], uint16(internalCapacity(size)))
+			binary.LittleEndian.PutUint16(over[1:3], uint16(branch.Capacity(size)))
 			f.Add(over, uint64(31))
 		}
 	}
@@ -258,35 +263,35 @@ func FuzzRoute(f *testing.F) {
 	f.Add([]byte{nodeBFLeaf, 0, 0}, uint64(0))
 
 	f.Fuzz(func(t *testing.T, buf []byte, key uint64) {
+		n, derr := branch.Decode(buf, ErrCorrupt)
+		_, cerr := branch.Count(buf, ErrCorrupt)
 		for _, forInsert := range []bool{false, true} {
-			slot, child, err := route(buf, key, forInsert)
-			n, derr := decodeInternal(buf)
+			slot, child, err := branch.Route(buf, key, forInsert, ErrCorrupt)
 			if derr != nil {
-				if err == nil || !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("decodeInternal rejects (%v) but route returned (%d, %d, %v)", derr, slot, child, err)
+				if !errors.Is(derr, ErrCorrupt) || !errors.Is(cerr, ErrCorrupt) || !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("rejections %v, %v and %v (route: slot %d child %d) must all wrap ErrCorrupt", derr, cerr, err, slot, child)
 				}
 				continue
 			}
-			if err != nil {
-				t.Fatalf("route rejects a node decodeInternal accepts: %v", err)
+			if err != nil || cerr != nil {
+				t.Fatalf("Route (%v) or Count (%v) rejects a node Decode accepts", err, cerr)
 			}
-			want := sort.Search(len(n.keys), func(i int) bool {
+			want := sort.Search(len(n.Keys), func(i int) bool {
 				if forInsert {
-					return key < n.keys[i]
+					return key < n.Keys[i]
 				}
-				return key <= n.keys[i]
+				return key <= n.Keys[i]
 			})
-			if slot != want || child != n.children[want] {
-				t.Fatalf("insert=%v key %d: route gives slot %d child %d, decoded node gives %d %d",
-					forInsert, key, slot, child, want, n.children[want])
+			if slot != want || child != n.Children[want] {
+				t.Fatalf("insert=%v key %d: Route gives slot %d child %d, the decoded node %d %d",
+					forInsert, key, slot, child, want, n.Children[want])
 			}
 		}
-		if len(buf) >= nodeHeaderSize && buf[0] == nodeInternal {
+		// 3 header bytes, count keys and count+1 children of 8 bytes each.
+		if len(buf) >= 3 && buf[0] == branch.Kind {
 			count := int(binary.LittleEndian.Uint16(buf[1:3]))
-			if nodeHeaderSize+16*count+8 > len(buf) {
-				if _, _, err := route(buf, key, false); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("count %d overflows a %d-byte page, route returned %v", count, len(buf), err)
-				}
+			if 3+16*count+8 > len(buf) && !errors.Is(derr, ErrCorrupt) {
+				t.Fatalf("count %d overflows a %d-byte page, Decode returned %v", count, len(buf), derr)
 			}
 		}
 	})

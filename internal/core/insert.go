@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/heapfile"
 )
@@ -13,22 +14,6 @@ import (
 // count (the paper notes enumeration is impractical for very-high-
 // cardinality domains, Section 7).
 const splitEnumLimit = 1 << 20
-
-// frame is one step of a root-to-leaf descent, kept for split
-// propagation. node is a writer-private decoded copy, free to mutate.
-type frame struct {
-	pid  device.PageID
-	node *internalNode
-	slot int
-}
-
-// sepInsert is a separator/child pair a structural change adds to the
-// parent level: the new right sibling produced by a leaf or internal
-// split, or a freshly appended tail leaf.
-type sepInsert struct {
-	key   uint64
-	child device.PageID
-}
 
 // writeLeaf serializes and writes a leaf.
 func (t *Tree) writeLeaf(pid device.PageID, l *bfLeaf) error {
@@ -215,7 +200,7 @@ func (t *Tree) absorbIntoLeaf(leaf *bfLeaf, key uint64, pid device.PageID) (appl
 // insertLocked is the structural path of one insert; callers hold
 // writeMu exclusively.
 func (t *Tree) insertLocked(key uint64, pid device.PageID) error {
-	var path []frame
+	var path []branch.Frame
 	leafPid, buf, _, err := indexReader{t: t}.descend(t.loadMeta().root, key, true, &path)
 	if err != nil {
 		return err
@@ -358,7 +343,7 @@ func (t *Tree) delete(key uint64, pid device.PageID) error {
 // chain pointer updated (a page-atomic write), so the sole structural
 // edit — inserting the new separator and child — is done copy-on-write
 // up the path and published as one new snapshot.
-func (t *Tree) appendLeaf(key uint64, pid device.PageID, lastLeaf *bfLeaf, lastPid device.PageID, path []frame) error {
+func (t *Tree) appendLeaf(key uint64, pid device.PageID, lastLeaf *bfLeaf, lastPid device.PageID, path []branch.Frame) error {
 	maxS := maxFiltersPerLeaf(t.geo)
 	posPerBF := t.geo.positionsFor(maxS, t.opts.Filter)
 	span := device.PageID(maxS*t.opts.Granularity) - 1
@@ -378,7 +363,7 @@ func (t *Tree) appendLeaf(key uint64, pid device.PageID, lastLeaf *bfLeaf, lastP
 		t.store.Free(newPid) // never linked: immediately reusable
 		return err
 	}
-	newRoot, added, grew, fresh, retired, err := t.cowPath(path, lastPid, &sepInsert{key: key, child: newPid})
+	newRoot, added, grew, fresh, retired, err := t.cowPath(path, lastPid, branch.Child{MinKey: key, Pid: newPid})
 	if err != nil {
 		t.store.Free(newPid)
 		return err
@@ -424,7 +409,7 @@ func (t *Tree) appendLeaf(key uint64, pid device.PageID, lastLeaf *bfLeaf, lastP
 // path stay frozen until every probe that could still reach them has
 // drained (the epoch grace period of meta.go), after which their pages
 // return to the store's free list.
-func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []frame) error {
+func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []branch.Frame) error {
 	var left, right *bfLeaf
 	var err error
 	// The natural span check maxKey-minKey+1 wraps to zero for a leaf
@@ -480,7 +465,7 @@ func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []frame) erro
 		t.store.Free(leftPid, rightPid)
 		return err
 	}
-	newRoot, added, grew, fresh, retired, err := t.cowPath(path, leftPid, &sepInsert{key: right.minKey, child: rightPid})
+	newRoot, added, grew, fresh, retired, err := t.cowPath(path, leftPid, branch.Child{MinKey: right.minKey, Pid: rightPid})
 	if err != nil {
 		t.store.Free(leftPid, rightPid)
 		return err
@@ -527,10 +512,10 @@ func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []frame) erro
 // before the leaf at the bottom of path, or InvalidPage when that leaf
 // is the leftmost: the last leaf under the nearest left-sibling pointer
 // along the path, which rightmost routing of the largest key reaches.
-func (t *Tree) predecessorLeaf(path []frame) (device.PageID, error) {
+func (t *Tree) predecessorLeaf(path []branch.Frame) (device.PageID, error) {
 	for lv := len(path) - 1; lv >= 0; lv-- {
-		if f := path[lv]; f.slot > 0 {
-			pid, _, _, err := indexReader{t: t}.descend(f.node.children[f.slot-1], ^uint64(0), true, nil)
+		if f := path[lv]; f.Slot > 0 {
+			pid, _, _, err := indexReader{t: t}.descend(f.Node.Children[f.Slot-1], ^uint64(0), true, nil)
 			return pid, err
 		}
 	}
@@ -682,92 +667,37 @@ func (t *Tree) packHalves(leaf *bfLeaf, lowKeys, highKeys []keyPages) (*bfLeaf, 
 	return left, right, nil
 }
 
-// cowPath rewrites the recorded descent path copy-on-write, bottom-up:
-// at the deepest frame the child at the taken slot is replaced by
-// newChild and (sep.key, sep.child) is inserted to its right; above, the
-// replacement propagates. Every touched internal node is written to a
-// freshly allocated page; overfull nodes split into two fresh pages; if
-// a separator reaches past the top frame, a new root is written. The
-// function returns the new root pid, the net number of internal pages
-// added (splits and root growth), the height delta (0 or 1), the pages
-// it allocated (all unreachable until the caller publishes — the caller
-// must Free them if a later step fails before publication, or the page
-// economy leaks), and the old path pages to retire — which the caller
-// hands to retire() only after publishing the new snapshot, so an error
-// mid-way never poisons the free list with reachable pages.
-func (t *Tree) cowPath(path []frame, newChild device.PageID, sep *sepInsert) (newRoot device.PageID, added uint64, grew int, fresh, retired []device.PageID, err error) {
+// cowPath applies a child split to the recorded descent path with
+// branch.Insert, copy-on-write: every touched internal node is written
+// to a freshly allocated page, so the whole path is rewritten, an
+// overfull node splits into two fresh pages, and a separator past the
+// top frame writes a new root. It returns the new root pid, the net
+// number of internal pages added (splits and root growth), the height
+// delta (0 or 1), the pages it allocated (all unreachable until the
+// caller publishes — the caller must Free them if a later step fails
+// before publication, or the page economy leaks), and the old path
+// pages to retire — which the caller hands to retire() only after
+// publishing the new snapshot, so an error mid-way never poisons the
+// free list with reachable pages.
+func (t *Tree) cowPath(path []branch.Frame, left device.PageID, right branch.Child) (newRoot device.PageID, added uint64, grew int, fresh, retired []device.PageID, err error) {
 	buf := make([]byte, t.store.PageSize())
-	capacity := internalCapacity(t.store.PageSize())
-	// Pages allocated here are unreachable until the caller publishes;
-	// on error they go straight back to the free list.
-	var allocated []device.PageID
-	fail := func(err error) (device.PageID, uint64, int, []device.PageID, []device.PageID, error) {
-		t.store.Free(allocated...)
+	write := func(old device.PageID, n *branch.Node) (device.PageID, error) {
+		if old != device.InvalidPage {
+			retired = append(retired, old)
+		}
+		pid := t.store.Allocate(1)
+		fresh = append(fresh, pid)
+		if err := branch.Encode(buf, n); err != nil {
+			return 0, err
+		}
+		return pid, t.store.WritePage(pid, buf)
+	}
+	root, n, grew, err := branch.Insert(path, left, right, branch.Capacity(t.store.PageSize()), write)
+	if err != nil {
+		// Pages allocated here are unreachable until the caller
+		// publishes, so they go straight back to the free list.
+		t.store.Free(fresh...)
 		return 0, 0, 0, nil, nil, err
 	}
-	writeNode := func(n *internalNode) (device.PageID, error) {
-		pid := t.store.Allocate(1)
-		allocated = append(allocated, pid)
-		if err := encodeInternal(buf, n); err != nil {
-			return 0, err
-		}
-		if err := t.store.WritePage(pid, buf); err != nil {
-			return 0, err
-		}
-		return pid, nil
-	}
-	for level := len(path) - 1; level >= 0; level-- {
-		f := path[level]
-		n := f.node
-		n.children[f.slot] = newChild
-		if sep != nil {
-			n.keys = append(n.keys, 0)
-			copy(n.keys[f.slot+1:], n.keys[f.slot:])
-			n.keys[f.slot] = sep.key
-			n.children = append(n.children, 0)
-			copy(n.children[f.slot+2:], n.children[f.slot+1:])
-			n.children[f.slot+1] = sep.child
-		}
-		retired = append(retired, f.pid)
-		if len(n.children) <= capacity {
-			pid, err := writeNode(n)
-			if err != nil {
-				return fail(err)
-			}
-			newChild = pid
-			sep = nil
-			continue
-		}
-		// Internal split: both halves on fresh pages.
-		mid := len(n.keys) / 2
-		upKey := n.keys[mid]
-		right := &internalNode{
-			keys:     append([]uint64(nil), n.keys[mid+1:]...),
-			children: append([]device.PageID(nil), n.children[mid+1:]...),
-		}
-		n.keys = n.keys[:mid]
-		n.children = n.children[:mid+1]
-		leftPid, err := writeNode(n)
-		if err != nil {
-			return fail(err)
-		}
-		rightPid, err := writeNode(right)
-		if err != nil {
-			return fail(err)
-		}
-		added++
-		newChild = leftPid
-		sep = &sepInsert{key: upKey, child: rightPid}
-	}
-	if sep == nil {
-		return newChild, added, 0, allocated, retired, nil
-	}
-	// Root grows one level (also the first split of a single-leaf tree).
-	root := &internalNode{keys: []uint64{sep.key}, children: []device.PageID{newChild, sep.child}}
-	rootPid, err := writeNode(root)
-	if err != nil {
-		return fail(err)
-	}
-	added++
-	return rootPid, added, 1, allocated, retired, nil
+	return root, uint64(n), grew, fresh, retired, nil
 }

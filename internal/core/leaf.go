@@ -7,15 +7,26 @@ import (
 	"slices"
 
 	"bftree/internal/bloom"
+	"bftree/internal/branch"
 	"bftree/internal/device"
 )
 
-// Node kinds on disk. Internal nodes share the B+-Tree layout; BF-leaves
-// are specific to this package.
-const (
-	nodeInternal = byte(2)
-	nodeBFLeaf   = byte(3)
-)
+// nodeBFLeaf is the kind byte of a BF-leaf. Internal nodes are the
+// B+-Tree nodes of package branch, of kind branch.Kind.
+const nodeBFLeaf = byte(3)
+
+// nodeKind returns the kind byte of an index page: branch.Kind or
+// nodeBFLeaf.
+func nodeKind(buf []byte) (byte, error) {
+	if len(buf) < 1 {
+		return 0, fmt.Errorf("%w: empty page", ErrCorrupt)
+	}
+	k := buf[0]
+	if k != branch.Kind && k != nodeBFLeaf {
+		return 0, fmt.Errorf("%w: unknown node kind %d", ErrCorrupt, k)
+	}
+	return k, nil
+}
 
 // Serialized BF-leaf layout (little-endian):
 //

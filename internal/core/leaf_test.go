@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bftree/internal/bloom"
+	"bftree/internal/branch"
 	"bftree/internal/device"
 )
 
@@ -336,7 +337,7 @@ func TestLeafDecodeRejectsCorruptHeaders(t *testing.T) {
 		name   string
 		mutate func(b []byte)
 	}{
-		{"not a leaf", func(b []byte) { b[0] = nodeInternal }},
+		{"not a leaf", func(b []byte) { b[0] = branch.Kind }},
 		{"zero positions per filter", func(b []byte) { le.PutUint32(b[51:55], 0) }},
 		{"zero filters", func(b []byte) { le.PutUint16(b[1:3], 0) }},
 		{"filters cover too few pages", func(b []byte) { le.PutUint16(b[1:3], uint16(sh.s-1)) }},

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/heapfile"
 	"bftree/internal/pagestore"
@@ -18,24 +19,22 @@ import (
 //	bytes 12-15 granularity (uint32)
 //	bytes 16-19 hashes (uint32)
 //	byte  20    filter kind
-//	byte  21    reserved, written as 0
-//	bytes 22-29 root pid
-//	bytes 30-37 first leaf pid
-//	bytes 38-41 height (uint32)
-//	bytes 42-49 leaves
-//	bytes 50-57 nodes
-//	bytes 58-65 keys
-//	bytes 66-73 inserts
-//	bytes 74-81 deletes
-//	bytes 82-85 field index (uint32)
-//	byte  86    maintenance mode
-//	bytes 87-94 fpp compaction threshold (float64 bits)
-//	bytes 95-102 reclaim interval (int64 nanoseconds)
-//	bytes 103-106 reserved, written as 0
-//	bytes 107-110 incremental compaction batch (uint32, 0 = full rebuild)
+//	bytes 21-28 root pid
+//	bytes 29-36 first leaf pid
+//	bytes 37-40 height (uint32)
+//	bytes 41-48 leaves
+//	bytes 49-56 nodes
+//	bytes 57-64 keys
+//	bytes 65-72 inserts
+//	bytes 73-80 deletes
+//	bytes 81-84 field index (uint32)
+//	byte  85    maintenance mode
+//	bytes 86-93 fpp compaction threshold (float64 bits)
+//	bytes 94-101 reclaim interval (int64 nanoseconds)
+//	bytes 102-105 incremental compaction batch (uint32, 0 = full rebuild)
 //
 // Open accepts exactly this length; any other is corruption.
-const metaSize = 111
+const metaSize = 106
 
 var metaMagic = [4]byte{'B', 'F', 'T', '1'}
 
@@ -51,20 +50,20 @@ func (t *Tree) MarshalMeta() []byte {
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(t.opts.Granularity))
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(t.opts.Hashes))
 	buf[20] = byte(t.opts.Filter)
-	binary.LittleEndian.PutUint64(buf[22:30], uint64(m.root))
-	binary.LittleEndian.PutUint64(buf[30:38], uint64(m.firstLeaf))
-	binary.LittleEndian.PutUint32(buf[38:42], uint32(m.height))
-	binary.LittleEndian.PutUint64(buf[42:50], m.numLeaves)
-	binary.LittleEndian.PutUint64(buf[50:58], m.numNodes)
-	binary.LittleEndian.PutUint64(buf[58:66], m.numKeys)
-	binary.LittleEndian.PutUint64(buf[66:74], m.inserts)
-	binary.LittleEndian.PutUint64(buf[74:82], m.deletes)
-	binary.LittleEndian.PutUint32(buf[82:86], uint32(t.fieldIdx))
+	binary.LittleEndian.PutUint64(buf[21:29], uint64(m.root))
+	binary.LittleEndian.PutUint64(buf[29:37], uint64(m.firstLeaf))
+	binary.LittleEndian.PutUint32(buf[37:41], uint32(m.height))
+	binary.LittleEndian.PutUint64(buf[41:49], m.numLeaves)
+	binary.LittleEndian.PutUint64(buf[49:57], m.numNodes)
+	binary.LittleEndian.PutUint64(buf[57:65], m.numKeys)
+	binary.LittleEndian.PutUint64(buf[65:73], m.inserts)
+	binary.LittleEndian.PutUint64(buf[73:81], m.deletes)
+	binary.LittleEndian.PutUint32(buf[81:85], uint32(t.fieldIdx))
 	mp := t.opts.Maintenance
-	buf[86] = byte(mp.Mode)
-	binary.LittleEndian.PutUint64(buf[87:95], math.Float64bits(mp.FPPThreshold))
-	binary.LittleEndian.PutUint64(buf[95:103], uint64(mp.ReclaimInterval.Nanoseconds()))
-	binary.LittleEndian.PutUint32(buf[107:111], uint32(mp.IncrementalBatch))
+	buf[85] = byte(mp.Mode)
+	binary.LittleEndian.PutUint64(buf[86:94], math.Float64bits(mp.FPPThreshold))
+	binary.LittleEndian.PutUint64(buf[94:102], uint64(mp.ReclaimInterval.Nanoseconds()))
+	binary.LittleEndian.PutUint32(buf[102:106], uint32(mp.IncrementalBatch))
 	return buf
 }
 
@@ -88,16 +87,16 @@ func open(store *pagestore.Store, file *heapfile.File, meta []byte, part *Partit
 	// Clamp the uint32 batch to the platform int so a blob written on
 	// a 64-bit host reopens on 32-bit instead of going negative and
 	// failing validation.
-	ib := min(uint64(binary.LittleEndian.Uint32(meta[107:111])), math.MaxInt)
+	ib := min(uint64(binary.LittleEndian.Uint32(meta[102:106])), math.MaxInt)
 	opts := Options{
 		FPP:         math.Float64frombits(binary.LittleEndian.Uint64(meta[4:12])),
 		Granularity: int(binary.LittleEndian.Uint32(meta[12:16])),
 		Hashes:      int(binary.LittleEndian.Uint32(meta[16:20])),
 		Filter:      FilterKind(meta[20]),
 		Maintenance: MaintenancePolicy{
-			Mode:             MaintenanceMode(meta[86]),
-			FPPThreshold:     math.Float64frombits(binary.LittleEndian.Uint64(meta[87:95])),
-			ReclaimInterval:  time.Duration(binary.LittleEndian.Uint64(meta[95:103])),
+			Mode:             MaintenanceMode(meta[85]),
+			FPPThreshold:     math.Float64frombits(binary.LittleEndian.Uint64(meta[86:94])),
+			ReclaimInterval:  time.Duration(binary.LittleEndian.Uint64(meta[94:102])),
 			IncrementalBatch: int(ib),
 		},
 	}
@@ -109,7 +108,7 @@ func open(store *pagestore.Store, file *heapfile.File, meta []byte, part *Partit
 	if err != nil {
 		return nil, err
 	}
-	fieldIdx := int(binary.LittleEndian.Uint32(meta[82:86]))
+	fieldIdx := int(binary.LittleEndian.Uint32(meta[81:85]))
 	if fieldIdx < 0 || fieldIdx >= len(file.Schema().Fields) {
 		return nil, fmt.Errorf("%w: field index %d out of schema", ErrCorrupt, fieldIdx)
 	}
@@ -122,14 +121,14 @@ func open(store *pagestore.Store, file *heapfile.File, meta []byte, part *Partit
 		part:     part,
 	}
 	m := &treeMeta{
-		root:      device.PageID(binary.LittleEndian.Uint64(meta[22:30])),
-		firstLeaf: device.PageID(binary.LittleEndian.Uint64(meta[30:38])),
-		height:    int(binary.LittleEndian.Uint32(meta[38:42])),
-		numLeaves: binary.LittleEndian.Uint64(meta[42:50]),
-		numNodes:  binary.LittleEndian.Uint64(meta[50:58]),
-		numKeys:   binary.LittleEndian.Uint64(meta[58:66]),
-		inserts:   binary.LittleEndian.Uint64(meta[66:74]),
-		deletes:   binary.LittleEndian.Uint64(meta[74:82]),
+		root:      device.PageID(binary.LittleEndian.Uint64(meta[21:29])),
+		firstLeaf: device.PageID(binary.LittleEndian.Uint64(meta[29:37])),
+		height:    int(binary.LittleEndian.Uint32(meta[37:41])),
+		numLeaves: binary.LittleEndian.Uint64(meta[41:49]),
+		numNodes:  binary.LittleEndian.Uint64(meta[49:57]),
+		numKeys:   binary.LittleEndian.Uint64(meta[57:65]),
+		inserts:   binary.LittleEndian.Uint64(meta[65:73]),
+		deletes:   binary.LittleEndian.Uint64(meta[73:81]),
 	}
 	t.meta.Store(m)
 	// Sanity-probe the root so corrupt metadata fails fast: a root the
@@ -180,7 +179,7 @@ func (t *Tree) rebuildLocked() error {
 	old := t.loadMeta()
 	// Collect the old tree's pages (writer-side walk) before the new
 	// snapshot replaces it.
-	retired, err := t.internalPagesOf(old)
+	retired, err := branch.Pages(t.store, old.root, old.height, ErrCorrupt)
 	if err != nil {
 		return err
 	}

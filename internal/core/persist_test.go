@@ -65,14 +65,14 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 	// Field index beyond the schema.
 	bad = append([]byte(nil), meta...)
-	bad[82] = 99
+	bad[81] = 99
 	if _, err := Open(fx.idxStore, fx.file, bad); err == nil {
 		t.Error("out-of-schema field accepted")
 	}
 	// Root pointing at an unallocated page.
 	bad = append([]byte(nil), meta...)
+	bad[21] = 0xff
 	bad[22] = 0xff
-	bad[23] = 0xff
 	if _, err := Open(fx.idxStore, fx.file, bad); err == nil {
 		t.Error("dangling root accepted")
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "bftree/internal/device"
+import (
+	"bftree/internal/branch"
+	"bftree/internal/device"
+)
 
 // indexReader reads the index pages of one operation. It owns the one
 // root-to-leaf descent and the one covering-leaf walk of Algorithm 1;
@@ -78,7 +81,7 @@ func (r indexReader) leafFrom(pid device.PageID, key uint64) (*bfLeaf, error) {
 // copy of every internal node on the way down, for split propagation.
 // The root comes from the caller's snapshot, so a whole operation sees
 // one consistent tree.
-func (r indexReader) descend(root device.PageID, key uint64, forInsert bool, path *[]frame) (pid device.PageID, image []byte, bound uint64, err error) {
+func (r indexReader) descend(root device.PageID, key uint64, forInsert bool, path *[]branch.Frame) (pid device.PageID, image []byte, bound uint64, err error) {
 	pid, bound = root, ^uint64(0)
 	for {
 		buf, err := r.page(pid)
@@ -92,22 +95,22 @@ func (r indexReader) descend(root device.PageID, key uint64, forInsert bool, pat
 		if kind == nodeBFLeaf {
 			return pid, buf, bound, nil
 		}
-		slot, child, err := route(buf, key, forInsert)
+		slot, child, err := branch.Route(buf, key, forInsert, ErrCorrupt)
 		if err != nil {
 			return 0, nil, 0, err
 		}
 		if forInsert {
-			// route has already checked the count.
-			if count, _ := internalCount(buf); slot < count {
-				bound = internalKey(buf, slot) - 1
+			// Route has already checked the count.
+			if count, _ := branch.Count(buf, ErrCorrupt); slot < count {
+				bound = branch.Key(buf, slot) - 1
 			}
 		}
 		if path != nil {
-			n, err := decodeInternal(buf)
+			n, err := branch.Decode(buf, ErrCorrupt)
 			if err != nil {
 				return 0, nil, 0, err
 			}
-			*path = append(*path, frame{pid: pid, node: n, slot: slot})
+			*path = append(*path, branch.Frame{Pid: pid, Node: n, Slot: slot})
 		}
 		pid = child
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bftree/internal/bloom"
+	"bftree/internal/branch"
 	"bftree/internal/device"
 	"bftree/internal/heapfile"
 	"bftree/internal/pagestore"
@@ -94,41 +95,7 @@ func (t *Tree) EffectiveFPP() float64 {
 func (t *Tree) InternalPages() ([]device.PageID, error) {
 	m, ep := t.beginProbe()
 	defer t.endProbe(ep)
-	return t.internalPagesOf(m)
-}
-
-// internalPagesOf walks the internal levels of one snapshot. Callers
-// must hold a reader registration (or be the writer).
-func (t *Tree) internalPagesOf(m *treeMeta) ([]device.PageID, error) {
-	if m.height == 1 {
-		return nil, nil
-	}
-	var out []device.PageID
-	var walk func(pid device.PageID, depth int) error
-	walk = func(pid device.PageID, depth int) error {
-		if depth == m.height-1 {
-			return nil
-		}
-		out = append(out, pid)
-		buf, err := t.store.ReadPage(pid)
-		if err != nil {
-			return err
-		}
-		count, err := internalCount(buf)
-		if err != nil {
-			return err
-		}
-		for i := 0; i <= count; i++ {
-			if err := walk(internalChild(buf, count, i), depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(m.root, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return branch.Pages(t.store, m.root, m.height, ErrCorrupt)
 }
 
 // lastDataPage returns the final page id of the indexed file, for

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -254,14 +253,20 @@ func DecodeFrame(frame []byte, c *ScanChunk) error {
 	return nil
 }
 
-// ReadFrame reads the next frame from r into a buffer of the frame's
-// size and decodes it into c with DecodeFrame. Every call reads into a
-// fresh buffer, so c's tuples stay valid after later calls. At the end
-// of r, before any byte of a frame, it returns io.EOF; a frame cut short
-// is io.ErrUnexpectedEOF. A body over frameStep is read into a buffer
-// that at most doubles what has arrived, so a header that declares more
-// than r holds costs memory in proportion to what r holds.
-func ReadFrame(r *bufio.Reader, c *ScanChunk) error {
+// ReadFrame reads the next frame from r (a *bufio.Reader on a stream of
+// frames, or ReadResult's reader of one answer) into a buffer of the
+// frame's size and decodes it into c with DecodeFrame. It reads the
+// header a byte at a time, so r is left at the next frame. Every call
+// reads into a fresh buffer, so c's tuples stay valid after later
+// calls. At the end of r, before any byte of a frame, it returns io.EOF;
+// a frame cut short is io.ErrUnexpectedEOF. A body over frameStep is
+// read into a buffer that at most doubles what has arrived, so a header
+// that declares more than r holds costs memory in proportion to what r
+// holds.
+func ReadFrame(r interface {
+	io.Reader
+	io.ByteReader
+}, c *ScanChunk) error {
 	kind, err := r.ReadByte()
 	if err != nil {
 		return err
@@ -301,11 +306,15 @@ func ReadFrame(r *bufio.Reader, c *ScanChunk) error {
 // exactly one tuples frame, then the end of the body. The tuples alias
 // the frame's buffer.
 func ReadResult(body io.Reader) (*index.Result, error) {
-	// The header is a few bytes; the body is read past this buffer,
-	// straight into the frame's.
-	r := bufio.NewReaderSize(body, 16)
+	// The header is read through a reader that shares the result's
+	// allocation, and the body straight into the frame's buffer, so an
+	// answer allocates the result, the frame and its tuple headers.
+	a := &struct {
+		res index.Result
+		r   byteReader
+	}{r: byteReader{r: body}}
 	var c ScanChunk
-	err := ReadFrame(r, &c)
+	err := ReadFrame(&a.r, &c)
 	switch {
 	case err == io.EOF:
 		return nil, io.ErrUnexpectedEOF
@@ -314,13 +323,29 @@ func ReadResult(body io.Reader) (*index.Result, error) {
 	case c.Done || c.Error != "":
 		return nil, malformed("an answer in a done or error frame")
 	}
-	if _, err := r.ReadByte(); err != io.EOF {
+	if _, err := a.r.ReadByte(); err != io.EOF {
 		if err == nil {
 			err = malformed("bytes after the answer's frame")
 		}
 		return nil, err
 	}
-	return &index.Result{Tuples: c.Tuples, Stats: c.Stats}, nil
+	a.res = index.Result{Tuples: c.Tuples, Stats: c.Stats}
+	a.r = byteReader{} // the result does not keep body alive
+	return &a.res, nil
+}
+
+// byteReader reads r unbuffered, for a body that holds one frame: its
+// ReadByte reads one byte into a buffer of its own.
+type byteReader struct {
+	r   io.Reader
+	one [1]byte
+}
+
+func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
+
+func (b *byteReader) ReadByte() (byte, error) {
+	_, err := io.ReadFull(b.r, b.one[:])
+	return b.one[0], err
 }
 
 // ErrorResponse is the body of every non-2xx answer. Capability names

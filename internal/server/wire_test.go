@@ -226,6 +226,23 @@ func TestReadFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestReadResultAllocs: ReadResult reads a one-tuple answer, a /search
+// hit, in three allocations: the result, the frame and its tuple
+// headers. The header is read without a buffered reader of its own.
+func TestReadResultAllocs(t *testing.T) {
+	frame := server.AppendFrame(nil, server.ScanChunk{Tuples: wireTuples(1, 256), Stats: wireStats})
+	rd := bytes.NewReader(frame)
+	allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(frame)
+		if res, err := server.ReadResult(rd); err != nil || len(res.Tuples) != 1 {
+			t.Fatalf("ReadResult: %+v, %v", res, err)
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("ReadResult of one tuple: %.0f allocs, want 3", allocs)
+	}
+}
+
 // TestDecodeAllocs pins the decoder's allocations: a 977-tuple answer,
 // scan-http's /range, allocates no more objects than a 16-tuple one.
 func TestDecodeAllocs(t *testing.T) {
