@@ -19,7 +19,7 @@ help:
 	@echo "  make conformance - cross-backend index API conformance suite"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
-	@echo "  make compact  - incremental-compaction gate: stall comparison + race test + drift bound"
+	@echo "  make compact  - incremental-compaction gate: in-place compaction contract + race test + drift bound + stall comparison"
 	@echo "  make serve    - serving-layer gate: server + loadgen suites under -race, serve-load scaling test"
 	@echo "  make bench    - run every benchmark once (smoke) "
 	@echo "  make bfperf   - smoke-test the wall-clock benchmark (its own module)"
@@ -77,12 +77,14 @@ mixed:
 	$(GO) test -race -run 'TestDriver|TestMixedWorkload' ./internal/bench/
 
 # The incremental-compaction gate: the writer/maintainer race test
-# (drift accounting + page economy under -race), the bound the
+# (drift accounting + page economy under -race) beside the in-place
+# compaction contract (a leaf keeps its pid, no page is allocated,
+# freed or retired, a failed rewrite changes nothing), the bound the
 # maintainer alone keeps on drift under full-rate churn, the
 # stall-comparison smoke asserting incremental cuts the max writer
 # stall vs full rebuild, and the registered experiment end to end.
 compact:
-	$(GO) test -race -run 'TestIncrementalCompactionRace|TestIncrementalMaintainConverges' ./internal/core/
+	$(GO) test -race -run 'TestIncrementalCompactionRace|TestIncrementalMaintainConverges|TestCompactLeavesShedsDrift|TestCompactSingleLeafRoot|TestCompactInPlaceKeepsPages|TestCompactFailedRewriteChangesNothing' ./internal/core/
 	$(GO) test -run TestMaintainerBoundsDrift ./index/
 	$(GO) test -run 'TestCompactionStall' ./internal/bench/
 	$(GO) test -run 'TestEveryExperimentRuns/^compaction-stall$$' ./internal/bench/

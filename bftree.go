@@ -48,7 +48,7 @@
 // positive: each leaf tracks its own drift contribution and the
 // maintainer rewrites only the most-drifted leaves per pass, holding
 // the exclusive lock per bounded batch instead of for one whole-tree
-// Rebuild (Tree.CompactLeaves is the explicit entry point). See
+// Rebuild (Tree.Maintain runs the same passes on demand). See
 // DESIGN.md §4 for the maintenance contract.
 //
 // Package-level names are thin aliases over the implementation packages
@@ -74,10 +74,10 @@ type (
 	FilterKind = core.FilterKind
 
 	// MaintenancePolicy configures the self-maintaining mode
-	// (Options.Maintenance): auto/manual/disabled, the Equation 14
-	// compaction threshold, the reclaim interval, and the limbo high
-	// water mark. MaintenanceStats is the snapshot returned by
-	// Tree.MaintenanceStats.
+	// (Options.Maintenance): the mode (manual or auto), the Equation 14
+	// compaction threshold, the reclaim interval, and the incremental
+	// batch (how many leaves one pass compacts). MaintenanceStats is the
+	// snapshot returned by Tree.MaintenanceStats.
 	MaintenanceMode   = core.MaintenanceMode
 	MaintenancePolicy = core.MaintenancePolicy
 	MaintenanceStats  = core.MaintenanceStats

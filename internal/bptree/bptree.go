@@ -138,11 +138,7 @@ func (t *Tree) Insert(e Entry) error {
 		if err != nil {
 			return err
 		}
-		n, err := branch.Decode(buf, ErrCorrupt)
-		if err != nil {
-			return err
-		}
-		path = append(path, branch.Frame{Pid: pid, Node: n, Slot: slot})
+		path = append(path, branch.Frame{Pid: pid, Image: buf, Slot: slot})
 		pid = child
 	}
 

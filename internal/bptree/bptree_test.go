@@ -293,6 +293,35 @@ func TestMultiSearchAllocs(t *testing.T) {
 	}
 }
 
+// TestInsertAllocs pins that an insert decodes no internal node unless
+// the leaf splits: a non-splitting insert on a height-4 tree allocates
+// the leaf it decodes and rewrites, the page buffer and the descent
+// path, but no copy of the three internal nodes it routed through
+// (decoding them cost 9 allocations more).
+func TestInsertAllocs(t *testing.T) {
+	tr, err := BulkLoad(memStore(512), seqEntries(20000), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() != 4 {
+		t.Fatalf("height %d, want 4", tr.Height())
+	}
+	leaves := tr.NumLeaves()
+	key := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		key += 97 // leaves are half full: no two inserts split one
+		if err := tr.Insert(Entry{Key: key, Ref: TupleRef{Page: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if tr.NumLeaves() != leaves {
+		t.Fatalf("leaves %d -> %d: an insert split", leaves, tr.NumLeaves())
+	}
+	if allocs > 8 {
+		t.Errorf("non-splitting Insert: %.0f allocs, want at most 8", allocs)
+	}
+}
+
 // TestCorruptInternalPage: a corrupt internal page answers ErrCorrupt,
 // this package's sentinel, on every path that reads one.
 func TestCorruptInternalPage(t *testing.T) {

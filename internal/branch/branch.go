@@ -5,7 +5,9 @@
 // the Equation 2 fanout, in-place routing, the writer-private copy a
 // structural change mutates, the bottom-up build of the levels, the walk
 // of every internal page and the one loop that inserts a separator up a
-// descent path, splitting nodes and growing the root.
+// descent path, splitting nodes and growing the root. A descent path
+// keeps the page images it routed, and only that loop decodes them,
+// for the nodes it rewrites.
 //
 // Every function that reads a page reports a corrupt one with an error
 // wrapping corrupt, the ErrCorrupt sentinel of the tree that read it.
@@ -127,6 +129,12 @@ func Decode(buf []byte, corrupt error) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decode(buf, count), nil
+}
+
+// decode copies the internal page buf of count keys into a Node; the
+// caller has checked count against the page.
+func decode(buf []byte, count int) *Node {
 	n := &Node{
 		Keys:     make([]uint64, count),
 		Children: make([]device.PageID, count+1),
@@ -137,7 +145,7 @@ func Decode(buf []byte, corrupt error) (*Node, error) {
 	for i := range n.Children {
 		n.Children[i] = child(buf, count, i)
 	}
-	return n, nil
+	return n
 }
 
 // Child is one entry of a level: a page and the least key under it.
@@ -220,13 +228,23 @@ func Pages(store *pagestore.Store, root device.PageID, height int, corrupt error
 	return out, nil
 }
 
-// Frame is one internal node of a root-to-leaf descent: its page, a
-// writer-private copy and the slot the descent took.
+// Frame is one internal node of a root-to-leaf descent: its page, the
+// image the descent routed (one Route accepted, so its count is sound)
+// and the slot the descent took. Images are immutable, so a frame is
+// free to keep one; a writer gets a private copy of the node only where
+// Insert rewrites it.
 type Frame struct {
-	Pid  device.PageID
-	Node *Node
-	Slot int
+	Pid   device.PageID
+	Image []byte
+	Slot  int
 }
+
+// count returns the key count of the frame's image.
+func (f Frame) count() int { return int(binary.LittleEndian.Uint16(f.Image[1:3])) }
+
+// LeftSibling returns the child left of the one the descent took; the
+// caller has checked that Slot is positive.
+func (f Frame) LeftSibling() device.PageID { return child(f.Image, f.count(), f.Slot-1) }
 
 // Write writes n, which replaces the page old (InvalidPage for a node
 // that replaces none: a split's right half or a new root), and returns
@@ -235,21 +253,22 @@ type Write func(old device.PageID, n *Node) (device.PageID, error)
 
 // Insert applies a child split to the descent path, bottom-up: at the
 // deepest frame, left replaces the child the descent took and right is
-// inserted after it, its least key the new separator. A node that then
-// holds more than capacity children splits, its middle key moving up
-// with a fresh right half; a separator that passes the top frame grows
-// a new root. Each node is written with write. A node that write leaves
-// on its own page, and that passes no separator up, leaves its parent
-// unchanged, and the loop stops there: that is how a tree that writes
-// in place stops at the first node that needs no split, while one that
-// writes copy-on-write rewrites the whole path. Insert returns the root,
-// the number of pages added (split halves and a new root) and the
-// number of levels the tree grew, 0 or 1.
+// inserted after it, its least key the new separator. Each node it
+// reaches is decoded from its frame's image, which stays unchanged. A
+// node that then holds more than capacity children splits, its middle
+// key moving up with a fresh right half; a separator that passes the
+// top frame grows a new root. Each node is written with write. A node
+// that write leaves on its own page, and that passes no separator up,
+// leaves its parent unchanged, and the loop stops there: that is how a
+// tree that writes in place stops at the first node that needs no
+// split, while one that writes copy-on-write rewrites the whole path.
+// Insert returns the root, the number of pages added (split halves and
+// a new root) and the number of levels the tree grew, 0 or 1.
 func Insert(path []Frame, left device.PageID, right Child, capacity int, write Write) (root device.PageID, added, grew int, err error) {
 	split := true
 	for level := len(path) - 1; level >= 0; level-- {
 		f := path[level]
-		n := f.Node
+		n := decode(f.Image, f.count())
 		n.Children[f.Slot] = left
 		if split {
 			n.Keys = slices.Insert(n.Keys, f.Slot, right.MinKey)

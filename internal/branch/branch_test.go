@@ -110,8 +110,17 @@ func TestNode(t *testing.T) {
 // of writer. Written in place, as the B+-Tree writes, propagation stops
 // at the first node that passes no separator up; written copy-on-write,
 // as the BF-Tree writes, every node of the path moves to a fresh page.
-// Fresh pages are numbered from 1000.
+// Fresh pages are numbered from 1000. The frames hold encoded pages, as
+// a descent records them, and Insert leaves those images unchanged.
 func TestInsert(t *testing.T) {
+	encode := func(n *Node) []byte {
+		buf := make([]byte, 64)
+		if err := Encode(buf, n); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	rootNode := &Node{Keys: []uint64{50}, Children: []device.PageID{1, 2}}
 	for _, c := range []struct {
 		name     string
 		inPlace  bool
@@ -132,9 +141,10 @@ func TestInsert(t *testing.T) {
 			// Root 100 routes keys below 50 to node 1, whose child 12
 			// (keys from 20) split: its right half 13 starts at 30.
 			path := []Frame{
-				{Pid: 100, Node: &Node{Keys: []uint64{50}, Children: []device.PageID{1, 2}}, Slot: 0},
-				{Pid: 1, Node: &Node{Keys: []uint64{10, 20}, Children: []device.PageID{10, 11, 12}}, Slot: 2},
+				{Pid: 100, Image: encode(rootNode), Slot: 0},
+				{Pid: 1, Image: encode(&Node{Keys: []uint64{10, 20}, Children: []device.PageID{10, 11, 12}}), Slot: 2},
 			}
+			images := [][]byte{bytes.Clone(path[0].Image), bytes.Clone(path[1].Image)}
 			var writes []device.PageID
 			pages := map[device.PageID]*Node{}
 			fresh := device.PageID(1000)
@@ -152,13 +162,18 @@ func TestInsert(t *testing.T) {
 				t.Fatalf("Insert = root %d, added %d, grew %d, %v, writes %v; want root %d, added %d, grew %d, writes %v",
 					root, added, grew, err, writes, c.root, c.added, c.grew, c.writes)
 			}
+			for i, f := range path {
+				if !bytes.Equal(f.Image, images[i]) {
+					t.Errorf("Insert changed the image of frame %d", i)
+				}
+			}
 			// Every key still routes to the child that holds it.
 			for key, want := range map[uint64]device.PageID{0: 10, 10: 11, 20: 12, 29: 12, 30: 13, 49: 13, 50: 2} {
 				pid := root
 				for {
 					n, ok := pages[pid]
 					if !ok && pid == path[0].Pid {
-						n, ok = path[0].Node, true // a root left as it was
+						n, ok = rootNode, true // a root left as it was
 					}
 					if !ok {
 						break

@@ -103,12 +103,24 @@ func TestPerLeafDriftInvariant(t *testing.T) {
 	}
 }
 
-// TestCompactLeavesShedsDrift drives the partial-rebuild path directly:
-// compacting the most-drifted leaf must shed exactly its contribution
-// from the global counters, keep every key findable, skip the now-stale
-// pid on a second call, and leave the page economy balanced.
-func TestCompactLeavesShedsDrift(t *testing.T) {
-	keys, tr, idx, f := driftFixture(t, 4000, Options{FPP: 0.01})
+// maintainPass runs one maintenance pass the way the background
+// maintainer does: maintainLocked under the exclusive writer lock. Under
+// an incremental policy over its threshold, the pass compacts the
+// IncrementalBatch most-drifted leaves.
+func maintainPass(t *testing.T, tr *Tree) {
+	t.Helper()
+	tr.writeMu.Lock()
+	defer tr.writeMu.Unlock()
+	if _, err := tr.maintainLocked(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// churnDrift inserts 200 new (odd) keys and logically deletes 100
+// present ones, spread across a driftFixture's key space. The delete
+// term alone (100/4000) puts the estimate past a 0.02 threshold.
+func churnDrift(t *testing.T, tr *Tree, keys []uint64, f *heapfile.File) {
+	t.Helper()
 	for i := 0; i < 200; i++ {
 		ord := (i * 17) % len(keys)
 		if err := tr.Insert(keys[ord]+1, f.PageOf(uint64(ord))); err != nil {
@@ -121,6 +133,12 @@ func TestCompactLeavesShedsDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// mostDrifted returns the leaf the maintainer ranks first: the largest
+// drift, the earliest in chain order among equals.
+func mostDrifted(t *testing.T, tr *Tree) LeafDrift {
+	t.Helper()
 	drifts, err := tr.DriftByLeaf()
 	if err != nil {
 		t.Fatal(err)
@@ -134,15 +152,36 @@ func TestCompactLeavesShedsDrift(t *testing.T) {
 	if top.Total() == 0 {
 		t.Fatal("no drifted leaf to compact")
 	}
+	return top
+}
+
+// assertPageEconomy checks that live + free + limbo pages account for
+// the whole index device.
+func assertPageEconomy(t *testing.T, tr *Tree, idx *pagestore.Store) {
+	t.Helper()
+	inLimbo := uint64(tr.MaintenanceStats().LimboPages)
+	live := tr.NumNodes()
+	free := uint64(idx.FreePages())
+	if total := idx.Device().NumPages(); live+free+inLimbo != total {
+		t.Errorf("page economy leaks: live %d + free %d + limbo %d != device %d",
+			live, free, inLimbo, total)
+	}
+}
+
+// TestCompactLeavesShedsDrift drives the partial-rebuild path through
+// one maintainer pass at batch 1: compacting the most-drifted leaf must
+// shed exactly its contribution from the global counters, keep every
+// key findable, and leave the page economy balanced.
+func TestCompactLeavesShedsDrift(t *testing.T) {
+	keys, tr, idx, f := driftFixture(t, 4000, Options{FPP: 0.01, Maintenance: MaintenancePolicy{
+		FPPThreshold:     0.02,
+		IncrementalBatch: 1,
+	}})
+	churnDrift(t, tr, keys, f)
+	top := mostDrifted(t, tr)
 
 	pre := tr.loadMeta()
-	n, err := tr.CompactLeaves([]device.PageID{top.Pid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("compacted %d leaves, want 1", n)
-	}
+	maintainPass(t, tr)
 	post := tr.loadMeta()
 	if post.inserts != pre.inserts-uint64(top.Inserts) ||
 		post.deletes != pre.deletes-uint64(top.Deletes) {
@@ -161,7 +200,7 @@ func TestCompactLeavesShedsDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res.Tuples) == 0 {
-			t.Fatalf("key %d lost after CompactLeaves", keys[i])
+			t.Fatalf("key %d lost after compaction", keys[i])
 		}
 	}
 	st := tr.MaintenanceStats()
@@ -174,15 +213,6 @@ func TestCompactLeavesShedsDrift(t *testing.T) {
 			st.CompactionMinStall, st.CompactionMaxStall, st.CompactionTotalStall)
 	}
 
-	// The old pid is retired: a second compaction of it is a no-op skip.
-	n, err = tr.CompactLeaves([]device.PageID{top.Pid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("stale pid compacted %d leaves, want 0 (skip)", n)
-	}
-
 	// Drain limbo and balance the books.
 	if err := tr.Maintain(); err != nil {
 		t.Fatal(err)
@@ -190,18 +220,136 @@ func TestCompactLeavesShedsDrift(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	inLimbo := uint64(tr.MaintenanceStats().LimboPages)
-	live := tr.NumNodes()
-	free := uint64(idx.FreePages())
-	if total := idx.Device().NumPages(); live+free+inLimbo != total {
-		t.Errorf("page economy leaks: live %d + free %d + limbo %d != device %d",
-			live, free, inLimbo, total)
-	}
+	assertPageEconomy(t, tr, idx)
 }
 
-// TestCompactSingleLeafRoot exercises the height-1 special case: the
-// lone leaf is the root, so compaction must swap the root pointer
-// itself (no parent to relink) and still shed the drift.
+// TestCompactInPlaceKeepsPages pins that a leaf compaction is a rewrite
+// at the leaf's own page id: after maintainer passes that compact
+// leaves, the leaf chain holds the same pids, the index device and the
+// store's free list did not change size, nothing went to limbo, and the
+// compacted leaves carry zero drift while the others keep theirs.
+func TestCompactInPlaceKeepsPages(t *testing.T) {
+	keys, tr, idx, f := driftFixture(t, 4000, Options{FPP: 0.01, Maintenance: MaintenancePolicy{
+		FPPThreshold:     0.02,
+		IncrementalBatch: 4,
+	}})
+	churnDrift(t, tr, keys, f)
+	before, err := tr.DriftByLeaf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, free := idx.Device().NumPages(), idx.FreePages()
+
+	if err := tr.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	st := tr.MaintenanceStats()
+	if st.LeavesCompacted == 0 {
+		t.Fatal("Maintain compacted no leaf")
+	}
+	after, err := tr.DriftByLeaf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("leaf chain went from %d to %d leaves", len(before), len(after))
+	}
+	compacted := uint64(0)
+	for i, d := range after {
+		if d.Pid != before[i].Pid {
+			t.Errorf("leaf %d moved from pid %d to %d", i, before[i].Pid, d.Pid)
+		}
+		switch {
+		case d.Total() == 0 && before[i].Total() > 0:
+			compacted++
+		case d != before[i]:
+			t.Errorf("leaf %d drift went from %+v to %+v, want zero or unchanged", i, before[i], d)
+		}
+	}
+	if compacted != st.LeavesCompacted {
+		t.Errorf("%d leaves lost their drift, LeavesCompacted = %d", compacted, st.LeavesCompacted)
+	}
+	if got := idx.Device().NumPages(); got != pages {
+		t.Errorf("index device went from %d to %d pages", pages, got)
+	}
+	if got := idx.FreePages(); got != free {
+		t.Errorf("free list went from %d to %d pages", free, got)
+	}
+	if st.LimboPages != 0 {
+		t.Errorf("%d pages in limbo after in-place compaction", st.LimboPages)
+	}
+	assertDriftInvariant(t, tr)
+}
+
+// TestCompactFailedRewriteChangesNothing injects a write fault on the
+// most-drifted leaf's own pid: the maintainer's pass must fail with it
+// and leave the tree as it was — every key findable, global drift
+// unchanged, the page economy balanced — and once the fault clears the
+// same pass compacts the leaf and sheds its drift.
+func TestCompactFailedRewriteChangesNothing(t *testing.T) {
+	keys, tr, idx, f := driftFixture(t, 4000, Options{FPP: 0.01, Maintenance: MaintenancePolicy{
+		FPPThreshold:     0.02,
+		IncrementalBatch: 1,
+	}})
+	churnDrift(t, tr, keys, f)
+	top := mostDrifted(t, tr)
+	injected := errors.New("injected leaf rewrite failure")
+	tr.leafWriteFault = func(pid device.PageID) error {
+		if pid == top.Pid {
+			return injected
+		}
+		return nil
+	}
+	pre := tr.loadMeta()
+	pages := idx.Device().NumPages()
+
+	if err := tr.Maintain(); !errors.Is(err, injected) {
+		t.Fatalf("Maintain with a failing leaf rewrite = %v, want the injected error", err)
+	}
+	if st := tr.MaintenanceStats(); st.CompactionFailures != 1 || st.LeavesCompacted != 0 {
+		t.Errorf("CompactionFailures = %d, LeavesCompacted = %d; want 1, 0",
+			st.CompactionFailures, st.LeavesCompacted)
+	}
+	for _, k := range keys {
+		res, err := tr.SearchFirst(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) == 0 {
+			t.Fatalf("key %d lost through the failed compaction", k)
+		}
+	}
+	if post := tr.loadMeta(); post.inserts != pre.inserts || post.deletes != pre.deletes {
+		t.Errorf("failed compaction moved global drift: ins %d->%d del %d->%d",
+			pre.inserts, post.inserts, pre.deletes, post.deletes)
+	}
+	if got := idx.Device().NumPages(); got != pages {
+		t.Errorf("index device went from %d to %d pages", pages, got)
+	}
+	assertPageEconomy(t, tr, idx)
+	assertDriftInvariant(t, tr)
+
+	tr.leafWriteFault = nil
+	if err := tr.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := indexReader{t: tr}.leaf(top.Pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.driftIns != 0 || leaf.driftDel != 0 {
+		t.Errorf("leaf %d still carries drift (ins %d, del %d) after the retry",
+			top.Pid, leaf.driftIns, leaf.driftDel)
+	}
+	if st := tr.MaintenanceStats(); st.LeavesCompacted == 0 {
+		t.Error("the retry compacted no leaf")
+	}
+	assertDriftInvariant(t, tr)
+}
+
+// TestCompactSingleLeafRoot exercises the height-1 case: the lone leaf
+// is the root, and compacting it rewrites it where it lies, so the root
+// pointer stays put while the drift is shed.
 func TestCompactSingleLeafRoot(t *testing.T) {
 	keys := make([]uint64, 200)
 	for i := range keys {
@@ -209,7 +357,11 @@ func TestCompactSingleLeafRoot(t *testing.T) {
 	}
 	f, _ := buildKeyedFile(t, keys)
 	idx := pagestore.New(device.New(device.Memory, 4096))
-	tr, err := BulkLoad(idx, f, 0, Options{FPP: 0.01})
+	// 20 new keys on 200 lift the Equation 14 estimate to about 0.015.
+	tr, err := BulkLoad(idx, f, 0, Options{FPP: 0.01, Maintenance: MaintenancePolicy{
+		FPPThreshold:     0.012,
+		IncrementalBatch: 1,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +374,15 @@ func TestCompactSingleLeafRoot(t *testing.T) {
 		}
 	}
 	oldRoot := tr.loadMeta().root
-	n, err := tr.CompactLeaves([]device.PageID{oldRoot})
-	if err != nil {
+	if err := tr.Maintain(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
+	if n := tr.MaintenanceStats().LeavesCompacted; n != 1 {
 		t.Fatalf("compacted %d leaves, want 1", n)
 	}
 	m := tr.loadMeta()
-	if m.root == oldRoot || m.firstLeaf != m.root {
-		t.Errorf("root not swapped: root %d firstLeaf %d old %d", m.root, m.firstLeaf, oldRoot)
+	if m.root != oldRoot || m.firstLeaf != m.root {
+		t.Errorf("root moved: root %d firstLeaf %d old %d", m.root, m.firstLeaf, oldRoot)
 	}
 	if m.inserts != 0 || m.deletes != 0 {
 		t.Errorf("drift not shed: ins %d del %d", m.inserts, m.deletes)

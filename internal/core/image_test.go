@@ -17,12 +17,16 @@ import (
 
 // TestHeldImagesSurviveWrites holds every index page image read before
 // each write path runs — an in-place insert, a delete, a buffered
-// flush, CompactLeaves, a leaf split and the persist path (MarshalMeta,
-// Open, Rebuild) — and then compares each held image with its checksum.
-// Readers keep the images ReadPage hands out without a lock, so no
-// write may ever reach one; recycled page ids must get fresh images too.
+// flush, a compacting maintenance pass, a leaf split and the persist
+// path (MarshalMeta, Open, Rebuild) — and then compares each held image
+// with its checksum. Readers keep the images ReadPage hands out without
+// a lock, so no write may ever reach one; recycled page ids must get
+// fresh images too.
 func TestHeldImagesSurviveWrites(t *testing.T) {
-	keys, tr, idx, f := driftFixture(t, 4000, Options{FPP: 0.01, Filter: CountingFilter})
+	// The threshold sits just above the design fpp, so the drift of the
+	// first three steps puts the compact step's Maintain over it.
+	keys, tr, idx, f := driftFixture(t, 4000, Options{FPP: 0.01, Filter: CountingFilter,
+		Maintenance: MaintenancePolicy{FPPThreshold: 0.0105, IncrementalBatch: 8}})
 	type held struct {
 		step string
 		pid  device.PageID
@@ -79,18 +83,11 @@ func TestHeldImagesSurviveWrites(t *testing.T) {
 	check()
 
 	hold("compact")
-	drifts, err := tr.DriftByLeaf()
-	if err != nil {
+	if err := tr.Maintain(); err != nil {
 		t.Fatal(err)
 	}
-	var drifted []device.PageID
-	for _, d := range drifts {
-		if d.Total() > 0 {
-			drifted = append(drifted, d.Pid)
-		}
-	}
-	if n, err := tr.CompactLeaves(drifted); err != nil || n == 0 {
-		t.Fatalf("CompactLeaves compacted %d leaves (err %v), want some", n, err)
+	if n := tr.MaintenanceStats().LeavesCompacted; n == 0 {
+		t.Fatal("Maintain compacted no leaf, want some")
 	}
 	check()
 

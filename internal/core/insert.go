@@ -134,10 +134,13 @@ func (t *Tree) absorbRun(entries []pendingInsert) (int, error) {
 // latches the leaf at leafPid, re-reads and decodes its image, applies
 // mutate, and writes the leaf back when mutate reports a change. The
 // caller holds the shared writer lock, which guarantees leafPid is
-// still the leaf the caller routed to: in-place rewrites never move a
+// still the leaf the caller routed to: latched rewrites never move a
 // leaf's page range or its separators, and never narrow its key range.
-// The re-read is what the latch protects: another latched writer may
-// have rewritten the leaf since the caller's descent read it.
+// (Compaction's in-place rewrite, compactLeafLocked, may narrow the key
+// range to the keys it finds, but it runs under the exclusive lock, so
+// no latched writer is inside any leaf meanwhile.) The re-read is what
+// the latch protects: another latched writer may have rewritten the
+// leaf since the caller's descent read it.
 func (t *Tree) rewriteLatched(leafPid device.PageID, mutate func(leaf *bfLeaf) (changed bool, err error)) error {
 	mu := t.latches.lock(leafPid)
 	defer mu.Unlock()
@@ -433,8 +436,7 @@ func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []branch.Fram
 	// data pages: the absorbed inserts become build-time content and the
 	// logical deletes are resurrected, so the old leaf's contribution is
 	// shed from the global counters instead — the same decrement rule as
-	// incremental compaction (CompactLeaves), of which this is the
-	// one-leaf special case.
+	// incremental compaction (compactLeafLocked).
 	var shedIns, shedDel uint64
 	if exact {
 		shedIns, shedDel = uint64(leaf.driftIns), uint64(leaf.driftDel)
@@ -457,9 +459,8 @@ func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []branch.Fram
 		t.store.Free(leftPid, rightPid)
 		return err
 	}
-	// Locate the predecessor leaf before cowPath mutates the recorded
-	// path nodes (separator insert, internal splits); the relink itself
-	// happens after the last fallible step below.
+	// Locate the predecessor leaf now; the relink itself happens after
+	// the last fallible step below.
 	predPid, err := t.predecessorLeaf(path)
 	if err != nil {
 		t.store.Free(leftPid, rightPid)
@@ -515,7 +516,7 @@ func (t *Tree) splitLeaf(leaf *bfLeaf, leafPid device.PageID, path []branch.Fram
 func (t *Tree) predecessorLeaf(path []branch.Frame) (device.PageID, error) {
 	for lv := len(path) - 1; lv >= 0; lv-- {
 		if f := path[lv]; f.Slot > 0 {
-			pid, _, _, err := indexReader{t: t}.descend(f.Node.Children[f.Slot-1], ^uint64(0), true, nil)
+			pid, _, _, err := indexReader{t: t}.descend(f.LeftSibling(), ^uint64(0), true, nil)
 			return pid, err
 		}
 	}

@@ -90,7 +90,7 @@ const posBufLen = 32
 // global increment is charged to exactly one leaf, under that leaf's
 // latch, in the same page write that records the mutation itself — so
 // sum(leaf drift) == global drift at quiescence, which is what lets a
-// partial rebuild (CompactLeaves) decrement the global counters by
+// partial rebuild (compactLeafLocked) decrement the global counters by
 // exactly the compacted leaves' contributions.
 type bfLeaf struct {
 	minPid, maxPid device.PageID

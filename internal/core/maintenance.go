@@ -58,8 +58,7 @@ type MaintenanceStats struct {
 	// IncrementalPasses counts maintenance passes that compacted a
 	// top-drifted leaf subset instead of rebuilding the whole tree
 	// (MaintenancePolicy.IncrementalBatch > 0); LeavesCompacted counts
-	// the leaves those passes (and explicit CompactLeaves calls)
-	// rewrote.
+	// the leaves those passes rewrote.
 	IncrementalPasses uint64
 	LeavesCompacted   uint64
 
@@ -438,11 +437,12 @@ func (t *Tree) driftNeedsCompaction() bool {
 
 // maintainLocked runs one maintenance pass under the exclusive writer
 // lock: reclaim what the epoch scheme allows, compact if allowed and
-// drift crossed the threshold, then reclaim again (a compaction retires
-// old pages, and with quiescent readers the second flip frees the
-// previous batch immediately). allowCompact lets the maintainer skip
-// compaction during its failure cooldown; explicit Maintain calls
-// always pass true, since their caller sees the error directly.
+// drift crossed the threshold, then reclaim again (a whole-tree rebuild
+// retires the old tree's pages, and with quiescent readers the second
+// flip frees the previous batch immediately). allowCompact lets the
+// maintainer skip compaction during its failure cooldown; explicit
+// Maintain calls always pass true, since their caller sees the error
+// directly.
 //
 // With MaintenancePolicy.IncrementalBatch > 0 the compaction step
 // rewrites only the top-drifted k leaves (compactIncrementalLocked)

@@ -97,7 +97,7 @@ type MaintenancePolicy struct {
 	// IncrementalBatch most-drifted leaves (tracked per leaf) under the
 	// exclusive lock, releasing it between batches, instead of
 	// rebuilding the whole tree in one stall. 0 keeps the legacy
-	// whole-tree Rebuild. See DESIGN.md §4 and Tree.CompactLeaves.
+	// whole-tree Rebuild. See DESIGN.md §4 and Tree.Maintain.
 	IncrementalBatch int
 }
 

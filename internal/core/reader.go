@@ -77,10 +77,10 @@ func (r indexReader) leafFrom(pid device.PageID, key uint64) (*bfLeaf, error) {
 // taken slot at the deepest level that has one, or MaxUint64 on the
 // rightmost spine. The separator itself routes right, so it is already
 // outside the leaf. A search descent returns MaxUint64 and does no work
-// for it. With path set, descend also records a writer-private decoded
-// copy of every internal node on the way down, for split propagation.
-// The root comes from the caller's snapshot, so a whole operation sees
-// one consistent tree.
+// for it. With path set, descend also records the image of every
+// internal node on the way down, for split propagation (branch.Insert
+// decodes the nodes it rewrites). The root comes from the caller's
+// snapshot, so a whole operation sees one consistent tree.
 func (r indexReader) descend(root device.PageID, key uint64, forInsert bool, path *[]branch.Frame) (pid device.PageID, image []byte, bound uint64, err error) {
 	pid, bound = root, ^uint64(0)
 	for {
@@ -106,11 +106,7 @@ func (r indexReader) descend(root device.PageID, key uint64, forInsert bool, pat
 			}
 		}
 		if path != nil {
-			n, err := branch.Decode(buf, ErrCorrupt)
-			if err != nil {
-				return 0, nil, 0, err
-			}
-			*path = append(*path, branch.Frame{Pid: pid, Node: n, Slot: slot})
+			*path = append(*path, branch.Frame{Pid: pid, Image: buf, Slot: slot})
 		}
 		pid = child
 	}
