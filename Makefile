@@ -16,11 +16,11 @@ help:
 	@echo "  make test     - go test ./..."
 	@echo "  make race     - race-detector tests on core/pagestore/device/heapfile/forest"
 	@echo "  make fuzz     - fuzz the BF-leaf, internal-node (routed by the BF-tree, decoded by the B+-tree), metadata, forest-blob, B+-tree leaf and FD-tree run-page decoders, the HTTP routes and the tuple-frame codec, 10s each"
-	@echo "  make conformance - cross-backend index API conformance suite"
+	@echo "  make conformance - cross-backend index API conformance suite, with the data-page image guard (answers are read-only page views)"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
 	@echo "  make compact  - incremental-compaction gate: in-place compaction contract + race test + drift bound + stall comparison"
-	@echo "  make serve    - serving-layer gate: server + loadgen suites under -race, serve-load scaling test"
+	@echo "  make serve    - serving-layer gate: server + loadgen suites under -race (golden equivalence with the data-page image guard), serve-load scaling test"
 	@echo "  make bench    - run every benchmark once (smoke) "
 	@echo "  make bfperf   - smoke-test the wall-clock benchmark (its own module)"
 	@echo "  make bench-json - regenerate every BENCH_*.json artifact (see the README table)"

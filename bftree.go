@@ -65,7 +65,11 @@ import (
 // Re-exported types. Options configures a build (false positive
 // probability, pages per filter, hash count, counting filters,
 // maintenance); Tree is the index; Result carries matching tuples plus
-// the probe's cost accounting.
+// the probe's cost accounting. The tuples are read-only views of the
+// data pages' shared images: a view stays valid for as long as the
+// caller holds it, a caller that wants to change a tuple copies it
+// first, and a retained view keeps its page image (4 KiB at the default
+// page size) alive.
 type (
 	Options    = core.Options
 	Tree       = core.Tree

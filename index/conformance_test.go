@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"sort"
@@ -23,7 +24,9 @@ import (
 // deleted associations, where its answer may remain a superset of the
 // exact backends' (standard filters cannot unset bits; counting-filter
 // collisions can still flag a page holding the physically present
-// tuple).
+// tuple). Answers are read-only views of the relation's page images, so
+// each test of the suite also hashes those images before and after it
+// runs (guardImages) and fails if any changed.
 
 // goldenRelation builds an ordered relation with duplicate keys: key
 // step 5, three tuples per key, payload = ordinal.
@@ -51,6 +54,34 @@ func goldenRelation(t *testing.T, n int) (*heapfile.File, *pagestore.Store) {
 		t.Fatal(err)
 	}
 	return file, store
+}
+
+// guardImages fails t, once t and its subtests have run, if any data
+// page image of file changed meanwhile. Every backend answers with
+// read-only views of these images, so a change means some code wrote
+// through a view it was handed.
+func guardImages(t *testing.T, file *heapfile.File) {
+	t.Helper()
+	sums := func() [][sha256.Size]byte {
+		out := make([][sha256.Size]byte, file.NumPages())
+		for i := range out {
+			img, err := file.Store().ReadPage(file.FirstPage() + device.PageID(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = sha256.Sum256(img)
+		}
+		return out
+	}
+	before := sums()
+	t.Cleanup(func() {
+		for i, sum := range sums() {
+			if sum != before[i] {
+				t.Errorf("data page %d changed while the suite ran: a caller wrote through a tuple view",
+					file.FirstPage()+device.PageID(i))
+			}
+		}
+	})
 }
 
 // goldenTuples brute-force scans the file for every tuple with field 0
@@ -115,6 +146,7 @@ func refsOf(t *testing.T, file *heapfile.File, key uint64) []index.Ref {
 func TestConformance(t *testing.T) {
 	const n = 6000 // 2000 distinct keys 0,5,...,9995; 3 tuples each
 	file, _ := goldenRelation(t, n)
+	guardImages(t, file)
 	maxKey := uint64(n/3-1) * 5
 
 	for _, name := range index.Backends() {
@@ -280,6 +312,7 @@ func TestConformance(t *testing.T) {
 func TestConformanceConcurrent(t *testing.T) {
 	const n = 3000 // 1000 distinct keys, 3 tuples each
 	file, _ := goldenRelation(t, n)
+	guardImages(t, file)
 	maxKey := uint64(n/3-1) * 5
 
 	for _, name := range index.Backends() {
@@ -401,6 +434,7 @@ func TestConformanceConcurrent(t *testing.T) {
 func TestConformanceDedupLayout(t *testing.T) {
 	const n = 6000
 	file, _ := goldenRelation(t, n)
+	guardImages(t, file)
 	maxKey := uint64(n/3-1) * 5
 
 	for _, name := range []string{"bptree", "fdtree"} {

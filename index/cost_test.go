@@ -128,3 +128,34 @@ func TestExactBackendCosts(t *testing.T) {
 		})
 	}
 }
+
+// TestRangeScanAllocations pins that the exact backends' fetch path
+// hands out the tuples it reads without copying them: a bptree
+// RangeScan returning about 3,000 tuples, in both layouts, allocates
+// fewer objects than one per eight tuples. What it allocates is per
+// leaf and per page, or grows with the answer.
+func TestRangeScanAllocations(t *testing.T) {
+	file, _ := goldenRelation(t, 6000)
+	for _, dedup := range []bool{false, true} {
+		ix, err := index.New("bptree", pagestore.New(device.New(device.Memory, 4096)), file, 0, index.Options{DedupKeys: dedup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tuples int
+		allocs := testing.AllocsPerRun(20, func() {
+			res, err := ix.RangeScan(1000, 6000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuples = len(res.Tuples)
+		})
+		if tuples != 3003 {
+			t.Fatalf("dedup %v: RangeScan returned %d tuples, want 3003", dedup, tuples)
+		}
+		if allocs*8 >= float64(tuples) {
+			t.Errorf("dedup %v: RangeScan allocates %v objects for %d tuples, want fewer than one per eight",
+				dedup, allocs, tuples)
+		}
+		ix.Close()
+	}
+}

@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"bftree/internal/bptree"
@@ -31,6 +30,7 @@ type fetcher struct {
 	fieldIdx int
 	cache    map[PageID][][]byte // batch fetchers only
 	buf      [][]byte            // the last uncached page's selection
+	matched  [][]byte            // visitOrdered's last answer
 }
 
 func newFetcher(file *heapfile.File, fieldIdx int) *fetcher {
@@ -41,29 +41,27 @@ func newBatchFetcher(file *heapfile.File, fieldIdx int) *fetcher {
 	return &fetcher{file: file, fieldIdx: fieldIdx, cache: make(map[PageID][][]byte)}
 }
 
-// visit reads data page pid and returns private copies of the tuples
-// keys selects, charging one DataPagesRead, and a FalseRead when nothing
-// matched.
+// visit reads data page pid and returns the tuples keys selects,
+// charging one DataPagesRead, and a FalseRead when nothing matched. The
+// tuples are read-only views of the page image (see Result); the slice
+// listing them is the fetcher's buffer, which the next visit reuses.
 func (f *fetcher) visit(pid PageID, keys heapfile.Keys, stats *ProbeStats) ([][]byte, error) {
 	var err error
 	if f.buf, err = f.file.AppendMatches(f.buf[:0], pid, f.fieldIdx, keys); err != nil {
 		return nil, err
 	}
-	matched := make([][]byte, len(f.buf))
-	for i, tup := range f.buf {
-		matched[i] = slices.Clone(tup)
-	}
-	charge(stats, len(matched))
-	return matched, nil
+	charge(stats, len(f.buf))
+	return f.buf, nil
 }
 
-// visitOrdered returns copies of the tuples of data page pid whose key
-// lies in [lo, hi], and whether the page holds a key above hi: the
-// ordered scan's stop signal. A physical read selects every key from
-// lo up and is charged like visit's; a batch fetcher keeps that
-// selection, and a later visit answers from it without a charge. The
-// batch's keys come in ascending order, so a later visit's lo is never
-// below the one the page was read for.
+// visitOrdered returns the tuples of data page pid whose key lies in
+// [lo, hi], as read-only views of the page image, and whether the page
+// holds a key above hi: the ordered scan's stop signal. The slice
+// listing them is reused by the next visitOrdered. A physical read
+// selects every key from lo up and is charged like visit's; a batch
+// fetcher keeps that selection, and a later visit answers from it
+// without a charge. The batch's keys come in ascending order, so a
+// later visit's lo is never below the one the page was read for.
 func (f *fetcher) visitOrdered(pid PageID, lo, hi uint64, stats *ProbeStats) (matched [][]byte, past bool, err error) {
 	from, cached := f.cache[pid]
 	if !cached {
@@ -78,17 +76,19 @@ func (f *fetcher) visitOrdered(pid PageID, lo, hi uint64, stats *ProbeStats) (ma
 		}
 	}
 	schema := f.file.Schema()
+	matched = f.matched[:0]
 	for _, tup := range from {
 		switch k := schema.Get(tup, f.fieldIdx); {
 		case k > hi:
 			past = true
 		case k >= lo:
-			matched = append(matched, slices.Clone(tup))
+			matched = append(matched, tup)
 		}
 	}
 	if !cached {
 		charge(stats, len(matched))
 	}
+	f.matched = matched
 	return matched, past, nil
 }
 

@@ -33,10 +33,15 @@ import (
 )
 
 // Re-exported types shared with the bftree root package. Result is the
-// outcome of any probe: matching tuple copies plus the probe's cost
-// accounting (ProbeStats). Ref identifies one tuple by data page and
-// slot — the entry payload of the exact backends; the BF-Tree keys
-// associations by page only and ignores the slot.
+// outcome of any probe: matching tuples plus the probe's cost
+// accounting (ProbeStats). Every backend answers with read-only views
+// of the data pages' shared images (see Result in internal/core): a
+// view stays valid for as long as the caller holds it, a caller that
+// wants to change a tuple copies it first, and a retained view keeps
+// its page image (4 KiB at the default page size) alive. Ref identifies
+// one tuple by data page and slot — the entry payload of the exact
+// backends; the BF-Tree keys associations by page only and ignores the
+// slot.
 type (
 	Result     = core.Result
 	ProbeStats = core.ProbeStats

@@ -51,8 +51,11 @@ func keyOrder(err error) error {
 //
 //   - Next advances to the next tuple and reports whether one exists;
 //     after it returns false the iterator is exhausted (check Err).
-//   - Tuple returns the current tuple — a copy owned by the caller,
-//     valid after further Next calls.
+//   - Tuple returns the current tuple — a read-only view of its data
+//     page's shared image, valid for as long as the caller holds it,
+//     after further Next calls and after Close. A caller that wants to
+//     change it copies it first; a retained view keeps its page image
+//     (4 KiB at the default page size) alive.
 //   - Stats reports the cost accounting accumulated so far; after each
 //     Next it reflects exactly the index and data pages paid to reach
 //     the current tuple, so early termination is priced per step.

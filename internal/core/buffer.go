@@ -96,9 +96,7 @@ func (b *BufferedInserter) Search(key uint64) (*Result, error) {
 				have[string(tup)]--
 				continue
 			}
-			cp := make([]byte, len(tup))
-			copy(cp, tup)
-			res.Tuples = append(res.Tuples, cp)
+			res.Tuples = append(res.Tuples, tup)
 		}
 	}
 	return res, nil

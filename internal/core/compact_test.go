@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -343,6 +344,55 @@ func TestCompactFailedRewriteChangesNothing(t *testing.T) {
 	}
 	if st := tr.MaintenanceStats(); st.LeavesCompacted == 0 {
 		t.Error("the retry compacted no leaf")
+	}
+	assertDriftInvariant(t, tr)
+}
+
+// TestCompactPartlyFailedBatchIsRecorded injects a write fault on the
+// second leaf of a two-leaf batch: the first leaf is rewritten and its
+// drift shed before the batch fails. The pass must return the error and
+// still record what it did: one failure, one leaf compacted and the
+// hold's stall, with the per-leaf drift summing to the global drift.
+func TestCompactPartlyFailedBatchIsRecorded(t *testing.T) {
+	keys, tr, _, f := driftFixture(t, 4000, Options{FPP: 0.01, Maintenance: MaintenancePolicy{
+		FPPThreshold:     0.02,
+		IncrementalBatch: 2,
+	}})
+	churnDrift(t, tr, keys, f)
+	// Rank the leaves as the maintainer does.
+	ranked, err := tr.DriftByLeaf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Total() > ranked[j].Total() })
+	first, second := ranked[0], ranked[1]
+	if second.Total() == 0 {
+		t.Fatal("fixture has fewer than two drifted leaves")
+	}
+	injected := errors.New("injected leaf rewrite failure")
+	tr.leafWriteFault = func(pid device.PageID) error {
+		if pid == second.Pid {
+			return injected
+		}
+		return nil
+	}
+	pre := tr.loadMeta()
+
+	if err := tr.Maintain(); !errors.Is(err, injected) {
+		t.Fatalf("Maintain with the second leaf failing = %v, want the injected error", err)
+	}
+	st := tr.MaintenanceStats()
+	if st.CompactionFailures != 1 || st.LeavesCompacted != 1 {
+		t.Errorf("CompactionFailures = %d, LeavesCompacted = %d; want 1, 1",
+			st.CompactionFailures, st.LeavesCompacted)
+	}
+	if st.CompactionTotalStall <= 0 {
+		t.Error("the failed batch's hold recorded no stall")
+	}
+	post := tr.loadMeta()
+	if post.inserts != pre.inserts-uint64(first.Inserts) || post.deletes != pre.deletes-uint64(first.Deletes) {
+		t.Errorf("global drift ins %d->%d del %d->%d; want the first leaf's (ins %d, del %d) shed",
+			pre.inserts, post.inserts, pre.deletes, post.deletes, first.Inserts, first.Deletes)
 	}
 	assertDriftInvariant(t, tr)
 }
@@ -735,7 +785,10 @@ func TestIncrementalCompactionRace(t *testing.T) {
 		t.Errorf("compaction ran without stats: %+v", st)
 	}
 
-	// Quiescence: no increment lost, no page leaked.
+	// Quiescence: no increment lost, no page leaked. The writers have
+	// stopped; stopping the maintainer too keeps a pass from publishing
+	// between the per-leaf walk and the global counters' read.
+	tr.StopMaintenance()
 	assertDriftInvariant(t, tr)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

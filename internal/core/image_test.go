@@ -144,22 +144,32 @@ func TestHeldImagesSurviveWrites(t *testing.T) {
 	}
 }
 
-// TestCachedSearchFirstAllocations gates the warm point lookup: with the
-// index and data pages cached, SearchFirst copies no page and decodes no
-// internal node. What is left is the result, the leaf header, the
-// filter-match list, the data-page match list and the tuple copy with
-// its slot in the result.
-func TestCachedSearchFirstAllocations(t *testing.T) {
+// cachedSynthetic bulk-loads a tree (fpp 1e-3) over field fieldIdx of
+// a 20,000-tuple synthetic relation whose att1 values repeat about
+// avgCard times each, with index and data pages cached. The read-path
+// allocation pins run on it.
+func cachedSynthetic(t *testing.T, avgCard, fieldIdx int) (*workload.Synthetic, *Tree) {
+	t.Helper()
 	data := pagestore.New(device.New(device.Memory, 4096), pagestore.WithCache(1024))
-	syn, err := workload.GenerateSynthetic(data, 20000, 11, 1)
+	syn, err := workload.GenerateSynthetic(data, 20000, avgCard, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idx := pagestore.New(device.New(device.Memory, 4096), pagestore.WithCache(256))
-	tr, err := BulkLoad(idx, syn.File, 0, Options{FPP: 1e-3})
+	tr, err := BulkLoad(idx, syn.File, fieldIdx, Options{FPP: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return syn, tr
+}
+
+// TestCachedSearchFirstAllocations gates the warm point lookup: with the
+// index and data pages cached, SearchFirst copies no page, decodes no
+// internal node and copies no tuple. What is left is the result, the
+// leaf header, the filter-match list and the result's tuple list, whose
+// one slot is a view of the data page image.
+func TestCachedSearchFirstAllocations(t *testing.T) {
+	syn, tr := cachedSynthetic(t, 11, 0)
 	if tr.Height() < 2 {
 		t.Fatalf("height %d: the gate needs an internal level", tr.Height())
 	}
@@ -167,8 +177,66 @@ func TestCachedSearchFirstAllocations(t *testing.T) {
 	if res, err := tr.SearchFirst(key); err != nil || len(res.Tuples) != 1 {
 		t.Fatalf("warm-up search: %v (err %v)", res, err)
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = tr.SearchFirst(key) }); n > 6 {
-		t.Errorf("cached SearchFirst allocates %v objects, want <= 6", n)
+	if n := testing.AllocsPerRun(100, func() { _, _ = tr.SearchFirst(key) }); n > 4 {
+		t.Errorf("cached SearchFirst allocates %v objects, want <= 4", n)
+	}
+}
+
+// TestScanAllocations gates the streaming scan: a drained ScanOptimized
+// over 1,000 keys allocates fewer objects than the data pages it reads.
+// Its tuples are views of the page images and one selection buffer
+// serves every page, so what is left is per leaf (the header, the page
+// list, a boundary's probe state) or grows with the range (the boundary's
+// set of pages read, the caller's tuple list).
+func TestScanAllocations(t *testing.T) {
+	_, tr := cachedSynthetic(t, 11, 0)
+	var tuples int
+	var stats ProbeStats
+	allocs := testing.AllocsPerRun(20, func() {
+		c, err := tr.ScanOptimized(5000, 5999)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for c.Next() {
+			out = append(out, c.Tuple())
+		}
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+		tuples, stats = len(out), c.Stats()
+		c.Close()
+	})
+	if tuples != 1000 {
+		t.Fatalf("scan returned %d tuples, want 1000", tuples)
+	}
+	if allocs >= float64(stats.DataPagesRead) {
+		t.Errorf("drained scan allocates %v objects for %d data pages, want fewer than the pages",
+			allocs, stats.DataPagesRead)
+	}
+}
+
+// TestMultiSearchAllocations gates the batched probe: a 16-key batch
+// over keys that repeat about 64 times each returns about 1,000 tuples
+// and allocates no object per tuple, fewer than one per eight.
+func TestMultiSearchAllocations(t *testing.T) {
+	syn, tr := cachedSynthetic(t, 64, 1)
+	mid := len(syn.ATT1Keys) / 2
+	keys := syn.ATT1Keys[mid : mid+16]
+	var tuples int
+	allocs := testing.AllocsPerRun(50, func() {
+		res, err := tr.MultiSearch(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples = len(res.Tuples)
+	})
+	if tuples < 16*32 {
+		t.Fatalf("batch returned %d tuples: the fixture should repeat each key about 64 times", tuples)
+	}
+	if allocs*8 >= float64(tuples) {
+		t.Errorf("16-key MultiSearch allocates %v objects for %d tuples, want fewer than one per eight",
+			allocs, tuples)
 	}
 }
 

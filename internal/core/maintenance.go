@@ -58,16 +58,17 @@ type MaintenanceStats struct {
 	// IncrementalPasses counts maintenance passes that compacted a
 	// top-drifted leaf subset instead of rebuilding the whole tree
 	// (MaintenancePolicy.IncrementalBatch > 0); LeavesCompacted counts
-	// the leaves those passes rewrote.
+	// the leaves those passes rewrote, including the leaves a batch
+	// rewrote before it failed.
 	IncrementalPasses uint64
 	LeavesCompacted   uint64
 
 	// CompactionMinStall / CompactionMaxStall / CompactionTotalStall
-	// aggregate the exclusive-lock hold of every compaction (one
-	// whole-tree rebuild, or one bounded incremental batch including
-	// its ranking walk). CompactionMaxStall is the longest single
-	// writer stall any compaction caused — the headline number the
-	// incremental path exists to shrink.
+	// aggregate the exclusive-lock hold of every compaction, failed ones
+	// included (one whole-tree rebuild, or one bounded incremental batch
+	// including its ranking walk). CompactionMaxStall is the longest
+	// single writer stall any compaction caused — the headline number
+	// the incremental path exists to shrink.
 	CompactionMinStall   time.Duration
 	CompactionMaxStall   time.Duration
 	CompactionTotalStall time.Duration
@@ -476,18 +477,21 @@ func (t *Tree) maintainLocked(allowCompact bool) (more bool, err error) {
 		if full && err == nil {
 			err = t.rebuildLocked()
 		}
-		stall := time.Since(begin)
-		if err != nil {
+		// Writers waited out the hold whether or not the compaction
+		// succeeded, and a batch that failed part-way keeps the leaves
+		// it rewrote before the failure, their drift shed.
+		st.recordCompactionStall(time.Since(begin))
+		st.leavesCompacted.Add(uint64(compacted))
+		switch {
+		case err != nil:
 			st.compactionFailures.Add(1)
-		} else {
-			if full {
-				st.compactions.Add(1)
-			} else {
-				st.incrementalPasses.Add(1)
-				st.leavesCompacted.Add(uint64(compacted))
-				more = t.driftNeedsCompaction()
-			}
-			st.recordCompactionStall(stall)
+		case full:
+			st.compactions.Add(1)
+		default:
+			st.incrementalPasses.Add(1)
+			more = t.driftNeedsCompaction()
+		}
+		if err == nil || compacted > 0 {
 			st.lastFPPBits.Store(math.Float64bits(t.EffectiveFPP()))
 			// The compaction moved the drift counters, so a live
 			// maintainer's crossing bound no longer describes the new

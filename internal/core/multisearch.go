@@ -65,7 +65,6 @@ func (t *Tree) MultiSearch(keys []uint64) (*Result, error) {
 		if len(res.Tuples) == n {
 			res.Stats.FalseReads++
 		}
-		ownTuples(res.Tuples[n:])
 	}
 	return res, nil
 }

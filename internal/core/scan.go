@@ -36,7 +36,7 @@ type Cursor struct {
 	consumed bool            // leaf's page list already installed once
 	enum     *boundaryEnum   // lazy per-key probe of a boundary leaf (optimized mode)
 	pages    []device.PageID // data pages of the current leaf still to read
-	tuples   [][]byte        // in-range tuples of the current page (copies)
+	tuples   [][]byte        // in-range tuples of the current page; the buffer is reused across pages
 	ti       int             // index of the current tuple, -1 before first
 	stats    ProbeStats
 	err      error
@@ -129,20 +129,21 @@ func (c *Cursor) Next() bool {
 		}
 		pid := c.pages[0]
 		c.pages = c.pages[1:]
-		tuples, err := c.collect(pid)
-		if err != nil {
+		if err := c.collect(pid); err != nil {
 			c.fail(err)
 			return false
 		}
-		if len(tuples) > 0 {
-			c.tuples, c.ti = tuples, 0
+		if len(c.tuples) > 0 {
+			c.ti = 0
 			return true
 		}
 	}
 }
 
-// Tuple returns the current tuple. The slice is a copy owned by the
-// caller; it stays valid after further Next calls.
+// Tuple returns the current tuple, a read-only view of its data page's
+// shared image (see Result). The view stays valid after further Next
+// calls and after Close; a caller that wants to change it copies it
+// first.
 func (c *Cursor) Tuple() []byte {
 	if c.ti < 0 || c.ti >= len(c.tuples) {
 		return nil
@@ -308,17 +309,18 @@ func (c *Cursor) stepEnum() {
 	}
 }
 
-// collect reads one data page and returns copies of its in-range
-// tuples, charging the read (and a false read when nothing matched).
-func (c *Cursor) collect(pid device.PageID) ([][]byte, error) {
-	out, err := c.t.file.AppendMatches(nil, pid, c.t.fieldIdx, heapfile.Keys{Lo: c.lo, Hi: c.hi})
-	if err != nil {
-		return nil, err
+// collect reads one data page and replaces c.tuples with views of its
+// in-range tuples, charging the read (and a false read when nothing
+// matched). The views the previous page handed out stay valid: only the
+// slice that listed them is reused.
+func (c *Cursor) collect(pid device.PageID) error {
+	var err error
+	if c.tuples, err = c.t.file.AppendMatches(c.tuples[:0], pid, c.t.fieldIdx, heapfile.Keys{Lo: c.lo, Hi: c.hi}); err != nil {
+		return err
 	}
 	c.stats.DataPagesRead++
-	if len(out) == 0 {
+	if len(c.tuples) == 0 {
 		c.stats.FalseReads++
 	}
-	ownTuples(out)
-	return out, nil
+	return nil
 }

@@ -29,8 +29,13 @@ func (p *ProbeStats) Add(s ProbeStats) {
 	p.FalseReads += s.FalseReads
 }
 
-// Result is the outcome of a probe: matching tuples (copies) and the
-// probe's cost accounting.
+// Result is the outcome of a probe: matching tuples and the probe's
+// cost accounting. Each tuple is a read-only view of the shared image of
+// the data page it was read from (see package pagestore). A view stays
+// valid for as long as the caller holds it, and a later write to the
+// page leaves it unchanged; a caller that wants to change a tuple copies
+// it first. A retained view keeps its whole page image (4 KiB at the
+// default page size) alive.
 type Result struct {
 	Tuples [][]byte
 	Stats  ProbeStats
@@ -146,33 +151,22 @@ func (t *Tree) probeLeaf(leaf *bfLeaf, key uint64, firstOnly bool, res *Result) 
 		}
 		for pid := lo; pid <= hi; pid++ {
 			res.Stats.CandidatePages++
-			tuples, err := t.file.SearchPage(pid, t.fieldIdx, key)
-			if err != nil {
+			n := len(res.Tuples)
+			var err error
+			if res.Tuples, err = t.file.AppendMatches(res.Tuples, pid, t.fieldIdx, heapfile.Keys{Lo: key, Hi: key}); err != nil {
 				return false, err
 			}
 			res.Stats.DataPagesRead++
-			if len(tuples) == 0 {
+			if len(res.Tuples) == n {
 				res.Stats.FalseReads++
 				continue
 			}
-			ownTuples(tuples)
-			res.Tuples = append(res.Tuples, tuples...)
 			if firstOnly {
 				return true, nil
 			}
 		}
 	}
 	return false, nil
-}
-
-// ownTuples replaces each tuple, a read-only sub-slice of a shared
-// page image, with a private copy the caller may keep and change.
-func ownTuples(tuples [][]byte) {
-	for i, tup := range tuples {
-		cp := make([]byte, len(tup))
-		copy(cp, tup)
-		tuples[i] = cp
-	}
 }
 
 // String summarizes the tree.

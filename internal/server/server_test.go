@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -60,6 +61,34 @@ func servedRelation(t testing.TB, n int) (*heapfile.File, *pagestore.Store) {
 		t.Fatal(err)
 	}
 	return file, store
+}
+
+// guardImages fails t, once t and its subtests have run, if any data
+// page image of file changed meanwhile. Answers hold read-only views of
+// these images, so a change means the handler, the client or the test
+// wrote through a view.
+func guardImages(t *testing.T, file *heapfile.File) {
+	t.Helper()
+	sums := func() [][sha256.Size]byte {
+		out := make([][sha256.Size]byte, file.NumPages())
+		for i := range out {
+			img, err := file.Store().ReadPage(file.FirstPage() + device.PageID(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = sha256.Sum256(img)
+		}
+		return out
+	}
+	before := sums()
+	t.Cleanup(func() {
+		for i, sum := range sums() {
+			if sum != before[i] {
+				t.Errorf("data page %d changed while the test ran: a caller wrote through a tuple view",
+					file.FirstPage()+device.PageID(i))
+			}
+		}
+	})
 }
 
 // mount builds backend name over file, serves it over a real listener
@@ -129,10 +158,13 @@ func sameResult(t *testing.T, op string, got, want *index.Result) {
 // every registered backend, every read answer served over HTTP —
 // point, first-match, range, batched, streamed scan with LIMIT —
 // equals the direct index.Index call on the same store, stats
-// included. The wire adds transport, never semantics.
+// included. The wire adds transport, never semantics. Both sides answer
+// with views of the relation's page images, and guardImages fails the
+// test if any image changed.
 func TestGoldenEquivalence(t *testing.T) {
 	const n = 3000 // keys 0,5,...,4995; 3 tuples each
 	file, _ := servedRelation(t, n)
+	guardImages(t, file)
 	maxKey := uint64(n/3-1) * 5
 
 	for _, name := range index.Backends() {
